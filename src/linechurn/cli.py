@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="required changes per month of project lifetime")
     analyze.add_argument("--min-line-mods", type=int, default=3,
                          help="absolute floor on a hotspot line's modification count")
-    analyze.add_argument("--workers", type=int, default=4)
     analyze.add_argument("--file-sample", type=int, default=None,
                          help="cap on hotspot files to line-track")
     analyze.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -95,7 +94,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         output_dir=args.out,
         thresholds=thresholds,
         bot_config=bot_config,
-        worker_count=args.workers,
         file_sample=args.file_sample,
         sample_seed=args.seed,
         emit_plot_data=args.emit_plot_data,

@@ -2,8 +2,8 @@
 
 Consumes the byte stream produced by
 
-    git log -M -C --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
-        --reverse -p -- <file_path>
+    git log -M --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
+        --reverse -p -- <file_path>...
 
 and turns it into a flat sequence of typed events: commit headers, file-diff
 headers, hunks, skip notices, and a terminating end-of-stream marker.  The
@@ -460,9 +460,13 @@ def parse_name_status_stream(lines: Iterable[bytes]) -> Iterator[object]:
 
 def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
                 name_status: bool = False) -> list[str]:
-    """Build the git log invocation whose output this module parses."""
+    """Build the git log invocation whose output this module parses.
+
+    Copies (``-C``) are detected on whole-repository walks only: under a
+    pathspec a copy's source could only be another listed path.
+    """
     cmd = ["git", "-c", "core.quotepath=off", "-c", "color.ui=false", "log",
-           "--no-ext-diff", "-M", "-C",
+           "--no-ext-diff", "-M",
            f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     if first_parent:
         cmd.insert(cmd.index("log") + 1, "--first-parent")
@@ -470,6 +474,8 @@ def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
     if file_paths:
         cmd.append("--")
         cmd.extend(file_paths)
+    else:
+        cmd.insert(cmd.index("-M") + 1, "-C")
     return cmd
 
 

@@ -2,10 +2,10 @@
 
 Stages: (1) a cheap name-status pass over the whole first-parent history
 computes per-file churn and the dual-filter hotspot files; (2) only those
-files get the expensive per-file patch log and line tracking, in a bounded
-worker pool; (3) hotspot lines are selected, classified, and attributed to
-bot or human committers; (4) all CSV/JSON artifacts are written, the run
-manifest last.
+files, with their rename chains, get the expensive patch log, one walk for
+all of them, and line tracking; (3) hotspot lines are selected, classified,
+and attributed to bot or human committers; (4) all CSV/JSON artifacts are
+written, the run manifest last.
 
 A single file whose replay goes out of bounds is aborted and recorded; the
 run completes and reports partial failure instead of dying.
@@ -13,6 +13,7 @@ run completes and reports partial failure instead of dying.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -21,7 +22,6 @@ import random
 import shutil
 import subprocess
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,7 +40,6 @@ from .churn import (
     summarize,
 )
 from .diffstream import (
-    CommitHeader,
     CommitStart,
     FileStart,
     log_command,
@@ -73,7 +72,6 @@ class AnalysisConfig:
     output_dir: Path
     thresholds: HotspotThresholds = field(default_factory=HotspotThresholds)
     bot_config: BotConfig = field(default_factory=BotConfig)
-    worker_count: int = 4
     file_sample: int | None = None
     sample_seed: int = 0
     emit_plot_data: bool = False
@@ -84,8 +82,6 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         self.repo_path = Path(self.repo_path)
         self.output_dir = Path(self.output_dir)
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be at least 1")
 
     def snapshot(self) -> dict:
         return {
@@ -95,7 +91,6 @@ class AnalysisConfig:
             "monthly_rate": self.thresholds.monthly_rate,
             "min_line_mods": self.thresholds.min_line_mods,
             "population_sigma": self.thresholds.population_sigma,
-            "worker_count": self.worker_count,
             "file_sample": self.file_sample,
             "sample_seed": self.sample_seed,
             "emit_plot_data": self.emit_plot_data,
@@ -156,6 +151,12 @@ def _git_lines(repo: Path, cmd: list[str]):
     proc = subprocess.Popen(cmd, cwd=repo, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     assert proc.stdout is not None
+    # A 1 MiB pipe instead of 64 KiB lets git run ahead through commits that
+    # are slow to diff but short to print while the parser works through long
+    # patches.  Linux only; the kernel, not this process, holds the bytes.
+    with contextlib.suppress(ImportError, OSError):
+        from fcntl import F_SETPIPE_SZ, fcntl
+        fcntl(proc.stdout, F_SETPIPE_SZ, 1 << 20)
     try:
         yield from proc.stdout
     finally:
@@ -209,18 +210,6 @@ def _stage1_churn(repo: Path):
     return counts, chains, months, span["n"]
 
 
-def _track_one(repo: Path, path: str, chain: list[str]):
-    """Stage 2 for one hotspot file: per-file patch log, replayed."""
-    pathspecs = chain + [path]
-    replayer = HistoryReplayer(track_paths=set(pathspecs))
-    lines = _git_lines(repo, log_command(file_paths=pathspecs))
-    replayer.run(parse_log_stream(lines))
-    state = replayer.states.get(path)
-    headers = {h.hash: h for h in replayer.commits_seen}
-    aborted = {p: a.reason for p, a in replayer.aborted.items()}
-    return state, headers, aborted
-
-
 def analyze_repo(config: AnalysisConfig) -> RunManifest:
     """Run the full pipeline and write every artifact plus the manifest."""
     started = datetime.now(timezone.utc)
@@ -239,27 +228,18 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         rng = random.Random(config.sample_seed)
         selected_files = sorted(rng.sample(selected_files, config.file_sample))
 
-    # Stage 2: line tracking, hotspot files only.
-    tracked: list[_TrackedFile] = []
-    aborted: dict[str, str] = {}
-    commit_headers: dict[str, CommitHeader] = {}
-
-    def work(path: str):
-        return path, _track_one(config.repo_path, path, chains.get(path, []))
-
-    with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-        for path, (state, headers, file_aborted) in pool.map(work, selected_files):
-            commit_headers.update(headers)
-            aborted.update(file_aborted)
-            if state is None:
-                continue
-            tracked.append(_TrackedFile(
-                path=path,
-                category=categories.get(path, categorize_file(path)),
-                state=state,
-                reports=finalize(state),
-            ))
-    tracked.sort(key=lambda t: t.path)
+    # Stage 2: line tracking of the selected files and their rename chains,
+    # in one patch walk.
+    pathspecs = sorted({p for path in selected_files for p in chains.get(path, []) + [path]})
+    replayer = HistoryReplayer(track_paths=set(pathspecs))
+    if pathspecs:  # without a pathspec the walk would read every file's patches
+        lines = _git_lines(config.repo_path, log_command(file_paths=pathspecs))
+        replayer.run(parse_log_stream(lines))
+    aborted = {p: a.reason for p, a in replayer.aborted.items()}
+    tracked = [
+        _TrackedFile(path=path, category=categories[path], state=state, reports=finalize(state))
+        for path in selected_files if (state := replayer.states.get(path)) is not None
+    ]
 
     # Stage 3: hotspot lines, classification, bot attribution.
     overrides = load_label_overrides(config.labels_override) if config.labels_override else {}
@@ -289,12 +269,12 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     flagged = {
         (identity.name, identity.email): flag_bot(identity, config.bot_config)
         for identity in aggregate_committers(
-            [h for h in commit_headers.values() if h.hash in hotspot_hashes]
+            [h for h in replayer.commits_seen if h.hash in hotspot_hashes]
         )
     }
     commit_identity = {
         h.hash: flagged[(h.committer_name, h.committer_email)]
-        for h in commit_headers.values() if h.hash in hotspot_hashes
+        for h in replayer.commits_seen if h.hash in hotspot_hashes
     }
 
     # Commit-level share: a commit counts once per pattern, and once overall.

@@ -114,6 +114,8 @@ class FileState:
     file_lines: list[TrackedLine] = field(default_factory=list)
     dead_lines: list[TrackedLine] = field(default_factory=list)
     line_offsets: list[tuple[int, int]] = field(default_factory=list)
+    # (base, overlap, hunk) of each hunk applied in current_commit; copies undo them
+    commit_hunks: list[tuple[int, int, Hunk]] = field(default_factory=list)
     max_processed_index: int = 0
     current_commit: str | None = None
     births_total: int = 0
@@ -134,6 +136,7 @@ class FileState:
         """
         if self.current_commit != commit_hash:
             self.line_offsets.clear()
+            self.commit_hunks.clear()
             self.max_processed_index = 0
             self.current_commit = commit_hash
 
@@ -221,6 +224,7 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     state.file_lines[base : base + consumed] = updated
     state.max_processed_index = base + len(updated)
     state.line_offsets.append((hunk.old_start, hunk.new_count - hunk.old_count))
+    state.commit_hunks.append((base, overlap, hunk))
     return state
 
 
@@ -307,10 +311,10 @@ class HistoryReplayer:
     """Drives FileStates for every path seen in one parsed event stream.
 
     Renames carry the existing state forward under the new path; copies start
-    fresh states (the copied lines are new births when the source is being
-    tracked in the same stream, otherwise the copy target is aborted because
-    its baseline is unknown).  A file whose hunks go out of bounds is aborted
-    and reported; other files continue.
+    fresh states (the source's lines as of the commit's parent, as new births,
+    when the source is tracked in the same stream; otherwise the copy target
+    is aborted because its baseline is unknown).  A file whose hunks go out of
+    bounds is aborted and reported; other files continue.
     """
 
     def __init__(self, track_paths: set[str] | None = None):
@@ -384,16 +388,27 @@ class HistoryReplayer:
 
 
 def _fresh_copy(source: FileState, new_path: str, commit: CommitHeader) -> FileState:
-    """Copy a file's current content as brand-new lines (fresh identities)."""
+    """Copy a file as of the commit's parent as brand-new lines (fresh identities).
+
+    git's copy hunks are relative to the source's pre-image, so the hunks the
+    source already received in this commit are undone, last first.
+    """
+    lines = [(ln.content, ln.had_newline) for ln in source.file_lines]
+    if source.current_commit == commit.hash:
+        for base, overlap, hunk in reversed(source.commit_hunks):
+            old_side = [(hl.text, hl.had_newline) for hl in hunk.lines
+                        if hl.kind != LineKind.ADDITION]
+            # overlap-skipped context lines lead the hunk and were not replaced
+            lines[base:base + hunk.new_count - overlap] = old_side[overlap:]
     state = FileState(new_path)
     state.current_commit = commit.hash
-    for src_line in source.file_lines:
+    for content, had_newline in lines:
         state.file_lines.append(TrackedLine(
             slot_id=state._new_slot(),
-            content=src_line.content,
+            content=content,
             birth_ts=commit.committer_timestamp,
-            had_newline=src_line.had_newline,
-            history=[Revision(commit.hash, commit.committer_timestamp, src_line.content)],
+            had_newline=had_newline,
+            history=[Revision(commit.hash, commit.committer_timestamp, content)],
         ))
         state.births_total += 1
     return state

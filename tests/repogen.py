@@ -245,6 +245,62 @@ def build_hotspot_repo(path: Path, n_bumps: int = 34) -> dict:
     }
 
 
+def build_multi_hotspot_repo(path: Path, n_rounds: int = 40) -> dict:
+    """Three hotspot files edited in the same commits, with a rename and a copy.
+
+    Every round edits line 2 of ``conf/a.cfg`` and line 3 of the second
+    file, which is ``conf/old.cfg`` until round ``n_rounds // 2`` renames it
+    to ``conf/b.cfg`` unchanged.  Round ``n_rounds // 4`` also adds
+    ``conf/c.cfg``: a.cfg's content before that round's edit, with line 5
+    edited; later rounds edit c.cfg's line 2 only.  Fifty quiet files are
+    touched once, so exactly the three hot files pass the dual filter.
+    Returns the final files' lines with the number of edits each received.
+    """
+    builder = RepoBuilder(path)
+    model = {
+        "conf/a.cfg": [[f"alpha_{i} = {i}".encode(), 0] for i in range(15)],
+        "conf/old.cfg": [[f"beta_{i} = {i * 7}".encode(), 0] for i in range(12)],
+    }
+
+    def render(p: str) -> bytes:
+        return b"\n".join(text for text, _ in model[p]) + b"\n"
+
+    edits: dict[str, bytes | None] = {p: render(p) for p in model}
+    for i in range(50):
+        edits[f"src/quiet_{i:02d}.py"] = f"QUIET = {i}\n".encode()
+    builder.commit(edits, "initial import")
+
+    second = "conf/old.cfg"
+    for k in range(1, n_rounds + 1):
+        edits = {}
+        if k == n_rounds // 4:
+            model["conf/c.cfg"] = [[text, 0] for text, _ in model["conf/a.cfg"]]
+            model["conf/c.cfg"][4][0] = b"alpha_4 = edited in the copy"
+            edits["conf/c.cfg"] = render("conf/c.cfg")
+        elif k > n_rounds // 4:
+            model["conf/c.cfg"][1] = [f"gamma = {k}".encode(), model["conf/c.cfg"][1][1] + 1]
+            edits["conf/c.cfg"] = render("conf/c.cfg")
+        model["conf/a.cfg"][1] = [f'version = "1.0.{k}"'.encode(), model["conf/a.cfg"][1][1] + 1]
+        edits["conf/a.cfg"] = render("conf/a.cfg")
+        if k == n_rounds // 2:
+            model["conf/b.cfg"] = model.pop(second)
+            edits[second] = None
+            second = "conf/b.cfg"
+        else:
+            model[second][2] = [f"beta_2 = {k}".encode(), model[second][2][1] + 1]
+        edits[second] = render(second)
+        builder.commit(edits, f"round {k}")
+    hashes = builder.finish()
+    return {
+        "path": path,
+        "hashes": hashes,
+        "hot_files": sorted(model),
+        "lines": {p: [(text, mods) for text, mods in lines] for p, lines in model.items()},
+        "renamed": ("conf/old.cfg", "conf/b.cfg"),
+        "copy": ("conf/c.cfg", 5),  # copy target and its line edited in the copy commit
+    }
+
+
 def build_perf_repo(path: Path, n_commits: int = 10_000, n_files: int = 200) -> list[str]:
     """A large repository with a handful of planted hotspot files.
 

@@ -37,7 +37,8 @@ from linechurn.taxonomy import (
 from linechurn.tracker import HistoryReplayer, snapshot_bytes
 
 from conftest import repo_log_events
-from repogen import BlobReader, RepoBuilder, build_hotspot_repo, build_perf_repo, build_random_repo
+from repogen import (BlobReader, RepoBuilder, build_hotspot_repo, build_multi_hotspot_repo,
+                     build_perf_repo, build_random_repo)
 from test_diffstream import COMMIT1, hunk_header_bytes, random_hunk
 from test_churn import brute_mean_std, brute_summary
 from test_taxonomy import GOLDEN_PAIRS, STEPWISE_HISTORY, line_from_contents, pair_for
@@ -279,23 +280,27 @@ def test_desk_scale_performance(perf_repo, tmp_path):
 
 
 def test_determinism(tmp_path):
-    """Identical config on an identical repo: byte-identical artifacts."""
+    """Identical config on an identical repo: byte-identical artifacts.
+
+    The second fixture has several hotspot files replayed in one shared walk.
+    """
     with criterion("determinism"):
-        fixture = build_hotspot_repo(tmp_path / "repo")
-        outputs = []
-        for name in ("one", "two"):
-            out = tmp_path / name
-            analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out,
-                                        emit_plot_data=True))
-            outputs.append(out)
-        first, second = outputs
-        names1 = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
-        names2 = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
-        assert names1 == names2
-        compared = 0
-        for rel in names1:
-            if rel.name == "manifest.json":
-                continue
-            assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
-            compared += 1
-        assert compared >= 7
+        for build in (build_hotspot_repo, build_multi_hotspot_repo):
+            fixture = build(tmp_path / build.__name__ / "repo")
+            outputs = []
+            for name in ("one", "two"):
+                out = tmp_path / build.__name__ / name
+                analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out,
+                                            emit_plot_data=True))
+                outputs.append(out)
+            first, second = outputs
+            names1 = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+            names2 = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+            assert names1 == names2
+            compared = 0
+            for rel in names1:
+                if rel.name == "manifest.json":
+                    continue
+                assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+                compared += 1
+            assert compared >= 7

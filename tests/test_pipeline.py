@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,9 @@ import linechurn.pipeline as pipeline
 from linechurn.churn import HotspotThresholds
 from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
 from linechurn.selector import RepoMeta
+from linechurn.tracker import AbortedFile, read_line_report
 
-from repogen import build_hotspot_repo
+from repogen import build_hotspot_repo, build_multi_hotspot_repo
 
 
 @pytest.fixture(scope="module")
@@ -183,17 +186,80 @@ class TestAnalyzeRepo:
         assert manifest.stage_counts["files_tracked"] == 0
 
 
+def git_log_runs(monkeypatch) -> list[list[str]]:
+    """Record every ``git log`` command the pipeline starts."""
+    runs: list[list[str]] = []
+    real = pipeline._git_lines
+
+    def counting(repo, cmd):
+        if "log" in cmd:
+            runs.append(cmd)
+        return real(repo, cmd)
+
+    monkeypatch.setattr(pipeline, "_git_lines", counting)
+    return runs
+
+
+def blame_commits(repo: Path, path: str) -> list[str]:
+    """Last-touch commit of every line at HEAD, per first-parent git blame."""
+    out = subprocess.run(["git", "blame", "--first-parent", "--porcelain", "HEAD", "--", path],
+                         cwd=repo, capture_output=True, check=True).stdout
+    return [m.group(1).decode() for m in re.finditer(rb"^([0-9a-f]{40}) \d+ \d+", out, re.M)]
+
+
+class TestSharedWalk:
+    """Stage 2 replays every selected file in one walk."""
+
+    @pytest.fixture(scope="class")
+    def multi(self, tmp_path_factory):
+        return build_multi_hotspot_repo(tmp_path_factory.mktemp("multi") / "repo")
+
+    def test_one_walk_for_all_files(self, multi, tmp_path, monkeypatch):
+        runs = git_log_runs(monkeypatch)
+        manifest = analyze_repo(AnalysisConfig(repo_path=multi["path"], output_dir=tmp_path))
+        assert len(runs) == 2
+        old_name, new_name = multi["renamed"]
+        assert old_name in runs[1] and new_name in runs[1]
+        assert manifest.aborted == {}
+        assert manifest.stage_counts["files_tracked"] == len(multi["hot_files"]) == 3
+
+        reports = {}
+        for path, lines in multi["lines"].items():
+            rows = read_line_report(tmp_path / "line_reports" / pipeline._safe_report_name(path))
+            checkout = subprocess.run(["git", "show", f"HEAD:{path}"], cwd=multi["path"],
+                                      capture_output=True, check=True).stdout
+            assert [r.content for r in rows] == checkout.splitlines(), path
+            assert [(r.content, r.mod_count) for r in rows] == lines, path
+            assert [r.history[-1][0] for r in rows] == blame_commits(multi["path"], path), path
+            reports[path] = rows
+
+        copy_target, edited_line = multi["copy"]
+        assert reports[copy_target][edited_line - 1].mod_count == 0
+
+    def test_no_walk_without_selected_files(self, multi, tmp_path, monkeypatch):
+        runs = git_log_runs(monkeypatch)
+        manifest = analyze_repo(AnalysisConfig(repo_path=multi["path"], output_dir=tmp_path,
+                                               file_sample=0))
+        assert len(runs) == 1
+        assert manifest.stage_counts["files_tracked"] == 0
+
+
+def aborting_replayer(path: str, reason: str):
+    """A stage-2 replayer that aborts ``path`` after an otherwise real replay."""
+
+    class AbortingReplayer(pipeline.HistoryReplayer):
+        def run(self, events):
+            super().run(events)
+            self.states.pop(path, None)
+            self.aborted[path] = AbortedFile(path, reason)
+
+    return AbortingReplayer
+
+
 class TestCrashContainment:
     def test_aborted_file_reported_not_fatal(self, hotspot_repo, tmp_path, monkeypatch):
-        real = pipeline._track_one
-
-        def flaky(repo, path, chain):
-            state, headers, aborted = real(repo, path, chain)
-            aborted = dict(aborted)
-            aborted[path] = "synthetic hunk out of bounds"
-            return None, headers, aborted
-
-        monkeypatch.setattr(pipeline, "_track_one", flaky)
+        monkeypatch.setattr(pipeline, "HistoryReplayer",
+                            aborting_replayer("hot.cfg", "synthetic hunk out of bounds"))
         config = AnalysisConfig(repo_path=hotspot_repo["path"],
                                 output_dir=tmp_path / "aborted")
         manifest = analyze_repo(config)
@@ -223,13 +289,7 @@ class TestCli:
 
     def test_analyze_partial_failure_exit_two(self, hotspot_repo, tmp_path,
                                               monkeypatch, capsys):
-        real = pipeline._track_one
-
-        def flaky(repo, path, chain):
-            _, headers, _ = real(repo, path, chain)
-            return None, headers, {path: "boom"}
-
-        monkeypatch.setattr(pipeline, "_track_one", flaky)
+        monkeypatch.setattr(pipeline, "HistoryReplayer", aborting_replayer("hot.cfg", "boom"))
         code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]),
                          "--out", str(tmp_path / "o2")])
         assert code == 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from linechurn.diffstream import CommitHeader, Hunk, HunkLine
+from linechurn.diffstream import CommitHeader, FileDiffHeader, FileStart, Hunk, HunkLine
 from linechurn.tracker import (
     FileState,
     HistoryReplayer,
@@ -261,6 +261,32 @@ class TestReplayer:
         replayer.run(iter(events))
         assert "broken" in replayer.aborted
         assert replayer.states["good"].file_lines[0].content == b"ok2"
+
+    def test_copy_starts_from_source_pre_image(self, tmp_path):
+        """Copy hunks are relative to the source as of the commit's parent,
+        also when the source is edited earlier in the same commit."""
+        from repogen import RepoBuilder
+
+        before = [f"setting_{i} = {i}".encode() for i in range(12)]
+        # Two source hunks that shift lines: an insertion and edit near the
+        # top, a deletion at the end.
+        source = before[:2] + [b"inserted", b"setting_2 = edited"] + before[3:11]
+        copy = list(before)
+        copy[8] = b"setting_8 = edited in the copy"
+        builder = RepoBuilder(tmp_path / "r")
+        builder.commit({"e.cfg": b"\n".join(before) + b"\n"}, "c1")
+        builder.commit({"e.cfg": b"\n".join(source) + b"\n",
+                        "f.cfg": b"\n".join(copy) + b"\n"}, "edit e, copy it to f")
+        builder.finish()
+
+        events = repo_log_events(builder.path)
+        assert FileStart(FileDiffHeader("e.cfg", "f.cfg", is_rename_or_copy=True,
+                                        is_copy=True)) in events
+        replayer = HistoryReplayer()
+        replayer.run(iter(events))
+        assert not replayer.aborted
+        assert snapshot_bytes(replayer.states["e.cfg"]) == b"\n".join(source) + b"\n"
+        assert snapshot_bytes(replayer.states["f.cfg"]) == b"\n".join(copy) + b"\n"
 
 
 def test_snapshot_matches_checkout_on_random_repo(tmp_path):

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bots import BotConfig, CommitterIdentity, aggregate_committers, bot_share, flag_bot
 from .churn import (
     DescriptiveStats,
-    FileChurn,
     HotspotThresholds,
     categorize_file,
     count_file_commits,

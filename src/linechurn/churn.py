@@ -36,13 +36,6 @@ ADMINISTRATIVE = "administrative"
 
 
 @dataclass(frozen=True)
-class FileChurn:
-    path: str
-    commit_touch_count: int
-    category: str
-
-
-@dataclass(frozen=True)
 class ChurnSummary:
     mean: float
     stddev: float
@@ -206,11 +199,11 @@ def select_hotspot_lines(lines: list, thresholds: HotspotThresholds = HotspotThr
     ]
 
 
-def lifespan_days(line, as_of: int | None = None) -> float:
+def lifespan_days(line) -> float:
     """Days between a line's first and last recorded modification.
 
-    ``as_of`` is accepted for signature stability but does not enter the
-    computation: lifespan is defined by the recorded history itself.
+    Lifespan is defined by the recorded history itself, not by a reference
+    date.
     """
     if not line.history:
         raise EmptyInput("line has no history")

@@ -463,10 +463,13 @@ def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
     """Build the git log invocation whose output this module parses.
 
     Copies (``-C``) are detected on whole-repository walks only: under a
-    pathspec a copy's source could only be another listed path.
+    pathspec a copy's source could only be another listed path.  The diff
+    prefix and algorithm are pinned so a user's ``diff.noprefix`` or
+    ``diff.algorithm`` cannot change the headers or the line pairing.
     """
-    cmd = ["git", "-c", "core.quotepath=off", "-c", "color.ui=false", "log",
-           "--no-ext-diff", "-M",
+    cmd = ["git", "-c", "core.quotepath=off", "-c", "color.ui=false",
+           "-c", "diff.noprefix=false", "log",
+           "--no-ext-diff", "--diff-algorithm=myers", "-M",
            f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     if first_parent:
         cmd.insert(cmd.index("log") + 1, "--first-parent")

@@ -30,7 +30,6 @@ from . import __version__
 from .bots import BotConfig, BotShare, BotShareReport, CommitterIdentity, aggregate_committers, bot_share, flag_bot
 from .churn import (
     SECONDS_PER_MONTH,
-    FileChurn,
     HotspotThresholds,
     categorize_file,
     count_file_commits,
@@ -53,7 +52,7 @@ from .taxonomy import (
     classify_history,
     load_label_overrides,
 )
-from .tracker import FileState, HistoryReplayer, LineReport, finalize, write_line_report
+from .tracker import FileState, HistoryReplayer, finalize, write_line_report
 
 logger = logging.getLogger(__name__)
 
@@ -124,7 +123,6 @@ class _TrackedFile:
     path: str
     category: str
     state: FileState
-    reports: list[LineReport]
     hotspot_lines: list = field(default_factory=list)  # TrackedLine
     line_numbers: list[int] = field(default_factory=list)
     labels: list[PatternLabel] = field(default_factory=list)
@@ -237,7 +235,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         replayer.run(parse_log_stream(lines))
     aborted = {p: a.reason for p, a in replayer.aborted.items()}
     tracked = [
-        _TrackedFile(path=path, category=categories[path], state=state, reports=finalize(state))
+        _TrackedFile(path=path, category=categories[path], state=state)
         for path in selected_files if (state := replayer.states.get(path)) is not None
     ]
 
@@ -370,7 +368,7 @@ def emit_reports(results: AnalysisResults, output_dir: Path, emit_plot_data: boo
     reports_dir.mkdir(exist_ok=True)
     for entry in results.tracked:
         report_path = reports_dir / _safe_report_name(entry.path)
-        write_line_report(entry.reports, report_path)
+        write_line_report(finalize(entry.state), report_path)
         written.append(report_path)
 
     # file_churn.csv
@@ -379,13 +377,11 @@ def emit_reports(results: AnalysisResults, output_dir: Path, emit_plot_data: boo
     with fh:
         writer.writerow(["path", "commit_touch_count", "category", "is_hotspot_file"])
         for file_path in sorted(results.counts):
-            churn = FileChurn(file_path, results.counts[file_path],
-                              results.categories[file_path])
             writer.writerow([
-                churn.path,
-                churn.commit_touch_count,
-                churn.category,
-                str(churn.path in results.hotspot_files).lower(),
+                file_path,
+                results.counts[file_path],
+                results.categories[file_path],
+                str(file_path in results.hotspot_files).lower(),
             ])
     written.append(path)
 

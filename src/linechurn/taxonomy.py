@@ -127,7 +127,6 @@ class PatternLabel:
     category: Category
     confidence: float = 1.0
     heuristic: bool = True
-    returned_to_previous: bool = False
     diagnostics: str = ""
 
 
@@ -531,9 +530,8 @@ def classify_history(line, file_category: str, path: str,
         votes[classify_pair(pair, long_line_threshold).label] += 1
         total += 1
 
-    returned = _returned_to_previous([rev.content for rev in history])
     if total == 0:
-        return _mklabel(Pattern.UNCLASSIFIED, confidence=0.0, returned_to_previous=returned)
+        return _mklabel(Pattern.UNCLASSIFIED, confidence=0.0)
 
     order = {p: i for i, p in enumerate(PRECEDENCE)}
     winner = min(votes.items(), key=lambda kv: (-kv[1], order[kv[0]]))[0]
@@ -542,9 +540,8 @@ def classify_history(line, file_category: str, path: str,
     if (winner is Pattern.NORMAL_SOFTWARE_EVOLUTION
             and file_category == PROGRAMMING
             and _has_close_modifications(history, refactor_window_days)):
-        return _mklabel(Pattern.STEPWISE_REFACTORING, confidence=confidence,
-                        returned_to_previous=returned)
-    return _mklabel(winner, confidence=confidence, returned_to_previous=returned)
+        return _mklabel(Pattern.STEPWISE_REFACTORING, confidence=confidence)
+    return _mklabel(winner, confidence=confidence)
 
 
 def _has_close_modifications(history, window_days: float) -> bool:
@@ -552,16 +549,6 @@ def _has_close_modifications(history, window_days: float) -> bool:
     mod_ts = [rev.timestamp for rev in history[1:]]
     window = window_days * 86400
     return any(b - a <= window for a, b in zip(mod_ts, mod_ts[1:]))
-
-
-def _returned_to_previous(contents: list[bytes]) -> bool:
-    for j in range(2, len(contents)):
-        for i in range(j - 1):
-            if contents[i] == contents[j] and any(
-                contents[k] != contents[j] for k in range(i + 1, j)
-            ):
-                return True
-    return False
 
 
 # --- labeling-workflow statistics -----------------------------------------

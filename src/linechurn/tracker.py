@@ -4,7 +4,8 @@ Maintains, for every tracked file, a dense vector of live canonical line
 objects plus the running hunk-offset table, and applies each hunk by pairing
 deletion runs with addition runs positionally.  Paired lines keep their
 identity (slot id and birth timestamp) and gain a history entry; surplus
-deletions die, surplus additions are born fresh.
+deletions die (they get a death timestamp and leave the file's state),
+surplus additions are born fresh.
 
 Line identity is strictly positional: moving an unchanged block shows up as
 deaths at the old location and fresh births at the new one.  No
@@ -112,7 +113,6 @@ class FileState:
 
     path: str
     file_lines: list[TrackedLine] = field(default_factory=list)
-    dead_lines: list[TrackedLine] = field(default_factory=list)
     line_offsets: list[tuple[int, int]] = field(default_factory=list)
     # (base, overlap, hunk) of each hunk applied in current_commit; copies undo them
     commit_hunks: list[tuple[int, int, Hunk]] = field(default_factory=list)
@@ -145,9 +145,10 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     """Apply one hunk to the tracked file state.
 
     Paired lines keep slot_id and birth_ts, gain a history entry and one
-    modification; unmatched deletions get death_ts and move to dead_lines;
-    unmatched additions are born fresh.  The offset table gains the hunk's
-    length delta so later hunks of the same commit land correctly.
+    modification; unmatched deletions get death_ts, are counted in
+    deaths_total and leave the state; unmatched additions are born fresh.
+    The offset table gains the hunk's length delta so later hunks of the
+    same commit land correctly.
     """
     state.begin_commit(commit.hash)
     adj_start = adjust_position(state.line_offsets, hunk.old_start)
@@ -186,7 +187,6 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
             updated.append(old_line)
         for old_line in pairing.deaths:
             old_line.death_ts = commit.committer_timestamp
-            state.dead_lines.append(old_line)
             state.deaths_total += 1
         for added in pairing.births:
             born = TrackedLine(
@@ -321,7 +321,6 @@ class HistoryReplayer:
         self.track_paths = track_paths
         self.states: dict[str, FileState] = {}
         self.aborted: dict[str, AbortedFile] = {}
-        self.commit_count = 0
         self.commits_seen: list[CommitHeader] = []
 
     def _wants(self, path: str) -> bool:
@@ -337,7 +336,6 @@ class HistoryReplayer:
                 if current_commit is not None:
                     yield current_commit
                 current_commit = event.header
-                self.commit_count += 1
                 self.commits_seen.append(event.header)
                 current_path = None
             elif isinstance(event, FileStart):
@@ -382,9 +380,6 @@ class HistoryReplayer:
                 if old in self.aborted:
                     self.aborted[new] = self.aborted.pop(old)
         return new
-
-    def finalize_all(self) -> dict[str, list[LineReport]]:
-        return {path: finalize(state) for path, state in sorted(self.states.items())}
 
 
 def _fresh_copy(source: FileState, new_path: str, commit: CommitHeader) -> FileState:

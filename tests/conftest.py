@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,13 @@ def repo_log_events(repo: Path, paths: list[str] | None = None):
     out = subprocess.run(log_command(file_paths=paths), cwd=repo,
                          capture_output=True, check=True).stdout
     return list(parse_log_stream(io.BytesIO(out)))
+
+
+def blame_commits(repo: Path, path: str) -> list[str]:
+    """Last-touch commit of every line at HEAD, per first-parent git blame."""
+    out = subprocess.run(["git", "blame", "--first-parent", "--porcelain", "HEAD", "--", path],
+                         cwd=repo, capture_output=True, check=True).stdout
+    return [m.group(1).decode() for m in re.finditer(rb"^([0-9a-f]{40}) \d+ \d+", out, re.M)]
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from linechurn.taxonomy import (
 )
 from linechurn.tracker import HistoryReplayer, snapshot_bytes
 
-from conftest import repo_log_events
+from conftest import blame_commits, repo_log_events
 from repogen import (BlobReader, RepoBuilder, build_hotspot_repo, build_multi_hotspot_repo,
                      build_perf_repo, build_random_repo)
 from test_diffstream import COMMIT1, hunk_header_bytes, random_hunk
@@ -55,11 +55,13 @@ def criterion(name: str):
 
 
 def test_snapshot_replay_oracle(tmp_path):
-    """Replay equals checkout byte-for-byte on >=50 synthetic repositories."""
+    """Replay equals checkout byte-for-byte on >=50 synthetic repositories, and
+    every live line's last revision is the commit first-parent git blame names."""
     with criterion("snapshot-replay-oracle"):
         started = time.monotonic()
         n_repos = 50
         checked = 0
+        blamed = 0
         for seed in range(n_repos):
             rng = random.Random(1000 + seed)
             n_commits = rng.randrange(5, 41)
@@ -83,8 +85,14 @@ def test_snapshot_replay_oracle(tmp_path):
                     assert state.births_total - state.deaths_total == len(state.file_lines)
             assert not replayer.aborted, (seed, replayer.aborted)
             reader.close()
+            for path, state in replayer.states.items():
+                if state.file_lines:
+                    assert ([ln.history[-1].commit_hash for ln in state.file_lines]
+                            == blame_commits(repo, path)), (seed, path)
+                    blamed += len(state.file_lines)
         elapsed = time.monotonic() - started
         assert checked > n_repos  # sanity: the loop actually compared snapshots
+        assert blamed > n_repos
         assert elapsed < 120.0, f"snapshot oracle took {elapsed:.1f}s"
 
 
@@ -110,11 +118,17 @@ def test_move_semantics(tmp_path, placement):
         builder.finish()
 
         replayer = HistoryReplayer()
-        replayer.run(iter(repo_log_events(builder.path)))
+        commits = replayer.replay(iter(repo_log_events(builder.path)))
+        next(commits)
         state = replayer.states["f.txt"]
+        kept = list(state.file_lines)
+        next(commits)
+        assert next(commits, None) is None
         assert snapshot_bytes(state) == b"\n".join(after) + b"\n"
 
-        deaths = [ln for ln in state.dead_lines if ln.death_ts == move_ts]
+        live = {id(ln) for ln in state.file_lines}
+        deaths = [ln for ln in kept if id(ln) not in live]
+        assert all(d.death_ts == move_ts for d in deaths)
         births = [ln for ln in state.file_lines
                   if ln.birth_ts == move_ts and len(ln.history) == 1]
         assert len(deaths) == 5, [d.content for d in deaths]

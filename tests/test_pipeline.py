@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 import subprocess
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
 from linechurn.selector import RepoMeta
 from linechurn.tracker import AbortedFile, read_line_report
 
+from conftest import blame_commits
 from repogen import build_hotspot_repo, build_multi_hotspot_repo
 
 
@@ -200,13 +200,6 @@ def git_log_runs(monkeypatch) -> list[list[str]]:
     return runs
 
 
-def blame_commits(repo: Path, path: str) -> list[str]:
-    """Last-touch commit of every line at HEAD, per first-parent git blame."""
-    out = subprocess.run(["git", "blame", "--first-parent", "--porcelain", "HEAD", "--", path],
-                         cwd=repo, capture_output=True, check=True).stdout
-    return [m.group(1).decode() for m in re.finditer(rb"^([0-9a-f]{40}) \d+ \d+", out, re.M)]
-
-
 class TestSharedWalk:
     """Stage 2 replays every selected file in one walk."""
 
@@ -242,6 +235,26 @@ class TestSharedWalk:
                                                file_sample=0))
         assert len(runs) == 1
         assert manifest.stage_counts["files_tracked"] == 0
+
+
+def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
+    """A global gitconfig with unprefixed, histogram diffs leaves every artifact as is."""
+    clean = tmp_path / "clean.gitconfig"
+    clean.write_text("")
+    hostile = tmp_path / "hostile.gitconfig"
+    hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n")
+    for build in (build_hotspot_repo, build_multi_hotspot_repo):
+        fixture = build(tmp_path / build.__name__ / "repo")
+        artifacts = []
+        for config in (clean, hostile):
+            monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+            out = tmp_path / build.__name__ / config.stem
+            analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out,
+                                        emit_plot_data=True))
+            artifacts.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                              if p.is_file() and p.name != "manifest.json"})
+        assert len(artifacts[0]) >= 7
+        assert artifacts[0] == artifacts[1], build.__name__
 
 
 def aborting_replayer(path: str, reason: str):

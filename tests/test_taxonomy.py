@@ -216,12 +216,11 @@ class TestClassifyHistory:
         with pytest.raises(HistoryTooShort):
             classify_history(line, "programming", "x.py")
 
-    def test_whitespace_ping_pong_sets_return_flag(self):
+    def test_whitespace_ping_pong(self):
         contents = [b"if (a ==  b) {", b"if (a == b) {", b"if (a ==  b) {"]
         line = line_from_contents(contents, [1000, 2000, 3000])
         label = classify_history(line, "programming", "x.c")
         assert label.label is Pattern.FORMATTING_PING_PONG
-        assert label.returned_to_previous
 
     def test_two_close_code_edits_become_stepwise(self):
         day = 86_400

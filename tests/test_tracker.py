@@ -103,10 +103,11 @@ class TestApplyHunk:
     def test_deletion_only_records_death(self):
         state = FileState("f")
         apply_hunk(state, hunk(0, 0, 1, 1, "+", [b"x=1"]), make_commit(1))
+        line = state.file_lines[0]
         apply_hunk(state, hunk(1, 1, 0, 0, "-", [b"x=1"]), make_commit(2))
         assert state.file_lines == []
-        assert len(state.dead_lines) == 1
-        assert state.dead_lines[0].death_ts == make_commit(2).committer_timestamp
+        assert line.death_ts == make_commit(2).committer_timestamp
+        assert state.deaths_total == 1
         assert finalize(state) == []
 
     def test_reconstruct_empty_history(self):
@@ -179,7 +180,7 @@ class TestApplyHunk:
             old = state.file_lines[position - 1].content
             apply_hunk(state, hunk(position, 1, position, 1, "-+",
                                    [old, f"v{n}".encode()]), make_commit(n))
-            for line in state.file_lines + state.dead_lines:
+            for line in state.file_lines:
                 assert line.mod_count == len(line.history) - 1
 
     def test_conservation_births_minus_deaths(self):
@@ -321,12 +322,18 @@ def test_move_semantics_death_and_rebirth(tmp_path):
     builder.finish()
 
     replayer = HistoryReplayer()
-    replayer.run(iter(repo_log_events(builder.path)))
+    commits = replayer.replay(iter(repo_log_events(builder.path)))
+    next(commits)
     state = replayer.states["f.txt"]
+    kept = list(state.file_lines)
+    next(commits)
+    assert next(commits, None) is None
 
-    dead = [ln for ln in state.dead_lines if ln.death_ts == ts2]
+    live = {id(ln) for ln in state.file_lines}
+    dead = [ln for ln in kept if id(ln) not in live]
     assert sorted(ln.content for ln in dead) == sorted(block)
     assert len(dead) == 5
+    assert all(ln.death_ts == ts2 for ln in dead)
     fresh = [ln for ln in state.file_lines
              if ln.birth_ts == ts2 and len(ln.history) == 1]
     assert sorted(ln.content for ln in fresh) == sorted(block)

@@ -54,7 +54,6 @@ from .tracker import (
     FileState,
     HistoryReplayer,
     TrackedLine,
-    adjust_position,
     apply_hunk,
     finalize,
     pair_edits,

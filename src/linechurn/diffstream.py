@@ -1,16 +1,21 @@
 """Streaming parser for git's patch-ordered log output.
 
-Consumes the byte stream produced by
+Consumes the byte stream produced by ``log_command(file_paths)``:
 
-    git log -M --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
-        --reverse -p -- <file_path>...
+    git -c core.quotepath=off -c color.ui=false -c diff.noprefix=false \
+        -c diff.mnemonicPrefix=false -c log.showSignature=false \
+        log --first-parent --diff-merges=first-parent --no-ext-diff \
+        --diff-algorithm=myers -M \
+        --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
+        --reverse -p -U0 --inter-hunk-context=0 -- <file_path>...
 
 and turns it into a flat sequence of typed events: commit headers, file-diff
 headers, hunks, skip notices, and a terminating end-of-stream marker.  The
 parser is a small state machine (commit header -> file headers -> hunk range
 -> hunk body) and is strictly streaming: it holds at most one hunk in memory
 at a time, so memory use is bounded by the largest single hunk rather than by
-stream length.
+stream length.  The walk asks for no context lines, which replay does not
+need; hunks with context parse and replay the same way.
 
 Line content is kept as raw bytes throughout; no transcoding happens here so
 that content hashing and equality stay byte-stable across mixed encodings.
@@ -463,22 +468,23 @@ def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
     """Build the git log invocation whose output this module parses.
 
     Copies (``-C``) are detected on whole-repository walks only: under a
-    pathspec a copy's source could only be another listed path.  The diff
-    prefix and algorithm are pinned so a user's ``diff.noprefix`` or
-    ``diff.algorithm`` cannot change the headers or the line pairing.
+    pathspec a copy's source could only be another listed path.  Every
+    setting that shapes the output is pinned on the command line, so a
+    user's ``diff.noprefix``, ``diff.mnemonicPrefix``, ``log.showSignature``,
+    ``diff.algorithm``, ``diff.context`` or ``diff.interHunkContext`` cannot
+    change the headers, the line pairing or the hunks.  Patches carry no
+    context lines: replay only needs the changed ones.
     """
     cmd = ["git", "-c", "core.quotepath=off", "-c", "color.ui=false",
-           "-c", "diff.noprefix=false", "log",
-           "--no-ext-diff", "--diff-algorithm=myers", "-M",
-           f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
+           "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
+           "-c", "log.showSignature=false", "log"]
     if first_parent:
-        cmd.insert(cmd.index("log") + 1, "--first-parent")
-    cmd.append("--name-status" if name_status else "-p")
+        cmd += ["--first-parent", "--diff-merges=first-parent"]
+    cmd += ["--no-ext-diff", "--diff-algorithm=myers", "-M"] + ([] if file_paths else ["-C"])
+    cmd += [f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
+    cmd += ["--name-status"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
     if file_paths:
-        cmd.append("--")
-        cmd.extend(file_paths)
-    else:
-        cmd.insert(cmd.index("-M") + 1, "-C")
+        cmd += ["--", *file_paths]
     return cmd
 
 

@@ -21,6 +21,7 @@ import logging
 import random
 import shutil
 import subprocess
+import threading
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -145,26 +146,37 @@ class AnalysisResults:
 
 
 def _git_lines(repo: Path, cmd: list[str]):
-    """Run a git command, streaming stdout lines; raise on failure."""
+    """Run a git command, streaming stdout lines; raise if git fails.
+
+    stderr is drained on a thread, so git never blocks on a full stderr
+    pipe.  A consumer that stops early ends git, and git's exit then is no
+    error: the consumer's own exception, if any, is the one that surfaces.
+    """
     proc = subprocess.Popen(cmd, cwd=repo, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
-    assert proc.stdout is not None
+    assert proc.stdout is not None and proc.stderr is not None
     # A 1 MiB pipe instead of 64 KiB lets git run ahead through commits that
     # are slow to diff but short to print while the parser works through long
     # patches.  Linux only; the kernel, not this process, holds the bytes.
     with contextlib.suppress(ImportError, OSError):
         from fcntl import F_SETPIPE_SZ, fcntl
         fcntl(proc.stdout, F_SETPIPE_SZ, 1 << 20)
+    stderr: list[bytes] = []
+    drain = threading.Thread(target=lambda: stderr.append(proc.stderr.read()), daemon=True)
+    drain.start()
     try:
         yield from proc.stdout
+    except BaseException:  # GeneratorExit: the consumer stopped early
+        proc.kill()
+        raise
     finally:
         proc.stdout.close()
-        stderr = proc.stderr.read() if proc.stderr else b""
-        if proc.stderr:
-            proc.stderr.close()
         code = proc.wait()
-        if code != 0:
-            raise RuntimeError(f"{' '.join(cmd)} failed ({code}): {stderr.decode('utf-8', 'replace').strip()}")
+        drain.join()
+        proc.stderr.close()
+    if code != 0:
+        raise RuntimeError(f"{' '.join(cmd)} failed ({code}): "
+                           f"{b''.join(stderr).decode('utf-8', 'replace').strip()}")
 
 
 def _repo_head(repo: Path) -> str:
@@ -336,7 +348,6 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             "files_aborted": len(aborted),
             "hotspot_lines": sum(len(t.hotspot_lines) for t in tracked),
             "hotspot_commits": len(overall_entries),
-            "overlap_skips": sum(t.state.overlap_skips for t in tracked),
         },
         warnings=run_warnings,
         aborted=aborted,

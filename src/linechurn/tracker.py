@@ -1,11 +1,14 @@
 """Per-line history tracking over a replayed patch stream.
 
 Maintains, for every tracked file, a dense vector of live canonical line
-objects plus the running hunk-offset table, and applies each hunk by pairing
-deletion runs with addition runs positionally.  Paired lines keep their
-identity (slot id and birth timestamp) and gain a history entry; surplus
-deletions die (they get a death timestamp and leave the file's state),
-surplus additions are born fresh.
+objects plus the running line-count delta of the current commit, and applies
+each hunk by pairing deletion runs with addition runs positionally.  The
+hunks of one file diff ascend and never overlap, so a hunk's start in the
+current state is its raw start plus the delta of the hunks before it; a hunk
+that starts before the end of the previous one aborts the file.  Paired
+lines keep their identity (slot id and birth timestamp) and gain a history
+entry; surplus deletions die (they get a death timestamp and leave the
+file's state), surplus additions are born fresh.
 
 Line identity is strictly positional: moving an unchanged block shows up as
 deaths at the old location and fresh births at the new one.  No
@@ -38,20 +41,20 @@ logger = logging.getLogger(__name__)
 
 
 class HunkOutOfBounds(Exception):
-    """Hunk coordinates exceed the current tracked file length.
+    """Hunk coordinates exceed the current tracked file length, or reach
+    back before the end of an earlier hunk of the same commit.
 
     Tracking of the affected file is aborted and reported, never silently
     clamped.
     """
 
-    def __init__(self, path: str, hunk: Hunk, adjusted_start: int, live_count: int):
+    def __init__(self, path: str, hunk: Hunk, adjusted_start: int, problem: str):
         self.path = path
         self.adjusted_start = adjusted_start
-        self.live_count = live_count
         super().__init__(
             f"{path}: hunk @@ -{hunk.old_start},{hunk.old_count} "
             f"+{hunk.new_start},{hunk.new_count} @@ adjusted to start {adjusted_start} "
-            f"but only {live_count} live lines"
+            f"{problem}"
         )
 
 
@@ -96,31 +99,19 @@ def pair_edits(deletion_run: list, addition_run: list) -> EditPairing:
     )
 
 
-def adjust_position(offsets: list[tuple[int, int]], raw_index: int) -> int:
-    """Shift a raw hunk coordinate by all deltas recorded before it.
-
-    ``offsets`` holds (position, delta) pairs from hunks already applied in
-    the same commit; positions are in the commit's parent coordinates, so a
-    strict ``<`` comparison keeps every hunk of one patch in one coordinate
-    system.
-    """
-    return raw_index + sum(delta for pos, delta in offsets if pos < raw_index)
-
-
 @dataclass
 class FileState:
     """Mutable tracking state for a single file path."""
 
     path: str
     file_lines: list[TrackedLine] = field(default_factory=list)
-    line_offsets: list[tuple[int, int]] = field(default_factory=list)
-    # (base, overlap, hunk) of each hunk applied in current_commit; copies undo them
-    commit_hunks: list[tuple[int, int, Hunk]] = field(default_factory=list)
+    delta: int = 0  # new minus old line count of the hunks applied in current_commit
+    # (base, hunk) of each hunk applied in current_commit; copies undo them
+    commit_hunks: list[tuple[int, Hunk]] = field(default_factory=list)
     max_processed_index: int = 0
     current_commit: str | None = None
     births_total: int = 0
     deaths_total: int = 0
-    overlap_skips: int = 0
     _next_slot: int = 0
 
     def _new_slot(self) -> int:
@@ -128,14 +119,14 @@ class FileState:
         return self._next_slot
 
     def begin_commit(self, commit_hash: str) -> None:
-        """Reset the within-commit offset table at a commit boundary.
+        """Reset the within-commit delta at a commit boundary.
 
         Hunk coordinates are relative to the commit's parent, which is
         exactly the state accumulated so far, so deltas never carry across
         commits.
         """
         if self.current_commit != commit_hash:
-            self.line_offsets.clear()
+            self.delta = 0
             self.commit_hunks.clear()
             self.max_processed_index = 0
             self.current_commit = commit_hash
@@ -147,29 +138,22 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     Paired lines keep slot_id and birth_ts, gain a history entry and one
     modification; unmatched deletions get death_ts, are counted in
     deaths_total and leave the state; unmatched additions are born fresh.
-    The offset table gains the hunk's length delta so later hunks of the
+    The running delta gains the hunk's length change so later hunks of the
     same commit land correctly.
     """
     state.begin_commit(commit.hash)
-    adj_start = adjust_position(state.line_offsets, hunk.old_start)
+    adj_start = hunk.old_start + state.delta
     live = len(state.file_lines)
 
-    if hunk.old_count > 0:
-        base = adj_start - 1
-        if base < 0 or base + hunk.old_count > live:
-            raise HunkOutOfBounds(state.path, hunk, adj_start, live)
-    else:
-        base = adj_start  # pure insertion goes after line adj_start
-        if base < 0 or base > live:
-            raise HunkOutOfBounds(state.path, hunk, adj_start, live)
-
-    # Overlap with a previously processed hunk of this commit: skip that many
-    # leading context lines.  Standard git patches never overlap; the branch
-    # is defensive and counted.
-    overlap = max(0, state.max_processed_index - adj_start + 1) if hunk.old_count > 0 else 0
-    if overlap:
-        state.overlap_skips += overlap
-        base += overlap
+    # A pure insertion goes after line adj_start; otherwise adj_start is the
+    # first line the hunk covers.
+    base = adj_start - 1 if hunk.old_count > 0 else adj_start
+    if base < state.max_processed_index:
+        raise HunkOutOfBounds(state.path, hunk, adj_start,
+                              f"before the end of this commit's previous hunks "
+                              f"(line {state.max_processed_index})")
+    if base + hunk.old_count > live:
+        raise HunkOutOfBounds(state.path, hunk, adj_start, f"but only {live} live lines")
 
     updated: list[TrackedLine] = []
     consumed = 0
@@ -201,13 +185,9 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
         pending_dels.clear()
         pending_adds.clear()
 
-    skip_left = overlap
     for hl in hunk.lines:
         if hl.kind == LineKind.CONTEXT:
             flush()
-            if skip_left > 0:
-                skip_left -= 1
-                continue
             existing = state.file_lines[base + consumed]
             existing.had_newline = hl.had_newline
             updated.append(existing)
@@ -223,8 +203,8 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
 
     state.file_lines[base : base + consumed] = updated
     state.max_processed_index = base + len(updated)
-    state.line_offsets.append((hunk.old_start, hunk.new_count - hunk.old_count))
-    state.commit_hunks.append((base, overlap, hunk))
+    state.delta += hunk.new_count - hunk.old_count
+    state.commit_hunks.append((base, hunk))
     return state
 
 
@@ -390,11 +370,9 @@ def _fresh_copy(source: FileState, new_path: str, commit: CommitHeader) -> FileS
     """
     lines = [(ln.content, ln.had_newline) for ln in source.file_lines]
     if source.current_commit == commit.hash:
-        for base, overlap, hunk in reversed(source.commit_hunks):
-            old_side = [(hl.text, hl.had_newline) for hl in hunk.lines
-                        if hl.kind != LineKind.ADDITION]
-            # overlap-skipped context lines lead the hunk and were not replaced
-            lines[base:base + hunk.new_count - overlap] = old_side[overlap:]
+        for base, hunk in reversed(source.commit_hunks):
+            lines[base:base + hunk.new_count] = [(hl.text, hl.had_newline) for hl in hunk.lines
+                                                 if hl.kind != LineKind.ADDITION]
     state = FileState(new_path)
     state.current_commit = commit.hash
     for content, had_newline in lines:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,12 +15,13 @@ import pytest
 import linechurn.cli as cli
 import linechurn.pipeline as pipeline
 from linechurn.churn import HotspotThresholds
+from linechurn.diffstream import log_command
 from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
 from linechurn.selector import RepoMeta
 from linechurn.tracker import AbortedFile, read_line_report
 
 from conftest import blame_commits
-from repogen import build_hotspot_repo, build_multi_hotspot_repo
+from repogen import build_hotspot_repo, build_multi_hotspot_repo, run_git
 
 
 @pytest.fixture(scope="module")
@@ -238,11 +242,13 @@ class TestSharedWalk:
 
 
 def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
-    """A global gitconfig with unprefixed, histogram diffs leaves every artifact as is."""
+    """A global gitconfig that reshapes diffs and logs leaves every artifact as is."""
     clean = tmp_path / "clean.gitconfig"
     clean.write_text("")
     hostile = tmp_path / "hostile.gitconfig"
-    hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n")
+    hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n"
+                       "\tmnemonicPrefix = true\n\tcontext = 10\n\tinterHunkContext = 10\n"
+                       "[log]\n\tshowSignature = true\n")
     for build in (build_hotspot_repo, build_multi_hotspot_repo):
         fixture = build(tmp_path / build.__name__ / "repo")
         artifacts = []
@@ -255,6 +261,84 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
                               if p.is_file() and p.name != "manifest.json"})
         assert len(artifacts[0]) >= 7
         assert artifacts[0] == artifacts[1], build.__name__
+
+
+def test_merged_side_branch_stays_out_of_line_histories(tmp_path, monkeypatch):
+    """A --no-ff merge of a side branch that edits the hotspot file counts as
+    one first-parent change; no side-branch commit enters a line history."""
+    fixture = build_hotspot_repo(tmp_path / "repo")
+    repo, hot = fixture["path"], fixture["hot_file"]
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)  # no user merge or signing policy
+    for var in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{var}_NAME", "Ada Example")
+        monkeypatch.setenv(f"GIT_{var}_EMAIL", "ada@example.org")
+    clock = iter(range(1_500_200_000, 1_500_300_000, 3600))
+
+    def commit(message: str) -> str:
+        stamp = f"@{next(clock)} +0000"
+        monkeypatch.setenv("GIT_AUTHOR_DATE", stamp)
+        monkeypatch.setenv("GIT_COMMITTER_DATE", stamp)
+        run_git(repo, "commit", "-q", "-am", message)
+        return run_git(repo, "rev-parse", "HEAD").stdout.decode().strip()
+
+    def edit(old: bytes, new: bytes) -> None:
+        path = repo / hot
+        path.write_bytes(path.read_bytes().replace(old, new))
+
+    run_git(repo, "checkout", "-q", "-f", "main")
+    run_git(repo, "checkout", "-q", "-b", "side")
+    side = []
+    edit(b"option_3 = 3\n", b"option_3 = side\n")
+    side.append(commit("side edit 1"))
+    edit(b"option_9 = 9\n", b"option_9 = side\noption_9b = side\n")
+    side.append(commit("side edit 2"))
+    run_git(repo, "checkout", "-q", "main")
+    edit(b"option_12 = 12\n", b"option_12 = main\n")
+    commit("main edit")
+    monkeypatch.setenv("GIT_COMMITTER_DATE", f"@{next(clock)} +0000")
+    run_git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    merge = run_git(repo, "rev-parse", "HEAD").stdout.decode().strip()
+    edit(b"option_3 = side\n", b"option_3 = after merge\n")
+    commit("edit after merge")
+
+    out = tmp_path / "out"
+    manifest = analyze_repo(AnalysisConfig(repo_path=repo, output_dir=out))
+    assert manifest.aborted == {}
+    assert manifest.stage_counts["files_tracked"] == 1
+    rows = read_line_report(out / "line_reports" / pipeline._safe_report_name(hot))
+    checkout = run_git(repo, "show", f"HEAD:{hot}").stdout
+    assert [r.content for r in rows] == checkout.splitlines()
+    assert [r.history[-1][0] for r in rows] == blame_commits(repo, hot)
+    histories = {h for r in rows for h, _ in r.history}
+    assert merge in histories
+    assert histories.isdisjoint(side)
+
+
+def test_consumer_error_surfaces_alone(tmp_path, monkeypatch):
+    """A consumer that stops a long walk by raising sees its own exception;
+    git's exit on the closed pipe is no error and reaches no hook."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "r")
+    builder.commit({"big.txt": b"".join(b"line %d of a long file\n" % i
+                                        for i in range(200_000))}, "big")
+    builder.finish()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    lines = pipeline._git_lines(builder.path, log_command(file_paths=["big.txt"]))
+    with pytest.raises(KeyError, match="consumer"):
+        for i, _ in enumerate(lines):
+            if i == 10:
+                raise KeyError("consumer")
+    del lines
+    gc.collect()
+    assert unraisable == []
+
+
+def test_git_failure_raises_with_stderr(scratch_repo):
+    repo, _ = scratch_repo
+    with pytest.raises(RuntimeError, match="unknown revision"):
+        list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"]))
 
 
 def aborting_replayer(path: str, reason: str):

@@ -1,21 +1,32 @@
-"""Line-tracker tests: offset arithmetic, positional pairing, hunk
+"""Line-tracker tests: the running delta, positional pairing, hunk
 application semantics, conservation, snapshots, and report round-trips."""
 
 from __future__ import annotations
 
 import io
 import random
+import subprocess
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from linechurn.diffstream import CommitHeader, FileDiffHeader, FileStart, Hunk, HunkLine
+from linechurn.diffstream import (
+    CommitHeader,
+    CommitStart,
+    FileDiffHeader,
+    FileStart,
+    Hunk,
+    HunkEvent,
+    HunkLine,
+    LineKind,
+    log_command,
+    parse_log_stream,
+)
 from linechurn.tracker import (
     FileState,
     HistoryReplayer,
     HunkOutOfBounds,
-    adjust_position,
     apply_hunk,
     finalize,
     pair_edits,
@@ -25,7 +36,7 @@ from linechurn.tracker import (
     write_line_report,
 )
 
-from repogen import BlobReader, build_random_repo
+from repogen import BlobReader, build_multi_hotspot_repo, build_random_repo
 from conftest import repo_log_events
 
 
@@ -40,26 +51,62 @@ def hunk(old_start, old_count, new_start, new_count, spec: str, texts: list[byte
     return Hunk(old_start, old_count, new_start, new_count, lines)
 
 
-class TestAdjustPosition:
-    def test_identity_when_no_offsets(self):
-        assert adjust_position([], 7) == 7
+class TestRunningDelta:
+    """Hunks of one commit address the parent; each lands at its raw start
+    plus the line-count change of the hunks before it."""
 
-    def test_single_delta(self):
-        assert adjust_position([(10, 3)], 20) == 23
+    def test_multi_hunk_commit_mixing_insertions_and_deletions(self):
+        state = FileState("f")
+        texts = [f"l{i}".encode() for i in range(1, 11)]
+        apply_hunk(state, hunk(0, 0, 1, 10, "+" * 10, texts), make_commit(1))
+        before = list(state.file_lines)
+        commit = make_commit(2)
+        # Zero-context hunks as git prints them, in the parent's coordinates:
+        # insert two after l1, delete l3-l4, edit l6 into two lines, delete
+        # l8, insert one after l10.
+        for h in (hunk(1, 0, 2, 2, "++", [b"i1", b"i2"]),
+                  hunk(3, 2, 4, 0, "--", [b"l3", b"l4"]),
+                  hunk(6, 1, 6, 2, "-++", [b"l6", b"L6", b"L6b"]),
+                  hunk(8, 1, 8, 0, "-", [b"l8"]),
+                  hunk(10, 0, 11, 1, "+", [b"end"])):
+            apply_hunk(state, h, commit)
+        assert reconstruct_snapshot(state) == [
+            b"l1", b"i1", b"i2", b"l2", b"l5", b"L6", b"L6b", b"l7", b"l9", b"l10", b"end"]
+        kept = {0: 0, 1: 3, 4: 4, 5: 5, 6: 7, 8: 8, 9: 9}  # old index -> new index
+        for old_index, new_index in kept.items():
+            assert state.file_lines[new_index] is before[old_index]
+        assert state.file_lines[5].mod_count == 1
+        assert [before[i].death_ts for i in (2, 3, 7)] == [commit.committer_timestamp] * 3
+        assert state.births_total - state.deaths_total == len(state.file_lines) == 11
 
-    def test_delta_summation(self):
-        assert adjust_position([(10, 3), (30, -1)], 50) == 52
+    def test_out_of_order_or_overlapping_hunks_raise(self):
+        def four_lines() -> FileState:
+            state = FileState("f")
+            apply_hunk(state, hunk(0, 0, 1, 4, "++++", [b"a", b"b", b"c", b"d"]),
+                       make_commit(1))
+            return state
 
-    def test_deltas_at_or_after_index_ignored(self):
-        assert adjust_position([(10, 3)], 10) == 10
-        assert adjust_position([(10, 3)], 5) == 5
+        commit = make_commit(2)
+        state = four_lines()
+        apply_hunk(state, hunk(1, 2, 1, 2, " -+", [b"a", b"b", b"B"]), commit)
+        # A hunk re-covering line 2 as context overlaps the one before it.
+        with pytest.raises(HunkOutOfBounds, match="previous hunks"):
+            apply_hunk(state, hunk(2, 2, 2, 2, " -+", [b"B", b"c", b"C"]), commit)
 
-    @given(st.lists(st.tuples(st.integers(0, 100), st.integers(-5, 5)), max_size=8),
-           st.integers(0, 200))
-    def test_pure_function_of_inputs(self, offsets, raw):
-        assert adjust_position(offsets, raw) == adjust_position(list(offsets), raw)
-        assert adjust_position(offsets, raw) == raw + sum(
-            d for p, d in offsets if p < raw)
+        state = four_lines()
+        apply_hunk(state, hunk(3, 1, 3, 1, "-+", [b"c", b"C"]), commit)
+        with pytest.raises(HunkOutOfBounds, match="previous hunks"):
+            apply_hunk(state, hunk(1, 1, 1, 1, "-+", [b"a", b"A"]), commit)
+
+        events = [CommitStart(make_commit(1)), FileStart(FileDiffHeader("f", "f")),
+                  HunkEvent(hunk(0, 0, 1, 2, "++", [b"a", b"b"])),
+                  CommitStart(commit), FileStart(FileDiffHeader("f", "f")),
+                  HunkEvent(hunk(2, 1, 2, 1, "-+", [b"b", b"B"])),
+                  HunkEvent(hunk(1, 1, 1, 1, "-+", [b"a", b"A"]))]
+        replayer = HistoryReplayer()
+        replayer.run(iter(events))
+        assert "previous hunks" in replayer.aborted["f"].reason
+        assert "f" not in replayer.states
 
 
 class TestPairEdits:
@@ -160,17 +207,6 @@ class TestApplyHunk:
             apply_hunk(state, hunk(2, 3, 2, 3, " - +", [b"b", b"x", b"y", b"z"]),
                        make_commit(2))
 
-    def test_overlap_skips_context_lines(self):
-        state = FileState("f")
-        apply_hunk(state, hunk(0, 0, 1, 4, "++++", [b"a", b"b", b"c", b"d"]),
-                   make_commit(1))
-        commit = make_commit(2)
-        apply_hunk(state, hunk(1, 2, 1, 2, " -+", [b"a", b"b", b"B"]), commit)
-        # Artificial overlapping hunk re-covering line 2 as context.
-        apply_hunk(state, hunk(2, 2, 2, 2, " -+", [b"B", b"c", b"C"]), commit)
-        assert state.overlap_skips == 1
-        assert reconstruct_snapshot(state) == [b"a", b"B", b"C", b"d"]
-
     def test_mod_count_equals_history_minus_one_always(self):
         state = FileState("f")
         rng = random.Random(3)
@@ -245,7 +281,7 @@ class TestReplayer:
         assert line.birth_ts == builder.start_ts
 
     def test_aborts_are_contained(self):
-        from linechurn.diffstream import CommitStart, FileDiffHeader, FileStart, HunkEvent, StreamEnd
+        from linechurn.diffstream import StreamEnd
 
         events = [
             CommitStart(make_commit(1)),
@@ -306,6 +342,51 @@ def test_snapshot_matches_checkout_on_random_repo(tmp_path):
                 assert snapshot_bytes(state) == expected, (header.hash, path)
     reader.close()
     assert not replayer.aborted
+
+
+def test_replay_independent_of_context_width(tmp_path):
+    """The zero-context walk replays to the same rows as a walk whose hunks
+    carry context lines and merge across short gaps."""
+
+    def widened(cmd: list[str]) -> list[str]:
+        i = cmd.index("-U0")
+        assert cmd[i:i + 2] == ["-U0", "--inter-hunk-context=0"]
+        return cmd[:i] + ["-U3", "--inter-hunk-context=6"] + cmd[i + 2:]
+
+    def replayed(repo, cmd):
+        out = subprocess.run(cmd, cwd=repo, capture_output=True, check=True).stdout
+        events = list(parse_log_stream(io.BytesIO(out)))
+        context = sum(hl.kind == LineKind.CONTEXT
+                      for e in events if isinstance(e, HunkEvent) for hl in e.hunk.lines)
+        replayer = HistoryReplayer()
+        replayer.run(iter(events))
+        assert not replayer.aborted, (repo, replayer.aborted)
+        rows = {path: (finalize(state), snapshot_bytes(state))
+                for path, state in replayer.states.items()}
+        return rows, context
+
+    walks = []
+    for seed in range(50):
+        rng = random.Random(1000 + seed)
+        repo = tmp_path / f"r{seed:02d}"
+        build_random_repo(repo, seed=seed, n_commits=rng.randrange(5, 41),
+                          n_files=rng.randrange(1, 4))
+        walks.append((repo, None))
+    multi = build_multi_hotspot_repo(tmp_path / "multi")
+    walks.append((multi["path"], None))
+    walks.append((multi["path"], sorted(multi["hot_files"] + [multi["renamed"][0]])))
+
+    wide_context = 0
+    for repo, paths in walks:
+        cmd = log_command(file_paths=paths)
+        narrow, narrow_context = replayed(repo, cmd)
+        wide, context = replayed(repo, widened(cmd))
+        assert narrow_context == 0
+        wide_context += context
+        assert narrow.keys() == wide.keys(), repo
+        for path in narrow:
+            assert narrow[path] == wide[path], (repo, path)
+    assert wide_context > 1000  # the wide walks really carried context
 
 
 def test_move_semantics_death_and_rebirth(tmp_path):

@@ -56,7 +56,6 @@ from .tracker import (
     TrackedLine,
     apply_hunk,
     finalize,
-    pair_edits,
     reconstruct_snapshot,
 )
 

@@ -4,18 +4,22 @@ Consumes the byte stream produced by ``log_command(file_paths)``:
 
     git -c core.quotepath=off -c color.ui=false -c diff.noprefix=false \
         -c diff.mnemonicPrefix=false -c log.showSignature=false \
+        -c diff.renameLimit=1000 \
         log --first-parent --diff-merges=first-parent --no-ext-diff \
         --diff-algorithm=myers -M \
         --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
         --reverse -p -U0 --inter-hunk-context=0 -- <file_path>...
 
 and turns it into a flat sequence of typed events: commit headers, file-diff
-headers, hunks, skip notices, and a terminating end-of-stream marker.  The
-parser is a small state machine (commit header -> file headers -> hunk range
--> hunk body) and is strictly streaming: it holds at most one hunk in memory
-at a time, so memory use is bounded by the largest single hunk rather than by
-stream length.  The walk asks for no context lines, which replay does not
-need; hunks with context parse and replay the same way.
+headers, hunks, skip and abort notices, and a terminating end-of-stream
+marker.  The input is any iterable of byte chunks, split anywhere: the
+parser cuts them into lines itself, a block at a time.  It is strictly
+streaming: it holds one chunk's lines plus at most one hunk, so memory use is
+bounded by the chunk size and the largest single hunk rather than by stream
+length.  The walk asks for no context lines, which replay does not need; a
+zero-context hunk's body is taken as one slice of lines, while hunks with
+context lines or ``\\ No newline`` markers are read line by line and replay
+the same way.
 
 Line content is kept as raw bytes throughout; no transcoding happens here so
 that content hashing and equality stay byte-stable across mixed encodings.
@@ -24,16 +28,22 @@ that content hashing and equality stay byte-stable across mixed encodings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 COMMIT_PRETTY_FORMAT = "commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce"
+
+# Pinned so that whether renames are detected does not depend on a user's
+# config or a git version's default (1000 since git 2.33).  git reports on
+# stderr when a commit exceeds it.
+RENAME_LIMIT = 1000
 
 # Fields of the commit line after "commit " are: hash, timestamp, then four
 # identity fields joined by the ASCII unit separator.
 _UNIT_SEP = b"\x1f"
 
-_HUNK_HEADER_RE = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@(?:[ ](.*))?$")
+_HUNK_HEADER_RE = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@(?:[ ]|$)")
 _DIFF_GIT_RE = re.compile(rb'^diff --git (?:"a/(.*)"|a/(.*)) (?:"b/(.*)"|b/(.*))$')
 _BINARY_RE = re.compile(rb"^Binary files .* differ$")
 _NO_NEWLINE = b"\\ No newline at end of file"
@@ -49,6 +59,8 @@ _EXT_HEADERS = (
     b"similarity index ",
     b"dissimilarity index ",
     b"mode ",
+    b"--- ",  # paths already known from the diff --git / rename lines
+    b"+++ ",
 )
 
 
@@ -112,13 +124,45 @@ class HunkLine:
     had_newline: bool = True
 
 
+class ChangeGroup(Sequence):
+    """The body of a zero-context hunk: its deletions, then its additions.
+
+    No ``\\ No newline`` marker follows any of its lines.  The lines are
+    kept as git printed them, marker included, so parsing builds no object
+    per line beyond the line itself; a HunkLine is built only when the body
+    is indexed.
+    """
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: list[bytes]):
+        self.raw = raw
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, index: int) -> HunkLine:
+        line = self.raw[index]
+        return HunkLine(chr(line[0]), line[1:])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"ChangeGroup({self.raw!r})"
+
+    def additions(self, n_deleted: int) -> list[bytes]:
+        """Texts of the added lines, given the hunk's deletion count."""
+        return [line[1:] for line in self.raw[n_deleted:]]
+
+
 @dataclass
 class Hunk:
     old_start: int
     old_count: int
     new_start: int
     new_count: int
-    lines: list[HunkLine] = field(default_factory=list)
+    lines: Sequence[HunkLine] = field(default_factory=list)
 
     def tallies(self) -> tuple[int, int]:
         """Recompute (old, new) line counts from the parsed body."""
@@ -151,6 +195,15 @@ class FileSkipped:
 
 
 @dataclass(frozen=True)
+class FileAborted:
+    """The rest of one file diff could not be parsed and was skipped."""
+
+    path: str
+    reason: str  # the parse error, with its byte offset
+    byte_offset: int
+
+
+@dataclass(frozen=True)
 class StreamEnd:
     pass
 
@@ -165,14 +218,19 @@ def parse_hunk_header(header_line: bytes | str) -> tuple[int, int, int, int]:
     raw = raw.rstrip(b"\n")
     if not raw.startswith(b"@@"):
         raise MalformedHunkHeader("hunk header must start with '@@'", line=raw)
-    m = _HUNK_HEADER_RE.match(raw)
-    if m is None:
+    counts = _hunk_counts(raw)
+    if counts is None:
         raise MalformedHunkHeader("unparseable hunk header", line=raw)
-    old_start = int(m.group(1))
-    old_count = int(m.group(2)) if m.group(2) is not None else 1
-    new_start = int(m.group(3))
-    new_count = int(m.group(4)) if m.group(4) is not None else 1
-    return old_start, old_count, new_start, new_count
+    return counts
+
+
+def _hunk_counts(line: bytes) -> tuple[int, int, int, int] | None:
+    m = _HUNK_HEADER_RE.match(line)
+    if m is None:
+        return None
+    old_start, old_count, new_start, new_count = m.groups()
+    return (int(old_start), 1 if old_count is None else int(old_count),
+            int(new_start), 1 if new_count is None else int(new_count))
 
 
 def parse_commit_line(line: bytes | str) -> CommitHeader:
@@ -213,8 +271,12 @@ def _decode_path(raw: bytes) -> str:
     return raw.decode("utf-8", "surrogateescape")
 
 
+_C_ESCAPES = {ord("a"): 0x07, ord("b"): 0x08, ord("t"): 0x09, ord("n"): 0x0A,
+              ord("v"): 0x0B, ord("f"): 0x0C, ord("r"): 0x0D, ord("\\"): 0x5C, ord('"'): 0x22}
+
+
 def _unquote_c_path(raw: bytes) -> bytes:
-    """Undo git's C-style path quoting (octal escapes) when present."""
+    """Undo git's C-style path quoting (octal and backslash escapes)."""
     out = bytearray()
     i = 0
     while i < len(raw):
@@ -225,9 +287,8 @@ def _unquote_c_path(raw: bytes) -> bytes:
                 out.append(int(raw[i + 1 : i + 4], 8))
                 i += 4
                 continue
-            escapes = {ord("n"): 0x0A, ord("t"): 0x09, ord("\\"): 0x5C, ord('"'): 0x22}
-            if nxt in escapes:
-                out.append(escapes[nxt])
+            if nxt in _C_ESCAPES:
+                out.append(_C_ESCAPES[nxt])
                 i += 2
                 continue
         out.append(c)
@@ -235,142 +296,238 @@ def _unquote_c_path(raw: bytes) -> bytes:
     return bytes(out)
 
 
-class _LineSource:
-    """Lazy line reader with single-line pushback and byte-offset tracking."""
-
-    def __init__(self, lines: Iterable[bytes]):
-        self._it = iter(lines)
-        self._pushed: bytes | None = None
-        self.offset = 0  # byte offset of the line most recently returned
-        self._next_offset = 0
-
-    def next_line(self) -> bytes | None:
-        if self._pushed is not None:
-            line = self._pushed
-            self._pushed = None
-        else:
-            line = next(self._it, None)
-            if line is None:
-                return None
-        self.offset = self._next_offset
-        self._next_offset = self.offset + len(line)
-        return line
-
-    def push_back(self, line: bytes) -> None:
-        assert self._pushed is None
-        self._pushed = line
-        self._next_offset = self.offset
+def _header_path(raw: bytes) -> str:
+    """A path as a patch header prints it: verbatim, or C-quoted in ``"..."``."""
+    if len(raw) >= 2 and raw.startswith(b'"') and raw.endswith(b'"'):
+        raw = _unquote_c_path(raw[1:-1])
+    return _decode_path(raw)
 
 
-def parse_log_stream(lines: Iterable[bytes]) -> Iterator[object]:
+def _records(chunks: Iterable[bytes], sep: bytes) -> Iterator[tuple[int, list[bytes]]]:
+    """Split a chunked byte stream at ``sep``, one block per chunk.
+
+    Yields ``(offset, records)`` for each chunk that completes a record:
+    the records without their separators, and the stream byte offset of
+    the first.  A record without a final separator ends the stream.
+    """
+    offset = total = 0  # offset: where the record being completed began
+    head: list[bytes] = []  # pieces of that record from earlier chunks
+    for chunk in chunks:
+        total += len(chunk)
+        records = chunk.split(sep)
+        if len(records) == 1:
+            if chunk:
+                head.append(chunk)
+            continue
+        if head:
+            head.append(records[0])
+            records[0] = b"".join(head)
+            head = []
+        tail = records.pop()
+        if tail:
+            head.append(tail)
+        yield offset, records
+        offset = total - len(tail)
+    if head:
+        yield offset, [b"".join(head)]
+
+
+def _fill(blocks: Iterator[tuple[int, list[bytes]]], lines: list[bytes], offset: int, i: int,
+          need: int) -> tuple[list[bytes], int, int]:
+    """Drop ``lines[:i]`` and append blocks until ``need`` lines remain.
+
+    Returns the lines, the byte offset of their first line and the index
+    of the line that was ``lines[i]``.  Fewer than ``need`` lines remain
+    only at the end of the stream.
+    """
+    rest = lines[i:]
+    first_offset = None
+    while len(rest) < need:
+        block = next(blocks, None)
+        if block is None:
+            break
+        if first_offset is None:
+            first_offset = block[0] - sum(map(len, rest)) - len(rest)
+        rest += block[1]
+    if first_offset is None:  # the stream had already ended
+        return lines, offset, i
+    return rest, first_offset, 0
+
+
+def _offset_at(lines: list[bytes], offset: int, k: int) -> int:
+    """Byte offset of ``lines[k]``, given that of ``lines[0]``."""
+    return offset + sum(map(len, lines[:k])) + k
+
+
+def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     """Parse a patch-ordered log byte stream into an event sequence.
 
-    Yields CommitStart, FileStart, HunkEvent, and FileSkipped events in
-    stream order, terminated by a single StreamEnd.  Every HunkEvent belongs
-    to the most recent FileStart, every FileStart to the most recent
-    CommitStart.  Binary file diffs yield FileSkipped instead of hunks.
+    Yields CommitStart, FileStart, HunkEvent, FileSkipped and FileAborted
+    events in stream order, terminated by a single StreamEnd.  Every
+    HunkEvent belongs to the most recent FileStart, every FileStart to the
+    most recent CommitStart.  Binary file diffs yield FileSkipped instead of
+    hunks.  A malformed hunk, or a malformed line inside a file diff, yields
+    FileAborted for that file, and parsing resumes at the next ``diff --git``
+    or ``commit`` line; errors outside any file diff raise.
 
-    ``lines`` is any iterable of newline-terminated byte strings, e.g. a
-    binary subprocess pipe or an open binary file.
+    ``chunks`` is any iterable of byte strings, split at arbitrary points:
+    reads of a binary pipe, the lines of an open binary file, or one bytes
+    object in a list.  Every split of one stream gives the same events.
     """
-    src = _LineSource(lines)
+    blocks = _records(chunks, b"\n")
+    lines: list[bytes] = []
+    offset = 0  # byte offset of lines[0] in the stream
+    i = 0  # the next line to read
     in_commit = False
     current_file: FileDiffHeader | None = None
+    header: FileDiffHeader | None = None  # a file diff header still being read
+    skipping = False  # after FileAborted: until the next diff or commit line
 
     while True:
-        line = src.next_line()
-        if line is None:
-            break
-        stripped = line.rstrip(b"\n")
-        if stripped == b"":
-            continue  # entry separator emitted by --pretty=format:
+        if i == len(lines):
+            block = next(blocks, None)
+            if block is None:
+                break
+            offset, lines = block
+            i = 0
+            continue
+        line = lines[i]
 
-        if stripped.startswith(b"commit "):
-            yield CommitStart(parse_commit_line(stripped))
+        if header is not None:
+            folded = _header_line(header, line)
+            if folded is not None:
+                header = folded
+                i += 1
+                continue
+            current_file = header
+            header = None
+            yield from _file_events(current_file)
+
+        if line.startswith(b"@@") and not skipping:
+            if current_file is None:
+                raise StreamParseError("hunk outside of a file diff",
+                                       _offset_at(lines, offset, i), line)
+            try:
+                counts = _hunk_counts(line)
+                if counts is None:
+                    raise MalformedHunkHeader("unparseable hunk header",
+                                              _offset_at(lines, offset, i), line)
+                old_start, old_count, new_start, new_count = counts
+                # The header, the body and at most two no-newline markers:
+                # one after the last old line, one after the last new line.
+                if i + old_count + new_count + 3 > len(lines):
+                    lines, offset, i = _fill(blocks, lines, offset, i, old_count + new_count + 3)
+                end = i + 1 + old_count + new_count
+                body = lines[i + 1:end]
+                if (len(body) == old_count + new_count
+                        and b"".join([ln[:1] for ln in body]) == b"-" * old_count + b"+" * new_count
+                        and (end == len(lines) or not lines[end].startswith(b"\\"))):
+                    yield HunkEvent(Hunk(old_start, old_count, new_start, new_count,
+                                         ChangeGroup(body)))
+                    i = end
+                    continue
+                hunk_lines, i = _read_hunk(lines, i, offset, old_count, new_count)
+                yield HunkEvent(Hunk(old_start, old_count, new_start, new_count, hunk_lines))
+                continue
+            except StreamParseError as exc:
+                yield FileAborted(current_file.new_path, str(exc), exc.byte_offset)
+                skipping = True
+                i += 1
+                continue
+
+        if line.startswith(b"commit "):
+            try:
+                commit = parse_commit_line(line)
+            except MalformedCommitLine as exc:
+                raise MalformedCommitLine(str(exc), _offset_at(lines, offset, i), line) from None
+            yield CommitStart(commit)
             in_commit = True
             current_file = None
-            continue
-
-        if stripped.startswith(b"diff --git "):
+            skipping = False
+        elif line.startswith(b"diff --git "):
             if not in_commit:
-                raise StreamParseError("file diff before any commit header", src.offset, stripped)
-            current_file = _parse_diff_header(src, stripped)
-            yield FileStart(current_file)
-            if current_file.is_binary:
-                yield FileSkipped(current_file.new_path or current_file.old_path, "binary")
-            continue
-
-        if stripped.startswith(b"@@"):
+                raise StreamParseError("file diff before any commit header",
+                                       _offset_at(lines, offset, i), line)
+            header = _diff_git_paths(line)
+            if header is None:
+                raise StreamParseError("unparseable 'diff --git' line",
+                                       _offset_at(lines, offset, i), line)
+            skipping = False
+        elif line and not skipping:
+            exc = StreamParseError("unexpected line between sections",
+                                   _offset_at(lines, offset, i), line)
             if current_file is None:
-                raise StreamParseError("hunk outside of a file diff", src.offset, stripped)
-            yield HunkEvent(_read_hunk(src, stripped))
-            continue
+                raise exc
+            yield FileAborted(current_file.new_path, str(exc), exc.byte_offset)
+            skipping = True
+        i += 1
 
-        raise StreamParseError("unexpected line between sections", src.offset, stripped)
-
+    if header is not None:
+        yield from _file_events(header)
     yield StreamEnd()
 
 
-def _parse_diff_header(src: _LineSource, diff_line: bytes) -> FileDiffHeader:
-    """Consume the extended header lines that follow one ``diff --git``."""
-    m = _DIFF_GIT_RE.match(diff_line)
+def _file_events(header: FileDiffHeader) -> list:
+    """FileStart for a file diff, then FileSkipped if it is binary."""
+    if header.is_binary:
+        return [FileStart(header), FileSkipped(header.new_path or header.old_path, "binary")]
+    return [FileStart(header)]
+
+
+def _diff_git_paths(line: bytes) -> FileDiffHeader | None:
+    """The file diff header that one ``diff --git`` line starts, if it parses."""
+    m = _DIFF_GIT_RE.match(line)
     if m is None:
-        raise StreamParseError("unparseable 'diff --git' line", src.offset, diff_line)
-    old_raw = m.group(1) if m.group(1) is not None else m.group(2)
-    new_raw = m.group(3) if m.group(3) is not None else m.group(4)
-    if m.group(1) is not None:
-        old_raw = _unquote_c_path(old_raw)
-    if m.group(3) is not None:
-        new_raw = _unquote_c_path(new_raw)
-    old_path = _decode_path(old_raw)
-    new_path = _decode_path(new_raw)
-    is_binary = False
-    is_rename_or_copy = False
-    is_copy = False
-
-    while True:
-        line = src.next_line()
-        if line is None:
-            break
-        stripped = line.rstrip(b"\n")
-        if stripped.startswith(b"rename from ") or stripped.startswith(b"copy from "):
-            is_rename_or_copy = True
-            is_copy = stripped.startswith(b"copy from ")
-            old_path = _decode_path(_unquote_c_path(stripped.split(b" from ", 1)[1]))
-        elif stripped.startswith(b"rename to ") or stripped.startswith(b"copy to "):
-            is_rename_or_copy = True
-            new_path = _decode_path(_unquote_c_path(stripped.split(b" to ", 1)[1]))
-        elif stripped.startswith(b"--- ") or stripped.startswith(b"+++ "):
-            pass  # path already known from the diff --git / rename lines
-        elif _BINARY_RE.match(stripped) or stripped.startswith(b"GIT binary patch"):
-            is_binary = True
-        elif any(stripped.startswith(h) for h in _EXT_HEADERS):
-            pass
-        else:
-            src.push_back(line)
-            break
-
-    return FileDiffHeader(old_path, new_path, is_binary, is_rename_or_copy, is_copy)
+        return None
+    old_raw = m.group(2) if m.group(1) is None else _unquote_c_path(m.group(1))
+    new_raw = m.group(4) if m.group(3) is None else _unquote_c_path(m.group(3))
+    return FileDiffHeader(_decode_path(old_raw), _decode_path(new_raw))
 
 
-def _read_hunk(src: _LineSource, header_line: bytes) -> Hunk:
-    """Read one hunk body, driven by the counts promised in its header."""
-    old_start, old_count, new_start, new_count = parse_hunk_header(header_line)
-    hunk = Hunk(old_start, old_count, new_start, new_count)
+def _header_line(header: FileDiffHeader, line: bytes) -> FileDiffHeader | None:
+    """``header`` with one extended header line folded in; None if it is none."""
+    if line.startswith(_EXT_HEADERS):
+        return header
+    if line.startswith((b"rename from ", b"copy from ")):
+        return replace(header, old_path=_header_path(line.split(b" from ", 1)[1]),
+                       is_rename_or_copy=True, is_copy=line.startswith(b"copy from "))
+    if line.startswith((b"rename to ", b"copy to ")):
+        return replace(header, new_path=_header_path(line.split(b" to ", 1)[1]),
+                       is_rename_or_copy=True)
+    if _BINARY_RE.match(line) or line.startswith(b"GIT binary patch"):
+        return replace(header, is_binary=True)
+    return None
+
+
+def _read_hunk(lines: list[bytes], h: int, offset: int, old_count: int,
+               new_count: int) -> tuple[list[HunkLine], int]:
+    """Read the body of the hunk headed by ``lines[h]`` line by line.
+
+    For bodies with context lines or no-newline markers.  ``lines`` holds
+    the header, the body and two more lines, or ends with the stream.
+    Returns the hunk lines and the index after the body.
+    """
+    out: list[HunkLine] = []
     remaining_old = old_count
     remaining_new = new_count
     last: HunkLine | None = None
+    j = h + 1
+    stop = h + old_count + new_count + 3  # past the header, body and two markers
 
     while remaining_old > 0 or remaining_new > 0:
-        line = src.next_line()
-        if line is None:
-            raise TruncatedStream("end of stream inside a hunk body", src.offset, header_line)
-        had_newline = line.endswith(b"\n")
-        body = line[:-1] if had_newline else line
+        if j == stop:
+            raise MalformedHunkHeader("more no-newline markers than a hunk body can hold",
+                                      _offset_at(lines, offset, j - 1), lines[j - 1])
+        if j == len(lines):
+            raise TruncatedStream("end of stream inside a hunk body",
+                                  _offset_at(lines, offset, h), lines[h])
+        body = lines[j]
         if body.startswith(b"\\"):
             if last is None:
-                raise StreamParseError("'\\ No newline' marker before any hunk line", src.offset, body)
+                raise StreamParseError("'\\ No newline' marker before any hunk line",
+                                       _offset_at(lines, offset, j), body)
             last.had_newline = False
+            j += 1
             continue
         if body.startswith(b" "):
             kind = LineKind.CONTEXT
@@ -390,26 +547,20 @@ def _read_hunk(src: _LineSource, header_line: bytes) -> Hunk:
             remaining_old -= 1
             remaining_new -= 1
         else:
-            raise MalformedHunkHeader(
-                "hunk body inconsistent with header counts", src.offset, body
-            )
+            raise MalformedHunkHeader("hunk body inconsistent with header counts",
+                                      _offset_at(lines, offset, j), body)
         if remaining_old < 0 or remaining_new < 0:
-            raise MalformedHunkHeader(
-                "hunk body overruns header counts", src.offset, body
-            )
+            raise MalformedHunkHeader("hunk body overruns header counts",
+                                      _offset_at(lines, offset, j), body)
         last = HunkLine(kind, body[1:], True)
-        hunk.lines.append(last)
+        out.append(last)
+        j += 1
 
     # A trailing no-newline marker may follow the final hunk line.
-    line = src.next_line()
-    if line is not None:
-        if line.rstrip(b"\n").startswith(b"\\"):
-            assert last is not None
-            last.had_newline = False
-        else:
-            src.push_back(line)
-
-    return hunk
+    if j < min(len(lines), stop) and last is not None and lines[j].startswith(b"\\"):
+        last.had_newline = False
+        j += 1
+    return out, j
 
 
 def render_hunk_body(hunk: Hunk) -> bytes:
@@ -426,40 +577,46 @@ def render_hunk_body(hunk: Hunk) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class NameStatusEntry:
-    status: str  # A, M, D, T, or R/C (similarity digits stripped)
-    old_path: str
-    new_path: str
-
-
-def parse_name_status_stream(lines: Iterable[bytes]) -> Iterator[object]:
-    """Parse ``git log --name-status`` output into the same event shapes.
+def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
+    """Parse ``git log -z --name-status`` output into the same event shapes.
 
     Yields CommitStart and FileStart events (with rename/copy flags, no
     hunks) plus a final StreamEnd, so file-level consumers can run on the
-    cheap name-status log instead of a full patch stream.
+    cheap name-status log instead of a full patch stream.  ``chunks`` is
+    any iterable of byte strings, split at arbitrary points.
+
+    Under ``-z`` every field ends in a NUL and paths are printed verbatim,
+    never quoted: ``<status>\\0<path>\\0``, or ``<status>\\0<old>\\0<new>\\0``
+    for renames and copies.  A commit line ends in a newline that the
+    commit's first status follows, and an empty field separates commits.
     """
-    for line in lines:
-        stripped = line.rstrip(b"\n")
-        if stripped == b"":
-            continue
-        if stripped.startswith(b"commit "):
-            yield CommitStart(parse_commit_line(stripped))
-            continue
-        parts = stripped.split(b"\t")
-        status = parts[0].decode("ascii", "replace")
-        kind = status[:1]
-        if kind in ("R", "C") and len(parts) >= 3:
-            old_path = _decode_path(_unquote_c_path(parts[1]))
-            new_path = _decode_path(_unquote_c_path(parts[2]))
-            yield FileStart(FileDiffHeader(old_path, new_path,
-                                           is_rename_or_copy=True, is_copy=(kind == "C")))
-        elif len(parts) >= 2:
-            path = _decode_path(_unquote_c_path(parts[1]))
-            yield FileStart(FileDiffHeader(path, path))
-        else:
-            raise StreamParseError("unparseable name-status line", line=stripped)
+    status = b""  # the status of the record whose paths are being read
+    paths: list[bytes] = []
+    for _, fields in _records(chunks, b"\0"):
+        for item in fields:
+            if status:
+                paths.append(item)
+                if len(paths) < (2 if status[:1] in b"RC" else 1):
+                    continue
+                if len(paths) == 2:
+                    yield FileStart(FileDiffHeader(_decode_path(paths[0]), _decode_path(paths[1]),
+                                                   is_rename_or_copy=True,
+                                                   is_copy=status.startswith(b"C")))
+                else:
+                    path = _decode_path(paths[0])
+                    yield FileStart(FileDiffHeader(path, path))
+                status, paths = b"", []
+                continue
+            if item.startswith(b"commit "):
+                commit_line, _, item = item.partition(b"\n")
+                yield CommitStart(parse_commit_line(commit_line))
+            if not item:
+                continue
+            if item[:1] not in b"ACDMRTUX" or (len(item) > 1 and not item[1:].isdigit()):
+                raise StreamParseError("unparseable name-status field", line=item)
+            status = item
+    if status:
+        raise TruncatedStream("name-status record without its path", line=status)
     yield StreamEnd()
 
 
@@ -471,18 +628,20 @@ def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
     pathspec a copy's source could only be another listed path.  Every
     setting that shapes the output is pinned on the command line, so a
     user's ``diff.noprefix``, ``diff.mnemonicPrefix``, ``log.showSignature``,
-    ``diff.algorithm``, ``diff.context`` or ``diff.interHunkContext`` cannot
-    change the headers, the line pairing or the hunks.  Patches carry no
-    context lines: replay only needs the changed ones.
+    ``diff.algorithm``, ``diff.renameLimit``, ``diff.context`` or
+    ``diff.interHunkContext`` cannot change the headers, the renames, the
+    line pairing or the hunks.  Patches carry no context lines: replay only
+    needs the changed ones.  Name-status output is NUL-separated, so paths
+    arrive unquoted.
     """
     cmd = ["git", "-c", "core.quotepath=off", "-c", "color.ui=false",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
-           "-c", "log.showSignature=false", "log"]
+           "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}", "log"]
     if first_parent:
         cmd += ["--first-parent", "--diff-merges=first-parent"]
     cmd += ["--no-ext-diff", "--diff-algorithm=myers", "-M"] + ([] if file_paths else ["-C"])
     cmd += [f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
-    cmd += ["--name-status"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
+    cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
     if file_paths:
         cmd += ["--", *file_paths]
     return cmd

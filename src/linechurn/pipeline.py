@@ -7,8 +7,9 @@ all of them, and line tracking; (3) hotspot lines are selected, classified,
 and attributed to bot or human committers; (4) all CSV/JSON artifacts are
 written, the run manifest last.
 
-A single file whose replay goes out of bounds is aborted and recorded; the
-run completes and reports partial failure instead of dying.
+A single file whose replay goes out of bounds, or whose patch is malformed,
+is aborted and recorded; the run completes and reports partial failure
+instead of dying.  What git prints on stderr joins the manifest's warnings.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .churn import (
 from .diffstream import (
     CommitStart,
     FileStart,
+    StreamParseError,
     log_command,
     parse_log_stream,
     parse_name_status_stream,
@@ -53,7 +55,7 @@ from .taxonomy import (
     classify_history,
     load_label_overrides,
 )
-from .tracker import FileState, HistoryReplayer, finalize, write_line_report
+from .tracker import AbortedFile, FileState, HistoryReplayer, finalize, write_line_report
 
 logger = logging.getLogger(__name__)
 
@@ -145,12 +147,19 @@ class AnalysisResults:
     n_commits: int
 
 
-def _git_lines(repo: Path, cmd: list[str]):
-    """Run a git command, streaming stdout lines; raise if git fails.
+# Bytes asked of git's stdout per read.  Larger reads cost fewer calls but
+# hold more lines at once in the parser.
+_READ_SIZE = 256 << 10
 
-    stderr is drained on a thread, so git never blocks on a full stderr
-    pipe.  A consumer that stops early ends git, and git's exit then is no
-    error: the consumer's own exception, if any, is the one that surfaces.
+
+def _git_lines(repo: Path, cmd: list[str]):
+    """Run a git command, streaming stdout in chunks; raise if git fails.
+
+    Chunks end anywhere, not at line ends.  stderr is drained on a thread,
+    so git never blocks on a full stderr pipe; what git printed there on
+    success becomes one warning per line.  A consumer that stops early ends
+    git, and git's exit then is no error: the consumer's own exception, if
+    any, is the one that surfaces.
     """
     proc = subprocess.Popen(cmd, cwd=repo, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
@@ -164,8 +173,10 @@ def _git_lines(repo: Path, cmd: list[str]):
     stderr: list[bytes] = []
     drain = threading.Thread(target=lambda: stderr.append(proc.stderr.read()), daemon=True)
     drain.start()
+    read = proc.stdout.read1
     try:
-        yield from proc.stdout
+        while chunk := read(_READ_SIZE):
+            yield chunk
     except BaseException:  # GeneratorExit: the consumer stopped early
         proc.kill()
         raise
@@ -174,9 +185,11 @@ def _git_lines(repo: Path, cmd: list[str]):
         code = proc.wait()
         drain.join()
         proc.stderr.close()
+    message = b"".join(stderr).decode("utf-8", "replace").strip()
     if code != 0:
-        raise RuntimeError(f"{' '.join(cmd)} failed ({code}): "
-                           f"{b''.join(stderr).decode('utf-8', 'replace').strip()}")
+        raise RuntimeError(f"{' '.join(cmd)} failed ({code}): {message}")
+    for line in message.splitlines():
+        warnings.warn(f"git: {line}")
 
 
 def _repo_head(repo: Path) -> str:
@@ -212,8 +225,8 @@ def _stage1_churn(repo: Path):
                     chains[header.new_path] = chains.pop(header.old_path, []) + [header.old_path]
             yield event
 
-    lines = _git_lines(repo, log_command(name_status=True))
-    counts = count_file_commits(observing(parse_name_status_stream(lines)))
+    with contextlib.closing(_git_lines(repo, log_command(name_status=True))) as chunks:
+        counts = count_file_commits(observing(parse_name_status_stream(chunks)))
     if span["n"] == 0:
         raise RepoNotFound(f"{repo} log produced no commits")
     months = max((span["last"] - span["first"]) / SECONDS_PER_MONTH, 1e-9)
@@ -231,20 +244,26 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         counts, chains, lifetime_months, n_commits = _stage1_churn(config.repo_path)
         categories = {path: categorize_file(path) for path in counts}
         hotspot_files = detect_hotspot_files(counts, lifetime_months, config.thresholds)
+
+        selected_files = sorted(hotspot_files)
+        if config.file_sample is not None and config.file_sample < len(selected_files):
+            rng = random.Random(config.sample_seed)
+            selected_files = sorted(rng.sample(selected_files, config.file_sample))
+
+        # Stage 2: line tracking of the selected files and their rename
+        # chains, in one patch walk.
+        pathspecs = sorted({p for path in selected_files for p in chains.get(path, []) + [path]})
+        replayer = HistoryReplayer(track_paths=set(pathspecs))
+        if pathspecs:  # without a pathspec the walk would read every file's patches
+            walk = _git_lines(config.repo_path, log_command(file_paths=pathspecs))
+            try:
+                with contextlib.closing(walk):  # ends git if the parser stops early
+                    replayer.run(parse_log_stream(walk))
+            except StreamParseError as exc:  # outside any file diff: no replay is complete
+                for path in selected_files:
+                    replayer.aborted.setdefault(path, AbortedFile(path, f"stage-2 log: {exc}"))
+                replayer.states.clear()
     run_warnings.extend(str(w.message) for w in caught)
-
-    selected_files = sorted(hotspot_files)
-    if config.file_sample is not None and config.file_sample < len(selected_files):
-        rng = random.Random(config.sample_seed)
-        selected_files = sorted(rng.sample(selected_files, config.file_sample))
-
-    # Stage 2: line tracking of the selected files and their rename chains,
-    # in one patch walk.
-    pathspecs = sorted({p for path in selected_files for p in chains.get(path, []) + [path]})
-    replayer = HistoryReplayer(track_paths=set(pathspecs))
-    if pathspecs:  # without a pathspec the walk would read every file's patches
-        lines = _git_lines(config.repo_path, log_command(file_paths=pathspecs))
-        replayer.run(parse_log_stream(lines))
     aborted = {p: a.reason for p, a in replayer.aborted.items()}
     tracked = [
         _TrackedFile(path=path, category=categories[path], state=state)

@@ -24,16 +24,15 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .diffstream import (
+    ChangeGroup,
     CommitHeader,
     CommitStart,
+    FileAborted,
     FileDiffHeader,
-    FileSkipped,
     FileStart,
     Hunk,
     HunkEvent,
-    HunkLine,
     LineKind,
-    StreamEnd,
     display_text,
 )
 
@@ -58,14 +57,14 @@ class HunkOutOfBounds(Exception):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Revision:
     commit_hash: str
     timestamp: int
     content: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackedLine:
     slot_id: int
     content: bytes
@@ -77,26 +76,6 @@ class TrackedLine:
     @property
     def mod_count(self) -> int:
         return len(self.history) - 1
-
-
-@dataclass
-class EditPairing:
-    pairs: list[tuple[TrackedLine, HunkLine]]
-    deaths: list[TrackedLine]
-    births: list[HunkLine]
-
-
-def pair_edits(deletion_run: list, addition_run: list) -> EditPairing:
-    """Pair the i-th deletion with the i-th addition of one change group.
-
-    Surplus deletions become deaths, surplus additions become births.
-    """
-    n = min(len(deletion_run), len(addition_run))
-    return EditPairing(
-        pairs=list(zip(deletion_run[:n], addition_run[:n])),
-        deaths=list(deletion_run[n:]),
-        births=list(addition_run[n:]),
-    )
 
 
 @dataclass
@@ -155,57 +134,71 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     if base + hunk.old_count > live:
         raise HunkOutOfBounds(state.path, hunk, adj_start, f"but only {live} live lines")
 
-    updated: list[TrackedLine] = []
-    consumed = 0
-    pending_dels: list[TrackedLine] = []
-    pending_adds: list[HunkLine] = []
-
-    def flush() -> None:
-        if not pending_dels and not pending_adds:
-            return
-        pairing = pair_edits(pending_dels, pending_adds)
-        for old_line, added in pairing.pairs:
-            old_line.history.append(Revision(commit.hash, commit.committer_timestamp, added.text))
-            old_line.content = added.text
-            old_line.had_newline = added.had_newline
-            updated.append(old_line)
-        for old_line in pairing.deaths:
-            old_line.death_ts = commit.committer_timestamp
-            state.deaths_total += 1
-        for added in pairing.births:
-            born = TrackedLine(
-                slot_id=state._new_slot(),
-                content=added.text,
-                birth_ts=commit.committer_timestamp,
-                had_newline=added.had_newline,
-                history=[Revision(commit.hash, commit.committer_timestamp, added.text)],
-            )
-            updated.append(born)
-            state.births_total += 1
-        pending_dels.clear()
-        pending_adds.clear()
-
-    for hl in hunk.lines:
-        if hl.kind == LineKind.CONTEXT:
-            flush()
-            existing = state.file_lines[base + consumed]
-            existing.had_newline = hl.had_newline
-            updated.append(existing)
-            consumed += 1
-        elif hl.kind == LineKind.DELETION:
-            if pending_adds:
-                flush()
-            pending_dels.append(state.file_lines[base + consumed])
-            consumed += 1
-        else:  # addition
-            pending_adds.append(hl)
-    flush()
+    lines = hunk.lines
+    if type(lines) is ChangeGroup:  # one change group, every line newline-terminated
+        consumed = hunk.old_count
+        updated = _replace_run(state, commit, state.file_lines[base:base + consumed],
+                               lines.additions(consumed))
+    else:
+        updated = []
+        consumed = 0
+        i = 0
+        while i < len(lines):
+            if lines[i].kind == LineKind.CONTEXT:
+                existing = state.file_lines[base + consumed]
+                existing.had_newline = lines[i].had_newline
+                updated.append(existing)
+                consumed += 1
+                i += 1
+                continue
+            # A change group: a run of deletions, then a run of additions.
+            j = i
+            while j < len(lines) and lines[j].kind == LineKind.DELETION:
+                j += 1
+            k = j
+            while k < len(lines) and lines[k].kind == LineKind.ADDITION:
+                k += 1
+            run = _replace_run(state, commit,
+                               state.file_lines[base + consumed:base + consumed + j - i],
+                               [hl.text for hl in lines[j:k]])
+            for line, hl in zip(run, lines[j:k]):
+                line.had_newline = hl.had_newline
+            updated += run
+            consumed += j - i
+            i = k
 
     state.file_lines[base : base + consumed] = updated
     state.max_processed_index = base + len(updated)
     state.delta += hunk.new_count - hunk.old_count
     state.commit_hunks.append((base, hunk))
     return state
+
+
+def _replace_run(state: FileState, commit: CommitHeader, deleted: list[TrackedLine],
+                 added: list[bytes]) -> list[TrackedLine]:
+    """Pair the i-th deleted line with the i-th added text; return the new lines.
+
+    Surplus deletions die, surplus additions are born; every resulting line
+    ends in a newline.
+    """
+    commit_hash, ts = commit.hash, commit.committer_timestamp
+    for line, text in zip(deleted, added):
+        line.history.append(Revision(commit_hash, ts, text))
+        line.content = text
+        line.had_newline = True
+    if len(deleted) > len(added):
+        for line in deleted[len(added):]:
+            line.death_ts = ts
+        state.deaths_total += len(deleted) - len(added)
+        return deleted[:len(added)]
+    born = len(added) - len(deleted)
+    if born > 0:
+        slot = state._next_slot
+        deleted += [TrackedLine(slot + k, text, ts, True, None, [Revision(commit_hash, ts, text)])
+                    for k, text in enumerate(added[len(deleted):], 1)]
+        state._next_slot += born
+        state.births_total += born
+    return deleted
 
 
 def reconstruct_snapshot(state: FileState) -> list[bytes]:
@@ -294,7 +287,8 @@ class HistoryReplayer:
     fresh states (the source's lines as of the commit's parent, as new births,
     when the source is tracked in the same stream; otherwise the copy target
     is aborted because its baseline is unknown).  A file whose hunks go out of
-    bounds is aborted and reported; other files continue.
+    bounds, or whose patch the parser could not read, is aborted and
+    reported; other files continue.
     """
 
     def __init__(self, track_paths: set[str] | None = None):
@@ -312,7 +306,19 @@ class HistoryReplayer:
         current_path: str | None = None
 
         for event in events:
-            if isinstance(event, CommitStart):
+            if isinstance(event, HunkEvent):
+                if current_commit is None:
+                    raise ValueError("hunk event before any commit")
+                if current_path is None or current_path in self.aborted:
+                    continue
+                state = self.states.get(current_path)
+                if state is None:
+                    state = self.states[current_path] = FileState(current_path)
+                try:
+                    apply_hunk(state, event.hunk, current_commit)
+                except HunkOutOfBounds as exc:
+                    self._abort(current_path, str(exc))
+            elif isinstance(event, CommitStart):
                 if current_commit is not None:
                     yield current_commit
                 current_commit = event.header
@@ -320,22 +326,16 @@ class HistoryReplayer:
                 current_path = None
             elif isinstance(event, FileStart):
                 current_path = self._on_file_start(event.header, current_commit)
-            elif isinstance(event, HunkEvent):
-                if current_commit is None:
-                    raise ValueError("hunk event before any commit")
-                if current_path is None or current_path in self.aborted:
-                    continue
-                state = self.states.setdefault(current_path, FileState(current_path))
-                try:
-                    apply_hunk(state, event.hunk, current_commit)
-                except HunkOutOfBounds as exc:
-                    logger.warning("aborting %s: %s", current_path, exc)
-                    self.aborted[current_path] = AbortedFile(current_path, str(exc))
-                    self.states.pop(current_path, None)
-            elif isinstance(event, (FileSkipped, StreamEnd)):
-                pass
+            elif isinstance(event, FileAborted):
+                if current_path is not None and current_path not in self.aborted:
+                    self._abort(current_path, event.reason)
         if current_commit is not None:
             yield current_commit
+
+    def _abort(self, path: str, reason: str) -> None:
+        logger.warning("aborting %s: %s", path, reason)
+        self.aborted[path] = AbortedFile(path, reason)
+        self.states.pop(path, None)
 
     def run(self, events: Iterable[object]) -> None:
         for _ in self.replay(events):

@@ -21,7 +21,7 @@ from linechurn.diffstream import (
     MalformedCommitLine,
     MalformedHunkHeader,
     StreamEnd,
-    TruncatedStream,
+    StreamParseError,
     parse_commit_line,
     parse_hunk_header,
     parse_log_stream,
@@ -56,8 +56,38 @@ TWO_COMMIT_STREAM = (
 )
 
 
+TRUNCATED_STREAM = (COMMIT1
+                    + b"diff --git a/f b/f\n"
+                    + b"index 1..2 100644\n"
+                    + b"--- a/f\n"
+                    + b"+++ b/f\n"
+                    + b"@@ -1,2 +1,2 @@\n"
+                    + b" ctx\n")
+
+# File a's hunk header is malformed; b, later in the commit, and a, in the
+# next commit, parse.
+MALFORMED_STREAM = (COMMIT1
+                    + b"diff --git a/a b/a\n--- a/a\n+++ b/a\n@@ -1,x +1 @@\n-x\n+y\n"
+                    + b"diff --git a/b b/b\n--- a/b\n+++ b/b\n@@ -1 +1 @@\n-p\n+q\n"
+                    + b"\n"
+                    + COMMIT2
+                    + b"diff --git a/a b/a\n--- a/a\n+++ b/a\n@@ -1 +1 @@\n-y\n+z\n")
+
+
 def parse_all(data: bytes) -> list:
     return list(parse_log_stream(io.BytesIO(data)))
+
+
+def split_at(data: bytes, cuts) -> list[bytes]:
+    bounds = [0, *sorted(cuts), len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def chunkings(data: bytes) -> list[list[bytes]]:
+    """The stream whole, per line, per byte, and cut at seeded random points."""
+    rng = random.Random(len(data))
+    return [[data], data.splitlines(keepends=True), [data[k:k + 1] for k in range(len(data))],
+            split_at(data, rng.sample(range(len(data) + 1), min(len(data) + 1, 7)))]
 
 
 class TestParseHunkHeader:
@@ -188,16 +218,53 @@ class TestParseLogStream:
         assert [ln.had_newline for ln in hunk.lines] == [False, False]
 
     def test_truncated_hunk_body(self):
-        stream = (COMMIT1
-                  + b"diff --git a/f b/f\n"
-                  + b"index 1..2 100644\n"
-                  + b"--- a/f\n"
-                  + b"+++ b/f\n"
-                  + b"@@ -1,2 +1,2 @@\n"
-                  + b" ctx\n")
-        with pytest.raises(TruncatedStream) as excinfo:
-            parse_all(stream)
-        assert excinfo.value.byte_offset >= 0
+        for chunks in chunkings(TRUNCATED_STREAM):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == [
+                "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+            aborted = events[2]
+            assert aborted.path == "f"
+            assert "end of stream inside a hunk body" in aborted.reason
+            assert aborted.byte_offset == TRUNCATED_STREAM.index(b"@@ -1,2")
+            assert f"byte offset {aborted.byte_offset}," in aborted.reason
+
+    def test_surplus_no_newline_markers_abort_the_file(self):
+        stream = (COMMIT1 + b"diff --git a/f b/f\nindex 1..2 100644\n"
+                  + b"@@ -1 +1 @@\n-x\n\\ No newline at end of file\n"
+                  + b"\\ No newline at end of file\n\\ No newline at end of file\n+y\n")
+        third = stream.rindex(b"\\ No newline")
+        for chunks in chunkings(stream):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == [
+                "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+            assert "more no-newline markers" in events[2].reason
+            assert events[2].byte_offset == third
+
+    def test_malformed_hunk_aborts_only_its_file(self):
+        for chunks in chunkings(MALFORMED_STREAM):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == [
+                "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent",
+                "CommitStart", "FileStart", "HunkEvent", "StreamEnd"]
+            assert events[2].path == "a"
+            assert events[2].byte_offset == MALFORMED_STREAM.index(b"@@ -1,x")
+            assert events[3].header.new_path == "b"
+            assert [ln.text for ln in events[4].hunk.lines] == [b"p", b"q"]
+            assert [ln.text for ln in events[7].hunk.lines] == [b"y", b"z"]
+
+    def test_unexpected_line_aborts_its_file(self):
+        stream = (COMMIT1 + b"diff --git a/a b/a\nindex 1..2 100644\ngarbage\n"
+                  + b"@@ -1 +1 @@\n-x\n+y\n")
+        events = parse_all(stream)
+        assert [type(e).__name__ for e in events] == [
+            "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+        assert events[2].byte_offset == stream.index(b"garbage")
+
+    def test_error_outside_file_diff_raises(self):
+        with pytest.raises(StreamParseError, match="unexpected line"):
+            parse_all(COMMIT1 + b"garbage\n")
+        with pytest.raises(StreamParseError, match="diff --git"):
+            parse_all(COMMIT1 + b"diff --git f f\n")
 
     def test_hunk_attribution_to_latest_file(self):
         stream = (COMMIT1
@@ -215,6 +282,15 @@ class TestParseLogStream:
                   + b'+++ "b/sp ace.txt"\n'
                   + b"@@ -1,1 +1,1 @@\n-x\n+y\n")
         assert parse_all(stream)[1].header.new_path == "sp ace.txt"
+
+    def test_quoted_rename_paths_unescaped(self):
+        stream = (COMMIT1
+                  + b'diff --git "a/we\\"ird" "b/tab\\tcr\\r\\303\\251"\n'
+                  + b"similarity index 100%\n"
+                  + b'rename from "we\\"ird"\n'
+                  + b'rename to "tab\\tcr\\r\\303\\251"\n')
+        header = parse_all(stream)[1].header
+        assert (header.old_path, header.new_path) == ('we"ird', "tab\tcr\r\u00e9")
 
 
 def random_hunk(rng: random.Random) -> Hunk:
@@ -272,6 +348,47 @@ def test_roundtrip_property(linespec):
     assert render_hunk_body(parsed) == body
 
 
+FIXTURE_STREAMS = [
+    TWO_COMMIT_STREAM,
+    TRUNCATED_STREAM,
+    MALFORMED_STREAM,
+    COMMIT1 + b"diff --git a/x.bin b/x.bin\nnew file mode 100644\nindex 0000000..1234567\n"
+    + b"Binary files /dev/null and b/x.bin differ\n",
+    COMMIT1 + b"diff --git a/old.txt b/new.txt\nsimilarity index 100%\n"
+    + b"rename from old.txt\nrename to new.txt\n",
+    COMMIT1 + b'diff --git "a/we\\"ird" "b/we\\"ird2"\nsimilarity index 90%\n'
+    + b'rename from "we\\"ird"\nrename to "we\\"ird2"\n--- "a/we\\"ird"\n+++ "b/we\\"ird2"\n'
+    + b"@@ -1,1 +1,1 @@\n-a\n+b\n",
+    COMMIT1 + b"diff --git a/f b/f\nindex 1..2 100644\n--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n"
+    + b"-old\n\\ No newline at end of file\n+new\n\\ No newline at end of file\n",
+    COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n@@ -3,2 +3,0 @@\n-a\n-b\n"
+    + b"@@ -9,0 +8,3 @@\n+c\n+d\n+e",  # the stream's last line has no newline
+]
+
+
+def fuzz_stream(rng: random.Random) -> bytes:
+    parts = [COMMIT1, b"diff --git a/f b/f\n--- a/f\n+++ b/f\n"]
+    for _ in range(rng.randrange(1, 4)):
+        hunk = random_hunk(rng)
+        parts += [hunk_header_bytes(hunk), render_hunk_body(hunk)]
+    return b"".join(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_events_independent_of_chunking(data):
+    """Any split of a stream into chunks gives the events of the whole stream."""
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    streams = FIXTURE_STREAMS + [fuzz_stream(rng) for _ in range(4)]
+    for stream in streams:
+        whole = list(parse_log_stream([stream]))
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=12), label="cuts")
+        assert list(parse_log_stream(split_at(stream, cuts))) == whole
+    for stream in streams:
+        whole = list(parse_log_stream([stream]))
+        assert list(parse_log_stream(stream[k:k + 1] for k in range(len(stream)))) == whole
+
+
 def test_streaming_memory_bounded():
     """Parsing a million-hunk stream must not buffer the stream."""
 
@@ -298,18 +415,32 @@ def test_streaming_memory_bounded():
 
 def test_name_status_stream():
     stream = (COMMIT1
-              + b"A\ta.txt\n"
-              + b"M\tb.txt\n"
-              + b"\n"
+              + b"A\0a.txt\0"
+              + b"M\0b.txt\0"
+              + b"\0"
               + COMMIT2
-              + b"R100\ta.txt\tc.txt\n"
-              + b"C075\tb.txt\tb2.txt\n")
-    events = list(parse_name_status_stream(io.BytesIO(stream)))
-    kinds = [type(e).__name__ for e in events]
-    assert kinds == ["CommitStart", "FileStart", "FileStart",
-                     "CommitStart", "FileStart", "FileStart", "StreamEnd"]
-    rename = events[4].header
-    assert rename.is_rename_or_copy and not rename.is_copy
-    assert (rename.old_path, rename.new_path) == ("a.txt", "c.txt")
-    copy = events[5].header
-    assert copy.is_copy and copy.new_path == "b2.txt"
+              + b"R100\0a.txt\0c.txt\0"
+              + b"C075\0b.txt\0b2.txt\0")
+    for chunks in chunkings(stream):
+        events = list(parse_name_status_stream(chunks))
+        kinds = [type(e).__name__ for e in events]
+        assert kinds == ["CommitStart", "FileStart", "FileStart",
+                         "CommitStart", "FileStart", "FileStart", "StreamEnd"]
+        rename = events[4].header
+        assert rename.is_rename_or_copy and not rename.is_copy
+        assert (rename.old_path, rename.new_path) == ("a.txt", "c.txt")
+        copy = events[5].header
+        assert copy.is_copy and copy.new_path == "b2.txt"
+
+
+def test_name_status_paths_verbatim():
+    """-z prints paths unquoted; quotes, backslashes, tabs and newlines stay."""
+    names = [b'we"ird.txt', b"back\\slash.txt", b"tab\tname.txt", b"new\nline.txt",
+             b"commit 1 2.txt"]
+    stream = (COMMIT1.rstrip(b"\n") + b"\0"  # a commit without file changes
+              + COMMIT2 + b"".join(b"A\0" + name + b"\0" for name in names))
+    for chunks in chunkings(stream):
+        events = list(parse_name_status_stream(chunks))
+        assert [type(e).__name__ for e in events] == (
+            ["CommitStart", "CommitStart"] + ["FileStart"] * len(names) + ["StreamEnd"])
+        assert [e.header.new_path for e in events[2:-1]] == [n.decode() for n in names]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import linechurn.cli as cli
+import linechurn.diffstream as diffstream
 import linechurn.pipeline as pipeline
 from linechurn.churn import HotspotThresholds
 from linechurn.diffstream import log_command
@@ -339,6 +340,140 @@ def test_git_failure_raises_with_stderr(scratch_repo):
     repo, _ = scratch_repo
     with pytest.raises(RuntimeError, match="unknown revision"):
         list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"]))
+
+
+def test_quoted_paths_keep_their_names(tmp_path):
+    """Paths git C-quotes in text output keep their names: all three appear
+    verbatim in file_churn.csv, and the hot one is replayed to its checkout."""
+    from repogen import RepoBuilder
+
+    hot, others = 'we"ird.txt', ["back\\slash.txt", "tab\tname.txt"]
+    builder = RepoBuilder(tmp_path / "repo")
+    lines = [f"key_{i} = {i}".encode() for i in range(10)]
+    edits = {hot: b"\n".join(lines) + b"\n", **{name: b"x\n" for name in others}}
+    edits.update({f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(15)})
+    builder.commit(edits, "initial import")
+    for k in range(1, 35):
+        lines[1] = f"key_1 = v{k}".encode()
+        builder.commit({hot: b"\n".join(lines) + b"\n"}, f"bump {k}")
+    builder.finish()
+
+    out = tmp_path / "out"
+    manifest = analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=out))
+    assert manifest.aborted == {}
+    rows = {r["path"]: r for r in read_csv(out / "file_churn.csv")}
+    assert {hot, *others} <= set(rows)
+    assert rows[hot]["is_hotspot_file"] == "true"
+    assert manifest.stage_counts["files_tracked"] == 1
+    report = read_line_report(out / "line_reports" / pipeline._safe_report_name(hot))
+    checkout = run_git(builder.path, "show", f"HEAD:{hot}").stdout
+    assert [r.content for r in report] == checkout.splitlines()
+    assert report[1].mod_count == 34
+
+
+def test_git_stderr_and_rename_limit_in_manifest(tmp_path, monkeypatch):
+    """Renames beyond the pinned limit go undetected, and git's warning about
+    it reaches the manifest."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    texts = {name: b"".join(b"%s line %d\n" % (name.encode(), i) for i in range(8))
+             for name in ("p.txt", "q.txt")}
+    builder.commit(texts, "add")
+    builder.commit({"p.txt": None, "q.txt": None,
+                    "p2.txt": texts["p.txt"] + b"more\n", "q2.txt": texts["q.txt"] + b"more\n"},
+                   "two inexact renames")
+    builder.finish()
+
+    def warnings_at(limit: int) -> list[str]:
+        monkeypatch.setattr(diffstream, "RENAME_LIMIT", limit)
+        out = tmp_path / f"limit{limit}"
+        analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=out))
+        return json.loads((out / "manifest.json").read_text())["warnings"]
+
+    assert not any("rename" in w for w in warnings_at(diffstream.RENAME_LIMIT))
+    assert any(w.startswith("git: ") and "rename detection was skipped" in w
+               for w in warnings_at(1))
+
+
+def corrupting_git_lines(monkeypatch, path: str) -> list[int]:
+    """Make the stage-2 walk's last hunk header of ``path`` unparseable.
+
+    Returns a list that receives the corrupted header's byte offset.
+    """
+    real = pipeline._git_lines
+    offsets: list[int] = []
+
+    def corrupted(repo, cmd):
+        data = b"".join(real(repo, cmd))
+        if "-p" in cmd:
+            diff = data.rindex(b"diff --git a/%s b/%s\n" % (path.encode(), path.encode()))
+            at = data.index(b"\n@@ ", diff) + 1
+            data = data[:at] + b"@@ -x" + data[at + 4:]
+            offsets.append(at)
+        yield from (data[k:k + 4099] for k in range(0, len(data), 4099))
+
+    monkeypatch.setattr(pipeline, "_git_lines", corrupted)
+    return offsets
+
+
+class TestMalformedPatch:
+    """A malformed hunk in one file's patch aborts that file alone."""
+
+    @pytest.fixture(scope="class")
+    def multi(self, tmp_path_factory):
+        fixture = build_multi_hotspot_repo(tmp_path_factory.mktemp("multi") / "repo")
+        clean = tmp_path_factory.mktemp("clean")
+        analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=clean))
+        return fixture, clean
+
+    def test_other_files_unchanged(self, multi, tmp_path, monkeypatch):
+        fixture, clean = multi
+        offsets = corrupting_git_lines(monkeypatch, "conf/a.cfg")
+        manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=tmp_path))
+        assert list(manifest.aborted) == ["conf/a.cfg"]
+        assert "unparseable hunk header" in manifest.aborted["conf/a.cfg"]
+        assert f"byte offset {offsets[0]}," in manifest.aborted["conf/a.cfg"]
+        assert manifest.stage_counts["files_tracked"] == 2
+        for path in ("conf/b.cfg", "conf/c.cfg"):
+            name = pipeline._safe_report_name(path)
+            assert (tmp_path / "line_reports" / name).read_bytes() == \
+                (clean / "line_reports" / name).read_bytes(), path
+
+    def test_error_outside_file_diffs_aborts_every_file(self, multi, tmp_path, monkeypatch):
+        fixture, _ = multi
+        real = pipeline._git_lines
+        walk_ended = []
+
+        def corrupted(repo, cmd):
+            data = b"".join(real(repo, cmd))
+            if "-p" in cmd:  # the last commit's hash is no longer hexadecimal
+                at = data.rindex(b"\ncommit ") + len(b"\ncommit ")
+                data = data[:at] + b"zz" + data[at:]
+            try:
+                yield data
+            finally:
+                walk_ended.append("-p" in cmd)
+
+        # Stage 3 starts only after the walk that failed has been ended.
+        aggregate = pipeline.aggregate_committers
+        ended_before_stage3 = []
+        monkeypatch.setattr(pipeline, "aggregate_committers",
+                            lambda *a: ended_before_stage3.append(list(walk_ended)) or aggregate(*a))
+        monkeypatch.setattr(pipeline, "_git_lines", corrupted)
+        manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=tmp_path))
+        assert ended_before_stage3 == [[False, True]]
+        assert sorted(manifest.aborted) == fixture["hot_files"]
+        for reason in manifest.aborted.values():
+            assert reason.startswith("stage-2 log: commit hash is not hexadecimal (byte offset")
+        assert manifest.stage_counts["files_tracked"] == 0
+
+    def test_cli_exits_two(self, multi, tmp_path, monkeypatch, capsys):
+        fixture, _ = multi
+        corrupting_git_lines(monkeypatch, "conf/a.cfg")
+        code = cli.main(["analyze", "--repo", str(fixture["path"]), "--out", str(tmp_path)])
+        assert code == 2
+        assert "conf/a.cfg: " in capsys.readouterr().err
 
 
 def aborting_replayer(path: str, reason: str):

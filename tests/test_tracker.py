@@ -29,7 +29,6 @@ from linechurn.tracker import (
     HunkOutOfBounds,
     apply_hunk,
     finalize,
-    pair_edits,
     read_line_report,
     reconstruct_snapshot,
     snapshot_bytes,
@@ -109,29 +108,55 @@ class TestRunningDelta:
         assert "f" not in replayer.states
 
 
+def replace_run(n_del: int, n_add: int):
+    """Apply one ``n_del`` deletions, ``n_add`` additions hunk to lines d1..dN.
+
+    N is 4, or ``n_del`` when that is more.
+    """
+    n_base = max(4, n_del)
+    state = FileState("f")
+    apply_hunk(state, hunk(0, 0, 1, n_base, "+" * n_base,
+                           [f"d{k}".encode() for k in range(1, n_base + 1)]), make_commit(1))
+    before = list(state.file_lines)
+    added = [f"a{k}".encode() for k in range(1, n_add + 1)]
+    apply_hunk(state, hunk(1, n_del, 1, n_add, "-" * n_del + "+" * n_add,
+                           [line.content for line in before[:n_del]] + added), make_commit(2))
+    return state, before
+
+
 class TestPairEdits:
+    """The i-th deletion of a change group pairs with its i-th addition."""
+
     def test_equal_runs_pair_fully(self):
-        pairing = pair_edits(["d1", "d2"], ["a1", "a2"])
-        assert pairing.pairs == [("d1", "a1"), ("d2", "a2")]
-        assert pairing.deaths == [] and pairing.births == []
+        state, before = replace_run(2, 2)
+        assert state.file_lines[:2] == before[:2]
+        assert [ln.content for ln in state.file_lines] == [b"a1", b"a2", b"d3", b"d4"]
+        assert [ln.mod_count for ln in state.file_lines] == [1, 1, 0, 0]
+        assert state.deaths_total == 0 and state.births_total == 4
 
     def test_surplus_deletions_die(self):
-        pairing = pair_edits(["d1", "d2", "d3"], ["a1"])
-        assert pairing.pairs == [("d1", "a1")]
-        assert pairing.deaths == ["d2", "d3"]
-        assert pairing.births == []
+        state, before = replace_run(3, 1)
+        assert state.file_lines == [before[0], before[3]]
+        assert state.file_lines[0].content == b"a1"
+        assert [ln.death_ts for ln in before[1:3]] == [make_commit(2).committer_timestamp] * 2
+        assert state.deaths_total == 2 and state.births_total == 4
 
     def test_pure_insertion(self):
-        pairing = pair_edits([], ["a1", "a2"])
-        assert pairing.pairs == [] and pairing.deaths == []
-        assert pairing.births == ["a1", "a2"]
+        state, before = replace_run(0, 2)
+        assert [ln.content for ln in state.file_lines] == [b"d1", b"a1", b"a2", b"d2", b"d3", b"d4"]
+        assert state.file_lines[0] is before[0] and state.file_lines[3:] == before[1:]
+        assert state.deaths_total == 0 and state.births_total == 6
 
     @given(st.integers(0, 10), st.integers(0, 10))
     def test_sizes_always_consistent(self, n_del, n_add):
-        pairing = pair_edits(list(range(n_del)), list(range(n_add)))
-        assert len(pairing.pairs) == min(n_del, n_add)
-        assert len(pairing.deaths) == n_del - len(pairing.pairs)
-        assert len(pairing.births) == n_add - len(pairing.pairs)
+        state, before = replace_run(n_del, n_add)
+        live = {id(ln) for ln in state.file_lines}
+        paired = [ln for ln in before[:n_del] if id(ln) in live]
+        assert len(paired) == min(n_del, n_add)
+        assert all(ln.mod_count == 1 for ln in paired)
+        assert state.deaths_total == n_del - len(paired)
+        assert state.births_total - len(before) == n_add - len(paired)
+        assert len(state.file_lines) == len(before) - n_del + n_add
 
 
 class TestApplyHunk:

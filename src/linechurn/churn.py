@@ -138,7 +138,7 @@ def count_file_commits(events: Iterable[object]) -> dict[str, int]:
             if path in seen_this_commit:
                 continue
             seen_this_commit.add(path)
-            if header.is_rename_or_copy and header.old_path != header.new_path and not header.is_copy:
+            if header.is_rename:
                 counts[path] = counts.pop(header.old_path, 0) + 1
             else:
                 counts[path] = counts.get(path, 0) + 1

@@ -12,7 +12,8 @@ from pathlib import Path
 from . import __version__
 from .bots import BotConfig
 from .churn import HotspotThresholds
-from .pipeline import AnalysisConfig, GitUnavailable, RepoNotFound, analyze_repo
+from .diffstream import StreamParseError
+from .pipeline import AnalysisConfig, GitFailed, GitUnavailable, RepoNotFound, analyze_repo
 from .selector import (
     InclusionCriteria,
     MetadataClient,
@@ -101,7 +102,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     try:
         manifest = analyze_repo(config)
-    except (RepoNotFound, GitUnavailable) as exc:
+    except (RepoNotFound, GitUnavailable, GitFailed, StreamParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,9 @@
 
 Consumes the byte stream produced by ``log_command(file_paths)``:
 
-    git -c core.quotepath=off -c color.ui=false -c diff.noprefix=false \
-        -c diff.mnemonicPrefix=false -c log.showSignature=false \
-        -c diff.renameLimit=1000 \
+    git --literal-pathspecs -c core.quotepath=off -c color.ui=false \
+        -c diff.noprefix=false -c diff.mnemonicPrefix=false \
+        -c log.showSignature=false -c diff.renameLimit=1000 \
         log --first-parent --diff-merges=first-parent --no-ext-diff \
         --diff-algorithm=myers -M \
         --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
@@ -107,8 +107,7 @@ class FileDiffHeader:
     old_path: str
     new_path: str
     is_binary: bool = False
-    is_rename_or_copy: bool = False
-    is_copy: bool = False
+    is_rename: bool = False  # set only when old_path and new_path differ
 
 
 class LineKind:
@@ -488,15 +487,15 @@ def _header_line(header: FileDiffHeader, line: bytes) -> FileDiffHeader | None:
     """``header`` with one extended header line folded in; None if it is none."""
     if line.startswith(_EXT_HEADERS):
         return header
-    if line.startswith((b"rename from ", b"copy from ")):
-        return replace(header, old_path=_header_path(line.split(b" from ", 1)[1]),
-                       is_rename_or_copy=True, is_copy=line.startswith(b"copy from "))
-    if line.startswith((b"rename to ", b"copy to ")):
-        return replace(header, new_path=_header_path(line.split(b" to ", 1)[1]),
-                       is_rename_or_copy=True)
-    if _BINARY_RE.match(line) or line.startswith(b"GIT binary patch"):
+    if line.startswith(b"rename from "):
+        header = replace(header, old_path=_header_path(line.split(b" from ", 1)[1]))
+    elif line.startswith(b"rename to "):
+        header = replace(header, new_path=_header_path(line.split(b" to ", 1)[1]))
+    elif _BINARY_RE.match(line) or line.startswith(b"GIT binary patch"):
         return replace(header, is_binary=True)
-    return None
+    else:
+        return None
+    return replace(header, is_rename=header.old_path != header.new_path)
 
 
 def _read_hunk(lines: list[bytes], h: int, offset: int, old_count: int,
@@ -580,15 +579,16 @@ def render_hunk_body(hunk: Hunk) -> bytes:
 def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     """Parse ``git log -z --name-status`` output into the same event shapes.
 
-    Yields CommitStart and FileStart events (with rename/copy flags, no
-    hunks) plus a final StreamEnd, so file-level consumers can run on the
-    cheap name-status log instead of a full patch stream.  ``chunks`` is
-    any iterable of byte strings, split at arbitrary points.
+    Yields CommitStart and FileStart events (with rename flags, no hunks)
+    plus a final StreamEnd, so file-level consumers can run on the cheap
+    name-status log instead of a full patch stream.  ``chunks`` is any
+    iterable of byte strings, split at arbitrary points.
 
     Under ``-z`` every field ends in a NUL and paths are printed verbatim,
     never quoted: ``<status>\\0<path>\\0``, or ``<status>\\0<old>\\0<new>\\0``
-    for renames and copies.  A commit line ends in a newline that the
-    commit's first status follows, and an empty field separates commits.
+    for renames.  A commit line ends in a newline that the commit's first
+    status follows, and an empty field separates commits.  The walk detects
+    no copies, so a ``C`` status is rejected like any other unknown one.
     """
     status = b""  # the status of the record whose paths are being read
     paths: list[bytes] = []
@@ -596,15 +596,10 @@ def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
         for item in fields:
             if status:
                 paths.append(item)
-                if len(paths) < (2 if status[:1] in b"RC" else 1):
+                if len(paths) < (2 if status.startswith(b"R") else 1):
                     continue
-                if len(paths) == 2:
-                    yield FileStart(FileDiffHeader(_decode_path(paths[0]), _decode_path(paths[1]),
-                                                   is_rename_or_copy=True,
-                                                   is_copy=status.startswith(b"C")))
-                else:
-                    path = _decode_path(paths[0])
-                    yield FileStart(FileDiffHeader(path, path))
+                old, new = _decode_path(paths[0]), _decode_path(paths[-1])
+                yield FileStart(FileDiffHeader(old, new, is_rename=old != new))
                 status, paths = b"", []
                 continue
             if item.startswith(b"commit "):
@@ -612,7 +607,7 @@ def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
                 yield CommitStart(parse_commit_line(commit_line))
             if not item:
                 continue
-            if item[:1] not in b"ACDMRTUX" or (len(item) > 1 and not item[1:].isdigit()):
+            if item[:1] not in b"ADMRTUX" or (len(item) > 1 and not item[1:].isdigit()):
                 raise StreamParseError("unparseable name-status field", line=item)
             status = item
     if status:
@@ -624,22 +619,23 @@ def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
                 name_status: bool = False) -> list[str]:
     """Build the git log invocation whose output this module parses.
 
-    Copies (``-C``) are detected on whole-repository walks only: under a
-    pathspec a copy's source could only be another listed path.  Every
-    setting that shapes the output is pinned on the command line, so a
-    user's ``diff.noprefix``, ``diff.mnemonicPrefix``, ``log.showSignature``,
-    ``diff.algorithm``, ``diff.renameLimit``, ``diff.context`` or
-    ``diff.interHunkContext`` cannot change the headers, the renames, the
-    line pairing or the hunks.  Patches carry no context lines: replay only
-    needs the changed ones.  Name-status output is NUL-separated, so paths
-    arrive unquoted.
+    Renames are detected and copies are not: the explicit ``-M`` also
+    overrides a user's ``diff.renames=copies``, so a copy reads as an added
+    file.  Pathspecs are literal: a file named ``:x`` or ``x[1]`` matches
+    itself only.  Every setting that shapes the output is pinned on the
+    command line, so a user's ``diff.noprefix``, ``diff.mnemonicPrefix``,
+    ``log.showSignature``, ``diff.algorithm``, ``diff.renameLimit``,
+    ``diff.context`` or ``diff.interHunkContext`` cannot change the headers,
+    the renames, the line pairing or the hunks.  Patches carry no context
+    lines: replay only needs the changed ones.  Name-status output is
+    NUL-separated, so paths arrive unquoted.
     """
-    cmd = ["git", "-c", "core.quotepath=off", "-c", "color.ui=false",
+    cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off", "-c", "color.ui=false",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
            "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}", "log"]
     if first_parent:
         cmd += ["--first-parent", "--diff-merges=first-parent"]
-    cmd += ["--no-ext-diff", "--diff-algorithm=myers", "-M"] + ([] if file_paths else ["-C"])
+    cmd += ["--no-ext-diff", "--diff-algorithm=myers", "-M"]
     cmd += [f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
     if file_paths:

@@ -9,7 +9,9 @@ written, the run manifest last.
 
 A single file whose replay goes out of bounds, or whose patch is malformed,
 is aborted and recorded; the run completes and reports partial failure
-instead of dying.  What git prints on stderr joins the manifest's warnings.
+instead of dying.  A stage-2 walk that git ends with an error aborts every
+selected file the same way.  What git prints on stderr joins the manifest's
+warnings.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import random
 import shutil
 import subprocess
@@ -66,6 +69,10 @@ class RepoNotFound(Exception):
 
 class GitUnavailable(Exception):
     pass
+
+
+class GitFailed(RuntimeError):
+    """A git command exited non-zero; the message ends with git's stderr."""
 
 
 @dataclass
@@ -151,9 +158,12 @@ class AnalysisResults:
 # hold more lines at once in the parser.
 _READ_SIZE = 256 << 10
 
+# Each makes git exit on --literal-pathspecs, which log_command passes.
+_PATHSPEC_ENV = ("GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS")
+
 
 def _git_lines(repo: Path, cmd: list[str]):
-    """Run a git command, streaming stdout in chunks; raise if git fails.
+    """Run a git command, streaming stdout in chunks; raise GitFailed if git fails.
 
     Chunks end anywhere, not at line ends.  stderr is drained on a thread,
     so git never blocks on a full stderr pipe; what git printed there on
@@ -161,8 +171,9 @@ def _git_lines(repo: Path, cmd: list[str]):
     git, and git's exit then is no error: the consumer's own exception, if
     any, is the one that surfaces.
     """
+    env = {k: v for k, v in os.environ.items() if k not in _PATHSPEC_ENV}
     proc = subprocess.Popen(cmd, cwd=repo, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
+                            stderr=subprocess.PIPE, env=env)
     assert proc.stdout is not None and proc.stderr is not None
     # A 1 MiB pipe instead of 64 KiB lets git run ahead through commits that
     # are slow to diff but short to print while the parser works through long
@@ -187,7 +198,7 @@ def _git_lines(repo: Path, cmd: list[str]):
         proc.stderr.close()
     message = b"".join(stderr).decode("utf-8", "replace").strip()
     if code != 0:
-        raise RuntimeError(f"{' '.join(cmd)} failed ({code}): {message}")
+        raise GitFailed(f"{' '.join(cmd)} failed ({code}): {message}")
     for line in message.splitlines():
         warnings.warn(f"git: {line}")
 
@@ -221,7 +232,7 @@ def _stage1_churn(repo: Path):
                 span["n"] += 1
             elif isinstance(event, FileStart):
                 header = event.header
-                if header.is_rename_or_copy and not header.is_copy and header.old_path != header.new_path:
+                if header.is_rename:
                     chains[header.new_path] = chains.pop(header.old_path, []) + [header.old_path]
             yield event
 
@@ -259,7 +270,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             try:
                 with contextlib.closing(walk):  # ends git if the parser stops early
                     replayer.run(parse_log_stream(walk))
-            except StreamParseError as exc:  # outside any file diff: no replay is complete
+            except (StreamParseError, GitFailed) as exc:  # no replay is complete
                 for path in selected_files:
                     replayer.aborted.setdefault(path, AbortedFile(path, f"stage-2 log: {exc}"))
                 replayer.states.clear()

@@ -6,9 +6,9 @@ each hunk by pairing deletion runs with addition runs positionally.  The
 hunks of one file diff ascend and never overlap, so a hunk's start in the
 current state is its raw start plus the delta of the hunks before it; a hunk
 that starts before the end of the previous one aborts the file.  Paired
-lines keep their identity (slot id and birth timestamp) and gain a history
-entry; surplus deletions die (they get a death timestamp and leave the
-file's state), surplus additions are born fresh.
+lines keep their identity (the same object, with its birth timestamp) and
+gain a history entry; surplus deletions die (they get a death timestamp and
+leave the file's state), surplus additions are born fresh.
 
 Line identity is strictly positional: moving an unchanged block shows up as
 deaths at the old location and fresh births at the new one.  No
@@ -66,7 +66,6 @@ class Revision:
 
 @dataclass(slots=True)
 class TrackedLine:
-    slot_id: int
     content: bytes
     birth_ts: int
     had_newline: bool = True
@@ -85,17 +84,10 @@ class FileState:
     path: str
     file_lines: list[TrackedLine] = field(default_factory=list)
     delta: int = 0  # new minus old line count of the hunks applied in current_commit
-    # (base, hunk) of each hunk applied in current_commit; copies undo them
-    commit_hunks: list[tuple[int, Hunk]] = field(default_factory=list)
     max_processed_index: int = 0
     current_commit: str | None = None
     births_total: int = 0
     deaths_total: int = 0
-    _next_slot: int = 0
-
-    def _new_slot(self) -> int:
-        self._next_slot += 1
-        return self._next_slot
 
     def begin_commit(self, commit_hash: str) -> None:
         """Reset the within-commit delta at a commit boundary.
@@ -106,7 +98,6 @@ class FileState:
         """
         if self.current_commit != commit_hash:
             self.delta = 0
-            self.commit_hunks.clear()
             self.max_processed_index = 0
             self.current_commit = commit_hash
 
@@ -114,9 +105,9 @@ class FileState:
 def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     """Apply one hunk to the tracked file state.
 
-    Paired lines keep slot_id and birth_ts, gain a history entry and one
-    modification; unmatched deletions get death_ts, are counted in
-    deaths_total and leave the state; unmatched additions are born fresh.
+    Paired lines stay the same objects, keep birth_ts, and gain a history
+    entry and one modification; unmatched deletions get death_ts, are counted
+    in deaths_total and leave the state; unmatched additions are born fresh.
     The running delta gains the hunk's length change so later hunks of the
     same commit land correctly.
     """
@@ -170,7 +161,6 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     state.file_lines[base : base + consumed] = updated
     state.max_processed_index = base + len(updated)
     state.delta += hunk.new_count - hunk.old_count
-    state.commit_hunks.append((base, hunk))
     return state
 
 
@@ -193,10 +183,8 @@ def _replace_run(state: FileState, commit: CommitHeader, deleted: list[TrackedLi
         return deleted[:len(added)]
     born = len(added) - len(deleted)
     if born > 0:
-        slot = state._next_slot
-        deleted += [TrackedLine(slot + k, text, ts, True, None, [Revision(commit_hash, ts, text)])
-                    for k, text in enumerate(added[len(deleted):], 1)]
-        state._next_slot += born
+        deleted += [TrackedLine(text, ts, True, None, [Revision(commit_hash, ts, text)])
+                    for text in added[len(deleted):]]
         state.births_total += born
     return deleted
 
@@ -283,12 +271,10 @@ class AbortedFile:
 class HistoryReplayer:
     """Drives FileStates for every path seen in one parsed event stream.
 
-    Renames carry the existing state forward under the new path; copies start
-    fresh states (the source's lines as of the commit's parent, as new births,
-    when the source is tracked in the same stream; otherwise the copy target
-    is aborted because its baseline is unknown).  A file whose hunks go out of
-    bounds, or whose patch the parser could not read, is aborted and
-    reported; other files continue.
+    Renames carry the existing state forward under the new path; the walk
+    detects no copies, so a copy is an added file whose lines are all born
+    in its first commit.  A file whose hunks go out of bounds, or whose patch
+    the parser could not read, is aborted and reported; other files continue.
     """
 
     def __init__(self, track_paths: set[str] | None = None):
@@ -325,7 +311,7 @@ class HistoryReplayer:
                 self.commits_seen.append(event.header)
                 current_path = None
             elif isinstance(event, FileStart):
-                current_path = self._on_file_start(event.header, current_commit)
+                current_path = self._on_file_start(event.header)
             elif isinstance(event, FileAborted):
                 if current_path is not None and current_path not in self.aborted:
                     self._abort(current_path, event.reason)
@@ -341,47 +327,15 @@ class HistoryReplayer:
         for _ in self.replay(events):
             pass
 
-    def _on_file_start(self, header: FileDiffHeader, commit: CommitHeader | None) -> str | None:
+    def _on_file_start(self, header: FileDiffHeader) -> str | None:
         old, new = header.old_path, header.new_path
         if not self._wants(new) and not self._wants(old):
             return None
-        if header.is_rename_or_copy and old != new:
-            if header.is_copy:
-                if old in self.states and commit is not None:
-                    self.states[new] = _fresh_copy(self.states[old], new, commit)
-                elif new not in self.states:
-                    self.aborted[new] = AbortedFile(new, f"copy source {old!r} not in stream")
-                    return new
-            else:
-                if old in self.states:
-                    state = self.states.pop(old)
-                    state.path = new
-                    self.states[new] = state
-                if old in self.aborted:
-                    self.aborted[new] = self.aborted.pop(old)
+        if header.is_rename:
+            if old in self.states:
+                state = self.states.pop(old)
+                state.path = new
+                self.states[new] = state
+            if old in self.aborted:
+                self.aborted[new] = self.aborted.pop(old)
         return new
-
-
-def _fresh_copy(source: FileState, new_path: str, commit: CommitHeader) -> FileState:
-    """Copy a file as of the commit's parent as brand-new lines (fresh identities).
-
-    git's copy hunks are relative to the source's pre-image, so the hunks the
-    source already received in this commit are undone, last first.
-    """
-    lines = [(ln.content, ln.had_newline) for ln in source.file_lines]
-    if source.current_commit == commit.hash:
-        for base, hunk in reversed(source.commit_hunks):
-            lines[base:base + hunk.new_count] = [(hl.text, hl.had_newline) for hl in hunk.lines
-                                                 if hl.kind != LineKind.ADDITION]
-    state = FileState(new_path)
-    state.current_commit = commit.hash
-    for content, had_newline in lines:
-        state.file_lines.append(TrackedLine(
-            slot_id=state._new_slot(),
-            content=content,
-            birth_ts=commit.committer_timestamp,
-            had_newline=had_newline,
-            history=[Revision(commit.hash, commit.committer_timestamp, content)],
-        ))
-        state.births_total += 1
-    return state

@@ -37,7 +37,7 @@ def touch(path: str) -> FileStart:
 
 
 def rename(old: str, new: str) -> FileStart:
-    return FileStart(FileDiffHeader(old, new, is_rename_or_copy=True))
+    return FileStart(FileDiffHeader(old, new, is_rename=True))
 
 
 class TestCountFileCommits:
@@ -57,12 +57,6 @@ class TestCountFileCommits:
                   commit(2), rename("a", "c"),
                   commit(3), touch("c")]
         assert count_file_commits(events) == {"c": 3}
-
-    def test_copy_starts_fresh_count(self):
-        events = [commit(1), touch("a"),
-                  commit(2), FileStart(FileDiffHeader("a", "a2", is_rename_or_copy=True,
-                                                      is_copy=True))]
-        assert count_file_commits(events) == {"a": 1, "a2": 1}
 
 
 class TestCategorizeFile:
@@ -154,8 +148,7 @@ class TestDetectHotspotFiles:
 def mk_line(mod_count: int, birth: int = 1_000_000, step: int = 86_400) -> TrackedLine:
     history = [Revision(f"{i:040x}", birth + i * step, f"v{i}".encode())
                for i in range(mod_count + 1)]
-    return TrackedLine(slot_id=1, content=history[-1].content, birth_ts=birth,
-                       history=history)
+    return TrackedLine(content=history[-1].content, birth_ts=birth, history=history)
 
 
 class TestSelectHotspotLines:
@@ -180,7 +173,7 @@ class TestLifespanDays:
         assert lifespan_days(mk_line(0)) == 0.0
 
     def test_long_lived_line(self):
-        line = TrackedLine(slot_id=1, content=b"x", birth_ts=1_000_000, history=[
+        line = TrackedLine(content=b"x", birth_ts=1_000_000, history=[
             Revision("a" * 40, 1_000_000, b"x0"),
             Revision("b" * 40, 1_000_000 + 86_400 * 1198, b"x"),
         ])
@@ -192,7 +185,7 @@ class TestLifespanDays:
         history = []
         for i, delta in enumerate(sorted(deltas)):
             history.append(Revision(f"{i:040x}", ts + delta, b"c"))
-        line = TrackedLine(slot_id=1, content=b"c", birth_ts=ts, history=history)
+        line = TrackedLine(content=b"c", birth_ts=ts, history=history)
         assert lifespan_days(line) >= 0.0
 
 

@@ -185,23 +185,8 @@ class TestParseLogStream:
                   + b"rename to new.txt\n")
         events = parse_all(stream)
         header = events[1].header
-        assert header.is_rename_or_copy and not header.is_copy
+        assert header.is_rename
         assert (header.old_path, header.new_path) == ("old.txt", "new.txt")
-
-    def test_copy_header(self):
-        stream = (COMMIT1
-                  + b"diff --git a/src.txt b/dup.txt\n"
-                  + b"similarity index 90%\n"
-                  + b"copy from src.txt\n"
-                  + b"copy to dup.txt\n"
-                  + b"index 111..222 100644\n"
-                  + b"--- a/src.txt\n"
-                  + b"+++ b/dup.txt\n"
-                  + b"@@ -1,1 +1,1 @@\n"
-                  + b"-a\n"
-                  + b"+b\n")
-        events = parse_all(stream)
-        assert events[1].header.is_copy
 
     def test_no_newline_markers_set_flag(self):
         stream = (COMMIT1
@@ -259,6 +244,25 @@ class TestParseLogStream:
         assert [type(e).__name__ for e in events] == [
             "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
         assert events[2].byte_offset == stream.index(b"garbage")
+
+    def test_copy_header(self):
+        # The walk detects no copies, so a copy header aborts its file like
+        # any other unexpected header line.
+        stream = (COMMIT1
+                  + b"diff --git a/src.txt b/dup.txt\n"
+                  + b"similarity index 90%\n"
+                  + b"copy from src.txt\n"
+                  + b"copy to dup.txt\n"
+                  + b"index 111..222 100644\n"
+                  + b"--- a/src.txt\n"
+                  + b"+++ b/dup.txt\n"
+                  + b"@@ -1,1 +1,1 @@\n"
+                  + b"-a\n"
+                  + b"+b\n")
+        events = parse_all(stream)
+        assert [type(e).__name__ for e in events] == [
+            "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+        assert events[2].byte_offset == stream.index(b"copy from")
 
     def test_error_outside_file_diff_raises(self):
         with pytest.raises(StreamParseError, match="unexpected line"):
@@ -420,17 +424,21 @@ def test_name_status_stream():
               + b"\0"
               + COMMIT2
               + b"R100\0a.txt\0c.txt\0"
-              + b"C075\0b.txt\0b2.txt\0")
+              + b"M\0b.txt\0")
     for chunks in chunkings(stream):
         events = list(parse_name_status_stream(chunks))
         kinds = [type(e).__name__ for e in events]
         assert kinds == ["CommitStart", "FileStart", "FileStart",
                          "CommitStart", "FileStart", "FileStart", "StreamEnd"]
         rename = events[4].header
-        assert rename.is_rename_or_copy and not rename.is_copy
+        assert rename.is_rename
         assert (rename.old_path, rename.new_path) == ("a.txt", "c.txt")
-        copy = events[5].header
-        assert copy.is_copy and copy.new_path == "b2.txt"
+        assert not events[5].header.is_rename
+    # The walk detects no copies; a copy record is an unknown status.
+    copy = stream + b"C075\0b.txt\0b2.txt\0"
+    for chunks in chunkings(copy):
+        with pytest.raises(StreamParseError, match="unparseable name-status field"):
+            list(parse_name_status_stream(chunks))
 
 
 def test_name_status_paths_verbatim():

@@ -249,12 +249,15 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
     hostile = tmp_path / "hostile.gitconfig"
     hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n"
                        "\tmnemonicPrefix = true\n\tcontext = 10\n\tinterHunkContext = 10\n"
+                       "\trenames = copies\n"
                        "[log]\n\tshowSignature = true\n")
     for build in (build_hotspot_repo, build_multi_hotspot_repo):
         fixture = build(tmp_path / build.__name__ / "repo")
         artifacts = []
         for config in (clean, hostile):
             monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+            if config is hostile:  # git refuses it beside --literal-pathspecs
+                monkeypatch.setenv("GIT_ICASE_PATHSPECS", "1")
             out = tmp_path / build.__name__ / config.stem
             analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out,
                                         emit_plot_data=True))
@@ -342,33 +345,71 @@ def test_git_failure_raises_with_stderr(scratch_repo):
         list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"]))
 
 
+@pytest.mark.parametrize("stage", [1, 2])
+def test_git_failure_exits_without_traceback(stage, hotspot_repo, tmp_path, monkeypatch, capsys):
+    """A git log that fails ends in exit 1 for the whole-history pass and in
+    exit 2, with every selected file aborted, for the tracking walk."""
+    real = pipeline.log_command
+
+    def failing(file_paths=None, **kwargs):
+        cmd = real(file_paths, **kwargs)
+        if (file_paths is None) == (stage == 1):
+            cmd.insert(cmd.index("log") + 1, "--no-such-option")
+        return cmd
+
+    monkeypatch.setattr(pipeline, "log_command", failing)
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if stage == 1:
+        assert code == 1
+        assert err.startswith("error: ") and "unrecognized argument: --no-such-option" in err
+        assert not (out / "manifest.json").exists()
+    else:
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["aborted"]) == [hotspot_repo["hot_file"]]
+        reason = manifest["aborted"][hotspot_repo["hot_file"]]
+        assert reason.startswith("stage-2 log: ")
+        assert reason.endswith("fatal: unrecognized argument: --no-such-option")
+        assert manifest["stage_counts"]["files_tracked"] == 0
+
+
 def test_quoted_paths_keep_their_names(tmp_path):
-    """Paths git C-quotes in text output keep their names: all three appear
-    verbatim in file_churn.csv, and the hot one is replayed to its checkout."""
+    """Paths git C-quotes in text output, or would read as pathspec magic
+    or a glob, keep their names: all appear verbatim in file_churn.csv, and
+    the hot ones are replayed to their checkouts."""
     from repogen import RepoBuilder
 
-    hot, others = 'we"ird.txt', ["back\\slash.txt", "tab\tname.txt"]
+    hot = ['we"ird.txt', ":hot.cfg", "hot[1].cfg"]
+    others = ["back\\slash.txt", "tab\tname.txt", "hot1.cfg"]  # hot1.cfg: what hot[1] globs
     builder = RepoBuilder(tmp_path / "repo")
     lines = [f"key_{i} = {i}".encode() for i in range(10)]
-    edits = {hot: b"\n".join(lines) + b"\n", **{name: b"x\n" for name in others}}
-    edits.update({f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(15)})
+    edits = {**{name: b"\n".join(lines) + b"\n" for name in hot + others[-1:]},
+             **{name: b"x\n" for name in others[:-1]}}
+    edits.update({f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(50)})
     builder.commit(edits, "initial import")
     for k in range(1, 35):
         lines[1] = f"key_1 = v{k}".encode()
-        builder.commit({hot: b"\n".join(lines) + b"\n"}, f"bump {k}")
+        edits = {name: b"\n".join(lines) + b"\n" for name in hot}
+        if k % 5 == 0:  # a different edit, so its patches cannot pass for hot[1].cfg's
+            edits["hot1.cfg"] = b"\n".join(lines[:k // 5]) + b"\n"
+        builder.commit(edits, f"bump {k}")
     builder.finish()
 
     out = tmp_path / "out"
     manifest = analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=out))
     assert manifest.aborted == {}
     rows = {r["path"]: r for r in read_csv(out / "file_churn.csv")}
-    assert {hot, *others} <= set(rows)
-    assert rows[hot]["is_hotspot_file"] == "true"
-    assert manifest.stage_counts["files_tracked"] == 1
-    report = read_line_report(out / "line_reports" / pipeline._safe_report_name(hot))
-    checkout = run_git(builder.path, "show", f"HEAD:{hot}").stdout
-    assert [r.content for r in report] == checkout.splitlines()
-    assert report[1].mod_count == 34
+    assert {*hot, *others} <= set(rows)
+    assert [rows[name]["is_hotspot_file"] for name in hot + others] == ["true"] * 3 + ["false"] * 3
+    assert manifest.stage_counts["files_tracked"] == 3
+    for name in hot:
+        report = read_line_report(out / "line_reports" / pipeline._safe_report_name(name))
+        checkout = run_git(builder.path, "show", f"HEAD:{name}").stdout
+        assert [r.content for r in report] == checkout.splitlines(), name
+        assert report[1].mod_count == 34, name
 
 
 def test_git_stderr_and_rename_limit_in_manifest(tmp_path, monkeypatch):

@@ -107,8 +107,7 @@ def pair_for(before: str, after: str, path: str) -> RevisionPair:
 def line_from_contents(contents: list[bytes], timestamps: list[int]) -> TrackedLine:
     history = [Revision(f"{i:040x}", ts, content)
                for i, (ts, content) in enumerate(zip(timestamps, contents))]
-    return TrackedLine(slot_id=1, content=contents[-1], birth_ts=timestamps[0],
-                       history=history)
+    return TrackedLine(content=contents[-1], birth_ts=timestamps[0], history=history)
 
 
 class TestGoldenFixtures:

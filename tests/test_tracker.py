@@ -191,18 +191,18 @@ class TestApplyHunk:
         texts = [b"l1", b"l2", b"l3", b"l4", b"l5", b"l6"]
         apply_hunk(state, hunk(0, 0, 1, 6, "++++++", texts), make_commit(1))
         slot5 = state.file_lines[4]
-        before = (slot5.slot_id, slot5.mod_count, len(slot5.history))
+        before = (slot5.mod_count, len(slot5.history))
         apply_hunk(state, hunk(1, 2, 1, 2, " -+", [b"l1", b"l2", b"l2x"]), make_commit(2))
-        after = (slot5.slot_id, slot5.mod_count, len(slot5.history))
+        after = (slot5.mod_count, len(slot5.history))
         assert before == after
         assert state.file_lines[4] is slot5
 
     def test_context_keeps_identity(self):
         state = FileState("f")
         apply_hunk(state, hunk(0, 0, 1, 3, "+++", [b"a", b"b", b"c"]), make_commit(1))
-        ids = [ln.slot_id for ln in state.file_lines]
+        lines = list(state.file_lines)
         apply_hunk(state, hunk(1, 3, 1, 3, " -+ ", [b"a", b"b", b"B", b"c"]), make_commit(2))
-        assert [ln.slot_id for ln in state.file_lines] == ids
+        assert all(new is old for new, old in zip(state.file_lines, lines, strict=True))
         assert state.file_lines[1].mod_count == 1
 
     def test_offsets_within_one_commit(self):
@@ -323,32 +323,6 @@ class TestReplayer:
         replayer.run(iter(events))
         assert "broken" in replayer.aborted
         assert replayer.states["good"].file_lines[0].content == b"ok2"
-
-    def test_copy_starts_from_source_pre_image(self, tmp_path):
-        """Copy hunks are relative to the source as of the commit's parent,
-        also when the source is edited earlier in the same commit."""
-        from repogen import RepoBuilder
-
-        before = [f"setting_{i} = {i}".encode() for i in range(12)]
-        # Two source hunks that shift lines: an insertion and edit near the
-        # top, a deletion at the end.
-        source = before[:2] + [b"inserted", b"setting_2 = edited"] + before[3:11]
-        copy = list(before)
-        copy[8] = b"setting_8 = edited in the copy"
-        builder = RepoBuilder(tmp_path / "r")
-        builder.commit({"e.cfg": b"\n".join(before) + b"\n"}, "c1")
-        builder.commit({"e.cfg": b"\n".join(source) + b"\n",
-                        "f.cfg": b"\n".join(copy) + b"\n"}, "edit e, copy it to f")
-        builder.finish()
-
-        events = repo_log_events(builder.path)
-        assert FileStart(FileDiffHeader("e.cfg", "f.cfg", is_rename_or_copy=True,
-                                        is_copy=True)) in events
-        replayer = HistoryReplayer()
-        replayer.run(iter(events))
-        assert not replayer.aborted
-        assert snapshot_bytes(replayer.states["e.cfg"]) == b"\n".join(source) + b"\n"
-        assert snapshot_bytes(replayer.states["f.cfg"]) == b"\n".join(copy) + b"\n"
 
 
 def test_snapshot_matches_checkout_on_random_repo(tmp_path):

@@ -23,7 +23,6 @@ from .diffstream import (
     CommitHeader,
     FileDiffHeader,
     Hunk,
-    HunkLine,
     parse_commit_line,
     parse_hunk_header,
     parse_log_stream,

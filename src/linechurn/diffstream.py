@@ -16,10 +16,10 @@ marker.  The input is any iterable of byte chunks, split anywhere: the
 parser cuts them into lines itself, a block at a time.  It is strictly
 streaming: it holds one chunk's lines plus at most one hunk, so memory use is
 bounded by the chunk size and the largest single hunk rather than by stream
-length.  The walk asks for no context lines, which replay does not need; a
-zero-context hunk's body is taken as one slice of lines, while hunks with
-context lines or ``\\ No newline`` markers are read line by line and replay
-the same way.
+length.  The walk asks for no context lines, which replay does not need, so
+every hunk is one change group: a run of deletions, then a run of additions,
+each optionally followed by a ``\\ No newline`` marker.  Its body is taken as
+one slice of lines; a body of any other shape aborts its file.
 
 Line content is kept as raw bytes throughout; no transcoding happens here so
 that content hashing and equality stay byte-stable across mixed encodings.
@@ -28,7 +28,6 @@ that content hashing and equality stay byte-stable across mixed encodings.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -110,63 +109,28 @@ class FileDiffHeader:
     is_rename: bool = False  # set only when old_path and new_path differ
 
 
-class LineKind:
-    CONTEXT = " "
-    DELETION = "-"
-    ADDITION = "+"
-
-
-@dataclass
-class HunkLine:
-    kind: str  # one of LineKind
-    text: bytes  # without the leading marker, without trailing newline
-    had_newline: bool = True
-
-
-class ChangeGroup(Sequence):
-    """The body of a zero-context hunk: its deletions, then its additions.
-
-    No ``\\ No newline`` marker follows any of its lines.  The lines are
-    kept as git printed them, marker included, so parsing builds no object
-    per line beyond the line itself; a HunkLine is built only when the body
-    is indexed.
-    """
-
-    __slots__ = ("raw",)
-
-    def __init__(self, raw: list[bytes]):
-        self.raw = raw
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __getitem__(self, index: int) -> HunkLine:
-        line = self.raw[index]
-        return HunkLine(chr(line[0]), line[1:])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"ChangeGroup({self.raw!r})"
-
-    def additions(self, n_deleted: int) -> list[bytes]:
-        """Texts of the added lines, given the hunk's deletion count."""
-        return [line[1:] for line in self.raw[n_deleted:]]
-
-
 @dataclass
 class Hunk:
+    """One zero-context hunk.
+
+    ``lines`` holds the body lines as git printed them, each with its ``-``
+    or ``+``: ``old_count`` deletions, then ``new_count`` additions.
+    ``old_newline`` and ``new_newline`` are false when a ``\\ No newline``
+    marker followed the last deletion or the last addition.
+    """
+
     old_start: int
     old_count: int
     new_start: int
     new_count: int
-    lines: Sequence[HunkLine] = field(default_factory=list)
+    lines: list[bytes] = field(default_factory=list)
+    old_newline: bool = True
+    new_newline: bool = True
 
     def tallies(self) -> tuple[int, int]:
         """Recompute (old, new) line counts from the parsed body."""
-        old = sum(1 for ln in self.lines if ln.kind in (LineKind.CONTEXT, LineKind.DELETION))
-        new = sum(1 for ln in self.lines if ln.kind in (LineKind.CONTEXT, LineKind.ADDITION))
+        old = sum(1 for ln in self.lines if ln.startswith(b"-"))
+        new = sum(1 for ln in self.lines if ln.startswith(b"+"))
         return old, new
 
 
@@ -411,22 +375,14 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
                 if counts is None:
                     raise MalformedHunkHeader("unparseable hunk header",
                                               _offset_at(lines, offset, i), line)
-                old_start, old_count, new_start, new_count = counts
-                # The header, the body and at most two no-newline markers:
-                # one after the last old line, one after the last new line.
-                if i + old_count + new_count + 3 > len(lines):
-                    lines, offset, i = _fill(blocks, lines, offset, i, old_count + new_count + 3)
-                end = i + 1 + old_count + new_count
-                body = lines[i + 1:end]
-                if (len(body) == old_count + new_count
-                        and b"".join([ln[:1] for ln in body]) == b"-" * old_count + b"+" * new_count
-                        and (end == len(lines) or not lines[end].startswith(b"\\"))):
-                    yield HunkEvent(Hunk(old_start, old_count, new_start, new_count,
-                                         ChangeGroup(body)))
-                    i = end
-                    continue
-                hunk_lines, i = _read_hunk(lines, i, offset, old_count, new_count)
-                yield HunkEvent(Hunk(old_start, old_count, new_start, new_count, hunk_lines))
+                # The header, the body, at most two no-newline markers (one
+                # after the last deletion, one after the last addition) and
+                # the line after them.
+                need = counts[1] + counts[3] + 4
+                if i + need > len(lines):
+                    lines, offset, i = _fill(blocks, lines, offset, i, need)
+                hunk, i = _read_hunk(lines, i, offset, *counts)
+                yield HunkEvent(hunk)
                 continue
             except StreamParseError as exc:
                 yield FileAborted(current_file.new_path, str(exc), exc.byte_offset)
@@ -498,82 +454,49 @@ def _header_line(header: FileDiffHeader, line: bytes) -> FileDiffHeader | None:
     return replace(header, is_rename=header.old_path != header.new_path)
 
 
-def _read_hunk(lines: list[bytes], h: int, offset: int, old_count: int,
-               new_count: int) -> tuple[list[HunkLine], int]:
-    """Read the body of the hunk headed by ``lines[h]`` line by line.
+def _read_hunk(lines: list[bytes], h: int, offset: int, old_start: int, old_count: int,
+               new_start: int, new_count: int) -> tuple[Hunk, int]:
+    """Read the hunk headed by ``lines[h]``; return it and the index after it.
 
-    For bodies with context lines or no-newline markers.  ``lines`` holds
-    the header, the body and two more lines, or ends with the stream.
-    Returns the hunk lines and the index after the body.
+    The body is ``old_count`` deletions, an optional no-newline marker,
+    ``new_count`` additions and an optional marker.  ``lines`` holds the
+    header, the body and three more lines, or ends with the stream.
     """
-    out: list[HunkLine] = []
-    remaining_old = old_count
-    remaining_new = new_count
-    last: HunkLine | None = None
-    j = h + 1
-    stop = h + old_count + new_count + 3  # past the header, body and two markers
-
-    while remaining_old > 0 or remaining_new > 0:
-        if j == stop:
-            raise MalformedHunkHeader("more no-newline markers than a hunk body can hold",
-                                      _offset_at(lines, offset, j - 1), lines[j - 1])
-        if j == len(lines):
-            raise TruncatedStream("end of stream inside a hunk body",
-                                  _offset_at(lines, offset, h), lines[h])
-        body = lines[j]
-        if body.startswith(b"\\"):
-            if last is None:
-                raise StreamParseError("'\\ No newline' marker before any hunk line",
-                                       _offset_at(lines, offset, j), body)
-            last.had_newline = False
-            j += 1
-            continue
-        if body.startswith(b" "):
-            kind = LineKind.CONTEXT
-            remaining_old -= 1
-            remaining_new -= 1
-        elif body.startswith(b"-"):
-            kind = LineKind.DELETION
-            remaining_old -= 1
-        elif body.startswith(b"+"):
-            kind = LineKind.ADDITION
-            remaining_new -= 1
-        elif body == b"" and remaining_old > 0 and remaining_new > 0:
-            # Tolerate a bare empty line as an empty context line; some diff
-            # producers drop the single space marker.
-            kind = LineKind.CONTEXT
-            body = b" "
-            remaining_old -= 1
-            remaining_new -= 1
-        else:
-            raise MalformedHunkHeader("hunk body inconsistent with header counts",
-                                      _offset_at(lines, offset, j), body)
-        if remaining_old < 0 or remaining_new < 0:
-            raise MalformedHunkHeader("hunk body overruns header counts",
-                                      _offset_at(lines, offset, j), body)
-        last = HunkLine(kind, body[1:], True)
-        out.append(last)
+    j = h + 1 + old_count
+    body = lines[h + 1:j]
+    old_newline = new_newline = True
+    if old_count and j < len(lines) and lines[j].startswith(b"\\"):
+        old_newline = False
         j += 1
-
-    # A trailing no-newline marker may follow the final hunk line.
-    if j < min(len(lines), stop) and last is not None and lines[j].startswith(b"\\"):
-        last.had_newline = False
+    body += lines[j:j + new_count]
+    j += new_count
+    if len(body) < old_count + new_count:
+        raise TruncatedStream("end of stream inside a hunk body",
+                              _offset_at(lines, offset, h), lines[h])
+    if b"".join([ln[:1] for ln in body]) != b"-" * old_count + b"+" * new_count:
+        k = next(k for k, ln in enumerate(body) if ln[:1] != (b"-" if k < old_count else b"+"))
+        bad = h + 1 + k + (k >= old_count and not old_newline)
+        raise StreamParseError("hunk body is not a run of deletions then a run of additions",
+                               _offset_at(lines, offset, bad), lines[bad])
+    if new_count and j < len(lines) and lines[j].startswith(b"\\"):
+        new_newline = False
         j += 1
-    return out, j
+    if j < len(lines) and lines[j].startswith(b"\\"):
+        raise StreamParseError("more no-newline markers than a hunk body can hold",
+                               _offset_at(lines, offset, j), lines[j])
+    return Hunk(old_start, old_count, new_start, new_count, body, old_newline, new_newline), j
 
 
 def render_hunk_body(hunk: Hunk) -> bytes:
-    """Re-render a parsed hunk body (markers, texts, no-newline notes).
+    """Re-render a parsed hunk body, no-newline markers included.
 
     Inverse of the body reader: for any hunk parsed from a valid stream the
     result is byte-identical to the input body.
     """
-    out = bytearray()
-    for ln in hunk.lines:
-        out += ln.kind.encode("ascii") + ln.text + b"\n"
-        if not ln.had_newline:
-            out += _NO_NEWLINE + b"\n"
-    return bytes(out)
+    old, new = hunk.lines[:hunk.old_count], hunk.lines[hunk.old_count:]
+    marker = [_NO_NEWLINE]
+    out = old + ([] if hunk.old_newline else marker) + new + ([] if hunk.new_newline else marker)
+    return b"".join(ln + b"\n" for ln in out)
 
 
 def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:

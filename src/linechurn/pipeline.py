@@ -198,6 +198,9 @@ def _git_lines(repo: Path, cmd: list[str]):
         proc.stderr.close()
     message = b"".join(stderr).decode("utf-8", "replace").strip()
     if code != 0:
+        if "--" in cmd:  # name the pathspecs by number: there may be thousands
+            k = cmd.index("--")
+            cmd = cmd[:k + 1] + [f"<{len(cmd) - k - 1} paths>"]
         raise GitFailed(f"{' '.join(cmd)} failed ({code}): {message}")
     for line in message.splitlines():
         warnings.warn(f"git: {line}")

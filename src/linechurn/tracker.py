@@ -1,8 +1,9 @@
 """Per-line history tracking over a replayed patch stream.
 
 Maintains, for every tracked file, a dense vector of live canonical line
-objects plus the running line-count delta of the current commit, and applies
-each hunk by pairing deletion runs with addition runs positionally.  The
+objects plus the running line-count delta of the current commit.  Every hunk
+is one zero-context change group, a run of deletions then a run of
+additions, and is applied by pairing the two runs positionally.  The
 hunks of one file diff ascend and never overlap, so a hunk's start in the
 current state is its raw start plus the delta of the hunks before it; a hunk
 that starts before the end of the previous one aborts the file.  Paired
@@ -24,15 +25,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .diffstream import (
-    ChangeGroup,
     CommitHeader,
     CommitStart,
     FileAborted,
     FileDiffHeader,
+    FileSkipped,
     FileStart,
     Hunk,
     HunkEvent,
-    LineKind,
     display_text,
 )
 
@@ -125,38 +125,11 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     if base + hunk.old_count > live:
         raise HunkOutOfBounds(state.path, hunk, adj_start, f"but only {live} live lines")
 
-    lines = hunk.lines
-    if type(lines) is ChangeGroup:  # one change group, every line newline-terminated
-        consumed = hunk.old_count
-        updated = _replace_run(state, commit, state.file_lines[base:base + consumed],
-                               lines.additions(consumed))
-    else:
-        updated = []
-        consumed = 0
-        i = 0
-        while i < len(lines):
-            if lines[i].kind == LineKind.CONTEXT:
-                existing = state.file_lines[base + consumed]
-                existing.had_newline = lines[i].had_newline
-                updated.append(existing)
-                consumed += 1
-                i += 1
-                continue
-            # A change group: a run of deletions, then a run of additions.
-            j = i
-            while j < len(lines) and lines[j].kind == LineKind.DELETION:
-                j += 1
-            k = j
-            while k < len(lines) and lines[k].kind == LineKind.ADDITION:
-                k += 1
-            run = _replace_run(state, commit,
-                               state.file_lines[base + consumed:base + consumed + j - i],
-                               [hl.text for hl in lines[j:k]])
-            for line, hl in zip(run, lines[j:k]):
-                line.had_newline = hl.had_newline
-            updated += run
-            consumed += j - i
-            i = k
+    consumed = hunk.old_count
+    updated = _replace_run(state, commit, state.file_lines[base:base + consumed],
+                           hunk.lines[consumed:])
+    if not hunk.new_newline:
+        updated[-1].had_newline = False
 
     state.file_lines[base : base + consumed] = updated
     state.max_processed_index = base + len(updated)
@@ -166,12 +139,14 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
 
 def _replace_run(state: FileState, commit: CommitHeader, deleted: list[TrackedLine],
                  added: list[bytes]) -> list[TrackedLine]:
-    """Pair the i-th deleted line with the i-th added text; return the new lines.
+    """Pair the i-th deleted line with the i-th added line; return the new lines.
 
+    ``added`` holds the addition lines as git printed them, ``+`` included.
     Surplus deletions die, surplus additions are born; every resulting line
     ends in a newline.
     """
     commit_hash, ts = commit.hash, commit.committer_timestamp
+    added = [raw[1:] for raw in added]
     for line, text in zip(deleted, added):
         line.history.append(Revision(commit_hash, ts, text))
         line.content = text
@@ -273,8 +248,9 @@ class HistoryReplayer:
 
     Renames carry the existing state forward under the new path; the walk
     detects no copies, so a copy is an added file whose lines are all born
-    in its first commit.  A file whose hunks go out of bounds, or whose patch
-    the parser could not read, is aborted and reported; other files continue.
+    in its first commit.  A file whose hunks go out of bounds, whose patch
+    the parser could not read, or whose diff is binary is aborted and
+    reported; other files continue.
     """
 
     def __init__(self, track_paths: set[str] | None = None):
@@ -312,9 +288,12 @@ class HistoryReplayer:
                 current_path = None
             elif isinstance(event, FileStart):
                 current_path = self._on_file_start(event.header)
-            elif isinstance(event, FileAborted):
+            elif isinstance(event, (FileAborted, FileSkipped)):
                 if current_path is not None and current_path not in self.aborted:
-                    self._abort(current_path, event.reason)
+                    reason = event.reason
+                    if isinstance(event, FileSkipped):
+                        reason = f"{reason} diff in commit {current_commit.hash}"
+                    self._abort(current_path, reason)
         if current_commit is not None:
             yield current_commit
 

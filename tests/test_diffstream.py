@@ -17,7 +17,6 @@ from linechurn.diffstream import (
     FileStart,
     Hunk,
     HunkEvent,
-    HunkLine,
     MalformedCommitLine,
     MalformedHunkHeader,
     StreamEnd,
@@ -200,7 +199,8 @@ class TestParseLogStream:
                   + b"+new\n"
                   + b"\\ No newline at end of file\n")
         hunk = parse_all(stream)[2].hunk
-        assert [ln.had_newline for ln in hunk.lines] == [False, False]
+        assert hunk.lines == [b"-old", b"+new"]
+        assert (hunk.old_newline, hunk.new_newline) == (False, False)
 
     def test_truncated_hunk_body(self):
         for chunks in chunkings(TRUNCATED_STREAM):
@@ -217,13 +217,14 @@ class TestParseLogStream:
         stream = (COMMIT1 + b"diff --git a/f b/f\nindex 1..2 100644\n"
                   + b"@@ -1 +1 @@\n-x\n\\ No newline at end of file\n"
                   + b"\\ No newline at end of file\n\\ No newline at end of file\n+y\n")
-        third = stream.rindex(b"\\ No newline")
+        # The second marker stands where the addition should.
+        second = stream.index(b"\\ No newline", stream.index(b"\\ No newline") + 1)
         for chunks in chunkings(stream):
             events = list(parse_log_stream(chunks))
             assert [type(e).__name__ for e in events] == [
                 "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
-            assert "more no-newline markers" in events[2].reason
-            assert events[2].byte_offset == third
+            assert "not a run of deletions then a run of additions" in events[2].reason
+            assert events[2].byte_offset == second
 
     def test_malformed_hunk_aborts_only_its_file(self):
         for chunks in chunkings(MALFORMED_STREAM):
@@ -234,8 +235,31 @@ class TestParseLogStream:
             assert events[2].path == "a"
             assert events[2].byte_offset == MALFORMED_STREAM.index(b"@@ -1,x")
             assert events[3].header.new_path == "b"
-            assert [ln.text for ln in events[4].hunk.lines] == [b"p", b"q"]
-            assert [ln.text for ln in events[7].hunk.lines] == [b"y", b"z"]
+            assert events[4].hunk.lines == [b"-p", b"+q"]
+            assert events[7].hunk.lines == [b"-y", b"+z"]
+
+    @pytest.mark.parametrize("before, rest", [
+        pytest.param(b"@@ -1,2 +1,2 @@\n", b" c\n-x\n+y\n", id="context-line"),
+        pytest.param(b"@@ -1 +1 @@\n", b"+y\n-x\n", id="addition-first"),
+        pytest.param(b"@@ -1,2 +1,2 @@\n-a\n", b"+A\n-b\n+B\n", id="interleaved"),
+        pytest.param(b"@@ -1 +1 @@\n-x\n\\ No newline at end of file\n",
+                     b"\\ No newline at end of file\n+y\n", id="second-marker-after-deletions"),
+        pytest.param(b"@@ -1 +1 @@\n-x\n+y\n\\ No newline at end of file\n",
+                     b"\\ No newline at end of file\n", id="second-marker-after-additions"),
+    ])
+    def test_hunk_out_of_shape_aborts_its_file(self, before, rest):
+        """Only deletions, a marker, additions, a marker: anything else
+        aborts the file at its first line out of shape."""
+        head = COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n" + before
+        stream = head + rest + b"diff --git a/g b/g\n--- a/g\n+++ b/g\n@@ -1 +1 @@\n-p\n+q\n"
+        for chunks in chunkings(stream):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == [
+                "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent", "StreamEnd"]
+            assert events[2].path == "f"
+            assert events[2].byte_offset == len(head)
+            assert events[3].header.new_path == "g"
+            assert events[4].hunk.lines == [b"-p", b"+q"]
 
     def test_unexpected_line_aborts_its_file(self):
         stream = (COMMIT1 + b"diff --git a/a b/a\nindex 1..2 100644\ngarbage\n"
@@ -298,22 +322,18 @@ class TestParseLogStream:
 
 
 def random_hunk(rng: random.Random) -> Hunk:
-    lines = []
+    """A zero-context hunk of 1-9 lines; each side may end in a no-newline marker."""
+    def text() -> bytes:
+        return bytes(rng.randrange(32, 127) for _ in range(rng.randrange(0, 30)))
+
     n = rng.randrange(1, 10)
-    for _ in range(n):
-        kind = rng.choice([" ", "-", "+"])
-        text = bytes(rng.randrange(32, 127) for _ in range(rng.randrange(0, 30)))
-        lines.append(HunkLine(kind, text, True))
-    # No-newline markers are only valid on a side's final line.
-    last_old = next((ln for ln in reversed(lines) if ln.kind in (" ", "-")), None)
-    last_new = next((ln for ln in reversed(lines) if ln.kind in (" ", "+")), None)
-    if last_old is not None and rng.random() < 0.2:
-        last_old.had_newline = False
-    if last_new is not None and rng.random() < 0.2:
-        last_new.had_newline = False
-    old = sum(1 for ln in lines if ln.kind in (" ", "-"))
-    new = sum(1 for ln in lines if ln.kind in (" ", "+"))
-    return Hunk(rng.randrange(0, 500), old, rng.randrange(0, 500), new, lines)
+    old = rng.randrange(0, n + 1)
+    lines = [b"-" + text() for _ in range(old)] + [b"+" + text() for _ in range(n - old)]
+    # A marker can only follow a side that has lines.
+    old_newline = not (old and rng.random() < 0.2)
+    new_newline = not (n - old and rng.random() < 0.2)
+    return Hunk(rng.randrange(0, 500), old, rng.randrange(0, 500), n - old, lines,
+                old_newline, new_newline)
 
 
 def hunk_header_bytes(hunk: Hunk) -> bytes:
@@ -335,20 +355,20 @@ def test_roundtrip_fuzz_small():
         assert parsed.tallies() == (parsed.old_count, parsed.new_count)
 
 
+_TEXTS = st.lists(st.binary(max_size=20).filter(lambda b: b"\n" not in b), max_size=8)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(
-    st.tuples(st.sampled_from(" -+"), st.binary(max_size=20).filter(lambda b: b"\n" not in b)),
-    min_size=1, max_size=8,
-))
-def test_roundtrip_property(linespec):
-    lines = [HunkLine(kind, text, True) for kind, text in linespec]
-    old = sum(1 for ln in lines if ln.kind in (" ", "-"))
-    new = sum(1 for ln in lines if ln.kind in (" ", "+"))
-    hunk = Hunk(1, old, 1, new, lines)
+@given(_TEXTS, _TEXTS, st.booleans(), st.booleans())
+def test_roundtrip_property(deleted, added, old_marker, new_marker):
+    lines = [b"-" + text for text in deleted] + [b"+" + text for text in added]
+    hunk = Hunk(1, len(deleted), 1, len(added), lines,
+                not (deleted and old_marker), not (added and new_marker))
     body = render_hunk_body(hunk)
     stream = (COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n"
               + hunk_header_bytes(hunk) + body)
     parsed = parse_all(stream)[2].hunk
+    assert parsed == hunk
     assert render_hunk_body(parsed) == body
 
 

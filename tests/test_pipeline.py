@@ -348,8 +348,10 @@ def test_git_failure_raises_with_stderr(scratch_repo):
 @pytest.mark.parametrize("stage", [1, 2])
 def test_git_failure_exits_without_traceback(stage, hotspot_repo, tmp_path, monkeypatch, capsys):
     """A git log that fails ends in exit 1 for the whole-history pass and in
-    exit 2, with every selected file aborted, for the tracking walk."""
+    exit 2, with every selected file aborted, for the tracking walk.  The
+    reasons name git's error, not the walk's pathspecs."""
     real = pipeline.log_command
+    fixture = hotspot_repo if stage == 1 else build_multi_hotspot_repo(tmp_path / "multi")
 
     def failing(file_paths=None, **kwargs):
         cmd = real(file_paths, **kwargs)
@@ -359,7 +361,7 @@ def test_git_failure_exits_without_traceback(stage, hotspot_repo, tmp_path, monk
 
     monkeypatch.setattr(pipeline, "log_command", failing)
     out = tmp_path / "out"
-    code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)])
+    code = cli.main(["analyze", "--repo", str(fixture["path"]), "--out", str(out)])
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if stage == 1:
@@ -369,10 +371,13 @@ def test_git_failure_exits_without_traceback(stage, hotspot_repo, tmp_path, monk
     else:
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest["aborted"]) == [hotspot_repo["hot_file"]]
-        reason = manifest["aborted"][hotspot_repo["hot_file"]]
-        assert reason.startswith("stage-2 log: ")
-        assert reason.endswith("fatal: unrecognized argument: --no-such-option")
+        selected = sorted(fixture["hot_files"])
+        assert sorted(manifest["aborted"]) == selected
+        for reason in manifest["aborted"].values():
+            assert reason.startswith("stage-2 log: ")
+            assert reason.endswith("fatal: unrecognized argument: --no-such-option")
+            assert not any(path in reason for path in [*selected, *fixture["renamed"]])
+            assert " -- <4 paths> failed (" in reason  # 3 hot files and one earlier name
         assert manifest["stage_counts"]["files_tracked"] == 0
 
 

@@ -3,9 +3,7 @@ application semantics, conservation, snapshots, and report round-trips."""
 
 from __future__ import annotations
 
-import io
 import random
-import subprocess
 
 import pytest
 from hypothesis import given
@@ -18,10 +16,6 @@ from linechurn.diffstream import (
     FileStart,
     Hunk,
     HunkEvent,
-    HunkLine,
-    LineKind,
-    log_command,
-    parse_log_stream,
 )
 from linechurn.tracker import (
     FileState,
@@ -35,7 +29,7 @@ from linechurn.tracker import (
     write_line_report,
 )
 
-from repogen import BlobReader, build_multi_hotspot_repo, build_random_repo
+from repogen import BlobReader, build_random_repo
 from conftest import repo_log_events
 
 
@@ -45,8 +39,8 @@ def make_commit(n: int) -> CommitHeader:
 
 
 def hunk(old_start, old_count, new_start, new_count, spec: str, texts: list[bytes]) -> Hunk:
-    """spec is a marker string like ' -+': one char per hunk line."""
-    lines = [HunkLine(kind, text, True) for kind, text in zip(spec, texts)]
+    """spec is a marker string like '--+': one char per hunk line."""
+    lines = [kind.encode() + text for kind, text in zip(spec, texts)]
     return Hunk(old_start, old_count, new_start, new_count, lines)
 
 
@@ -87,10 +81,10 @@ class TestRunningDelta:
 
         commit = make_commit(2)
         state = four_lines()
-        apply_hunk(state, hunk(1, 2, 1, 2, " -+", [b"a", b"b", b"B"]), commit)
-        # A hunk re-covering line 2 as context overlaps the one before it.
+        apply_hunk(state, hunk(2, 1, 2, 1, "-+", [b"b", b"B"]), commit)
+        # A hunk re-covering line 2 overlaps the one before it.
         with pytest.raises(HunkOutOfBounds, match="previous hunks"):
-            apply_hunk(state, hunk(2, 2, 2, 2, " -+", [b"B", b"c", b"C"]), commit)
+            apply_hunk(state, hunk(2, 2, 2, 2, "--++", [b"b", b"c", b"B", b"C"]), commit)
 
         state = four_lines()
         apply_hunk(state, hunk(3, 1, 3, 1, "-+", [b"c", b"C"]), commit)
@@ -192,18 +186,10 @@ class TestApplyHunk:
         apply_hunk(state, hunk(0, 0, 1, 6, "++++++", texts), make_commit(1))
         slot5 = state.file_lines[4]
         before = (slot5.mod_count, len(slot5.history))
-        apply_hunk(state, hunk(1, 2, 1, 2, " -+", [b"l1", b"l2", b"l2x"]), make_commit(2))
+        apply_hunk(state, hunk(2, 1, 2, 1, "-+", [b"l2", b"l2x"]), make_commit(2))
         after = (slot5.mod_count, len(slot5.history))
         assert before == after
         assert state.file_lines[4] is slot5
-
-    def test_context_keeps_identity(self):
-        state = FileState("f")
-        apply_hunk(state, hunk(0, 0, 1, 3, "+++", [b"a", b"b", b"c"]), make_commit(1))
-        lines = list(state.file_lines)
-        apply_hunk(state, hunk(1, 3, 1, 3, " -+ ", [b"a", b"b", b"B", b"c"]), make_commit(2))
-        assert all(new is old for new, old in zip(state.file_lines, lines, strict=True))
-        assert state.file_lines[1].mod_count == 1
 
     def test_offsets_within_one_commit(self):
         state = FileState("f")
@@ -229,7 +215,7 @@ class TestApplyHunk:
         state = FileState("f")
         apply_hunk(state, hunk(0, 0, 1, 2, "++", [b"a", b"b"]), make_commit(1))
         with pytest.raises(HunkOutOfBounds):
-            apply_hunk(state, hunk(2, 3, 2, 3, " - +", [b"b", b"x", b"y", b"z"]),
+            apply_hunk(state, hunk(2, 2, 2, 2, "--++", [b"b", b"x", b"B", b"X"]),
                        make_commit(2))
 
     def test_mod_count_equals_history_minus_one_always(self):
@@ -305,6 +291,25 @@ class TestReplayer:
         assert line.mod_count == 1  # identity survived the rename
         assert line.birth_ts == builder.start_ts
 
+    def test_binary_diff_aborts_the_file(self, tmp_path):
+        """A file that turns binary and back is aborted, never replayed from
+        the lines it had before."""
+        from repogen import RepoBuilder
+
+        builder = RepoBuilder(tmp_path / "r")
+        builder.commit({"f.txt": b"a\nb\nc\n"}, "text")
+        builder.commit({"f.txt": b"a\nB\nc\n"}, "edit")
+        builder.commit({"f.txt": b"\x00\x01blob\x00\n"}, "binary")
+        builder.commit({"f.txt": b"x\ny\nz\nw\n"}, "text again")
+        builder.commit({"f.txt": b"x\ny\nZ\nw\n"}, "edit line 3")
+        hashes = builder.finish()
+
+        replayer = HistoryReplayer()
+        replayer.run(iter(repo_log_events(builder.path)))
+        assert "f.txt" not in replayer.states
+        reason = replayer.aborted["f.txt"].reason
+        assert reason == f"binary diff in commit {hashes[2]}"
+
     def test_aborts_are_contained(self):
         from linechurn.diffstream import StreamEnd
 
@@ -341,51 +346,6 @@ def test_snapshot_matches_checkout_on_random_repo(tmp_path):
                 assert snapshot_bytes(state) == expected, (header.hash, path)
     reader.close()
     assert not replayer.aborted
-
-
-def test_replay_independent_of_context_width(tmp_path):
-    """The zero-context walk replays to the same rows as a walk whose hunks
-    carry context lines and merge across short gaps."""
-
-    def widened(cmd: list[str]) -> list[str]:
-        i = cmd.index("-U0")
-        assert cmd[i:i + 2] == ["-U0", "--inter-hunk-context=0"]
-        return cmd[:i] + ["-U3", "--inter-hunk-context=6"] + cmd[i + 2:]
-
-    def replayed(repo, cmd):
-        out = subprocess.run(cmd, cwd=repo, capture_output=True, check=True).stdout
-        events = list(parse_log_stream(io.BytesIO(out)))
-        context = sum(hl.kind == LineKind.CONTEXT
-                      for e in events if isinstance(e, HunkEvent) for hl in e.hunk.lines)
-        replayer = HistoryReplayer()
-        replayer.run(iter(events))
-        assert not replayer.aborted, (repo, replayer.aborted)
-        rows = {path: (finalize(state), snapshot_bytes(state))
-                for path, state in replayer.states.items()}
-        return rows, context
-
-    walks = []
-    for seed in range(50):
-        rng = random.Random(1000 + seed)
-        repo = tmp_path / f"r{seed:02d}"
-        build_random_repo(repo, seed=seed, n_commits=rng.randrange(5, 41),
-                          n_files=rng.randrange(1, 4))
-        walks.append((repo, None))
-    multi = build_multi_hotspot_repo(tmp_path / "multi")
-    walks.append((multi["path"], None))
-    walks.append((multi["path"], sorted(multi["hot_files"] + [multi["renamed"][0]])))
-
-    wide_context = 0
-    for repo, paths in walks:
-        cmd = log_command(file_paths=paths)
-        narrow, narrow_context = replayed(repo, cmd)
-        wide, context = replayed(repo, widened(cmd))
-        assert narrow_context == 0
-        wide_context += context
-        assert narrow.keys() == wide.keys(), repo
-        for path in narrow:
-            assert narrow[path] == wide[path], (repo, path)
-    assert wide_context > 1000  # the wide walks really carried context
 
 
 def test_move_semantics_death_and_rebirth(tmp_path):

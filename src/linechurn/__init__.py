@@ -28,15 +28,6 @@ from .diffstream import (
     parse_log_stream,
 )
 from .pipeline import AnalysisConfig, RunManifest, analyze_repo
-from .selector import (
-    InclusionCriteria,
-    MetadataClient,
-    RepoMeta,
-    Stratum,
-    assign_stratum,
-    passes_inclusion,
-    sample_stratified,
-)
 from .taxonomy import (
     Chao1Input,
     KappaResult,

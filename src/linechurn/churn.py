@@ -11,12 +11,11 @@ modification-count distribution within each hotspot file.
 from __future__ import annotations
 
 import re
+import statistics
 import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
-
-import numpy as np
 
 from .diffstream import CommitStart, FileStart
 
@@ -146,12 +145,13 @@ def count_file_commits(events: Iterable[object]) -> dict[str, int]:
 
 
 def churn_summary(counts: Iterable[int], population: bool = True) -> ChurnSummary:
-    values = np.asarray(list(counts), dtype=float)
-    if values.size == 0:
+    """Mean and population (or sample) sigma; the sigma of one value is 0."""
+    values = list(counts)
+    if not values:
         raise EmptyInput("no modification counts")
-    ddof = 0 if population else 1
-    std = float(values.std(ddof=ddof)) if values.size > ddof else 0.0
-    return ChurnSummary(mean=float(values.mean()), stddev=std, n_files=int(values.size))
+    sigma = statistics.pstdev if population else statistics.stdev
+    std = sigma(values) if len(values) > 1 else 0.0
+    return ChurnSummary(mean=statistics.fmean(values), stddev=std, n_files=len(values))
 
 
 def detect_hotspot_files(
@@ -188,10 +188,8 @@ def select_hotspot_lines(lines: list, thresholds: HotspotThresholds = HotspotThr
     """
     if not lines:
         return []
-    mods = np.asarray([ln.mod_count for ln in lines], dtype=float)
-    ddof = 0 if thresholds.population_sigma else 1
-    std = float(mods.std(ddof=ddof)) if mods.size > ddof else 0.0
-    cut = float(mods.mean()) + thresholds.sigma_multiplier * std
+    summary = churn_summary((ln.mod_count for ln in lines), thresholds.population_sigma)
+    cut = summary.mean + thresholds.sigma_multiplier * summary.stddev
     return [
         ln
         for ln in lines
@@ -212,15 +210,22 @@ def lifespan_days(line) -> float:
 
 def summarize(values: Iterable[float], metric: str = "") -> DescriptiveStats:
     """Min/median/mean/max/IQR with linearly interpolated quartiles."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    data = sorted(map(float, values))
+    if not data:
         raise EmptyInput("cannot summarize an empty list")
-    q1, q3 = np.percentile(arr, [25, 75])
     return DescriptiveStats(
         metric=metric,
-        min=float(arr.min()),
-        median=float(np.median(arr)),
-        mean=float(arr.mean()),
-        max=float(arr.max()),
-        iqr=float(q3 - q1),
+        min=data[0],
+        median=statistics.median(data),
+        mean=statistics.fmean(data),
+        max=data[-1],
+        iqr=_quantile(data, 0.75) - _quantile(data, 0.25),
     )
+
+
+def _quantile(data: list[float], p: float) -> float:
+    """Quantile ``p`` of sorted data, linearly interpolated as numpy's default
+    (``statistics.quantiles`` rejects a single value before Python 3.13)."""
+    lo, t = divmod((len(data) - 1) * p, 1)
+    a, b = data[int(lo)], data[min(int(lo) + 1, len(data) - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)

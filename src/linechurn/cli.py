@@ -13,15 +13,7 @@ from . import __version__
 from .bots import BotConfig
 from .churn import HotspotThresholds
 from .diffstream import StreamParseError
-from .pipeline import AnalysisConfig, GitFailed, GitUnavailable, RepoNotFound, analyze_repo
-from .selector import (
-    InclusionCriteria,
-    MetadataClient,
-    SelectorError,
-    assign_stratum,
-    passes_inclusion,
-    sample_stratified,
-)
+from .pipeline import AnalysisConfig, BadInput, GitFailed, GitUnavailable, RepoNotFound, analyze_repo
 
 logger = logging.getLogger(__name__)
 
@@ -83,13 +75,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    thresholds = HotspotThresholds(
-        sigma_multiplier=args.sigma,
-        monthly_rate=args.monthly_rate,
-        min_line_mods=args.min_line_mods,
-        population_sigma=not args.sample_sigma,
-    )
-    bot_config = BotConfig.from_file(args.bot_config) if args.bot_config else BotConfig()
+    try:
+        thresholds = HotspotThresholds(
+            sigma_multiplier=args.sigma,
+            monthly_rate=args.monthly_rate,
+            min_line_mods=args.min_line_mods,
+            population_sigma=not args.sample_sigma,
+        )
+        bot_config = BotConfig.from_file(args.bot_config) if args.bot_config else BotConfig()
+    except (OSError, ValueError) as exc:  # bad thresholds, bot config missing or malformed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     config = AnalysisConfig(
         repo_path=args.repo,
         output_dir=args.out,
@@ -102,7 +98,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     try:
         manifest = analyze_repo(config)
-    except (RepoNotFound, GitUnavailable, GitFailed, StreamParseError) as exc:
+    except (BadInput, RepoNotFound, GitUnavailable, GitFailed, StreamParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -120,6 +116,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from . import selector  # only this command loads requests
+
     names = list(args.repos)
     if args.candidates_file:
         names.extend(
@@ -131,13 +129,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
         print("error: no candidate repositories given", file=sys.stderr)
         return 1
 
-    client = MetadataClient(
+    client = selector.MetadataClient(
         api_base=args.api_base or os.environ.get("LINECHURN_API_BASE",
                                                  "https://api.github.com"),
         auth_token=os.environ.get("GITHUB_TOKEN"),
         cache_dir=args.cache_dir,
     )
-    criteria = InclusionCriteria(
+    criteria = selector.InclusionCriteria(
         min_stars_or_forks=args.min_popularity,
         min_commits=args.min_commits,
     )
@@ -145,30 +143,30 @@ def _cmd_select(args: argparse.Namespace) -> int:
     results = client.fetch_many(names, workers=args.workers)
     eligible = []
     for name, result in zip(names, results):
-        if isinstance(result, SelectorError):
+        if isinstance(result, selector.SelectorError):
             print(f"skip {name}: {result}", file=sys.stderr)
             continue
         if isinstance(result, Exception):
             print(f"skip {name}: unexpected error: {result}", file=sys.stderr)
             continue
-        ok, failed = passes_inclusion(result, criteria)
+        ok, failed = selector.passes_inclusion(result, criteria)
         if not ok:
             print(f"skip {name}: fails {','.join(failed)}", file=sys.stderr)
             continue
-        stratum = assign_stratum(result.popularity)
+        stratum = selector.assign_stratum(result.popularity)
         if stratum is None:
             print(f"skip {name}: popularity {result.popularity} outside strata", file=sys.stderr)
             continue
         eligible.append((result, stratum))
 
-    chosen = sample_stratified(eligible, per_stratum=args.per_stratum, seed=args.seed)
+    chosen = selector.sample_stratified(eligible, per_stratum=args.per_stratum, seed=args.seed)
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["owner_and_name", "stars", "forks", "total_commits",
                      "stratum_lower", "stratum_upper"])
     for meta in chosen:
-        stratum = assign_stratum(meta.popularity)
+        stratum = selector.assign_stratum(meta.popularity)
         assert stratum is not None
         writer.writerow([meta.owner_and_name, meta.stars, meta.forks,
                          meta.total_commits, stratum.lower, stratum.upper])
@@ -180,7 +178,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("LINECHURN_LOG", "WARNING"))
+    level = os.environ.get("LINECHURN_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # names in any case
+        print(f"error: LINECHURN_LOG={level!r} is not a log level", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level.upper())
     args = _build_parser().parse_args(argv)
     if args.command == "version":
         print(f"linechurn {__version__}")

@@ -538,8 +538,7 @@ def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     yield StreamEnd()
 
 
-def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
-                name_status: bool = False) -> list[str]:
+def log_command(file_paths: list[str] | None = None, name_status: bool = False) -> list[str]:
     """Build the git log invocation whose output this module parses.
 
     Renames are detected and copies are not: the explicit ``-M`` also
@@ -555,11 +554,10 @@ def log_command(file_paths: list[str] | None = None, first_parent: bool = True,
     """
     cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off", "-c", "color.ui=false",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
-           "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}", "log"]
-    if first_parent:
-        cmd += ["--first-parent", "--diff-merges=first-parent"]
-    cmd += ["--no-ext-diff", "--diff-algorithm=myers", "-M"]
-    cmd += [f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
+           "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}", "log",
+           "--first-parent", "--diff-merges=first-parent",
+           "--no-ext-diff", "--diff-algorithm=myers", "-M",
+           f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
     if file_paths:
         cmd += ["--", *file_paths]

@@ -75,6 +75,10 @@ class GitFailed(RuntimeError):
     """A git command exited non-zero; the message ends with git's stderr."""
 
 
+class BadInput(ValueError):
+    """An input file the config names is missing or malformed."""
+
+
 @dataclass
 class AnalysisConfig:
     repo_path: Path
@@ -145,13 +149,10 @@ class AnalysisResults:
     hotspot_files: set[str]
     lifetime_months: float
     tracked: list[_TrackedFile]
-    commit_identities: dict[str, CommitterIdentity]  # hash -> flagged identity
     committers: list[CommitterIdentity]
     commit_share: BotShareReport
     edit_share: BotShareReport
     aborted: dict[str, str]
-    warnings: list[str]
-    n_commits: int
 
 
 # Bytes asked of git's stdout per read.  Larger reads cost fewer calls but
@@ -250,6 +251,10 @@ def _stage1_churn(repo: Path):
 def analyze_repo(config: AnalysisConfig) -> RunManifest:
     """Run the full pipeline and write every artifact plus the manifest."""
     started = datetime.now(timezone.utc)
+    try:
+        overrides = load_label_overrides(config.labels_override) if config.labels_override else {}
+    except (OSError, ValueError) as exc:
+        raise BadInput(f"labels override {config.labels_override}: {exc}") from None
     head = _repo_head(config.repo_path)
     run_warnings: list[str] = []
 
@@ -285,7 +290,6 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     ]
 
     # Stage 3: hotspot lines, classification, bot attribution.
-    overrides = load_label_overrides(config.labels_override) if config.labels_override else {}
     for entry in tracked:
         positions = {id(line): i + 1 for i, line in enumerate(entry.state.file_lines)}
         entry.hotspot_lines = select_hotspot_lines(entry.state.file_lines, config.thresholds)
@@ -321,20 +325,15 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     }
 
     # Commit-level share: a commit counts once per pattern, and once overall.
-    per_pattern_entries = sorted({
+    commit_patterns = {
         (rev.commit_hash, label.label.value)
         for entry in tracked
         for line, label in zip(entry.hotspot_lines, entry.labels)
         for rev in line.history
-    })
-    commit_share = bot_share(
-        (label, commit_identity[hash_]) for hash_, label in per_pattern_entries
-    )
-    overall_entries = {}
-    for hash_, label in per_pattern_entries:
-        overall_entries.setdefault(hash_, label)
-    overall = bot_share((label, commit_identity[h]) for h, label in sorted(overall_entries.items()))
-    commit_share = BotShareReport(overall=overall.overall, per_pattern=commit_share.per_pattern)
+    }
+    per_pattern = bot_share((label, commit_identity[h]) for h, label in commit_patterns).per_pattern
+    n_bot = sum(identity.is_bot for identity in commit_identity.values())
+    commit_share = BotShareReport(BotShare(n_bot, len(commit_identity) - n_bot), per_pattern)
 
     # Edit-level share: every modification event counts.
     edit_entries = [
@@ -351,13 +350,10 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         hotspot_files=hotspot_files,
         lifetime_months=lifetime_months,
         tracked=tracked,
-        commit_identities=commit_identity,
         committers=sorted(flagged.values(), key=lambda i: (-i.commit_count, i.name, i.email)),
         commit_share=commit_share,
         edit_share=edit_share,
         aborted=aborted,
-        warnings=run_warnings,
-        n_commits=n_commits,
     )
 
     written = emit_reports(results, config.output_dir, config.emit_plot_data)
@@ -380,7 +376,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             "files_tracked": len(tracked),
             "files_aborted": len(aborted),
             "hotspot_lines": sum(len(t.hotspot_lines) for t in tracked),
-            "hotspot_commits": len(overall_entries),
+            "hotspot_commits": len(commit_identity),
         },
         warnings=run_warnings,
         aborted=aborted,

@@ -626,7 +626,10 @@ def load_label_overrides(path: str | Path) -> dict[tuple[str, int], Pattern]:
         if reader.fieldnames is None or not {"path", "line_number", "label"} <= set(reader.fieldnames):
             raise ValueError("override file needs columns: path, line_number, label")
         for rec in reader:
-            overrides[(rec["path"], int(rec["line_number"]))] = Pattern(rec["label"])
+            try:
+                overrides[(rec["path"], int(rec["line_number"]))] = Pattern(rec["label"])
+            except (TypeError, ValueError) as exc:  # a short row reads as None
+                raise ValueError(f"override file line {reader.line_num}: {exc}") from None
     return overrides
 
 

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linechurn.churn import (
@@ -84,11 +84,14 @@ class TestCategorizeFile:
         assert categorize_file(path) == first
 
 
-def brute_mean_std(values: list[float]) -> tuple[float, float]:
-    """Independent mean/population-sigma written without numpy."""
+def brute_mean_std(values: list[float], ddof: int = 0) -> tuple[float, float]:
+    """Independent mean and sigma: population sigma by default, sample sigma
+    with ``ddof=1``.  The sigma of no more than ``ddof`` values is 0."""
     n = len(values)
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    if n <= ddof:
+        return mean, 0.0
+    var = sum((v - mean) ** 2 for v in values) / (n - ddof)
     return mean, math.sqrt(var)
 
 
@@ -245,6 +248,30 @@ def test_churn_summary_population_vs_sample():
     sample = churn_summary(values, population=False)
     assert population.stddev == pytest.approx(2.0)
     assert sample.stddev == pytest.approx(math.sqrt(32 / 7))
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.booleans())
+@example([7], True)
+@example([7], False)
+@settings(max_examples=200, deadline=None)
+def test_statistics_match_brute_force(mods, population):
+    mean, std = brute_mean_std(mods, ddof=0 if population else 1)
+    summary = churn_summary(mods, population=population)
+    assert summary.n_files == len(mods)
+    assert summary.mean == pytest.approx(mean, rel=1e-12)
+    assert summary.stddev == pytest.approx(std, rel=1e-9, abs=1e-12)
+    stats = summarize(mods)
+    b_min, b_med, b_mean, b_max, b_iqr = brute_summary(mods)
+    assert (stats.min, stats.median, stats.max) == (b_min, b_med, b_max)
+    assert stats.mean == pytest.approx(b_mean, rel=1e-12)
+    assert stats.iqr == pytest.approx(b_iqr, abs=1e-9)
+
+    thresholds = HotspotThresholds(population_sigma=population)
+    cut = mean + thresholds.sigma_multiplier * std
+    assume(all(abs(m - cut) > 1e-9 for m in mods))
+    lines = [mk_line(m) for m in mods]
+    expected = [ln for ln in lines if ln.mod_count > cut and ln.mod_count >= thresholds.min_line_mods]
+    assert [id(ln) for ln in select_hotspot_lines(lines, thresholds)] == [id(ln) for ln in expected]
 
 
 def test_thresholds_must_be_positive():

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import linechurn
 import linechurn.cli as cli
 import linechurn.diffstream as diffstream
 import linechurn.pipeline as pipeline
+import linechurn.selector as selector
 from linechurn.churn import HotspotThresholds
 from linechurn.diffstream import log_command
 from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
@@ -589,7 +591,7 @@ class TestCli:
                                         half_year_commit_buckets=(1, 1)))
                 return out
 
-        monkeypatch.setattr(cli, "MetadataClient", FakeClient)
+        monkeypatch.setattr(selector, "MetadataClient", FakeClient)
         out_file = tmp_path / "sel.csv"
         code = cli.main(["select", "o/a", "o/b", "o/c",
                          "--per-stratum", "2", "--seed", "3",
@@ -602,3 +604,60 @@ class TestCli:
     def test_select_requires_candidates(self, capsys):
         assert cli.main(["select", "--per-stratum", "2"]) == 1
         assert "no candidate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, content", [
+        pytest.param("--bot-config", None, id="bot-config-missing"),
+        pytest.param("--bot-config", "keyword bot\n", id="bot-config-malformed"),
+        pytest.param("--labels-override", None, id="labels-missing"),
+        pytest.param("--labels-override", "path,label\nhot.cfg,pinned-version-bump\n",
+                     id="labels-columns"),
+        pytest.param("--labels-override", "path,line_number,label\nhot.cfg,1,no-such\n",
+                     id="labels-label"),
+        pytest.param("--labels-override", "path,line_number,label\nhot.cfg\n",
+                     id="labels-short-row"),
+        pytest.param("--sigma", "0", id="sigma-zero"),
+    ])
+    def test_analyze_bad_input_exit_one(self, option, content, hotspot_repo, tmp_path,
+                                        monkeypatch, capsys):
+        value = content
+        if option != "--sigma":  # the option names a file holding content; None: no file
+            value = tmp_path / "input"
+            if content is not None:
+                value.write_text(content)
+        runs = git_log_runs(monkeypatch)
+        out = tmp_path / "out"
+        code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out),
+                         option, str(value)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+        assert runs == []  # every input is read before the first git walk
+
+
+def run_fresh(code: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run Python code in a new interpreter that imports linechurn from this tree."""
+    src = str(Path(linechurn.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_analyze_imports_only_the_standard_library():
+    proc = run_fresh("import sys, linechurn, linechurn.cli, linechurn.pipeline; "
+                     "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("level, code", [("info", 0), ("Debug", 0), ("WARNING", 0), ("loud", 1),
+                                         ("", 1)])
+def test_log_level_names_in_any_case(level, code):
+    proc = run_fresh("import sys, linechurn.cli; sys.exit(linechurn.cli.main(['version']))",
+                     {"LINECHURN_LOG": level})
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: LINECHURN_LOG=") and not proc.stdout
+    else:
+        assert proc.stdout == f"linechurn {linechurn.__version__}\n"

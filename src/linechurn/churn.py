@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .diffstream import CommitStart, FileStart
-
 SECONDS_PER_MONTH = 30.44 * 86400
 
 
@@ -118,30 +116,39 @@ def categorize_file(path: str) -> str:
     return _table().lookup(path)
 
 
-def count_file_commits(events: Iterable[object]) -> dict[str, int]:
-    """Count, per file, the number of commits that touched it.
+def count_file_commits(
+    commits: Iterable[tuple[int, list[tuple[str, str]]]],
+) -> tuple[dict[str, int], dict[str, list[str]], float, int]:
+    """Fold a name-status walk into per-file commit counts.
 
-    Consumes a parsed event stream (full patch or name-status based).  A file
-    touched several times within one commit counts once; renames move the
-    accumulated tally to the new path, and the rename commit itself counts as
-    a touch.
+    ``commits`` holds ``(committer_timestamp, [(old_path, new_path), ...])``
+    per commit.  Returns the counts, the rename chains (each renamed path's
+    earlier names, oldest first), the lifetime in months between the
+    earliest and the latest commit, and the number of commits.  A file
+    touched several times within one commit counts once; a rename moves the
+    accumulated tally and the earlier names to the new path, and the rename
+    commit itself counts as a touch.
     """
     counts: dict[str, int] = {}
-    seen_this_commit: set[str] = set()
-    for event in events:
-        if isinstance(event, CommitStart):
-            seen_this_commit = set()
-        elif isinstance(event, FileStart):
-            header = event.header
-            path = header.new_path or header.old_path
-            if path in seen_this_commit:
+    chains: dict[str, list[str]] = {}
+    first = last = None
+    n_commits = 0
+    for timestamp, changes in commits:
+        n_commits += 1
+        first = timestamp if first is None else min(first, timestamp)
+        last = timestamp if last is None else max(last, timestamp)
+        seen_this_commit: set[str] = set()
+        for old, new in changes:
+            if new in seen_this_commit:
                 continue
-            seen_this_commit.add(path)
-            if header.is_rename:
-                counts[path] = counts.pop(header.old_path, 0) + 1
+            seen_this_commit.add(new)
+            if old != new:
+                counts[new] = counts.pop(old, 0) + 1
+                chains[new] = chains.pop(old, []) + [old]
             else:
-                counts[path] = counts.get(path, 0) + 1
-    return counts
+                counts[new] = counts.get(new, 0) + 1
+    months = max((last - first) / SECONDS_PER_MONTH, 1e-9) if n_commits else 0.0
+    return counts, chains, months, n_commits
 
 
 def churn_summary(counts: Iterable[int], population: bool = True) -> ChurnSummary:

@@ -118,15 +118,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     from . import selector  # only this command loads requests
 
+    # Every input is checked before the first metadata request.
     names = list(args.repos)
-    if args.candidates_file:
-        names.extend(
-            line.strip()
-            for line in args.candidates_file.read_text("utf-8").splitlines()
-            if line.strip() and not line.startswith("#")
+    try:
+        if args.candidates_file:
+            names.extend(
+                line.strip()
+                for line in args.candidates_file.read_text("utf-8").splitlines()
+                if line.strip() and not line.startswith("#")
+            )
+        if not names:
+            raise ValueError("no candidate repositories given")
+        if args.per_stratum < 1:
+            raise ValueError(f"--per-stratum must be at least 1, got {args.per_stratum}")
+        criteria = selector.InclusionCriteria(
+            min_stars_or_forks=args.min_popularity,
+            min_commits=args.min_commits,
         )
-    if not names:
-        print("error: no candidate repositories given", file=sys.stderr)
+        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     client = selector.MetadataClient(
@@ -135,11 +146,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         auth_token=os.environ.get("GITHUB_TOKEN"),
         cache_dir=args.cache_dir,
     )
-    criteria = selector.InclusionCriteria(
-        min_stars_or_forks=args.min_popularity,
-        min_commits=args.min_commits,
-    )
-
     results = client.fetch_many(names, workers=args.workers)
     eligible = []
     for name, result in zip(names, results):
@@ -161,7 +167,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
     chosen = selector.sample_stratified(eligible, per_stratum=args.per_stratum, seed=args.seed)
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["owner_and_name", "stars", "forks", "total_commits",
                      "stratum_lower", "stratum_upper"])

@@ -11,18 +11,21 @@ Consumes the byte stream produced by ``log_command(file_paths)``:
         --reverse -p -U0 --inter-hunk-context=0 -- <file_path>...
 
 and turns it into a flat sequence of typed events: commit headers, file-diff
-headers, hunks, skip and abort notices, and a terminating end-of-stream
-marker.  The input is any iterable of byte chunks, split anywhere: the
-parser cuts them into lines itself, a block at a time.  It is strictly
-streaming: it holds one chunk's lines plus at most one hunk, so memory use is
-bounded by the chunk size and the largest single hunk rather than by stream
-length.  The walk asks for no context lines, which replay does not need, so
-every hunk is one change group: a run of deletions, then a run of additions,
-each optionally followed by a ``\\ No newline`` marker.  Its body is taken as
-one slice of lines; a body of any other shape aborts its file.
+headers, hunks, and skip and abort notices.  The input is any iterable of
+byte chunks, split anywhere: the parser cuts them into lines itself, a block
+at a time.  It is strictly streaming: it holds one chunk's lines plus at most
+one hunk, so memory use is bounded by the chunk size and the largest single
+hunk rather than by stream length.  The walk asks for no context lines,
+which replay does not need, so every hunk is one change group: a run of
+deletions, then a run of additions, each optionally followed by a
+``\\ No newline`` marker.  Its body is taken as one slice of lines; a body
+of any other shape aborts its file.
 
 Line content is kept as raw bytes throughout; no transcoding happens here so
 that content hashing and equality stay byte-stable across mixed encodings.
+
+``parse_name_status_stream`` reads the whole-history ``--name-status`` walk
+instead, and yields plain per-commit tuples rather than events.
 """
 
 from __future__ import annotations
@@ -106,7 +109,6 @@ class FileDiffHeader:
     old_path: str
     new_path: str
     is_binary: bool = False
-    is_rename: bool = False  # set only when old_path and new_path differ
 
 
 @dataclass
@@ -164,11 +166,6 @@ class FileAborted:
     path: str
     reason: str  # the parse error, with its byte offset
     byte_offset: int
-
-
-@dataclass(frozen=True)
-class StreamEnd:
-    pass
 
 
 def parse_hunk_header(header_line: bytes | str) -> tuple[int, int, int, int]:
@@ -326,12 +323,12 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     """Parse a patch-ordered log byte stream into an event sequence.
 
     Yields CommitStart, FileStart, HunkEvent, FileSkipped and FileAborted
-    events in stream order, terminated by a single StreamEnd.  Every
-    HunkEvent belongs to the most recent FileStart, every FileStart to the
-    most recent CommitStart.  Binary file diffs yield FileSkipped instead of
-    hunks.  A malformed hunk, or a malformed line inside a file diff, yields
-    FileAborted for that file, and parsing resumes at the next ``diff --git``
-    or ``commit`` line; errors outside any file diff raise.
+    events in stream order.  Every HunkEvent belongs to the most recent
+    FileStart, every FileStart to the most recent CommitStart.  Binary file
+    diffs yield FileSkipped instead of hunks.  A malformed hunk, or a
+    malformed line inside a file diff, yields FileAborted for that file, and
+    parsing resumes at the next ``diff --git`` or ``commit`` line; errors
+    outside any file diff raise.
 
     ``chunks`` is any iterable of byte strings, split at arbitrary points:
     reads of a binary pipe, the lines of an open binary file, or one bytes
@@ -419,7 +416,6 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
 
     if header is not None:
         yield from _file_events(header)
-    yield StreamEnd()
 
 
 def _file_events(header: FileDiffHeader) -> list:
@@ -444,14 +440,12 @@ def _header_line(header: FileDiffHeader, line: bytes) -> FileDiffHeader | None:
     if line.startswith(_EXT_HEADERS):
         return header
     if line.startswith(b"rename from "):
-        header = replace(header, old_path=_header_path(line.split(b" from ", 1)[1]))
-    elif line.startswith(b"rename to "):
-        header = replace(header, new_path=_header_path(line.split(b" to ", 1)[1]))
-    elif _BINARY_RE.match(line) or line.startswith(b"GIT binary patch"):
+        return replace(header, old_path=_header_path(line.split(b" from ", 1)[1]))
+    if line.startswith(b"rename to "):
+        return replace(header, new_path=_header_path(line.split(b" to ", 1)[1]))
+    if _BINARY_RE.match(line) or line.startswith(b"GIT binary patch"):
         return replace(header, is_binary=True)
-    else:
-        return None
-    return replace(header, is_rename=header.old_path != header.new_path)
+    return None
 
 
 def _read_hunk(lines: list[bytes], h: int, offset: int, old_start: int, old_count: int,
@@ -499,13 +493,14 @@ def render_hunk_body(hunk: Hunk) -> bytes:
     return b"".join(ln + b"\n" for ln in out)
 
 
-def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
-    """Parse ``git log -z --name-status`` output into the same event shapes.
+def parse_name_status_stream(
+        chunks: Iterable[bytes]) -> Iterator[tuple[int, list[tuple[str, str]]]]:
+    """Parse ``git log -z --name-status`` output, one commit at a time.
 
-    Yields CommitStart and FileStart events (with rename flags, no hunks)
-    plus a final StreamEnd, so file-level consumers can run on the cheap
-    name-status log instead of a full patch stream.  ``chunks`` is any
-    iterable of byte strings, split at arbitrary points.
+    Yields ``(committer_timestamp, [(old_path, new_path), ...])`` for every
+    commit in stream order, a commit without file changes included.  The two
+    paths differ only for a rename.  ``chunks`` is any iterable of byte
+    strings, split at arbitrary points.
 
     Under ``-z`` every field ends in a NUL and paths are printed verbatim,
     never quoted: ``<status>\\0<path>\\0``, or ``<status>\\0<old>\\0<new>\\0``
@@ -513,6 +508,7 @@ def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     status follows, and an empty field separates commits.  The walk detects
     no copies, so a ``C`` status is rejected like any other unknown one.
     """
+    commit: tuple[int, list[tuple[str, str]]] | None = None  # the commit being read
     status = b""  # the status of the record whose paths are being read
     paths: list[bytes] = []
     for _, fields in _records(chunks, b"\0"):
@@ -521,21 +517,25 @@ def parse_name_status_stream(chunks: Iterable[bytes]) -> Iterator[object]:
                 paths.append(item)
                 if len(paths) < (2 if status.startswith(b"R") else 1):
                     continue
-                old, new = _decode_path(paths[0]), _decode_path(paths[-1])
-                yield FileStart(FileDiffHeader(old, new, is_rename=old != new))
+                commit[1].append((_decode_path(paths[0]), _decode_path(paths[-1])))
                 status, paths = b"", []
                 continue
             if item.startswith(b"commit "):
                 commit_line, _, item = item.partition(b"\n")
-                yield CommitStart(parse_commit_line(commit_line))
+                if commit is not None:
+                    yield commit
+                commit = (parse_commit_line(commit_line).committer_timestamp, [])
             if not item:
                 continue
             if item[:1] not in b"ADMRTUX" or (len(item) > 1 and not item[1:].isdigit()):
                 raise StreamParseError("unparseable name-status field", line=item)
+            if commit is None:
+                raise StreamParseError("name-status record before any commit line", line=item)
             status = item
     if status:
         raise TruncatedStream("name-status record without its path", line=status)
-    yield StreamEnd()
+    if commit is not None:
+        yield commit
 
 
 def log_command(file_paths: list[str] | None = None, name_status: bool = False) -> list[str]:

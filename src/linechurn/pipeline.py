@@ -1,11 +1,12 @@
 """End-to-end analysis driver.
 
 Stages: (1) a cheap name-status pass over the whole first-parent history
-computes per-file churn and the dual-filter hotspot files; (2) only those
-files, with their rename chains, get the expensive patch log, one walk for
-all of them, and line tracking; (3) hotspot lines are selected, classified,
-and attributed to bot or human committers; (4) all CSV/JSON artifacts are
-written, the run manifest last.
+computes per-file churn, each file's rename chain and the project lifetime,
+which give the dual-filter hotspot files; (2) only those files, with their
+rename chains, get the expensive patch log, one walk for all of them, and
+line tracking; (3) hotspot lines are selected, classified, and attributed
+to bot or human committers; (4) all CSV/JSON artifacts are written, the run
+manifest last.
 
 A single file whose replay goes out of bounds, or whose patch is malformed,
 is aborted and recorded; the run completes and reports partial failure
@@ -34,7 +35,6 @@ from pathlib import Path
 from . import __version__
 from .bots import BotConfig, BotShare, BotShareReport, CommitterIdentity, aggregate_committers, bot_share, flag_bot
 from .churn import (
-    SECONDS_PER_MONTH,
     HotspotThresholds,
     categorize_file,
     count_file_commits,
@@ -43,14 +43,7 @@ from .churn import (
     select_hotspot_lines,
     summarize,
 )
-from .diffstream import (
-    CommitStart,
-    FileStart,
-    StreamParseError,
-    log_command,
-    parse_log_stream,
-    parse_name_status_stream,
-)
+from .diffstream import StreamParseError, log_command, parse_log_stream, parse_name_status_stream
 from .taxonomy import (
     PATTERN_CATEGORY,
     PatternLabel,
@@ -58,7 +51,7 @@ from .taxonomy import (
     classify_history,
     load_label_overrides,
 )
-from .tracker import AbortedFile, FileState, HistoryReplayer, finalize, write_line_report
+from .tracker import FileState, HistoryReplayer, finalize, write_line_report
 
 logger = logging.getLogger(__name__)
 
@@ -223,29 +216,12 @@ def _repo_head(repo: Path) -> str:
 
 
 def _stage1_churn(repo: Path):
-    """Whole-history name-status pass: counts, rename chains, time span."""
-    chains: dict[str, list[str]] = {}
-    span = {"first": None, "last": None, "n": 0}
-
-    def observing(events):
-        for event in events:
-            if isinstance(event, CommitStart):
-                ts = event.header.committer_timestamp
-                span["first"] = ts if span["first"] is None else min(span["first"], ts)
-                span["last"] = ts if span["last"] is None else max(span["last"], ts)
-                span["n"] += 1
-            elif isinstance(event, FileStart):
-                header = event.header
-                if header.is_rename:
-                    chains[header.new_path] = chains.pop(header.old_path, []) + [header.old_path]
-            yield event
-
+    """Whole-history name-status pass: counts, rename chains, months, commits."""
     with contextlib.closing(_git_lines(repo, log_command(name_status=True))) as chunks:
-        counts = count_file_commits(observing(parse_name_status_stream(chunks)))
-    if span["n"] == 0:
+        counts, chains, months, n_commits = count_file_commits(parse_name_status_stream(chunks))
+    if n_commits == 0:
         raise RepoNotFound(f"{repo} log produced no commits")
-    months = max((span["last"] - span["first"]) / SECONDS_PER_MONTH, 1e-9)
-    return counts, chains, months, span["n"]
+    return counts, chains, months, n_commits
 
 
 def analyze_repo(config: AnalysisConfig) -> RunManifest:
@@ -255,6 +231,12 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         overrides = load_label_overrides(config.labels_override) if config.labels_override else {}
     except (OSError, ValueError) as exc:
         raise BadInput(f"labels override {config.labels_override}: {exc}") from None
+    if config.file_sample is not None and config.file_sample < 0:
+        raise BadInput(f"file sample must not be negative, got {config.file_sample}")
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BadInput(f"output directory {config.output_dir}: {exc}") from None
     head = _repo_head(config.repo_path)
     run_warnings: list[str] = []
 
@@ -280,10 +262,10 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
                     replayer.run(parse_log_stream(walk))
             except (StreamParseError, GitFailed) as exc:  # no replay is complete
                 for path in selected_files:
-                    replayer.aborted.setdefault(path, AbortedFile(path, f"stage-2 log: {exc}"))
+                    replayer.aborted.setdefault(path, f"stage-2 log: {exc}")
                 replayer.states.clear()
     run_warnings.extend(str(w.message) for w in caught)
-    aborted = {p: a.reason for p, a in replayer.aborted.items()}
+    aborted = replayer.aborted
     tracked = [
         _TrackedFile(path=path, category=categories[path], state=state)
         for path in selected_files if (state := replayer.states.get(path)) is not None

@@ -237,12 +237,6 @@ def read_line_report(path: str | Path) -> list[LineReport]:
     return out
 
 
-@dataclass
-class AbortedFile:
-    path: str
-    reason: str
-
-
 class HistoryReplayer:
     """Drives FileStates for every path seen in one parsed event stream.
 
@@ -256,7 +250,7 @@ class HistoryReplayer:
     def __init__(self, track_paths: set[str] | None = None):
         self.track_paths = track_paths
         self.states: dict[str, FileState] = {}
-        self.aborted: dict[str, AbortedFile] = {}
+        self.aborted: dict[str, str] = {}  # path -> reason
         self.commits_seen: list[CommitHeader] = []
 
     def _wants(self, path: str) -> bool:
@@ -299,7 +293,7 @@ class HistoryReplayer:
 
     def _abort(self, path: str, reason: str) -> None:
         logger.warning("aborting %s: %s", path, reason)
-        self.aborted[path] = AbortedFile(path, reason)
+        self.aborted[path] = reason
         self.states.pop(path, None)
 
     def run(self, events: Iterable[object]) -> None:
@@ -310,7 +304,7 @@ class HistoryReplayer:
         old, new = header.old_path, header.new_path
         if not self._wants(new) and not self._wants(old):
             return None
-        if header.is_rename:
+        if old != new:
             if old in self.states:
                 state = self.states.pop(old)
                 state.path = new

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +19,18 @@ def repo_log_events(repo: Path, paths: list[str] | None = None):
     out = subprocess.run(log_command(file_paths=paths), cwd=repo,
                          capture_output=True, check=True).stdout
     return list(parse_log_stream(io.BytesIO(out)))
+
+
+def split_at(data: bytes, cuts) -> list[bytes]:
+    bounds = [0, *sorted(cuts), len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def chunkings(data: bytes) -> list[list[bytes]]:
+    """The stream whole, per line, per byte, and cut at seeded random points."""
+    rng = random.Random(len(data))
+    return [[data], data.splitlines(keepends=True), [data[k:k + 1] for k in range(len(data))],
+            split_at(data, rng.sample(range(len(data) + 1), min(len(data) + 1, 7)))]
 
 
 def blame_commits(repo: Path, path: str) -> list[str]:

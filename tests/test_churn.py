@@ -1,5 +1,6 @@
-"""Churn statistics: commit counting, categorization, the dual filter,
-hotspot-line selection, lifespans, and the descriptive-stats oracle."""
+"""Churn statistics: the stage-1 fold of commit counts, rename chains and
+lifetime, categorization, the dual filter, hotspot-line selection,
+lifespans, and the descriptive-stats oracle."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from linechurn.churn import (
     ADMINISTRATIVE,
     PROGRAMMING,
+    SECONDS_PER_MONTH,
     DegenerateDistribution,
     EmptyInput,
     HotspotThresholds,
@@ -24,39 +26,121 @@ from linechurn.churn import (
     select_hotspot_lines,
     summarize,
 )
-from linechurn.diffstream import CommitHeader, CommitStart, FileDiffHeader, FileStart
+from linechurn.diffstream import parse_name_status_stream
 from linechurn.tracker import Revision, TrackedLine
 
-
-def commit(n: int) -> CommitStart:
-    return CommitStart(CommitHeader(f"{n:040x}", 1_700_000_000 + n, "A", "a@x", "A", "a@x"))
+from conftest import chunkings
 
 
-def touch(path: str) -> FileStart:
-    return FileStart(FileDiffHeader(path, path))
+def commit(n: int, *changes: tuple[str, str]) -> tuple[int, list[tuple[str, str]]]:
+    return 1_700_000_000 + n, list(changes)
 
 
-def rename(old: str, new: str) -> FileStart:
-    return FileStart(FileDiffHeader(old, new, is_rename=True))
+def touch(path: str) -> tuple[str, str]:
+    return path, path
 
 
 class TestCountFileCommits:
     def test_direct_count(self):
-        events = [commit(1), touch("a.txt"), touch("b.txt"),
-                  commit(2), touch("a.txt"),
-                  commit(3), touch("b.txt")]
-        assert count_file_commits(events) == {"a.txt": 2, "b.txt": 2}
+        commits = [commit(1, touch("a.txt"), touch("b.txt")),
+                   commit(2, touch("a.txt")),
+                   commit(3, touch("b.txt"))]
+        counts, chains, months, n_commits = count_file_commits(commits)
+        assert counts == {"a.txt": 2, "b.txt": 2}
+        assert chains == {}
+        assert months == 2 / SECONDS_PER_MONTH
+        assert n_commits == 3
 
     def test_multiple_hunks_one_commit_count_once(self):
         # The same file appearing repeatedly within one commit still counts 1.
-        events = [commit(1), touch("b.txt"), touch("b.txt"), touch("b.txt")]
-        assert count_file_commits(events) == {"b.txt": 1}
+        commits = [commit(1, touch("b.txt"), touch("b.txt"), touch("b.txt"))]
+        assert count_file_commits(commits)[0] == {"b.txt": 1}
 
     def test_rename_accumulates_under_final_path(self):
-        events = [commit(1), touch("a"),
-                  commit(2), rename("a", "c"),
-                  commit(3), touch("c")]
-        assert count_file_commits(events) == {"c": 3}
+        commits = [commit(1, touch("a")),
+                   commit(2, ("a", "c")),
+                   commit(3, touch("c"))]
+        counts, chains, _, _ = count_file_commits(commits)
+        assert counts == {"c": 3}
+        assert chains == {"c": ["a"]}
+
+
+# Names a generated history draws from: verbatim under -z, whatever they hold.
+NAMES = ["a", "b.txt", "dir/c", 'sp ace "q"', "new\nline", "\u00e9t\u00e9"]
+
+CHANGE = st.tuples(st.sampled_from(["add", "modify", "delete", "rename"]),
+                   st.sampled_from(NAMES), st.sampled_from(NAMES))
+HISTORY = st.lists(st.tuples(st.integers(1_500_000_000, 1_500_100_000),
+                             st.lists(CHANGE, max_size=4)), min_size=1, max_size=10)
+
+
+def render_history(history) -> tuple[bytes, list]:
+    """Apply a drawn history to a first-parent model and print its ``git log
+    -z --name-status`` output; return it with the changes that took effect.
+
+    A change that git could not report in that commit is dropped: adding a
+    file that exists, modifying, deleting or renaming one that does not,
+    renaming onto an existing file, and touching a path that a change of the
+    same commit has touched.  Each kept change is ``(commit, kind, old, new)``.
+    """
+    live: set[str] = set()
+    applied = []
+    blocks = []
+    for k, (ts, changes) in enumerate(history):
+        used: set[str] = set()
+        records = b""
+        for kind, old, new in changes:
+            paths = [old, new] if kind == "rename" else [old]
+            if (used & set(paths) or (old in live) == (kind == "add")
+                    or kind == "rename" and (old == new or new in live)):
+                continue
+            used.update(paths)
+            live.discard(old)
+            if kind != "delete":
+                live.add(paths[-1])
+            status = {"add": "A", "modify": "M", "delete": "D", "rename": "R087"}[kind]
+            records += b"".join(field.encode() + b"\0" for field in [status, *paths])
+            applied.append((k, kind, old, paths[-1]))
+        line = f"commit {k + 1:040x} {ts} \x1fA\x1fa@x\x1fC\x1fc@x".encode()
+        blocks.append(line + b"\n" + records if records else line)
+    return b"\0".join(blocks), applied
+
+
+def model_stage1(history, applied):
+    """Counts, chains, months and commits by brute force: each path owns a
+    tally holding the set of commits that touched it and its earlier names.
+    A deletion keeps the tally; a rename hands it to the new path, replacing
+    whatever that path owned before."""
+    owner: dict[str, tuple[set, list]] = {}
+    for k, kind, old, new in applied:
+        if kind == "rename":
+            commits, names = owner.pop(old, (set(), []))
+            owner[new] = (commits | {k}, names + [old])
+        else:
+            owner.setdefault(new, (set(), []))[0].add(k)
+    times = [ts for ts, _ in history]
+    months = max((max(times) - min(times)) / SECONDS_PER_MONTH, 1e-9)
+    return ({p: len(c) for p, (c, _) in owner.items()},
+            {p: names for p, (_, names) in owner.items() if names}, months, len(history))
+
+
+@settings(max_examples=150, deadline=None)
+@given(HISTORY)
+@example([(1_500_000_000, [("add", "a", "a"), ("add", "b.txt", "a")]),
+          (1_500_000_900, [("rename", "a", "dir/c"), ("modify", "b.txt", "a")]),
+          (1_500_000_100, []),  # empty, and earlier than the commit before it
+          (1_500_003_000, [("rename", "dir/c", "a")]),  # back to an earlier name
+          (1_500_004_000, [("delete", "b.txt", "a")]),
+          (1_500_005_000, [("rename", "a", "b.txt")]),  # onto a deleted file's name
+          (1_500_006_000, [("add", "a", "a"), ("modify", "b.txt", "a")])])
+def test_stage1_fold_matches_model(history):
+    """Parsing and folding a rendered history, under every split of its
+    bytes, gives the brute-force model's counts, chains, lifetime and commit
+    count."""
+    stream, applied = render_history(history)
+    expected = model_stage1(history, applied)
+    for chunks in chunkings(stream):
+        assert count_file_commits(parse_name_status_stream(chunks)) == expected
 
 
 class TestCategorizeFile:

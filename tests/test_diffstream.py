@@ -19,14 +19,16 @@ from linechurn.diffstream import (
     HunkEvent,
     MalformedCommitLine,
     MalformedHunkHeader,
-    StreamEnd,
     StreamParseError,
+    TruncatedStream,
     parse_commit_line,
     parse_hunk_header,
     parse_log_stream,
     parse_name_status_stream,
     render_hunk_body,
 )
+
+from conftest import chunkings, split_at
 
 COMMIT1 = b"commit aaaa1111 1700000000 \x1fAda\x1fada@x\x1fAda\x1fada@x\n"
 COMMIT2 = b"commit bbbb2222 1700000100 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x\n"
@@ -75,18 +77,6 @@ MALFORMED_STREAM = (COMMIT1
 
 def parse_all(data: bytes) -> list:
     return list(parse_log_stream(io.BytesIO(data)))
-
-
-def split_at(data: bytes, cuts) -> list[bytes]:
-    bounds = [0, *sorted(cuts), len(data)]
-    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def chunkings(data: bytes) -> list[list[bytes]]:
-    """The stream whole, per line, per byte, and cut at seeded random points."""
-    rng = random.Random(len(data))
-    return [[data], data.splitlines(keepends=True), [data[k:k + 1] for k in range(len(data))],
-            split_at(data, rng.sample(range(len(data) + 1), min(len(data) + 1, 7)))]
 
 
 class TestParseHunkHeader:
@@ -145,7 +135,7 @@ class TestParseLogStream:
         events = parse_all(TWO_COMMIT_STREAM)
         kinds = [type(e).__name__ for e in events]
         assert kinds == ["CommitStart", "FileStart", "HunkEvent",
-                         "CommitStart", "FileStart", "HunkEvent", "StreamEnd"]
+                         "CommitStart", "FileStart", "HunkEvent"]
         first_hunk = events[2].hunk
         assert (first_hunk.old_start, first_hunk.old_count,
                 first_hunk.new_start, first_hunk.new_count) == (0, 0, 1, 2)
@@ -154,7 +144,7 @@ class TestParseLogStream:
                 second_hunk.new_start, second_hunk.new_count) == (2, 1, 2, 1)
 
     def test_empty_stream(self):
-        assert parse_all(b"") == [StreamEnd()]
+        assert parse_all(b"") == []
 
     def test_binary_file_skipped(self):
         stream = (COMMIT1
@@ -164,7 +154,7 @@ class TestParseLogStream:
                   + b"Binary files /dev/null and b/x.bin differ\n")
         events = parse_all(stream)
         assert [type(e).__name__ for e in events] == [
-            "CommitStart", "FileStart", "FileSkipped", "StreamEnd"]
+            "CommitStart", "FileStart", "FileSkipped"]
         assert events[2].reason == "binary"
         assert events[1].header.is_binary
 
@@ -174,7 +164,7 @@ class TestParseLogStream:
                   + b"old mode 100644\n"
                   + b"new mode 100755\n")
         events = parse_all(stream)
-        assert [type(e).__name__ for e in events] == ["CommitStart", "FileStart", "StreamEnd"]
+        assert [type(e).__name__ for e in events] == ["CommitStart", "FileStart"]
 
     def test_rename_header(self):
         stream = (COMMIT1
@@ -184,7 +174,6 @@ class TestParseLogStream:
                   + b"rename to new.txt\n")
         events = parse_all(stream)
         header = events[1].header
-        assert header.is_rename
         assert (header.old_path, header.new_path) == ("old.txt", "new.txt")
 
     def test_no_newline_markers_set_flag(self):
@@ -206,7 +195,7 @@ class TestParseLogStream:
         for chunks in chunkings(TRUNCATED_STREAM):
             events = list(parse_log_stream(chunks))
             assert [type(e).__name__ for e in events] == [
-                "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+                "CommitStart", "FileStart", "FileAborted"]
             aborted = events[2]
             assert aborted.path == "f"
             assert "end of stream inside a hunk body" in aborted.reason
@@ -222,7 +211,7 @@ class TestParseLogStream:
         for chunks in chunkings(stream):
             events = list(parse_log_stream(chunks))
             assert [type(e).__name__ for e in events] == [
-                "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+                "CommitStart", "FileStart", "FileAborted"]
             assert "not a run of deletions then a run of additions" in events[2].reason
             assert events[2].byte_offset == second
 
@@ -231,7 +220,7 @@ class TestParseLogStream:
             events = list(parse_log_stream(chunks))
             assert [type(e).__name__ for e in events] == [
                 "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent",
-                "CommitStart", "FileStart", "HunkEvent", "StreamEnd"]
+                "CommitStart", "FileStart", "HunkEvent"]
             assert events[2].path == "a"
             assert events[2].byte_offset == MALFORMED_STREAM.index(b"@@ -1,x")
             assert events[3].header.new_path == "b"
@@ -255,7 +244,7 @@ class TestParseLogStream:
         for chunks in chunkings(stream):
             events = list(parse_log_stream(chunks))
             assert [type(e).__name__ for e in events] == [
-                "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent", "StreamEnd"]
+                "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent"]
             assert events[2].path == "f"
             assert events[2].byte_offset == len(head)
             assert events[3].header.new_path == "g"
@@ -266,7 +255,7 @@ class TestParseLogStream:
                   + b"@@ -1 +1 @@\n-x\n+y\n")
         events = parse_all(stream)
         assert [type(e).__name__ for e in events] == [
-            "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+            "CommitStart", "FileStart", "FileAborted"]
         assert events[2].byte_offset == stream.index(b"garbage")
 
     def test_copy_header(self):
@@ -285,7 +274,7 @@ class TestParseLogStream:
                   + b"+b\n")
         events = parse_all(stream)
         assert [type(e).__name__ for e in events] == [
-            "CommitStart", "FileStart", "FileAborted", "StreamEnd"]
+            "CommitStart", "FileStart", "FileAborted"]
         assert events[2].byte_offset == stream.index(b"copy from")
 
     def test_error_outside_file_diff_raises(self):
@@ -300,7 +289,7 @@ class TestParseLogStream:
                   + b"diff --git a/b b/b\n--- a/b\n+++ b/b\n@@ -1,1 +1,1 @@\n-p\n+q\n")
         events = parse_all(stream)
         assert [type(e).__name__ for e in events] == [
-            "CommitStart", "FileStart", "HunkEvent", "FileStart", "HunkEvent", "StreamEnd"]
+            "CommitStart", "FileStart", "HunkEvent", "FileStart", "HunkEvent"]
 
     def test_quoted_paths_unescaped(self):
         stream = (COMMIT1
@@ -446,14 +435,9 @@ def test_name_status_stream():
               + b"R100\0a.txt\0c.txt\0"
               + b"M\0b.txt\0")
     for chunks in chunkings(stream):
-        events = list(parse_name_status_stream(chunks))
-        kinds = [type(e).__name__ for e in events]
-        assert kinds == ["CommitStart", "FileStart", "FileStart",
-                         "CommitStart", "FileStart", "FileStart", "StreamEnd"]
-        rename = events[4].header
-        assert rename.is_rename
-        assert (rename.old_path, rename.new_path) == ("a.txt", "c.txt")
-        assert not events[5].header.is_rename
+        assert list(parse_name_status_stream(chunks)) == [
+            (1700000000, [("a.txt", "a.txt"), ("b.txt", "b.txt")]),
+            (1700000100, [("a.txt", "c.txt"), ("b.txt", "b.txt")])]
     # The walk detects no copies; a copy record is an unknown status.
     copy = stream + b"C075\0b.txt\0b2.txt\0"
     for chunks in chunkings(copy):
@@ -468,7 +452,19 @@ def test_name_status_paths_verbatim():
     stream = (COMMIT1.rstrip(b"\n") + b"\0"  # a commit without file changes
               + COMMIT2 + b"".join(b"A\0" + name + b"\0" for name in names))
     for chunks in chunkings(stream):
-        events = list(parse_name_status_stream(chunks))
-        assert [type(e).__name__ for e in events] == (
-            ["CommitStart", "CommitStart"] + ["FileStart"] * len(names) + ["StreamEnd"])
-        assert [e.header.new_path for e in events[2:-1]] == [n.decode() for n in names]
+        assert list(parse_name_status_stream(chunks)) == [
+            (1700000000, []), (1700000100, [(n.decode(), n.decode()) for n in names])]
+
+
+@pytest.mark.parametrize("stream, error", [
+    pytest.param(b"commit zzz 1700000000 \x1fA\x1fa\x1fA\x1fa\nM\0f\0", MalformedCommitLine,
+                 id="commit-line"),
+    pytest.param(COMMIT1 + b"Q\0f\0", StreamParseError, id="unknown-status"),
+    pytest.param(COMMIT1 + b"M\0", TruncatedStream, id="no-path"),
+    pytest.param(COMMIT1 + b"R100\0a\0", TruncatedStream, id="rename-without-new-path"),
+    pytest.param(b"M\0f\0" + COMMIT1, StreamParseError, id="record-before-commit"),
+])
+def test_name_status_checks(stream, error):
+    for chunks in chunkings(stream):
+        with pytest.raises(error):
+            list(parse_name_status_stream(chunks))

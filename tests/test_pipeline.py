@@ -21,7 +21,7 @@ from linechurn.churn import HotspotThresholds
 from linechurn.diffstream import log_command
 from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
 from linechurn.selector import RepoMeta
-from linechurn.tracker import AbortedFile, read_line_report
+from linechurn.tracker import read_line_report
 
 from conftest import blame_commits
 from repogen import build_hotspot_repo, build_multi_hotspot_repo, run_git
@@ -182,6 +182,15 @@ class TestAnalyzeRepo:
         subprocess.run(["git", "init", "-q", repo], check=True)
         with pytest.raises(RepoNotFound):
             analyze_repo(AnalysisConfig(repo_path=repo, output_dir=tmp_path / "out"))
+
+    def test_log_without_commits_rejected(self, hotspot_repo, tmp_path, monkeypatch):
+        def no_output(repo, cmd):  # a walk that prints nothing
+            yield from ()
+
+        monkeypatch.setattr(pipeline, "_git_lines", no_output)
+        with pytest.raises(RepoNotFound, match="log produced no commits"):
+            analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"],
+                                        output_dir=tmp_path / "out"))
 
     def test_higher_sigma_threshold_excludes_hotspot(self, hotspot_repo, tmp_path):
         config = AnalysisConfig(
@@ -531,7 +540,7 @@ def aborting_replayer(path: str, reason: str):
         def run(self, events):
             super().run(events)
             self.states.pop(path, None)
-            self.aborted[path] = AbortedFile(path, reason)
+            self.aborted[path] = reason
 
     return AbortingReplayer
 
@@ -605,6 +614,33 @@ class TestCli:
         assert cli.main(["select", "--per-stratum", "2"]) == 1
         assert "no candidate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--candidates-file", "missing.txt"], id="candidates-file-missing"),
+        pytest.param(["--per-stratum", "0"], id="per-stratum-zero"),
+        pytest.param(["--per-stratum", "-1"], id="per-stratum-negative"),
+        pytest.param(["--min-commits", "0"], id="min-commits-zero"),
+        pytest.param(["--min-popularity", "0"], id="min-popularity-zero"),
+        pytest.param(["--out", "missing/sel.csv"], id="out-directory-missing"),
+    ])
+    def test_select_bad_input_exit_one(self, args, tmp_path, monkeypatch, capsys):
+        requests = []
+
+        class FakeClient:
+            def __init__(self, **kwargs):
+                pass
+
+            def fetch_many(self, names, workers=4, now=None):
+                requests.append(names)
+                return []
+
+        monkeypatch.setattr(selector, "MetadataClient", FakeClient)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["select", "o/a", "o/b", "--per-stratum", "2", *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert requests == []  # every input is checked before the first request
+
     @pytest.mark.parametrize("option, content", [
         pytest.param("--bot-config", None, id="bot-config-missing"),
         pytest.param("--bot-config", "keyword bot\n", id="bot-config-malformed"),
@@ -616,11 +652,16 @@ class TestCli:
         pytest.param("--labels-override", "path,line_number,label\nhot.cfg\n",
                      id="labels-short-row"),
         pytest.param("--sigma", "0", id="sigma-zero"),
+        pytest.param("--file-sample", "-1", id="file-sample-negative"),
+        pytest.param("--out", "input/out", id="out-below-a-file"),
     ])
     def test_analyze_bad_input_exit_one(self, option, content, hotspot_repo, tmp_path,
                                         monkeypatch, capsys):
         value = content
-        if option != "--sigma":  # the option names a file holding content; None: no file
+        if option == "--out":  # a directory that cannot be created: "input" is a file
+            (tmp_path / "input").write_text("")
+            value = tmp_path / content
+        elif option in ("--bot-config", "--labels-override"):  # content of a file; None: none
             value = tmp_path / "input"
             if content is not None:
                 value.write_text(content)

@@ -98,7 +98,7 @@ class TestRunningDelta:
                   HunkEvent(hunk(1, 1, 1, 1, "-+", [b"a", b"A"]))]
         replayer = HistoryReplayer()
         replayer.run(iter(events))
-        assert "previous hunks" in replayer.aborted["f"].reason
+        assert "previous hunks" in replayer.aborted["f"]
         assert "f" not in replayer.states
 
 
@@ -307,12 +307,10 @@ class TestReplayer:
         replayer = HistoryReplayer()
         replayer.run(iter(repo_log_events(builder.path)))
         assert "f.txt" not in replayer.states
-        reason = replayer.aborted["f.txt"].reason
+        reason = replayer.aborted["f.txt"]
         assert reason == f"binary diff in commit {hashes[2]}"
 
     def test_aborts_are_contained(self):
-        from linechurn.diffstream import StreamEnd
-
         events = [
             CommitStart(make_commit(1)),
             FileStart(FileDiffHeader("good", "good")),
@@ -322,7 +320,6 @@ class TestReplayer:
             CommitStart(make_commit(2)),
             FileStart(FileDiffHeader("good", "good")),
             HunkEvent(hunk(1, 1, 1, 1, "-+", [b"ok", b"ok2"])),
-            StreamEnd(),
         ]
         replayer = HistoryReplayer()
         replayer.run(iter(events))

@@ -426,7 +426,23 @@ def _file_events(header: FileDiffHeader) -> list:
 
 
 def _diff_git_paths(line: bytes) -> FileDiffHeader | None:
-    """The file diff header that one ``diff --git`` line starts, if it parses."""
+    """The file diff header that one ``diff --git`` line starts, if it parses.
+
+    A path that contains " b/" can fool the regex.  But a diff other than a
+    rename names one path twice, as ``a/N b/N`` or ``"a/N" "b/N"``, so its
+    two names meet at the space in the exact middle; that split is tried
+    first.  A rename takes its true paths from ``rename from``/``rename to``.
+    """
+    names = line[len(b"diff --git "):]
+    half = len(names) // 2
+    old, new = names[:half], names[half + 1:]
+    quoted = old[:1] == old[-1:] == new[:1] == new[-1:] == b'"'
+    if quoted:
+        old, new = old[1:-1], new[1:-1]
+    if (names[half:half + 1] == b" " and old[:2] == b"a/" and new[:2] == b"b/"
+            and old[2:] == new[2:]):
+        path = _decode_path(_unquote_c_path(old[2:]) if quoted else old[2:])
+        return FileDiffHeader(path, path)
     m = _DIFF_GIT_RE.match(line)
     if m is None:
         return None

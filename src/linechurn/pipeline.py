@@ -11,8 +11,8 @@ manifest last.
 A single file whose replay goes out of bounds, or whose patch is malformed,
 is aborted and recorded; the run completes and reports partial failure
 instead of dying.  A stage-2 walk that git ends with an error aborts every
-selected file the same way.  What git prints on stderr joins the manifest's
-warnings.
+selected file the same way, and so does a walk that never patches a selected
+file.  What git prints on stderr joins the manifest's warnings.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ class AnalysisConfig:
     sample_seed: int = 0
     emit_plot_data: bool = False
     labels_override: Path | None = None
-    long_line_threshold: int = 120
-    refactor_window_days: float = 14.0
 
     def __post_init__(self) -> None:
         self.repo_path = Path(self.repo_path)
@@ -101,8 +99,6 @@ class AnalysisConfig:
             "sample_seed": self.sample_seed,
             "emit_plot_data": self.emit_plot_data,
             "labels_override": str(self.labels_override) if self.labels_override else None,
-            "long_line_threshold": self.long_line_threshold,
-            "refactor_window_days": self.refactor_window_days,
             "bot_keywords": list(self.bot_config.keywords),
             "bot_allowlist": list(self.bot_config.allowlist),
             "bot_denylist": list(self.bot_config.denylist),
@@ -219,8 +215,8 @@ def _stage1_churn(repo: Path):
     """Whole-history name-status pass: counts, rename chains, months, commits."""
     with contextlib.closing(_git_lines(repo, log_command(name_status=True))) as chunks:
         counts, chains, months, n_commits = count_file_commits(parse_name_status_stream(chunks))
-    if n_commits == 0:
-        raise RepoNotFound(f"{repo} log produced no commits")
+    if not counts:  # no commits at all, or none that changes a file
+        raise RepoNotFound(f"{repo} log produced no commits that change a file")
     return counts, chains, months, n_commits
 
 
@@ -266,6 +262,9 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
                 replayer.states.clear()
     run_warnings.extend(str(w.message) for w in caught)
     aborted = replayer.aborted
+    for path in selected_files:  # a selected file is tracked or aborted, never dropped
+        if path not in replayer.states:
+            aborted.setdefault(path, "no patch for this path in the stage-2 walk")
     tracked = [
         _TrackedFile(path=path, category=categories[path], state=state)
         for path in selected_files if (state := replayer.states.get(path)) is not None
@@ -278,11 +277,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         for line in entry.hotspot_lines:
             line_number = positions[id(line)]
             entry.line_numbers.append(line_number)
-            label = classify_history(
-                line, entry.category, entry.path,
-                long_line_threshold=config.long_line_threshold,
-                refactor_window_days=config.refactor_window_days,
-            )
+            label = classify_history(line, entry.category, entry.path)
             override = overrides.get((entry.path, line_number))
             if override is not None:
                 label = PatternLabel(override, PATTERN_CATEGORY[override], 1.0,

@@ -24,8 +24,8 @@ from typing import Sequence
 
 from .churn import ADMINISTRATIVE, PROGRAMMING
 
-DEFAULT_LONG_LINE_THRESHOLD = 120
-DEFAULT_REFACTOR_WINDOW_DAYS = 14.0
+LONG_LINE_THRESHOLD = 120
+REFACTOR_WINDOW_DAYS = 14.0
 _LONG_LINE_MIN_SIMILARITY = 0.3
 
 
@@ -89,34 +89,10 @@ PATTERN_CATEGORY: dict[Pattern, Category] = {
     Pattern.UNCLASSIFIED: Category.NONE,
 }
 
-# Tie-break order for history aggregation: rule order, then the fallbacks.
-PRECEDENCE: list[Pattern] = [
-    Pattern.FORMATTING_PING_PONG,
-    Pattern.PINNED_VERSION_BUMP,
-    Pattern.CONDITIONAL_VERSION_BUMP,
-    Pattern.DISTRO_BUMP,
-    Pattern.RESOURCE_ID_MODIFICATION,
-    Pattern.SERVICE_CONFIGURATION,
-    Pattern.DEPENDENCY_SPECIFICATION,
-    Pattern.PATH_UPDATE,
-    Pattern.DEBUG_CONFIGURATION,
-    Pattern.LICENSE_MODIFICATION,
-    Pattern.METADATA_CHANGE,
-    Pattern.FUNCTION_CALL_CHANGE,
-    Pattern.LONG_LINE_CHANGE,
-    Pattern.EXTERNAL_DATA_FLUCTUATIONS,
-    Pattern.STEPWISE_REFACTORING,
-    Pattern.NORMAL_SOFTWARE_EVOLUTION,
-    Pattern.UNCLASSIFIED,
-]
-
-
 @dataclass(frozen=True)
 class RevisionPair:
     before: bytes
     after: bytes
-    ts_before: int = 0
-    ts_after: int = 0
     file_category: str = PROGRAMMING
     path: str = ""
 
@@ -365,15 +341,17 @@ def _rule_resource_id(ctx) -> bool:
     return False
 
 
-def _rule_service_configuration(ctx) -> bool:
+def _value_edit(ctx):
+    """(key, old, new) when both sides assign the same key a different value."""
     kv_b, kv_a = _key_value(ctx.before), _key_value(ctx.after)
-    if not kv_b or not kv_a:
-        return False
-    key_b, val_b = kv_b
-    key_a, val_a = kv_a
-    if key_b != key_a or val_b == val_a:
-        return False
-    return bool(_key_words(key_b) & _SERVICE_VOCAB)
+    if not kv_b or not kv_a or kv_b[0] != kv_a[0] or kv_b[1] == kv_a[1]:
+        return None
+    return kv_b[0], kv_b[1], kv_a[1]
+
+
+def _rule_service_configuration(ctx) -> bool:
+    edit = _value_edit(ctx)
+    return edit is not None and bool(_key_words(edit[0]) & _SERVICE_VOCAB)
 
 
 def _rule_dependency_specification(ctx) -> bool:
@@ -383,21 +361,18 @@ def _rule_dependency_specification(ctx) -> bool:
     # Copyright headers inside manifests belong to the license rule.
     if _LICENSE_VOCAB.search(ctx.before) or _LICENSE_VOCAB.search(ctx.after):
         return False
-    changed = ctx.removed + ctx.added
-    if not changed:
+    if not ctx.changed:
         return False
     # Path-shaped changes defer to the path-update rule.
-    return not all(_is_pathlike(tok) for tok in changed)
+    return not all(_is_pathlike(tok) for tok in ctx.changed)
 
 
 def _rule_path_update(ctx) -> bool:
-    changed = ctx.removed + ctx.added
-    return any(_is_pathlike(tok) for tok in changed)
+    return any(_is_pathlike(tok) for tok in ctx.changed)
 
 
 def _rule_debug_configuration(ctx) -> bool:
-    changed = ctx.removed + ctx.added
-    if any(_SHORT_FLAG_RE.match(tok) for tok in changed):
+    if any(_SHORT_FLAG_RE.match(tok) for tok in ctx.changed):
         return True
     return bool(_DEBUG_WORDS.search(ctx.changed_text))
 
@@ -407,8 +382,7 @@ def _rule_license_modification(ctx) -> bool:
         return False
     if _YEAR_RE.search(ctx.changed_text):
         return True
-    changed = ctx.removed + ctx.added
-    return bool(changed) and all(_NAME_TOKEN_RE.match(tok.strip(",.;")) for tok in changed)
+    return bool(ctx.changed) and all(_NAME_TOKEN_RE.match(tok.strip(",.;")) for tok in ctx.changed)
 
 
 def _rule_metadata_change(ctx) -> bool:
@@ -428,7 +402,7 @@ def _rule_function_call_change(ctx) -> bool:
 
 def _rule_long_line_change(ctx) -> bool:
     length = max(len(ctx.before.rstrip()), len(ctx.after.rstrip()))
-    if length <= ctx.long_line_threshold:
+    if length <= LONG_LINE_THRESHOLD:
         return False
     similarity = difflib.SequenceMatcher(None, ctx.before, ctx.after, autojunk=False).ratio()
     return similarity >= _LONG_LINE_MIN_SIMILARITY
@@ -437,14 +411,8 @@ def _rule_long_line_change(ctx) -> bool:
 def _rule_external_data(ctx) -> bool:
     if ctx.file_category != ADMINISTRATIVE:
         return False
-    kv_b, kv_a = _key_value(ctx.before), _key_value(ctx.after)
-    if not kv_b or not kv_a:
-        return False
-    key_b, val_b = kv_b
-    key_a, val_a = kv_a
-    if key_b != key_a or val_b == val_a:
-        return False
-    return bool(_DATA_VALUE_RE.match(val_b)) and bool(_DATA_VALUE_RE.match(val_a))
+    edit = _value_edit(ctx)
+    return edit is not None and all(_DATA_VALUE_RE.match(value) for value in edit[1:])
 
 
 _RULES: list[tuple[Pattern, object]] = [
@@ -465,89 +433,88 @@ _RULES: list[tuple[Pattern, object]] = [
 ]
 
 
+# Tie-break order for history aggregation: rule order, then the fallbacks.
+_RANK: dict[Pattern, int] = {p: i for i, p in enumerate(
+    [p for p, _ in _RULES]
+    + [Pattern.STEPWISE_REFACTORING, Pattern.NORMAL_SOFTWARE_EVOLUTION, Pattern.UNCLASSIFIED])}
+
+
 class _PairContext:
     """Pre-computed views of one revision pair shared by all rules."""
 
-    def __init__(self, pair: RevisionPair, long_line_threshold: int):
-        self.before = _to_text(pair.before)
-        self.after = _to_text(pair.after)
-        self.file_category = pair.file_category
-        self.path = pair.path
-        self.long_line_threshold = long_line_threshold
-        self.removed, self.added = _word_diff(self.before, self.after)
-        self.changed_before_text = " ".join(self.removed)
-        self.changed_after_text = " ".join(self.added)
-        self.changed_text = " ".join(self.removed + self.added)
+    def __init__(self, before: bytes | str, after: bytes | str, file_category: str, path: str):
+        self.before = _to_text(before)
+        self.after = _to_text(after)
+        self.file_category = file_category
+        self.path = path
+        removed, added = _word_diff(self.before, self.after)
+        self.changed = removed + added
+        self.changed_before_text = " ".join(removed)
+        self.changed_after_text = " ".join(added)
+        self.changed_text = " ".join(self.changed)
 
 
-def classify_pair(pair: RevisionPair,
-                  long_line_threshold: int = DEFAULT_LONG_LINE_THRESHOLD) -> PatternLabel:
+def _winner(ctx: _PairContext) -> Pattern:
+    """The first rule that matches; else evolution for code, unclassified otherwise."""
+    for pattern, rule in _RULES:
+        if rule(ctx):
+            return pattern
+    return (Pattern.NORMAL_SOFTWARE_EVOLUTION if ctx.file_category == PROGRAMMING
+            else Pattern.UNCLASSIFIED)
+
+
+def classify_pair(pair: RevisionPair) -> PatternLabel:
     """Label one before/after revision pair.
 
-    The first matching rule in precedence order wins; otherwise substantive
+    The first matching rule in ``_RULES`` order wins; otherwise substantive
     code edits are normal software evolution and anything else is
     unclassified.  Identical before/after is a caller error.
     """
     if pair.before == pair.after:
         raise ValueError("classify_pair requires before != after")
-    ctx = _PairContext(pair, long_line_threshold)
-    winner: Pattern | None = None
+    ctx = _PairContext(pair.before, pair.after, pair.file_category, pair.path)
+    winner = _winner(ctx)
     diagnostics = ""
-    for pattern, rule in _RULES:
-        if rule(ctx):
-            winner = pattern
-            break
-    if winner is None:
-        fallback = (Pattern.NORMAL_SOFTWARE_EVOLUTION
-                    if pair.file_category == PROGRAMMING else Pattern.UNCLASSIFIED)
-        return _mklabel(fallback)
     if winner is Pattern.METADATA_CHANGE and _rule_external_data(ctx):
         diagnostics = f"also-matches:{Pattern.EXTERNAL_DATA_FLUCTUATIONS.value}"
     return _mklabel(winner, diagnostics=diagnostics)
 
 
-def classify_history(line, file_category: str, path: str,
-                     long_line_threshold: int = DEFAULT_LONG_LINE_THRESHOLD,
-                     refactor_window_days: float = DEFAULT_REFACTOR_WINDOW_DAYS) -> PatternLabel:
+def classify_history(line, file_category: str, path: str) -> PatternLabel:
     """Aggregate per-pair votes of one line's history into a single label.
 
-    Majority label wins with ties broken by rule precedence; confidence is
-    the winning vote share.  When a programming-file line was modified at
-    least twice in quick succession and the votes say plain evolution, the
-    label is overridden to stepwise refactoring.
+    Majority label wins with ties broken by rule order; confidence is the
+    winning vote share.  When two consecutive modifications of a
+    programming-file line lie at most ``REFACTOR_WINDOW_DAYS`` apart and the
+    votes say plain evolution, the label is overridden to stepwise
+    refactoring.
     """
     history = line.history
     if len(history) < 2:
         raise HistoryTooShort(f"history of length {len(history)} has no revision pairs")
 
     votes: Counter = Counter()
-    total = 0
     for prev, curr in zip(history, history[1:]):
-        if prev.content == curr.content:
-            continue  # no byte-level edit to classify
-        pair = RevisionPair(prev.content, curr.content, prev.timestamp,
-                            curr.timestamp, file_category, path)
-        votes[classify_pair(pair, long_line_threshold).label] += 1
-        total += 1
-
+        if prev.content != curr.content:  # else no byte-level edit to classify
+            votes[_winner(_PairContext(prev.content, curr.content, file_category, path))] += 1
+    total = sum(votes.values())
     if total == 0:
         return _mklabel(Pattern.UNCLASSIFIED, confidence=0.0)
 
-    order = {p: i for i, p in enumerate(PRECEDENCE)}
-    winner = min(votes.items(), key=lambda kv: (-kv[1], order[kv[0]]))[0]
+    winner = min(votes.items(), key=lambda kv: (-kv[1], _RANK[kv[0]]))[0]
     confidence = votes[winner] / total
 
     if (winner is Pattern.NORMAL_SOFTWARE_EVOLUTION
             and file_category == PROGRAMMING
-            and _has_close_modifications(history, refactor_window_days)):
+            and _has_close_modifications(history)):
         return _mklabel(Pattern.STEPWISE_REFACTORING, confidence=confidence)
     return _mklabel(winner, confidence=confidence)
 
 
-def _has_close_modifications(history, window_days: float) -> bool:
+def _has_close_modifications(history) -> bool:
     """True when two consecutive modification timestamps fall in the window."""
     mod_ts = [rev.timestamp for rev in history[1:]]
-    window = window_days * 86400
+    window = REFACTOR_WINDOW_DAYS * 86400
     return any(b - a <= window for a, b in zip(mod_ts, mod_ts[1:]))
 
 

@@ -300,6 +300,16 @@ class TestParseLogStream:
                   + b"@@ -1,1 +1,1 @@\n-x\n+y\n")
         assert parse_all(stream)[1].header.new_path == "sp ace.txt"
 
+    @pytest.mark.parametrize("names,path", [
+        (b"a/conf b/hot.cfg b/conf b/hot.cfg", "conf b/hot.cfg"),
+        (b'"a/c b/\\"q\\".cfg" "b/c b/\\"q\\".cfg"', 'c b/"q".cfg'),
+    ])
+    def test_path_holding_b_slash_keeps_its_name(self, names, path):
+        stream = (COMMIT1 + b"diff --git " + names + b"\n"
+                  + b"@@ -1,1 +1,1 @@\n-x\n+y\n")
+        header = parse_all(stream)[1].header
+        assert (header.old_path, header.new_path) == (path, path)
+
     def test_quoted_rename_paths_unescaped(self):
         stream = (COMMIT1
                   + b'diff --git "a/we\\"ird" "b/tab\\tcr\\r\\303\\251"\n'

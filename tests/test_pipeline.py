@@ -398,7 +398,7 @@ def test_quoted_paths_keep_their_names(tmp_path):
     the hot ones are replayed to their checkouts."""
     from repogen import RepoBuilder
 
-    hot = ['we"ird.txt', ":hot.cfg", "hot[1].cfg"]
+    hot = ['we"ird.txt', ":hot.cfg", "hot[1].cfg", "conf b/hot.cfg"]
     others = ["back\\slash.txt", "tab\tname.txt", "hot1.cfg"]  # hot1.cfg: what hot[1] globs
     builder = RepoBuilder(tmp_path / "repo")
     lines = [f"key_{i} = {i}".encode() for i in range(10)]
@@ -419,8 +419,8 @@ def test_quoted_paths_keep_their_names(tmp_path):
     assert manifest.aborted == {}
     rows = {r["path"]: r for r in read_csv(out / "file_churn.csv")}
     assert {*hot, *others} <= set(rows)
-    assert [rows[name]["is_hotspot_file"] for name in hot + others] == ["true"] * 3 + ["false"] * 3
-    assert manifest.stage_counts["files_tracked"] == 3
+    assert [rows[name]["is_hotspot_file"] for name in hot + others] == ["true"] * len(hot) + ["false"] * 3
+    assert manifest.stage_counts["files_tracked"] == len(hot)
     for name in hot:
         report = read_line_report(out / "line_reports" / pipeline._safe_report_name(name))
         checkout = run_git(builder.path, "show", f"HEAD:{name}").stdout
@@ -557,6 +557,29 @@ class TestCrashContainment:
         assert (tmp_path / "aborted" / "manifest.json").exists()
 
 
+    def test_selected_file_without_patches_is_aborted(self, hotspot_repo, tmp_path,
+                                                      monkeypatch, capsys):
+        real = pipeline.parse_log_stream
+
+        def without_hot_file(chunks):  # drops hot.cfg's FileStart and its hunks
+            dropping = False
+            for event in real(chunks):
+                if isinstance(event, (diffstream.CommitStart, diffstream.FileStart)):
+                    dropping = (isinstance(event, diffstream.FileStart)
+                                and event.header.new_path == "hot.cfg")
+                if not dropping:
+                    yield event
+
+        monkeypatch.setattr(pipeline, "parse_log_stream", without_hot_file)
+        out = tmp_path / "dropped"
+        code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)])
+        assert code == 2
+        assert "partial failure" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        assert manifest["aborted"] == {"hot.cfg": "no patch for this path in the stage-2 walk"}
+        assert manifest["stage_counts"]["files_tracked"] == 0
+
+
 class TestCli:
     def test_version(self, capsys):
         assert cli.main(["version"]) == 0
@@ -575,6 +598,21 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_history_without_file_changes_exit_one(self, tmp_path, monkeypatch, capsys):
+        from repogen import RepoBuilder
+
+        builder = RepoBuilder(tmp_path / "repo")
+        builder.commit({}, "empty 1")
+        builder.commit({}, "empty 2")
+        builder.finish()
+        runs = git_log_runs(monkeypatch)
+        code = cli.main(["analyze", "--repo", str(builder.path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "no commits that change a file" in err
+        assert len(runs) == 1 and "--name-status" in runs[0]  # no stage-2 walk
 
     def test_analyze_partial_failure_exit_two(self, hotspot_repo, tmp_path,
                                               monkeypatch, capsys):

@@ -100,8 +100,7 @@ STEPWISE_HISTORY = [
 
 
 def pair_for(before: str, after: str, path: str) -> RevisionPair:
-    return RevisionPair(before.encode(), after.encode(), 1_000_000, 1_000_100,
-                        categorize_file(path), path)
+    return RevisionPair(before.encode(), after.encode(), categorize_file(path), path)
 
 
 def line_from_contents(contents: list[bytes], timestamps: list[int]) -> TrackedLine:
@@ -205,8 +204,7 @@ class TestClassifyHistory:
             b'value = "1.0.3"',  # something else
         ]
         line = line_from_contents(contents, [1000 * i for i in range(1, 6)])
-        label = classify_history(line, "administrative", "app/version.cfg",
-                                 refactor_window_days=0.0001)
+        label = classify_history(line, "administrative", "app/version.cfg")
         assert label.label is Pattern.PINNED_VERSION_BUMP
         assert label.confidence == pytest.approx(0.75)
 

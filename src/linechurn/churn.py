@@ -118,19 +118,22 @@ def categorize_file(path: str) -> str:
 
 def count_file_commits(
     commits: Iterable[tuple[int, list[tuple[str, str]]]],
-) -> tuple[dict[str, int], dict[str, list[str]], float, int]:
+) -> tuple[dict[str, int], dict[str, list[str]], set[str], float, int]:
     """Fold a name-status walk into per-file commit counts.
 
     ``commits`` holds ``(committer_timestamp, [(old_path, new_path), ...])``
     per commit.  Returns the counts, the rename chains (each renamed path's
-    earlier names, oldest first), the lifetime in months between the
-    earliest and the latest commit, and the number of commits.  A file
-    touched several times within one commit counts once; a rename moves the
-    accumulated tally and the earlier names to the new path, and the rename
-    commit itself counts as a touch.
+    earlier names, oldest first), every path any record names, the lifetime
+    in months between the earliest and the latest commit, and the number of
+    commits.  A file touched several times within one commit counts once; a
+    rename moves the accumulated tally and the earlier names to the new
+    path, and the rename commit itself counts as a touch.  A rename onto a
+    reused name drops the earlier names from counts and chains, but never
+    from the named paths.
     """
     counts: dict[str, int] = {}
     chains: dict[str, list[str]] = {}
+    named: set[str] = set()
     first = last = None
     n_commits = 0
     for timestamp, changes in commits:
@@ -139,6 +142,8 @@ def count_file_commits(
         last = timestamp if last is None else max(last, timestamp)
         seen_this_commit: set[str] = set()
         for old, new in changes:
+            named.add(old)
+            named.add(new)
             if new in seen_this_commit:
                 continue
             seen_this_commit.add(new)
@@ -148,7 +153,7 @@ def count_file_commits(
             else:
                 counts[new] = counts.get(new, 0) + 1
     months = max((last - first) / SECONDS_PER_MONTH, 1e-9) if n_commits else 0.0
-    return counts, chains, months, n_commits
+    return counts, chains, named, months, n_commits
 
 
 def churn_summary(counts: Iterable[int], population: bool = True) -> ChurnSummary:

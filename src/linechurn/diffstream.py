@@ -5,7 +5,8 @@ Consumes the byte stream produced by ``log_command(file_paths)``:
     git --literal-pathspecs -c core.quotepath=off -c color.ui=false \
         -c diff.noprefix=false -c diff.mnemonicPrefix=false \
         -c log.showSignature=false -c diff.renameLimit=1000 \
-        log --first-parent --diff-merges=first-parent --no-ext-diff \
+        -c i18n.logOutputEncoding=UTF-8 \
+        log --first-parent --diff-merges=first-parent --root --no-ext-diff \
         --diff-algorithm=myers -M \
         --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
         --reverse -p -U0 --inter-hunk-context=0 -- <file_path>...
@@ -563,15 +564,17 @@ def log_command(file_paths: list[str] | None = None, name_status: bool = False) 
     itself only.  Every setting that shapes the output is pinned on the
     command line, so a user's ``diff.noprefix``, ``diff.mnemonicPrefix``,
     ``log.showSignature``, ``diff.algorithm``, ``diff.renameLimit``,
-    ``diff.context`` or ``diff.interHunkContext`` cannot change the headers,
-    the renames, the line pairing or the hunks.  Patches carry no context
-    lines: replay only needs the changed ones.  Name-status output is
-    NUL-separated, so paths arrive unquoted.
+    ``diff.context``, ``diff.interHunkContext``, ``log.showRoot`` or
+    ``i18n.logOutputEncoding`` cannot change the headers, the renames, the
+    line pairing, the hunks, the root commit's diff or the committer names.
+    Patches carry no context lines: replay only needs the changed ones.
+    Name-status output is NUL-separated, so paths arrive unquoted.
     """
     cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off", "-c", "color.ui=false",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
-           "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}", "log",
-           "--first-parent", "--diff-merges=first-parent",
+           "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}",
+           "-c", "i18n.logOutputEncoding=UTF-8", "log",
+           "--first-parent", "--diff-merges=first-parent", "--root",
            "--no-ext-diff", "--diff-algorithm=myers", "-M",
            f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]

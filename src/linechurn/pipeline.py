@@ -31,6 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .bots import BotConfig, BotShare, BotShareReport, CommitterIdentity, aggregate_committers, bot_share, flag_bot
@@ -212,12 +213,39 @@ def _repo_head(repo: Path) -> str:
 
 
 def _stage1_churn(repo: Path):
-    """Whole-history name-status pass: counts, rename chains, months, commits."""
+    """Whole-history name-status pass: counts, rename chains, named paths,
+    months, commits."""
     with contextlib.closing(_git_lines(repo, log_command(name_status=True))) as chunks:
-        counts, chains, months, n_commits = count_file_commits(parse_name_status_stream(chunks))
+        counts, chains, named, months, n_commits = count_file_commits(
+            parse_name_status_stream(chunks))
     if not counts:  # no commits at all, or none that changes a file
         raise RepoNotFound(f"{repo} log produced no commits that change a file")
-    return counts, chains, months, n_commits
+    return counts, chains, named, months, n_commits
+
+
+def pathspec_cover(paths: Iterable[str], named: Iterable[str]) -> list[str]:
+    """Literal pathspecs that match the same ``named`` paths as ``paths``.
+
+    Each path gives way to its highest ancestor directory under which every
+    named path is matched by ``paths`` itself; a path without one stays.  A
+    literal pathspec matches itself and every path below it, so a walk whose
+    changed paths are all named sees the same file diffs under either list.
+    The cover is never longer than ``paths`` and never the repository root.
+    """
+    exact = set(paths)
+    blocked: set[str] = set()  # each named path outside ``exact``, and its directories
+    for path in named:
+        above = _directories(path)
+        if path not in exact and exact.isdisjoint(above):
+            blocked.add(path)
+            blocked.update(above)
+    return sorted({next((d for d in _directories(p) if d not in blocked), p) for p in exact})
+
+
+def _directories(path: str) -> list[str]:
+    """The directories that hold ``path``, outermost first."""
+    parts = path.split("/")
+    return ["/".join(parts[:i]) for i in range(1, len(parts))]
 
 
 def analyze_repo(config: AnalysisConfig) -> RunManifest:
@@ -238,7 +266,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        counts, chains, lifetime_months, n_commits = _stage1_churn(config.repo_path)
+        counts, chains, named, lifetime_months, n_commits = _stage1_churn(config.repo_path)
         categories = {path: categorize_file(path) for path in counts}
         hotspot_files = detect_hotspot_files(counts, lifetime_months, config.thresholds)
 
@@ -248,9 +276,12 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             selected_files = sorted(rng.sample(selected_files, config.file_sample))
 
         # Stage 2: line tracking of the selected files and their rename
-        # chains, in one patch walk.
-        pathspecs = sorted({p for path in selected_files for p in chains.get(path, []) + [path]})
-        replayer = HistoryReplayer(track_paths=set(pathspecs))
+        # chains, in one patch walk.  Stage 1 named every changed path, so
+        # the covering directories let git print the same file diffs while
+        # matching tree entries against fewer pathspecs.
+        tracked_paths = {p for path in selected_files for p in chains.get(path, []) + [path]}
+        pathspecs = pathspec_cover(tracked_paths, named)
+        replayer = HistoryReplayer(track_paths=tracked_paths)
         if pathspecs:  # without a pathspec the walk would read every file's patches
             walk = _git_lines(config.repo_path, log_command(file_paths=pathspecs))
             try:
@@ -351,6 +382,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             "hotspot_files": len(hotspot_files),
             "files_selected_for_tracking": len(selected_files),
             "files_tracked": len(tracked),
+            "stage2_pathspecs": len(pathspecs),
             "files_aborted": len(aborted),
             "hotspot_lines": sum(len(t.hotspot_lines) for t in tracked),
             "hotspot_commits": len(commit_identity),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 import re
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import linechurn  # noqa: E402
 from linechurn.diffstream import log_command, parse_log_stream  # noqa: E402
 
 
@@ -38,6 +40,14 @@ def blame_commits(repo: Path, path: str) -> list[str]:
     out = subprocess.run(["git", "blame", "--first-parent", "--porcelain", "HEAD", "--", path],
                          cwd=repo, capture_output=True, check=True).stdout
     return [m.group(1).decode() for m in re.finditer(rb"^([0-9a-f]{40}) \d+ \d+", out, re.M)]
+
+
+def run_fresh(code: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run Python code in a new interpreter that imports linechurn from this tree."""
+    src = str(Path(linechurn.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 @pytest.fixture

@@ -45,9 +45,10 @@ class TestCountFileCommits:
         commits = [commit(1, touch("a.txt"), touch("b.txt")),
                    commit(2, touch("a.txt")),
                    commit(3, touch("b.txt"))]
-        counts, chains, months, n_commits = count_file_commits(commits)
+        counts, chains, named, months, n_commits = count_file_commits(commits)
         assert counts == {"a.txt": 2, "b.txt": 2}
         assert chains == {}
+        assert named == {"a.txt", "b.txt"}
         assert months == 2 / SECONDS_PER_MONTH
         assert n_commits == 3
 
@@ -60,9 +61,23 @@ class TestCountFileCommits:
         commits = [commit(1, touch("a")),
                    commit(2, ("a", "c")),
                    commit(3, touch("c"))]
-        counts, chains, _, _ = count_file_commits(commits)
+        counts, chains, named, _, _ = count_file_commits(commits)
         assert counts == {"c": 3}
         assert chains == {"c": ["a"]}
+        assert named == {"a", "c"}
+
+    def test_reused_name_keeps_every_named_path(self):
+        # z's tally and name go when z becomes x, and y's rename onto the
+        # deleted x replaces x's; only the named paths still hold z.
+        commits = [commit(1, touch("z")),
+                   commit(2, ("z", "x")),
+                   commit(3, touch("x")),  # x deleted
+                   commit(4, touch("y")),
+                   commit(5, ("y", "x"))]
+        counts, chains, named, _, _ = count_file_commits(commits)
+        assert counts == {"x": 2}
+        assert chains == {"x": ["y"]}
+        assert named == {"x", "y", "z"}
 
 
 # Names a generated history draws from: verbatim under -z, whatever they hold.
@@ -107,10 +122,11 @@ def render_history(history) -> tuple[bytes, list]:
 
 
 def model_stage1(history, applied):
-    """Counts, chains, months and commits by brute force: each path owns a
-    tally holding the set of commits that touched it and its earlier names.
-    A deletion keeps the tally; a rename hands it to the new path, replacing
-    whatever that path owned before."""
+    """Counts, chains, named paths, months and commits by brute force: each
+    path owns a tally holding the set of commits that touched it and its
+    earlier names.  A deletion keeps the tally; a rename hands it to the new
+    path, replacing whatever that path owned before.  Every path a change
+    names is a named path."""
     owner: dict[str, tuple[set, list]] = {}
     for k, kind, old, new in applied:
         if kind == "rename":
@@ -121,7 +137,8 @@ def model_stage1(history, applied):
     times = [ts for ts, _ in history]
     months = max((max(times) - min(times)) / SECONDS_PER_MONTH, 1e-9)
     return ({p: len(c) for p, (c, _) in owner.items()},
-            {p: names for p, (_, names) in owner.items() if names}, months, len(history))
+            {p: names for p, (_, names) in owner.items() if names},
+            {p for _, _, old, new in applied for p in (old, new)}, months, len(history))
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,8 +152,8 @@ def model_stage1(history, applied):
           (1_500_006_000, [("add", "a", "a"), ("modify", "b.txt", "a")])])
 def test_stage1_fold_matches_model(history):
     """Parsing and folding a rendered history, under every split of its
-    bytes, gives the brute-force model's counts, chains, lifetime and commit
-    count."""
+    bytes, gives the brute-force model's counts, chains, named paths,
+    lifetime and commit count."""
     stream, applied = render_history(history)
     expected = model_stage1(history, applied)
     for chunks in chunkings(stream):

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import linechurn
 import linechurn.cli as cli
@@ -23,7 +25,7 @@ from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
 from linechurn.selector import RepoMeta
 from linechurn.tracker import read_line_report
 
-from conftest import blame_commits
+from conftest import blame_commits, run_fresh
 from repogen import build_hotspot_repo, build_multi_hotspot_repo, run_git
 
 
@@ -227,8 +229,9 @@ class TestSharedWalk:
         runs = git_log_runs(monkeypatch)
         manifest = analyze_repo(AnalysisConfig(repo_path=multi["path"], output_dir=tmp_path))
         assert len(runs) == 2
-        old_name, new_name = multi["renamed"]
-        assert old_name in runs[1] and new_name in runs[1]
+        # conf/ holds only the hot files and the renamed file's old name, so
+        # its directory stands for them all.
+        assert runs[1][runs[1].index("--") + 1:] == ["conf"]
         assert manifest.aborted == {}
         assert manifest.stage_counts["files_tracked"] == len(multi["hot_files"]) == 3
 
@@ -245,12 +248,132 @@ class TestSharedWalk:
         copy_target, edited_line = multi["copy"]
         assert reports[copy_target][edited_line - 1].mod_count == 0
 
+    def test_covering_directory_gives_the_exact_walk(self, multi, tmp_path, monkeypatch):
+        """Stage 2 names conf/ instead of its four files; git prints the same
+        bytes, and every artifact is the same as under the exact list."""
+        walks: list[tuple[list[str] | None, bytearray]] = []
+        real = pipeline._git_lines
+
+        def recording(repo, cmd):
+            printed = bytearray()
+            walks.append((cmd[cmd.index("--") + 1:] if "-p" in cmd else None, printed))
+            for chunk in real(repo, cmd):
+                printed += chunk
+                yield chunk
+
+        monkeypatch.setattr(pipeline, "_git_lines", recording)
+        artifacts, counts = [], []
+        for name, cover in (("cover", pipeline.pathspec_cover),
+                            ("exact", lambda paths, named: sorted(paths))):
+            monkeypatch.setattr(pipeline, "pathspec_cover", cover)
+            out = tmp_path / name
+            manifest = analyze_repo(AnalysisConfig(repo_path=multi["path"], output_dir=out,
+                                                   emit_plot_data=True))
+            assert manifest.aborted == {}
+            counts.append(manifest.stage_counts["stage2_pathspecs"])
+            artifacts.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                              if p.is_file() and p.name != "manifest.json"})
+        stage2 = [(specs, printed) for specs, printed in walks if specs is not None]
+        assert [specs for specs, _ in stage2] == [
+            ["conf"], ["conf/a.cfg", "conf/b.cfg", "conf/c.cfg", "conf/old.cfg"]]
+        assert counts == [1, 4]
+        assert stage2[0][1] == stage2[1][1]
+        assert len(artifacts[0]) >= 7
+        assert artifacts[0] == artifacts[1]
+
     def test_no_walk_without_selected_files(self, multi, tmp_path, monkeypatch):
         runs = git_log_runs(monkeypatch)
         manifest = analyze_repo(AnalysisConfig(repo_path=multi["path"], output_dir=tmp_path,
                                                file_sample=0))
         assert len(runs) == 1
         assert manifest.stage_counts["files_tracked"] == 0
+
+
+def matched(specs, path: str) -> bool:
+    """Whether a literal pathspec in ``specs`` matches ``path``: the path
+    itself or one below it, compared by path component."""
+    parts = path.split("/")
+    return any(parts[:len(spec.split("/"))] == spec.split("/") for spec in specs)
+
+
+# "a" and "ab" share a string prefix but no component.
+PATH = st.lists(st.sampled_from(["a", "ab", "b", "sp ace", "x:y"]), min_size=1,
+                max_size=3).map("/".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(PATH, max_size=6), st.sets(PATH, max_size=12))
+@example({"a"}, {"a/b"})  # a file whose name later became a directory
+@example({"a/b"}, {"a"})  # the reverse: a/ holds a path the list does not match
+@example({"a/b/sp ace", "a/x:y"}, {"ab/b"})  # a string prefix of a/, not a path in it
+@example({"a/b/x:y", "a/b/sp ace"}, {"a/ab"})  # nested: a/b/ but not a/
+def test_pathspec_cover_matches_what_the_exact_list_matches(exact, others):
+    """Every named path is matched by the cover exactly when the exact list
+    matches it, and the cover is never longer and never the root."""
+    named = exact | others
+    cover = pipeline.pathspec_cover(exact, named)
+    for path in named:
+        assert matched(cover, path) == matched(exact, path), path
+    assert len(cover) <= len(exact)
+    assert cover == sorted(set(cover)) and "" not in cover
+
+
+@pytest.mark.parametrize("exact, named, cover", [
+    ({"conf/a", "conf/b"}, {"conf/a", "conf/b", "src/c"}, ["conf"]),
+    ({"conf/a"}, {"conf/a", "conf/b"}, ["conf/a"]),
+    ({"d/e/f", "d/g"}, {"d/e/f", "d/g", "d/e/h"}, ["d/e/f", "d/g"]),
+    ({"d/e/f", "d/g"}, {"d/e/f", "d/g", "h"}, ["d"]),
+    ({"top.cfg", "x/y"}, {"top.cfg", "x/y", "other"}, ["top.cfg", "x"]),
+    (set(), {"a/b"}, []),
+])
+def test_pathspec_cover_cases(exact, named, cover):
+    assert pipeline.pathspec_cover(exact, named) == cover
+
+
+def test_reused_name_keeps_the_exact_pathspecs(tmp_path, monkeypatch):
+    """hot/z.cfg is renamed to hot/x.cfg, x.cfg is deleted, and hot/y.cfg is
+    renamed to x.cfg.  Stage 1's counts and chains no longer hold z.cfg, but
+    it lies under hot/ and the exact list does not match it, so stage 2 names
+    the files: a walk of hot/ would pair z.cfg's rename and then replay
+    x.cfg's edits onto a file it never saw born."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    lines = {"z": [f"zed_{i} = {i}".encode() for i in range(15)],
+             "y": [f"why_{i} = {i}".encode() for i in range(15)]}
+
+    def text(name: str) -> bytes:
+        return b"\n".join(lines[name]) + b"\n"
+
+    quiet = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(50)}
+    builder.commit({**quiet, "hot/z.cfg": text("z")}, "initial import")
+    for k in range(1, 6):
+        lines["z"][1] = f"zed_1 = {k}".encode()
+        builder.commit({"hot/z.cfg": text("z")}, f"z edit {k}")
+    builder.commit({"hot/z.cfg": None, "hot/x.cfg": text("z")}, "rename z to x")
+    for k in range(1, 6):
+        lines["z"][1] = f"zed_1 = x{k}".encode()
+        builder.commit({"hot/x.cfg": text("z")}, f"x edit {k}")
+    builder.commit({"hot/x.cfg": None}, "delete x")
+    builder.commit({"hot/y.cfg": text("y")}, "add y")
+    for k in range(1, 6):
+        lines["y"][2] = f"why_2 = {k}".encode()
+        builder.commit({"hot/y.cfg": text("y")}, f"y edit {k}")
+    builder.commit({"hot/y.cfg": None, "hot/x.cfg": text("y")}, "rename y to x")
+    for k in range(1, 36):
+        lines["y"][2] = f"why_2 = x{k}".encode()
+        builder.commit({"hot/x.cfg": text("y")}, f"x edit {k}")
+    builder.finish()
+
+    runs = git_log_runs(monkeypatch)
+    out = tmp_path / "out"
+    manifest = analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=out))
+    assert runs[1][runs[1].index("--") + 1:] == ["hot/x.cfg", "hot/y.cfg"]
+    assert manifest.aborted == {}
+    assert manifest.stage_counts["files_tracked"] == 1
+    report = read_line_report(out / "line_reports" / pipeline._safe_report_name("hot/x.cfg"))
+    assert [r.content for r in report] == run_git(builder.path, "show", "HEAD:hot/x.cfg").stdout.splitlines()
+    assert report[2].mod_count == 40
 
 
 def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
@@ -261,8 +384,25 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
     hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n"
                        "\tmnemonicPrefix = true\n\tcontext = 10\n\tinterHunkContext = 10\n"
                        "\trenames = copies\n"
-                       "[log]\n\tshowSignature = true\n")
-    for build in (build_hotspot_repo, build_multi_hotspot_repo):
+                       "[log]\n\tshowSignature = true\n\tshowRoot = false\n"
+                       "[i18n]\n\tlogOutputEncoding = ISO-8859-1\n")
+
+    def build_non_ascii_committer_repo(path: Path) -> dict:
+        """A hot file that a committer with a non-ASCII name bumps in turns."""
+        from repogen import RepoBuilder
+
+        builder = RepoBuilder(path)
+        lines = [f"key_{i} = {i}".encode() for i in range(15)]
+        edits = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(20)}
+        builder.commit({**edits, "hot.cfg": b"\n".join(lines) + b"\n"}, "initial import")
+        for k in range(1, 31):
+            lines[1] = f"key_1 = v{k}".encode()
+            builder.commit({"hot.cfg": b"\n".join(lines) + b"\n"}, f"bump {k}",
+                           identity=("J\u00fcrgen M\u00fcller", "jm@example.org") if k % 2 else None)
+        builder.finish()
+        return {"path": path}
+
+    for build in (build_hotspot_repo, build_multi_hotspot_repo, build_non_ascii_committer_repo):
         fixture = build(tmp_path / build.__name__ / "repo")
         artifacts = []
         for config in (clean, hostile):
@@ -276,6 +416,7 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
                               if p.is_file() and p.name != "manifest.json"})
         assert len(artifacts[0]) >= 7
         assert artifacts[0] == artifacts[1], build.__name__
+    assert "J\u00fcrgen M\u00fcller,jm@example.org,15" in artifacts[0][Path("committers.csv")].decode()
 
 
 def test_merged_side_branch_stays_out_of_line_histories(tmp_path, monkeypatch):
@@ -388,7 +529,7 @@ def test_git_failure_exits_without_traceback(stage, hotspot_repo, tmp_path, monk
             assert reason.startswith("stage-2 log: ")
             assert reason.endswith("fatal: unrecognized argument: --no-such-option")
             assert not any(path in reason for path in [*selected, *fixture["renamed"]])
-            assert " -- <4 paths> failed (" in reason  # 3 hot files and one earlier name
+            assert " -- <1 paths> failed (" in reason  # conf/: 3 hot files and one earlier name
         assert manifest["stage_counts"]["files_tracked"] == 0
 
 
@@ -712,14 +853,6 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (out / "manifest.json").exists()
         assert runs == []  # every input is read before the first git walk
-
-
-def run_fresh(code: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    """Run Python code in a new interpreter that imports linechurn from this tree."""
-    src = str(Path(linechurn.__file__).resolve().parents[1])
-    env = {**os.environ, **(env or {}),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 def test_analyze_imports_only_the_standard_library():

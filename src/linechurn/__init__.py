@@ -24,7 +24,6 @@ from .diffstream import (
     FileDiffHeader,
     Hunk,
     parse_commit_line,
-    parse_hunk_header,
     parse_log_stream,
 )
 from .pipeline import AnalysisConfig, RunManifest, analyze_repo
@@ -46,7 +45,6 @@ from .tracker import (
     TrackedLine,
     apply_hunk,
     finalize,
-    reconstruct_snapshot,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,6 +10,7 @@ modification-count distribution within each hotspot file.
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 import warnings
@@ -47,8 +48,9 @@ class HotspotThresholds:
     population_sigma: bool = True
 
     def __post_init__(self) -> None:
-        if self.sigma_multiplier <= 0 or self.monthly_rate <= 0 or self.min_line_mods <= 0:
-            raise ValueError("all thresholds must be strictly positive")
+        values = (self.sigma_multiplier, self.monthly_rate, self.min_line_mods)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("all thresholds must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,20 @@ Consumes the byte stream produced by ``log_command(file_paths)``:
         -c i18n.logOutputEncoding=UTF-8 \
         log --first-parent --diff-merges=first-parent --root --no-ext-diff \
         --diff-algorithm=myers -M \
-        --pretty=format:'commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce' \
+        --pretty=format:'commit %H %ct %x1f%cn%x1f%ce' \
         --reverse -p -U0 --inter-hunk-context=0 -- <file_path>...
 
 and turns it into a flat sequence of typed events: commit headers, file-diff
-headers, hunks, and skip and abort notices.  The input is any iterable of
-byte chunks, split anywhere: the parser cuts them into lines itself, a block
-at a time.  It is strictly streaming: it holds one chunk's lines plus at most
-one hunk, so memory use is bounded by the chunk size and the largest single
-hunk rather than by stream length.  The walk asks for no context lines,
-which replay does not need, so every hunk is one change group: a run of
-deletions, then a run of additions, each optionally followed by a
-``\\ No newline`` marker.  Its body is taken as one slice of lines; a body
-of any other shape aborts its file.
+headers, hunks, and abort notices.  A commit line names only the committer,
+whom bot attribution reads; the author is never asked for.  The input is any
+iterable of byte chunks, split anywhere: the parser cuts them into lines
+itself, a block at a time.  It is strictly streaming: it holds one chunk's
+lines plus at most one hunk, so memory use is bounded by the chunk size and
+the largest single hunk rather than by stream length.  The walk asks for no
+context lines, which replay does not need, so every hunk is one change
+group: a run of deletions, then a run of additions, each optionally followed
+by a ``\\ No newline`` marker.  Its body is taken as one slice of lines; a
+body of any other shape aborts its file.
 
 Line content is kept as raw bytes throughout; no transcoding happens here so
 that content hashing and equality stay byte-stable across mixed encodings.
@@ -35,21 +36,20 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
-COMMIT_PRETTY_FORMAT = "commit %H %ct %x1f%an%x1f%ae%x1f%cn%x1f%ce"
+COMMIT_PRETTY_FORMAT = "commit %H %ct %x1f%cn%x1f%ce"
 
 # Pinned so that whether renames are detected does not depend on a user's
 # config or a git version's default (1000 since git 2.33).  git reports on
 # stderr when a commit exceeds it.
 RENAME_LIMIT = 1000
 
-# Fields of the commit line after "commit " are: hash, timestamp, then four
-# identity fields joined by the ASCII unit separator.
+# Fields of the commit line after "commit " are: hash, timestamp, then the
+# committer's name and email, each after the ASCII unit separator.
 _UNIT_SEP = b"\x1f"
 
 _HUNK_HEADER_RE = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@(?:[ ]|$)")
 _DIFF_GIT_RE = re.compile(rb'^diff --git (?:"a/(.*)"|a/(.*)) (?:"b/(.*)"|b/(.*))$')
 _BINARY_RE = re.compile(rb"^Binary files .* differ$")
-_NO_NEWLINE = b"\\ No newline at end of file"
 
 # Extended header lines that may appear between "diff --git" and the first
 # hunk (or the next diff).  Order and presence vary by change kind.
@@ -99,8 +99,6 @@ class TruncatedStream(StreamParseError):
 class CommitHeader:
     hash: str
     committer_timestamp: int
-    author_name: str
-    author_email: str
     committer_name: str
     committer_email: str
 
@@ -109,7 +107,6 @@ class CommitHeader:
 class FileDiffHeader:
     old_path: str
     new_path: str
-    is_binary: bool = False
 
 
 @dataclass
@@ -130,12 +127,6 @@ class Hunk:
     old_newline: bool = True
     new_newline: bool = True
 
-    def tallies(self) -> tuple[int, int]:
-        """Recompute (old, new) line counts from the parsed body."""
-        old = sum(1 for ln in self.lines if ln.startswith(b"-"))
-        new = sum(1 for ln in self.lines if ln.startswith(b"+"))
-        return old, new
-
 
 # Event types yielded by parse_log_stream.
 
@@ -155,34 +146,12 @@ class HunkEvent:
 
 
 @dataclass(frozen=True)
-class FileSkipped:
-    path: str
-    reason: str
-
-
-@dataclass(frozen=True)
 class FileAborted:
-    """The rest of one file diff could not be parsed and was skipped."""
+    """The rest of one file diff was skipped: it is binary, or it did not parse."""
 
     path: str
-    reason: str  # the parse error, with its byte offset
+    reason: str  # the parse error with its byte offset, or the binary diff's commit
     byte_offset: int
-
-
-def parse_hunk_header(header_line: bytes | str) -> tuple[int, int, int, int]:
-    """Parse ``@@ -X,Y +A,B @@`` into (X, Y, A, B).
-
-    Omitted counts default to 1 per the unified diff format; section text
-    after the closing ``@@`` is ignored.
-    """
-    raw = header_line.encode("utf-8", "surrogateescape") if isinstance(header_line, str) else header_line
-    raw = raw.rstrip(b"\n")
-    if not raw.startswith(b"@@"):
-        raise MalformedHunkHeader("hunk header must start with '@@'", line=raw)
-    counts = _hunk_counts(raw)
-    if counts is None:
-        raise MalformedHunkHeader("unparseable hunk header", line=raw)
-    return counts
 
 
 def _hunk_counts(line: bytes) -> tuple[int, int, int, int] | None:
@@ -197,7 +166,7 @@ def _hunk_counts(line: bytes) -> tuple[int, int, int, int] | None:
 def parse_commit_line(line: bytes | str) -> CommitHeader:
     """Parse one pretty-format commit line into a CommitHeader.
 
-    Expected shape: ``commit <hash> <epoch> \\x1f<an>\\x1f<ae>\\x1f<cn>\\x1f<ce>``.
+    Expected shape: ``commit <hash> <epoch> \\x1f<committer name>\\x1f<committer email>``.
     An unparseable timestamp is an error, never a silent zero.
     """
     raw = line.encode("utf-8", "surrogateescape") if isinstance(line, str) else line
@@ -222,10 +191,10 @@ def parse_commit_line(line: bytes | str) -> CommitHeader:
     if not sep:
         raise MalformedCommitLine("missing identity fields", line=raw)
     fields = identity.split(_UNIT_SEP)
-    if len(fields) != 4:
-        raise MalformedCommitLine(f"expected 4 identity fields, got {len(fields)}", line=raw)
-    an, ae, cn, ce = (f.decode("utf-8", "replace") for f in fields)
-    return CommitHeader(commit_hash, timestamp, an, ae, cn, ce)
+    if len(fields) != 2:
+        raise MalformedCommitLine(f"expected 2 identity fields, got {len(fields)}", line=raw)
+    name, email = (f.decode("utf-8", "replace") for f in fields)
+    return CommitHeader(commit_hash, timestamp, name, email)
 
 
 def _decode_path(raw: bytes) -> str:
@@ -323,13 +292,12 @@ def _offset_at(lines: list[bytes], offset: int, k: int) -> int:
 def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     """Parse a patch-ordered log byte stream into an event sequence.
 
-    Yields CommitStart, FileStart, HunkEvent, FileSkipped and FileAborted
-    events in stream order.  Every HunkEvent belongs to the most recent
-    FileStart, every FileStart to the most recent CommitStart.  Binary file
-    diffs yield FileSkipped instead of hunks.  A malformed hunk, or a
-    malformed line inside a file diff, yields FileAborted for that file, and
-    parsing resumes at the next ``diff --git`` or ``commit`` line; errors
-    outside any file diff raise.
+    Yields CommitStart, FileStart, HunkEvent and FileAborted events in stream
+    order.  Every HunkEvent belongs to the most recent FileStart, every
+    FileStart to the most recent CommitStart.  A binary file diff, a
+    malformed hunk, or a malformed line inside a file diff yields FileAborted
+    for that file, and parsing resumes at the next ``diff --git`` or
+    ``commit`` line; errors outside any file diff raise.
 
     ``chunks`` is any iterable of byte strings, split at arbitrary points:
     reads of a binary pipe, the lines of an open binary file, or one bytes
@@ -339,7 +307,7 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     lines: list[bytes] = []
     offset = 0  # byte offset of lines[0] in the stream
     i = 0  # the next line to read
-    in_commit = False
+    commit_hash: str | None = None
     current_file: FileDiffHeader | None = None
     header: FileDiffHeader | None = None  # a file diff header still being read
     skipping = False  # after FileAborted: until the next diff or commit line
@@ -362,7 +330,7 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
                 continue
             current_file = header
             header = None
-            yield from _file_events(current_file)
+            yield FileStart(current_file)
 
         if line.startswith(b"@@") and not skipping:
             if current_file is None:
@@ -394,11 +362,11 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
             except MalformedCommitLine as exc:
                 raise MalformedCommitLine(str(exc), _offset_at(lines, offset, i), line) from None
             yield CommitStart(commit)
-            in_commit = True
+            commit_hash = commit.hash
             current_file = None
             skipping = False
         elif line.startswith(b"diff --git "):
-            if not in_commit:
+            if commit_hash is None:
                 raise StreamParseError("file diff before any commit header",
                                        _offset_at(lines, offset, i), line)
             header = _diff_git_paths(line)
@@ -411,19 +379,14 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
                                    _offset_at(lines, offset, i), line)
             if current_file is None:
                 raise exc
-            yield FileAborted(current_file.new_path, str(exc), exc.byte_offset)
+            binary = _BINARY_RE.match(line) or line.startswith(b"GIT binary patch")
+            reason = f"binary diff in commit {commit_hash}" if binary else str(exc)
+            yield FileAborted(current_file.new_path, reason, exc.byte_offset)
             skipping = True
         i += 1
 
     if header is not None:
-        yield from _file_events(header)
-
-
-def _file_events(header: FileDiffHeader) -> list:
-    """FileStart for a file diff, then FileSkipped if it is binary."""
-    if header.is_binary:
-        return [FileStart(header), FileSkipped(header.new_path or header.old_path, "binary")]
-    return [FileStart(header)]
+        yield FileStart(header)
 
 
 def _diff_git_paths(line: bytes) -> FileDiffHeader | None:
@@ -460,8 +423,6 @@ def _header_line(header: FileDiffHeader, line: bytes) -> FileDiffHeader | None:
         return replace(header, old_path=_header_path(line.split(b" from ", 1)[1]))
     if line.startswith(b"rename to "):
         return replace(header, new_path=_header_path(line.split(b" to ", 1)[1]))
-    if _BINARY_RE.match(line) or line.startswith(b"GIT binary patch"):
-        return replace(header, is_binary=True)
     return None
 
 
@@ -496,18 +457,6 @@ def _read_hunk(lines: list[bytes], h: int, offset: int, old_start: int, old_coun
         raise StreamParseError("more no-newline markers than a hunk body can hold",
                                _offset_at(lines, offset, j), lines[j])
     return Hunk(old_start, old_count, new_start, new_count, body, old_newline, new_newline), j
-
-
-def render_hunk_body(hunk: Hunk) -> bytes:
-    """Re-render a parsed hunk body, no-newline markers included.
-
-    Inverse of the body reader: for any hunk parsed from a valid stream the
-    result is byte-identical to the input body.
-    """
-    old, new = hunk.lines[:hunk.old_count], hunk.lines[hunk.old_count:]
-    marker = [_NO_NEWLINE]
-    out = old + ([] if hunk.old_newline else marker) + new + ([] if hunk.new_newline else marker)
-    return b"".join(ln + b"\n" for ln in out)
 
 
 def parse_name_status_stream(
@@ -568,7 +517,9 @@ def log_command(file_paths: list[str] | None = None, name_status: bool = False) 
     ``i18n.logOutputEncoding`` cannot change the headers, the renames, the
     line pairing, the hunks, the root commit's diff or the committer names.
     Patches carry no context lines: replay only needs the changed ones.
-    Name-status output is NUL-separated, so paths arrive unquoted.
+    Both walks print the same commit line: hash, committer timestamp,
+    committer name and email, and no author.  Name-status output is
+    NUL-separated, so paths arrive unquoted.
     """
     cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off", "-c", "color.ui=false",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",

@@ -8,8 +8,8 @@ hunks of one file diff ascend and never overlap, so a hunk's start in the
 current state is its raw start plus the delta of the hunks before it; a hunk
 that starts before the end of the previous one aborts the file.  Paired
 lines keep their identity (the same object, with its birth timestamp) and
-gain a history entry; surplus deletions die (they get a death timestamp and
-leave the file's state), surplus additions are born fresh.
+gain a history entry; surplus deletions die (they are counted and leave the
+file's state), surplus additions are born fresh.
 
 Line identity is strictly positional: moving an unchanged block shows up as
 deaths at the old location and fresh births at the new one.  No
@@ -22,14 +22,13 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .diffstream import (
     CommitHeader,
     CommitStart,
     FileAborted,
     FileDiffHeader,
-    FileSkipped,
     FileStart,
     Hunk,
     HunkEvent,
@@ -69,7 +68,6 @@ class TrackedLine:
     content: bytes
     birth_ts: int
     had_newline: bool = True
-    death_ts: int | None = None
     history: list[Revision] = field(default_factory=list)
 
     @property
@@ -106,8 +104,8 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
     """Apply one hunk to the tracked file state.
 
     Paired lines stay the same objects, keep birth_ts, and gain a history
-    entry and one modification; unmatched deletions get death_ts, are counted
-    in deaths_total and leave the state; unmatched additions are born fresh.
+    entry and one modification; unmatched deletions are counted in
+    deaths_total and leave the state; unmatched additions are born fresh.
     The running delta gains the hunk's length change so later hunks of the
     same commit land correctly.
     """
@@ -152,28 +150,14 @@ def _replace_run(state: FileState, commit: CommitHeader, deleted: list[TrackedLi
         line.content = text
         line.had_newline = True
     if len(deleted) > len(added):
-        for line in deleted[len(added):]:
-            line.death_ts = ts
         state.deaths_total += len(deleted) - len(added)
         return deleted[:len(added)]
     born = len(added) - len(deleted)
     if born > 0:
-        deleted += [TrackedLine(text, ts, True, None, [Revision(commit_hash, ts, text)])
+        deleted += [TrackedLine(text, ts, True, [Revision(commit_hash, ts, text)])
                     for text in added[len(deleted):]]
         state.births_total += born
     return deleted
-
-
-def reconstruct_snapshot(state: FileState) -> list[bytes]:
-    """Content of all live lines in positional order."""
-    return [ln.content for ln in state.file_lines]
-
-
-def snapshot_bytes(state: FileState) -> bytes:
-    """Byte-exact file image of the live lines, honouring final newlines."""
-    return b"".join(
-        ln.content + (b"\n" if ln.had_newline else b"") for ln in state.file_lines
-    )
 
 
 @dataclass(frozen=True)
@@ -220,7 +204,11 @@ def write_line_report(rows: Iterable[LineReport], out_path: str | Path) -> None:
 
 
 def read_line_report(path: str | Path) -> list[LineReport]:
-    """Parse a line-report CSV back into rows (content as displayed text)."""
+    """Parse a line-report CSV back into rows (content as displayed text).
+
+    The pipeline never calls it: it reads an artifact back, the inverse of
+    ``write_line_report``, for whoever consumes the reports.
+    """
     out: list[LineReport] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -256,8 +244,9 @@ class HistoryReplayer:
     def _wants(self, path: str) -> bool:
         return self.track_paths is None or path in self.track_paths
 
-    def replay(self, events: Iterable[object]) -> Iterator[CommitHeader]:
-        """Apply events commit by commit, yielding after each commit."""
+    def run(self, events: Iterable[object]) -> None:
+        """Apply the events in order.  A later call continues the same
+        states, so a stream may be fed one commit's events at a time."""
         current_commit: CommitHeader | None = None
         current_path: str | None = None
 
@@ -275,30 +264,19 @@ class HistoryReplayer:
                 except HunkOutOfBounds as exc:
                     self._abort(current_path, str(exc))
             elif isinstance(event, CommitStart):
-                if current_commit is not None:
-                    yield current_commit
                 current_commit = event.header
                 self.commits_seen.append(event.header)
                 current_path = None
             elif isinstance(event, FileStart):
                 current_path = self._on_file_start(event.header)
-            elif isinstance(event, (FileAborted, FileSkipped)):
+            elif isinstance(event, FileAborted):
                 if current_path is not None and current_path not in self.aborted:
-                    reason = event.reason
-                    if isinstance(event, FileSkipped):
-                        reason = f"{reason} diff in commit {current_commit.hash}"
-                    self._abort(current_path, reason)
-        if current_commit is not None:
-            yield current_commit
+                    self._abort(current_path, event.reason)
 
     def _abort(self, path: str, reason: str) -> None:
         logger.warning("aborting %s: %s", path, reason)
         self.aborted[path] = reason
         self.states.pop(path, None)
-
-    def run(self, events: Iterable[object]) -> None:
-        for _ in self.replay(events):
-            pass
 
     def _on_file_start(self, header: FileDiffHeader) -> str | None:
         old, new = header.old_path, header.new_path

@@ -42,12 +42,12 @@ def blame_commits(repo: Path, path: str) -> list[str]:
     return [m.group(1).decode() for m in re.finditer(rb"^([0-9a-f]{40}) \d+ \d+", out, re.M)]
 
 
-def run_fresh(code: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    """Run Python code in a new interpreter that imports linechurn from this tree."""
+def run_fresh(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports linechurn from this tree."""
     src = str(Path(linechurn.__file__).resolve().parents[1])
     env = {**os.environ, **(env or {}),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 @pytest.fixture

@@ -1,0 +1,76 @@
+"""Test oracles: helpers that only tests call.
+
+They re-render, recount or re-read what the parser and the tracker built,
+so a test can compare it with its input or with a checkout.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+from linechurn.diffstream import CommitHeader, CommitStart, Hunk, MalformedHunkHeader, _hunk_counts
+from linechurn.tracker import FileState, HistoryReplayer
+
+NO_NEWLINE = b"\\ No newline at end of file"
+
+
+def parse_hunk_header(header_line: bytes | str) -> tuple[int, int, int, int]:
+    """Parse ``@@ -X,Y +A,B @@`` into (X, Y, A, B), as the stream parser does.
+
+    Omitted counts default to 1 per the unified diff format; section text
+    after the closing ``@@`` is ignored.
+    """
+    raw = header_line.encode("utf-8", "surrogateescape") if isinstance(header_line, str) else header_line
+    raw = raw.rstrip(b"\n")
+    if not raw.startswith(b"@@"):
+        raise MalformedHunkHeader("hunk header must start with '@@'", line=raw)
+    counts = _hunk_counts(raw)
+    if counts is None:
+        raise MalformedHunkHeader("unparseable hunk header", line=raw)
+    return counts
+
+
+def render_hunk_body(hunk: Hunk) -> bytes:
+    """Re-render a parsed hunk body, no-newline markers included.
+
+    Inverse of the body reader: for any hunk parsed from a valid stream the
+    result is byte-identical to the input body.
+    """
+    old, new = hunk.lines[:hunk.old_count], hunk.lines[hunk.old_count:]
+    marker = [NO_NEWLINE]
+    out = old + ([] if hunk.old_newline else marker) + new + ([] if hunk.new_newline else marker)
+    return b"".join(ln + b"\n" for ln in out)
+
+
+def hunk_tallies(hunk: Hunk) -> tuple[int, int]:
+    """Recompute (old, new) line counts from the parsed body."""
+    old = sum(1 for ln in hunk.lines if ln.startswith(b"-"))
+    new = sum(1 for ln in hunk.lines if ln.startswith(b"+"))
+    return old, new
+
+
+def reconstruct_snapshot(state: FileState) -> list[bytes]:
+    """Content of all live lines in positional order."""
+    return [ln.content for ln in state.file_lines]
+
+
+def snapshot_bytes(state: FileState) -> bytes:
+    """Byte-exact file image of the live lines, honouring final newlines."""
+    return b"".join(
+        ln.content + (b"\n" if ln.had_newline else b"") for ln in state.file_lines
+    )
+
+
+def replay_by_commit(replayer: HistoryReplayer, events: Iterable[object]) -> Iterator[CommitHeader]:
+    """Run ``events`` through ``replayer`` one commit at a time, yielding
+    each commit's header once its events are applied."""
+    commit: list[object] = []
+    for event in events:
+        if isinstance(event, CommitStart) and commit:
+            replayer.run(commit)
+            yield commit[0].header
+            commit = []
+        commit.append(event)
+    if commit:
+        replayer.run(commit)
+        yield commit[0].header

@@ -37,7 +37,7 @@ def identity(name: str, email: str = "x@example.org", count: int = 1) -> Committ
 
 
 def header(name: str, email: str, n: int = 0) -> CommitHeader:
-    return CommitHeader(f"{n:040x}", 1_700_000_000 + n, name, email, name, email)
+    return CommitHeader(f"{n:040x}", 1_700_000_000 + n, name, email)
 
 
 class TestFlagBot:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from linechurn.diffstream import (
     CommitStart,
-    FileSkipped,
     FileStart,
     Hunk,
     MalformedCommitLine,
@@ -20,16 +19,15 @@ from linechurn.diffstream import (
     StreamParseError,
     TruncatedStream,
     parse_commit_line,
-    parse_hunk_header,
     parse_log_stream,
     parse_name_status_stream,
-    render_hunk_body,
 )
 
 from conftest import chunkings, run_fresh, split_at
+from oracles import hunk_tallies, parse_hunk_header, render_hunk_body
 
-COMMIT1 = b"commit aaaa1111 1700000000 \x1fAda\x1fada@x\x1fAda\x1fada@x\n"
-COMMIT2 = b"commit bbbb2222 1700000100 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x\n"
+COMMIT1 = b"commit aaaa1111 1700000000 \x1fAda\x1fada@x\n"
+COMMIT2 = b"commit bbbb2222 1700000100 \x1fCarl\x1fcarl@x\n"
 
 # Hand-built two-commit fixture: commit1 adds a 2-line file, commit2 modifies
 # line 2 (zero-context hunk).
@@ -105,27 +103,31 @@ class TestParseHunkHeader:
 
 class TestParseCommitLine:
     def test_fields_extracted(self):
-        header = parse_commit_line("commit abc123 1700000000 \x1fAda\x1fada@x\x1fAda\x1fada@x")
+        header = parse_commit_line("commit abc123 1700000000 \x1fAda\x1fada@x")
         assert header.hash == "abc123"
         assert header.committer_timestamp == 1700000000
-        assert header.author_name == "Ada"
+        assert header.committer_name == "Ada"
 
     def test_missing_timestamp(self):
         with pytest.raises(MalformedCommitLine):
             parse_commit_line("commit xyz")
 
-    def test_committer_differs_from_author(self):
+    def test_committer_fields(self):
         header = parse_commit_line(COMMIT2)
-        assert (header.author_name, header.committer_name) == ("Bea", "Carl")
-        assert (header.author_email, header.committer_email) == ("bea@x", "carl@x")
+        assert (header.committer_name, header.committer_email) == ("Carl", "carl@x")
+
+    def test_author_and_committer_fields_rejected(self):
+        """A line that still carries the author's two fields is malformed."""
+        with pytest.raises(MalformedCommitLine, match="expected 2 identity fields, got 4"):
+            parse_commit_line("commit abc123 1700000000 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x")
 
     def test_non_integer_timestamp(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line("commit abc123 notatime \x1fA\x1fa\x1fA\x1fa")
+            parse_commit_line("commit abc123 notatime \x1fA\x1fa")
 
     def test_non_hex_hash(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line("commit zzz 1700000000 \x1fA\x1fa\x1fA\x1fa")
+            parse_commit_line("commit zzz 1700000000 \x1fA\x1fa")
 
 
 class TestParseLogStream:
@@ -145,16 +147,41 @@ class TestParseLogStream:
         assert parse_all(b"") == []
 
     def test_binary_file_skipped(self):
+        """A binary diff aborts its file at its ``Binary files`` line."""
         stream = (COMMIT1
                   + b"diff --git a/x.bin b/x.bin\n"
                   + b"new file mode 100644\n"
                   + b"index 0000000..1234567\n"
                   + b"Binary files /dev/null and b/x.bin differ\n")
-        events = parse_all(stream)
-        assert [type(e).__name__ for e in events] == [
-            "CommitStart", "FileStart", "FileSkipped"]
-        assert events[2].reason == "binary"
-        assert events[1].header.is_binary
+        for chunks in chunkings(stream):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == [
+                "CommitStart", "FileStart", "FileAborted"]
+            assert events[2].path == "x.bin"
+            assert events[2].reason == "binary diff in commit aaaa1111"
+            assert events[2].byte_offset == stream.index(b"Binary files")
+
+    def test_binary_patch_aborts_once(self):
+        """A ``GIT binary patch`` body is skipped whole: one abort, and the
+        next file diff parses."""
+        stream = (COMMIT1
+                  + b"diff --git a/x.bin b/x.bin\n"
+                  + b"index 1111111..2222222 100644\n"
+                  + b"GIT binary patch\n"
+                  + b"literal 12\n"
+                  + b"TcmZ?wbaZuP<mBP%00I60XaE2J\n"
+                  + b"\n"
+                  + b"literal 10\n"
+                  + b"Rcmb1Q<mBP%00I60XaE2J\n"
+                  + b"\n"
+                  + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n@@ -1 +1 @@\n-x\n+y\n")
+        for chunks in chunkings(stream):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == [
+                "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent"]
+            assert events[2].reason == "binary diff in commit aaaa1111"
+            assert events[2].byte_offset == stream.index(b"GIT binary patch")
+            assert events[4].hunk.lines == [b"-x", b"+y"]
 
     def test_mode_change_only_yields_filestart_no_hunks(self):
         stream = (COMMIT1
@@ -349,7 +376,7 @@ def test_roundtrip_fuzz_small():
         events = parse_all(stream)
         parsed = events[2].hunk
         assert render_hunk_body(parsed) == body
-        assert parsed.tallies() == (parsed.old_count, parsed.new_count)
+        assert hunk_tallies(parsed) == (parsed.old_count, parsed.new_count)
 
 
 _TEXTS = st.lists(st.binary(max_size=20).filter(lambda b: b"\n" not in b), max_size=8)
@@ -415,7 +442,7 @@ def test_streaming_memory_bounded():
     the stream: the parsing interpreter's peak resident set grows by far
     less than the ~50 MB of stream text.  A fresh interpreter holds nothing
     else, so its peak growth is the parse's own."""
-    proc = run_fresh(f"""
+    proc = run_fresh("-c", f"""
 import resource
 from linechurn.diffstream import HunkEvent, parse_log_stream
 
@@ -470,7 +497,7 @@ def test_name_status_paths_verbatim():
 
 
 @pytest.mark.parametrize("stream, error", [
-    pytest.param(b"commit zzz 1700000000 \x1fA\x1fa\x1fA\x1fa\nM\0f\0", MalformedCommitLine,
+    pytest.param(b"commit zzz 1700000000 \x1fA\x1fa\nM\0f\0", MalformedCommitLine,
                  id="commit-line"),
     pytest.param(COMMIT1 + b"Q\0f\0", StreamParseError, id="unknown-status"),
     pytest.param(COMMIT1 + b"M\0", TruncatedStream, id="no-path"),

@@ -831,6 +831,9 @@ class TestCli:
         pytest.param("--labels-override", "path,line_number,label\nhot.cfg\n",
                      id="labels-short-row"),
         pytest.param("--sigma", "0", id="sigma-zero"),
+        pytest.param("--sigma", "nan", id="sigma-nan"),
+        pytest.param("--sigma", "inf", id="sigma-inf"),
+        pytest.param("--monthly-rate", "nan", id="monthly-rate-nan"),
         pytest.param("--file-sample", "-1", id="file-sample-negative"),
         pytest.param("--out", "input/out", id="out-below-a-file"),
     ])
@@ -856,7 +859,7 @@ class TestCli:
 
 
 def test_analyze_imports_only_the_standard_library():
-    proc = run_fresh("import sys, linechurn, linechurn.cli, linechurn.pipeline; "
+    proc = run_fresh("-c", "import sys, linechurn, linechurn.cli, linechurn.pipeline; "
                      "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -865,8 +868,8 @@ def test_analyze_imports_only_the_standard_library():
 @pytest.mark.parametrize("level, code", [("info", 0), ("Debug", 0), ("WARNING", 0), ("loud", 1),
                                          ("", 1)])
 def test_log_level_names_in_any_case(level, code):
-    proc = run_fresh("import sys, linechurn.cli; sys.exit(linechurn.cli.main(['version']))",
-                     {"LINECHURN_LOG": level})
+    proc = run_fresh("-c", "import sys, linechurn.cli; sys.exit(linechurn.cli.main(['version']))",
+                     env={"LINECHURN_LOG": level})
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     if code:

@@ -24,18 +24,16 @@ from linechurn.tracker import (
     apply_hunk,
     finalize,
     read_line_report,
-    reconstruct_snapshot,
-    snapshot_bytes,
     write_line_report,
 )
 
 from repogen import BlobReader, build_random_repo
 from conftest import repo_log_events
+from oracles import reconstruct_snapshot, replay_by_commit, snapshot_bytes
 
 
 def make_commit(n: int) -> CommitHeader:
-    return CommitHeader(f"{n:040x}", 1_700_000_000 + n * 100,
-                        "Ada", "ada@x", "Ada", "ada@x")
+    return CommitHeader(f"{n:040x}", 1_700_000_000 + n * 100, "Ada", "ada@x")
 
 
 def hunk(old_start, old_count, new_start, new_count, spec: str, texts: list[bytes]) -> Hunk:
@@ -69,7 +67,6 @@ class TestRunningDelta:
         for old_index, new_index in kept.items():
             assert state.file_lines[new_index] is before[old_index]
         assert state.file_lines[5].mod_count == 1
-        assert [before[i].death_ts for i in (2, 3, 7)] == [commit.committer_timestamp] * 3
         assert state.births_total - state.deaths_total == len(state.file_lines) == 11
 
     def test_out_of_order_or_overlapping_hunks_raise(self):
@@ -132,7 +129,6 @@ class TestPairEdits:
         state, before = replace_run(3, 1)
         assert state.file_lines == [before[0], before[3]]
         assert state.file_lines[0].content == b"a1"
-        assert [ln.death_ts for ln in before[1:3]] == [make_commit(2).committer_timestamp] * 2
         assert state.deaths_total == 2 and state.births_total == 4
 
     def test_pure_insertion(self):
@@ -169,10 +165,8 @@ class TestApplyHunk:
     def test_deletion_only_records_death(self):
         state = FileState("f")
         apply_hunk(state, hunk(0, 0, 1, 1, "+", [b"x=1"]), make_commit(1))
-        line = state.file_lines[0]
         apply_hunk(state, hunk(1, 1, 0, 0, "-", [b"x=1"]), make_commit(2))
         assert state.file_lines == []
-        assert line.death_ts == make_commit(2).committer_timestamp
         assert state.deaths_total == 1
         assert finalize(state) == []
 
@@ -334,7 +328,7 @@ def test_snapshot_matches_checkout_on_random_repo(tmp_path):
     replayer = HistoryReplayer()
     reader = BlobReader(repo)
     events = repo_log_events(repo)
-    for header in replayer.replay(iter(events)):
+    for header in replay_by_commit(replayer, events):
         for path, state in replayer.states.items():
             expected = reader.read(header.hash, path)
             if expected is None:
@@ -359,7 +353,7 @@ def test_move_semantics_death_and_rebirth(tmp_path):
     builder.finish()
 
     replayer = HistoryReplayer()
-    commits = replayer.replay(iter(repo_log_events(builder.path)))
+    commits = replay_by_commit(replayer, repo_log_events(builder.path))
     next(commits)
     state = replayer.states["f.txt"]
     kept = list(state.file_lines)
@@ -370,7 +364,6 @@ def test_move_semantics_death_and_rebirth(tmp_path):
     dead = [ln for ln in kept if id(ln) not in live]
     assert sorted(ln.content for ln in dead) == sorted(block)
     assert len(dead) == 5
-    assert all(ln.death_ts == ts2 for ln in dead)
     fresh = [ln for ln in state.file_lines
              if ln.birth_ts == ts2 and len(ln.history) == 1]
     assert sorted(ln.content for ln in fresh) == sorted(block)

@@ -219,7 +219,8 @@ def lifespan_days(line) -> float:
     """
     if not line.history:
         raise EmptyInput("line has no history")
-    return (line.history[-1].timestamp - line.history[0].timestamp) / 86400.0
+    first, last = line.history[0].commit, line.history[-1].commit
+    return (last.committer_timestamp - first.committer_timestamp) / 86400.0
 
 
 def summarize(values: Iterable[float], metric: str = "") -> DescriptiveStats:

@@ -127,6 +127,17 @@ class Hunk:
     old_newline: bool = True
     new_newline: bool = True
 
+    @property
+    def base(self) -> int:
+        """Where the hunk goes: the 0-based index of its first deleted line,
+        or of the line its additions go before.
+
+        git numbers the new side in the file with the file diff's earlier
+        hunks applied, which is the state replay holds when it reaches this
+        hunk.  A side without lines names the line before the change.
+        """
+        return self.new_start - 1 if self.new_count else self.new_start
+
 
 # Event types yielded by parse_log_stream.
 
@@ -295,9 +306,12 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     Yields CommitStart, FileStart, HunkEvent and FileAborted events in stream
     order.  Every HunkEvent belongs to the most recent FileStart, every
     FileStart to the most recent CommitStart.  A binary file diff, a
-    malformed hunk, or a malformed line inside a file diff yields FileAborted
-    for that file, and parsing resumes at the next ``diff --git`` or
-    ``commit`` line; errors outside any file diff raise.
+    malformed hunk, a hunk out of order, or a malformed line inside a file
+    diff yields FileAborted for that file, and parsing resumes at the next
+    ``diff --git`` or ``commit`` line; errors outside any file diff raise.
+    A hunk is out of order when it starts before the end of the file diff's
+    previous hunk, or when its old start, shifted by the line-count change
+    of the hunks before it, does not give its ``base``.
 
     ``chunks`` is any iterable of byte strings, split at arbitrary points:
     reads of a binary pipe, the lines of an open binary file, or one bytes
@@ -311,6 +325,7 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     current_file: FileDiffHeader | None = None
     header: FileDiffHeader | None = None  # a file diff header still being read
     skipping = False  # after FileAborted: until the next diff or commit line
+    end = shift = 0  # the new-side end and the line-count change of the file diff's hunks
 
     while True:
         if i == len(lines):
@@ -347,7 +362,22 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
                 need = counts[1] + counts[3] + 4
                 if i + need > len(lines):
                     lines, offset, i = _fill(blocks, lines, offset, i, need)
-                hunk, i = _read_hunk(lines, i, offset, *counts)
+                hunk, j = _read_hunk(lines, i, offset, *counts)
+                # Replay places a hunk by its new side, so the old side must
+                # agree with it, and the hunks must ascend without overlap.
+                base = hunk.base
+                if base < end:
+                    raise StreamParseError("hunk starts before the start of the file or "
+                                           "the end of the previous hunk",
+                                           _offset_at(lines, offset, i), line)
+                old_base = hunk.old_start - 1 if hunk.old_count else hunk.old_start
+                if base != old_base + shift:
+                    raise StreamParseError("hunk's new start disagrees with its old start "
+                                           "and the previous hunks",
+                                           _offset_at(lines, offset, i), line)
+                end = base + hunk.new_count
+                shift += hunk.new_count - hunk.old_count
+                i = j
                 yield HunkEvent(hunk)
                 continue
             except StreamParseError as exc:
@@ -373,6 +403,7 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
             if header is None:
                 raise StreamParseError("unparseable 'diff --git' line",
                                        _offset_at(lines, offset, i), line)
+            end = shift = 0
             skipping = False
         elif line and not skipping:
             exc = StreamParseError("unexpected line between sections",

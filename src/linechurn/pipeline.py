@@ -315,26 +315,23 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
                                      heuristic=False)
             entry.labels.append(label)
 
-    hotspot_hashes = {
-        rev.commit_hash
+    hotspot_commits = {
+        rev.commit.hash: rev.commit
         for entry in tracked
         for line in entry.hotspot_lines
         for rev in line.history
     }
     flagged = {
         (identity.name, identity.email): flag_bot(identity, config.bot_config)
-        for identity in aggregate_committers(
-            [h for h in replayer.commits_seen if h.hash in hotspot_hashes]
-        )
+        for identity in aggregate_committers(hotspot_commits.values())
     }
     commit_identity = {
-        h.hash: flagged[(h.committer_name, h.committer_email)]
-        for h in replayer.commits_seen if h.hash in hotspot_hashes
+        h: flagged[(c.committer_name, c.committer_email)] for h, c in hotspot_commits.items()
     }
 
     # Commit-level share: a commit counts once per pattern, and once overall.
     commit_patterns = {
-        (rev.commit_hash, label.label.value)
+        (rev.commit.hash, label.label.value)
         for entry in tracked
         for line, label in zip(entry.hotspot_lines, entry.labels)
         for rev in line.history
@@ -345,7 +342,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
 
     # Edit-level share: every modification event counts.
     edit_entries = [
-        (label.label.value, commit_identity[rev.commit_hash])
+        (label.label.value, commit_identity[rev.commit.hash])
         for entry in tracked
         for line, label in zip(entry.hotspot_lines, entry.labels)
         for rev in line.history[1:]

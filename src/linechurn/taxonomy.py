@@ -513,7 +513,7 @@ def classify_history(line, file_category: str, path: str) -> PatternLabel:
 
 def _has_close_modifications(history) -> bool:
     """True when two consecutive modification timestamps fall in the window."""
-    mod_ts = [rev.timestamp for rev in history[1:]]
+    mod_ts = [rev.commit.committer_timestamp for rev in history[1:]]
     window = REFACTOR_WINDOW_DAYS * 86400
     return any(b - a <= window for a, b in zip(mod_ts, mod_ts[1:]))
 

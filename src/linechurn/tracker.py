@@ -1,15 +1,17 @@
 """Per-line history tracking over a replayed patch stream.
 
 Maintains, for every tracked file, a dense vector of live canonical line
-objects plus the running line-count delta of the current commit.  Every hunk
-is one zero-context change group, a run of deletions then a run of
-additions, and is applied by pairing the two runs positionally.  The
-hunks of one file diff ascend and never overlap, so a hunk's start in the
-current state is its raw start plus the delta of the hunks before it; a hunk
-that starts before the end of the previous one aborts the file.  Paired
-lines keep their identity (the same object, with its birth timestamp) and
-gain a history entry; surplus deletions die (they are counted and leave the
-file's state), surplus additions are born fresh.
+objects.  Every hunk is one zero-context change group, a run of deletions
+then a run of additions, and is applied by pairing the two runs
+positionally.  A hunk is placed by git's new-file numbering (``Hunk.base``):
+the parser has checked that the hunks of one file diff ascend without
+overlap and that both sides agree, so after the earlier hunks of the file
+diff are applied the new side names the hunk's place in the current state,
+and nothing carries from one hunk or commit to the next.  Paired lines keep
+their identity (the same object) and gain a revision; surplus deletions die
+(they are counted and leave the file's state), surplus additions are born
+fresh.  A line is its history: its content is the last revision's, its birth
+the first revision's commit.
 
 Line identity is strictly positional: moving an unchanged block shows up as
 deaths at the old location and fresh births at the new one.  No
@@ -39,36 +41,23 @@ logger = logging.getLogger(__name__)
 
 
 class HunkOutOfBounds(Exception):
-    """Hunk coordinates exceed the current tracked file length, or reach
-    back before the end of an earlier hunk of the same commit.
+    """Hunk coordinates exceed the current tracked file length.
 
     Tracking of the affected file is aborted and reported, never silently
     clamped.
     """
 
-    def __init__(self, path: str, hunk: Hunk, adjusted_start: int, problem: str):
-        self.path = path
-        self.adjusted_start = adjusted_start
-        super().__init__(
-            f"{path}: hunk @@ -{hunk.old_start},{hunk.old_count} "
-            f"+{hunk.new_start},{hunk.new_count} @@ adjusted to start {adjusted_start} "
-            f"{problem}"
-        )
-
 
 @dataclass(slots=True)
 class Revision:
-    commit_hash: str
-    timestamp: int
+    commit: CommitHeader
     content: bytes
 
 
 @dataclass(slots=True)
 class TrackedLine:
-    content: bytes
-    birth_ts: int
+    history: list[Revision]  # the birth first; content is history[-1].content
     had_newline: bool = True
-    history: list[Revision] = field(default_factory=list)
 
     @property
     def mod_count(self) -> int:
@@ -81,47 +70,24 @@ class FileState:
 
     path: str
     file_lines: list[TrackedLine] = field(default_factory=list)
-    delta: int = 0  # new minus old line count of the hunks applied in current_commit
-    max_processed_index: int = 0
-    current_commit: str | None = None
     births_total: int = 0
     deaths_total: int = 0
 
-    def begin_commit(self, commit_hash: str) -> None:
-        """Reset the within-commit delta at a commit boundary.
-
-        Hunk coordinates are relative to the commit's parent, which is
-        exactly the state accumulated so far, so deltas never carry across
-        commits.
-        """
-        if self.current_commit != commit_hash:
-            self.delta = 0
-            self.max_processed_index = 0
-            self.current_commit = commit_hash
-
 
 def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
-    """Apply one hunk to the tracked file state.
+    """Apply one hunk, the file diff's earlier hunks applied, at ``hunk.base``.
 
-    Paired lines stay the same objects, keep birth_ts, and gain a history
-    entry and one modification; unmatched deletions are counted in
-    deaths_total and leave the state; unmatched additions are born fresh.
-    The running delta gains the hunk's length change so later hunks of the
-    same commit land correctly.
+    Paired lines stay the same objects and gain a revision, that is one
+    modification; unmatched deletions are counted in deaths_total and leave
+    the state; unmatched additions are born fresh.
     """
-    state.begin_commit(commit.hash)
-    adj_start = hunk.old_start + state.delta
+    base = hunk.base
     live = len(state.file_lines)
-
-    # A pure insertion goes after line adj_start; otherwise adj_start is the
-    # first line the hunk covers.
-    base = adj_start - 1 if hunk.old_count > 0 else adj_start
-    if base < state.max_processed_index:
-        raise HunkOutOfBounds(state.path, hunk, adj_start,
-                              f"before the end of this commit's previous hunks "
-                              f"(line {state.max_processed_index})")
     if base + hunk.old_count > live:
-        raise HunkOutOfBounds(state.path, hunk, adj_start, f"but only {live} live lines")
+        raise HunkOutOfBounds(
+            f"{state.path}: hunk @@ -{hunk.old_start},{hunk.old_count} "
+            f"+{hunk.new_start},{hunk.new_count} @@ reaches line {base + hunk.old_count} "
+            f"but only {live} live lines")
 
     consumed = hunk.old_count
     updated = _replace_run(state, commit, state.file_lines[base:base + consumed],
@@ -130,8 +96,6 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
         updated[-1].had_newline = False
 
     state.file_lines[base : base + consumed] = updated
-    state.max_processed_index = base + len(updated)
-    state.delta += hunk.new_count - hunk.old_count
     return state
 
 
@@ -143,19 +107,16 @@ def _replace_run(state: FileState, commit: CommitHeader, deleted: list[TrackedLi
     Surplus deletions die, surplus additions are born; every resulting line
     ends in a newline.
     """
-    commit_hash, ts = commit.hash, commit.committer_timestamp
     added = [raw[1:] for raw in added]
     for line, text in zip(deleted, added):
-        line.history.append(Revision(commit_hash, ts, text))
-        line.content = text
+        line.history.append(Revision(commit, text))
         line.had_newline = True
     if len(deleted) > len(added):
         state.deaths_total += len(deleted) - len(added)
         return deleted[:len(added)]
     born = len(added) - len(deleted)
     if born > 0:
-        deleted += [TrackedLine(text, ts, True, [Revision(commit_hash, ts, text)])
-                    for text in added[len(deleted):]]
+        deleted += [TrackedLine([Revision(commit, text)]) for text in added[len(deleted):]]
         state.births_total += born
     return deleted
 
@@ -174,10 +135,11 @@ def finalize(state: FileState) -> list[LineReport]:
     return [
         LineReport(
             line_number=i + 1,
-            content=ln.content,
+            content=ln.history[-1].content,
             mod_count=ln.mod_count,
-            birth_ts=ln.birth_ts,
-            history=tuple((rev.commit_hash, rev.timestamp) for rev in ln.history),
+            birth_ts=ln.history[0].commit.committer_timestamp,
+            history=tuple((rev.commit.hash, rev.commit.committer_timestamp)
+                          for rev in ln.history),
         )
         for i, ln in enumerate(state.file_lines)
     ]
@@ -239,7 +201,6 @@ class HistoryReplayer:
         self.track_paths = track_paths
         self.states: dict[str, FileState] = {}
         self.aborted: dict[str, str] = {}  # path -> reason
-        self.commits_seen: list[CommitHeader] = []
 
     def _wants(self, path: str) -> bool:
         return self.track_paths is None or path in self.track_paths
@@ -265,7 +226,6 @@ class HistoryReplayer:
                     self._abort(current_path, str(exc))
             elif isinstance(event, CommitStart):
                 current_commit = event.header
-                self.commits_seen.append(event.header)
                 current_path = None
             elif isinstance(event, FileStart):
                 current_path = self._on_file_start(event.header)

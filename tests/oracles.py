@@ -51,13 +51,13 @@ def hunk_tallies(hunk: Hunk) -> tuple[int, int]:
 
 def reconstruct_snapshot(state: FileState) -> list[bytes]:
     """Content of all live lines in positional order."""
-    return [ln.content for ln in state.file_lines]
+    return [ln.history[-1].content for ln in state.file_lines]
 
 
 def snapshot_bytes(state: FileState) -> bytes:
     """Byte-exact file image of the live lines, honouring final newlines."""
     return b"".join(
-        ln.content + (b"\n" if ln.had_newline else b"") for ln in state.file_lines
+        ln.history[-1].content + (b"\n" if ln.had_newline else b"") for ln in state.file_lines
     )
 
 

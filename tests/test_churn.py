@@ -26,7 +26,7 @@ from linechurn.churn import (
     select_hotspot_lines,
     summarize,
 )
-from linechurn.diffstream import parse_name_status_stream
+from linechurn.diffstream import CommitHeader, parse_name_status_stream
 from linechurn.tracker import Revision, TrackedLine
 
 from conftest import chunkings
@@ -249,10 +249,14 @@ class TestDetectHotspotFiles:
             detect_hotspot_files({}, lifetime_months=1.0)
 
 
+def revision(commit_hash: str, timestamp: int, content: bytes) -> Revision:
+    return Revision(CommitHeader(commit_hash, timestamp, "Ada", "ada@x"), content)
+
+
 def mk_line(mod_count: int, birth: int = 1_000_000, step: int = 86_400) -> TrackedLine:
-    history = [Revision(f"{i:040x}", birth + i * step, f"v{i}".encode())
+    history = [revision(f"{i:040x}", birth + i * step, f"v{i}".encode())
                for i in range(mod_count + 1)]
-    return TrackedLine(content=history[-1].content, birth_ts=birth, history=history)
+    return TrackedLine(history=history)
 
 
 class TestSelectHotspotLines:
@@ -271,15 +275,22 @@ class TestSelectHotspotLines:
         lines = [mk_line(0) for _ in range(10)]
         assert select_hotspot_lines(lines) == []
 
+    @pytest.mark.parametrize("n_lines, n_selected", [(10, 0), (11, 1)])
+    def test_ten_lines_are_too_few_for_a_hotspot(self, n_lines, n_selected):
+        """One line at 1,000 modifications among quiet ones: the largest
+        z-score among n values is (n - 1)/sqrt(n), below 3 up to n = 10."""
+        lines = [mk_line(0) for _ in range(n_lines - 1)] + [mk_line(1000)]
+        assert len(select_hotspot_lines(lines)) == n_selected
+
 
 class TestLifespanDays:
     def test_single_entry_history(self):
         assert lifespan_days(mk_line(0)) == 0.0
 
     def test_long_lived_line(self):
-        line = TrackedLine(content=b"x", birth_ts=1_000_000, history=[
-            Revision("a" * 40, 1_000_000, b"x0"),
-            Revision("b" * 40, 1_000_000 + 86_400 * 1198, b"x"),
+        line = TrackedLine(history=[
+            revision("a" * 40, 1_000_000, b"x0"),
+            revision("b" * 40, 1_000_000 + 86_400 * 1198, b"x"),
         ])
         assert lifespan_days(line) == pytest.approx(1198.0)
 
@@ -288,8 +299,8 @@ class TestLifespanDays:
         ts = 1_000_000
         history = []
         for i, delta in enumerate(sorted(deltas)):
-            history.append(Revision(f"{i:040x}", ts + delta, b"c"))
-        line = TrackedLine(content=b"c", birth_ts=ts, history=history)
+            history.append(revision(f"{i:040x}", ts + delta, b"c"))
+        line = TrackedLine(history=history)
         assert lifespan_days(line) >= 0.0
 
 

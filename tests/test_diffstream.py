@@ -275,6 +275,31 @@ class TestParseLogStream:
             assert events[3].header.new_path == "g"
             assert events[4].hunk.lines == [b"-p", b"+q"]
 
+    @pytest.mark.parametrize("before, bad", [
+        pytest.param(b"@@ -2,2 +2,2 @@\n-b\n-c\n+B\n+C\n", b"@@ -3 +3 @@\n-c\n+X\n",
+                     id="overlapping"),
+        pytest.param(b"@@ -3 +3 @@\n-c\n+C\n", b"@@ -1 +1 @@\n-a\n+A\n", id="out-of-order"),
+        pytest.param(b"", b"@@ -0,2 +1,2 @@\n-a\n-b\n+A\n+B\n", id="old-start-zero"),
+        pytest.param(b"", b"@@ -0,0 +0,2 @@\n+a\n+b\n", id="new-start-zero"),
+        pytest.param(b"@@ -1,0 +2,2 @@\n+x\n+y\n", b"@@ -5 +5 @@\n-e\n+E\n",
+                     id="new-start-off-shift"),
+    ])
+    def test_hunk_out_of_order_aborts_its_file(self, before, bad):
+        """Replay places hunks by their new side, so a hunk that overlaps or
+        precedes the one before it, or whose sides disagree, aborts its file
+        at its header."""
+        head = COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n" + before
+        stream = head + bad + b"diff --git a/g b/g\n--- a/g\n+++ b/g\n@@ -1 +1 @@\n-p\n+q\n"
+        kinds = ["CommitStart", "FileStart"] + ["HunkEvent"] * bool(before)
+        for chunks in chunkings(stream):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == kinds + [
+                "FileAborted", "FileStart", "HunkEvent"]
+            aborted = events[len(kinds)]
+            assert aborted.path == "f"
+            assert aborted.byte_offset == len(head)
+            assert events[-1].hunk.lines == [b"-p", b"+q"]
+
     def test_unexpected_line_aborts_its_file(self):
         stream = (COMMIT1 + b"diff --git a/a b/a\nindex 1..2 100644\ngarbage\n"
                   + b"@@ -1 +1 @@\n-x\n+y\n")
@@ -346,7 +371,11 @@ class TestParseLogStream:
 
 
 def random_hunk(rng: random.Random) -> Hunk:
-    """A zero-context hunk of 1-9 lines; each side may end in a no-newline marker."""
+    """A zero-context hunk of 1-9 lines; each side may end in a no-newline marker.
+
+    Its header is one git prints: both sides start at one base ``k``, a
+    side with lines at line ``k + 1``, a side without at ``k``.
+    """
     def text() -> bytes:
         return bytes(rng.randrange(32, 127) for _ in range(rng.randrange(0, 30)))
 
@@ -356,7 +385,8 @@ def random_hunk(rng: random.Random) -> Hunk:
     # A marker can only follow a side that has lines.
     old_newline = not (old and rng.random() < 0.2)
     new_newline = not (n - old and rng.random() < 0.2)
-    return Hunk(rng.randrange(0, 500), old, rng.randrange(0, 500), n - old, lines,
+    k = rng.randrange(0, 500)
+    return Hunk(k + 1 if old else k, old, k + 1 if n - old else k, n - old, lines,
                 old_newline, new_newline)
 
 
@@ -386,7 +416,7 @@ _TEXTS = st.lists(st.binary(max_size=20).filter(lambda b: b"\n" not in b), max_s
 @given(_TEXTS, _TEXTS, st.booleans(), st.booleans())
 def test_roundtrip_property(deleted, added, old_marker, new_marker):
     lines = [b"-" + text for text in deleted] + [b"+" + text for text in added]
-    hunk = Hunk(1, len(deleted), 1, len(added), lines,
+    hunk = Hunk(1 if deleted else 0, len(deleted), 1 if added else 0, len(added), lines,
                 not (deleted and old_marker), not (added and new_marker))
     body = render_hunk_body(hunk)
     stream = (COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n"
@@ -409,15 +439,23 @@ FIXTURE_STREAMS = [
     + b"@@ -1,1 +1,1 @@\n-a\n+b\n",
     COMMIT1 + b"diff --git a/f b/f\nindex 1..2 100644\n--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n"
     + b"-old\n\\ No newline at end of file\n+new\n\\ No newline at end of file\n",
-    COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n@@ -3,2 +3,0 @@\n-a\n-b\n"
+    COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n@@ -3,2 +2,0 @@\n-a\n-b\n"
     + b"@@ -9,0 +8,3 @@\n+c\n+d\n+e",  # the stream's last line has no newline
 ]
 
 
 def fuzz_stream(rng: random.Random) -> bytes:
+    """One file diff of 1-3 random hunks, each placed after the one before
+    and numbered as git numbers it."""
     parts = [COMMIT1, b"diff --git a/f b/f\n--- a/f\n+++ b/f\n"]
+    old_base = shift = 0
     for _ in range(rng.randrange(1, 4)):
         hunk = random_hunk(rng)
+        old_base += rng.randrange(0, 200)
+        hunk.old_start = old_base + 1 if hunk.old_count else old_base
+        hunk.new_start = old_base + shift + 1 if hunk.new_count else old_base + shift
+        old_base += hunk.old_count
+        shift += hunk.new_count - hunk.old_count
         parts += [hunk_header_bytes(hunk), render_hunk_body(hunk)]
     return b"".join(parts)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linechurn.churn import categorize_file
+from linechurn.diffstream import CommitHeader
 from linechurn.taxonomy import (
     Category,
     Chao1Input,
@@ -104,9 +105,9 @@ def pair_for(before: str, after: str, path: str) -> RevisionPair:
 
 
 def line_from_contents(contents: list[bytes], timestamps: list[int]) -> TrackedLine:
-    history = [Revision(f"{i:040x}", ts, content)
+    history = [Revision(CommitHeader(f"{i:040x}", ts, "Ada", "ada@x"), content)
                for i, (ts, content) in enumerate(zip(timestamps, contents))]
-    return TrackedLine(content=contents[-1], birth_ts=timestamps[0], history=history)
+    return TrackedLine(history=history)
 
 
 class TestGoldenFixtures:

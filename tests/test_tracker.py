@@ -1,4 +1,4 @@
-"""Line-tracker tests: the running delta, positional pairing, hunk
+"""Line-tracker tests: hunk placement, positional pairing, hunk
 application semantics, conservation, snapshots, and report round-trips."""
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from linechurn.diffstream import (
     FileStart,
     Hunk,
     HunkEvent,
+    parse_log_stream,
 )
 from linechurn.tracker import (
     FileState,
@@ -30,6 +31,7 @@ from linechurn.tracker import (
 from repogen import BlobReader, build_random_repo
 from conftest import repo_log_events
 from oracles import reconstruct_snapshot, replay_by_commit, snapshot_bytes
+from test_diffstream import COMMIT1, COMMIT2
 
 
 def make_commit(n: int) -> CommitHeader:
@@ -43,8 +45,8 @@ def hunk(old_start, old_count, new_start, new_count, spec: str, texts: list[byte
 
 
 class TestRunningDelta:
-    """Hunks of one commit address the parent; each lands at its raw start
-    plus the line-count change of the hunks before it."""
+    """Hunks of one commit land where git's new-file numbers put them: their
+    old start plus the line-count change of the hunks before them."""
 
     def test_multi_hunk_commit_mixing_insertions_and_deletions(self):
         state = FileState("f")
@@ -69,40 +71,13 @@ class TestRunningDelta:
         assert state.file_lines[5].mod_count == 1
         assert state.births_total - state.deaths_total == len(state.file_lines) == 11
 
-    def test_out_of_order_or_overlapping_hunks_raise(self):
-        def four_lines() -> FileState:
-            state = FileState("f")
-            apply_hunk(state, hunk(0, 0, 1, 4, "++++", [b"a", b"b", b"c", b"d"]),
-                       make_commit(1))
-            return state
-
-        commit = make_commit(2)
-        state = four_lines()
-        apply_hunk(state, hunk(2, 1, 2, 1, "-+", [b"b", b"B"]), commit)
-        # A hunk re-covering line 2 overlaps the one before it.
-        with pytest.raises(HunkOutOfBounds, match="previous hunks"):
-            apply_hunk(state, hunk(2, 2, 2, 2, "--++", [b"b", b"c", b"B", b"C"]), commit)
-
-        state = four_lines()
-        apply_hunk(state, hunk(3, 1, 3, 1, "-+", [b"c", b"C"]), commit)
-        with pytest.raises(HunkOutOfBounds, match="previous hunks"):
-            apply_hunk(state, hunk(1, 1, 1, 1, "-+", [b"a", b"A"]), commit)
-
-        events = [CommitStart(make_commit(1)), FileStart(FileDiffHeader("f", "f")),
-                  HunkEvent(hunk(0, 0, 1, 2, "++", [b"a", b"b"])),
-                  CommitStart(commit), FileStart(FileDiffHeader("f", "f")),
-                  HunkEvent(hunk(2, 1, 2, 1, "-+", [b"b", b"B"])),
-                  HunkEvent(hunk(1, 1, 1, 1, "-+", [b"a", b"A"]))]
-        replayer = HistoryReplayer()
-        replayer.run(iter(events))
-        assert "previous hunks" in replayer.aborted["f"]
-        assert "f" not in replayer.states
-
 
 def replace_run(n_del: int, n_add: int):
     """Apply one ``n_del`` deletions, ``n_add`` additions hunk to lines d1..dN.
 
-    N is 4, or ``n_del`` when that is more.
+    N is 4, or ``n_del`` when that is more.  The hunk replaces the first
+    ``n_del`` lines, or inserts after d1 when it deletes none; its header is
+    the one git prints, where a side without lines names the line before.
     """
     n_base = max(4, n_del)
     state = FileState("f")
@@ -110,8 +85,10 @@ def replace_run(n_del: int, n_add: int):
                            [f"d{k}".encode() for k in range(1, n_base + 1)]), make_commit(1))
     before = list(state.file_lines)
     added = [f"a{k}".encode() for k in range(1, n_add + 1)]
-    apply_hunk(state, hunk(1, n_del, 1, n_add, "-" * n_del + "+" * n_add,
-                           [line.content for line in before[:n_del]] + added), make_commit(2))
+    base = 0 if n_del else 1
+    apply_hunk(state, hunk(1, n_del, base + 1 if n_add else base, n_add, "-" * n_del + "+" * n_add,
+                           [line.history[-1].content for line in before[:n_del]] + added),
+               make_commit(2))
     return state, before
 
 
@@ -121,19 +98,20 @@ class TestPairEdits:
     def test_equal_runs_pair_fully(self):
         state, before = replace_run(2, 2)
         assert state.file_lines[:2] == before[:2]
-        assert [ln.content for ln in state.file_lines] == [b"a1", b"a2", b"d3", b"d4"]
+        assert [ln.history[-1].content for ln in state.file_lines] == [b"a1", b"a2", b"d3", b"d4"]
         assert [ln.mod_count for ln in state.file_lines] == [1, 1, 0, 0]
         assert state.deaths_total == 0 and state.births_total == 4
 
     def test_surplus_deletions_die(self):
         state, before = replace_run(3, 1)
         assert state.file_lines == [before[0], before[3]]
-        assert state.file_lines[0].content == b"a1"
+        assert state.file_lines[0].history[-1].content == b"a1"
         assert state.deaths_total == 2 and state.births_total == 4
 
     def test_pure_insertion(self):
         state, before = replace_run(0, 2)
-        assert [ln.content for ln in state.file_lines] == [b"d1", b"a1", b"a2", b"d2", b"d3", b"d4"]
+        assert [ln.history[-1].content for ln in state.file_lines] == [
+            b"d1", b"a1", b"a2", b"d2", b"d3", b"d4"]
         assert state.file_lines[0] is before[0] and state.file_lines[3:] == before[1:]
         assert state.deaths_total == 0 and state.births_total == 6
 
@@ -158,8 +136,8 @@ class TestApplyHunk:
         line = state.file_lines[0]
         assert line.mod_count == 2
         assert len(line.history) == 3
-        assert line.birth_ts == make_commit(1).committer_timestamp
-        assert line.content == b"x=3"
+        assert line.history[0].commit.committer_timestamp == make_commit(1).committer_timestamp
+        assert line.history[-1].content == b"x=3"
         assert reconstruct_snapshot(state) == [b"x=3"]
 
     def test_deletion_only_records_death(self):
@@ -218,7 +196,7 @@ class TestApplyHunk:
         apply_hunk(state, hunk(0, 0, 1, 3, "+++", [b"a", b"b", b"c"]), make_commit(1))
         for n in range(2, 20):
             position = rng.randrange(1, len(state.file_lines) + 1)
-            old = state.file_lines[position - 1].content
+            old = state.file_lines[position - 1].history[-1].content
             apply_hunk(state, hunk(position, 1, position, 1, "-+",
                                    [old, f"v{n}".encode()]), make_commit(n))
             for line in state.file_lines:
@@ -283,7 +261,7 @@ class TestReplayer:
         assert "a.txt" not in replayer.states
         line = replayer.states["b.txt"].file_lines[1]
         assert line.mod_count == 1  # identity survived the rename
-        assert line.birth_ts == builder.start_ts
+        assert line.history[0].commit.committer_timestamp == builder.start_ts
 
     def test_binary_diff_aborts_the_file(self, tmp_path):
         """A file that turns binary and back is aborted, never replayed from
@@ -304,6 +282,41 @@ class TestReplayer:
         reason = replayer.aborted["f.txt"]
         assert reason == f"binary diff in commit {hashes[2]}"
 
+    def test_out_of_order_hunk_aborts_the_file(self):
+        """A parse-time order abort reaches the replayer: the file is dropped
+        with the header's byte offset, other files replay on."""
+        bad = b"@@ -1 +1 @@\n-a\n+A\n"
+        stream = (COMMIT1
+                  + b"diff --git a/f b/f\n--- /dev/null\n+++ b/f\n@@ -0,0 +1,3 @@\n+a\n+b\n+c\n"
+                  + b"diff --git a/g b/g\n--- /dev/null\n+++ b/g\n@@ -0,0 +1 @@\n+p\n"
+                  + COMMIT2
+                  + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n@@ -3 +3 @@\n-c\n+C\n" + bad
+                  + b"diff --git a/g b/g\n--- a/g\n+++ b/g\n@@ -1 +1 @@\n-p\n+q\n")
+        replayer = HistoryReplayer()
+        replayer.run(parse_log_stream([stream]))
+        assert "f" not in replayer.states
+        assert f"(byte offset {stream.index(bad)}," in replayer.aborted["f"]
+        assert "end of the previous hunk" in replayer.aborted["f"]
+        assert [ln.history[-1].content for ln in replayer.states["g"].file_lines] == [b"q"]
+
+    def test_type_change_replays(self):
+        """A file that becomes a symlink is two file diffs of one path in one
+        commit, a deletion then an addition; each is placed on its own."""
+        stream = (COMMIT1
+                  + b"diff --git a/f b/f\nnew file mode 100644\n--- /dev/null\n+++ b/f\n"
+                  + b"@@ -0,0 +1,3 @@\n+a\n+b\n+c\n"
+                  + COMMIT2
+                  + b"diff --git a/f b/f\ndeleted file mode 100644\n--- a/f\n+++ /dev/null\n"
+                  + b"@@ -1,3 +0,0 @@\n-a\n-b\n-c\n"
+                  + b"diff --git a/f b/f\nnew file mode 120000\n--- /dev/null\n+++ b/f\n"
+                  + b"@@ -0,0 +1 @@\n+target\n\\ No newline at end of file\n")
+        replayer = HistoryReplayer()
+        replayer.run(parse_log_stream([stream]))
+        assert not replayer.aborted
+        state = replayer.states["f"]
+        assert snapshot_bytes(state) == b"target"
+        assert (state.births_total, state.deaths_total) == (4, 3)
+
     def test_aborts_are_contained(self):
         events = [
             CommitStart(make_commit(1)),
@@ -318,7 +331,7 @@ class TestReplayer:
         replayer = HistoryReplayer()
         replayer.run(iter(events))
         assert "broken" in replayer.aborted
-        assert replayer.states["good"].file_lines[0].content == b"ok2"
+        assert replayer.states["good"].file_lines[0].history[-1].content == b"ok2"
 
 
 def test_snapshot_matches_checkout_on_random_repo(tmp_path):
@@ -362,9 +375,9 @@ def test_move_semantics_death_and_rebirth(tmp_path):
 
     live = {id(ln) for ln in state.file_lines}
     dead = [ln for ln in kept if id(ln) not in live]
-    assert sorted(ln.content for ln in dead) == sorted(block)
+    assert sorted(ln.history[-1].content for ln in dead) == sorted(block)
     assert len(dead) == 5
     fresh = [ln for ln in state.file_lines
-             if ln.birth_ts == ts2 and len(ln.history) == 1]
-    assert sorted(ln.content for ln in fresh) == sorted(block)
+             if ln.history[0].commit.committer_timestamp == ts2 and len(ln.history) == 1]
+    assert sorted(ln.history[-1].content for ln in fresh) == sorted(block)
     assert snapshot_bytes(state) == b"\n".join(after) + b"\n"

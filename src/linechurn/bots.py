@@ -42,7 +42,8 @@ class BotConfig:
 
         Recognised keys (repeatable): ``keyword``, ``allow``, ``deny``.
         Blank lines and ``#`` comments are ignored.  Keywords given in the
-        file replace the defaults; allow entries extend them.
+        file replace the defaults; allow entries extend them.  A value may
+        not be empty: an empty keyword is in every name.
         """
         keywords: list[str] = []
         allow: list[str] = list(DEFAULT_ALLOWLIST)
@@ -55,6 +56,8 @@ class BotConfig:
             if not sep:
                 raise ValueError(f"bad bot-config line (expected key=value): {raw!r}")
             key, value = key.strip().lower(), value.strip()
+            if key in ("keyword", "allow", "deny") and not value:
+                raise ValueError(f"bad bot-config line (empty {key}): {raw!r}")
             if key == "keyword":
                 keywords.append(value)
             elif key == "allow":
@@ -120,7 +123,7 @@ class BotShareReport:
     per_pattern: dict[str, BotShare] = field(default_factory=dict)
 
 
-def bot_share(labeled_commits: Iterable[tuple[object, CommitterIdentity]]) -> BotShareReport:
+def bot_share(labeled_commits: Iterable[tuple[str, CommitterIdentity]]) -> BotShareReport:
     """Bot commit ratios overall and per pattern label.
 
     Each input element is one (pattern label, committer identity) commit
@@ -130,8 +133,7 @@ def bot_share(labeled_commits: Iterable[tuple[object, CommitterIdentity]]) -> Bo
     overall_human = 0
     per: dict[str, list[int]] = {}
     for label, identity in labeled_commits:
-        key = getattr(label, "value", label)
-        bucket = per.setdefault(str(key), [0, 0])
+        bucket = per.setdefault(label, [0, 0])
         if identity.is_bot:
             overall_bot += 1
             bucket[0] += 1

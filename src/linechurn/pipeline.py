@@ -28,13 +28,14 @@ import shutil
 import subprocess
 import threading
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from .bots import BotConfig, BotShare, BotShareReport, CommitterIdentity, aggregate_committers, bot_share, flag_bot
+from .bots import BotConfig, BotShare, aggregate_committers, bot_share, flag_bot
 from .churn import (
     HotspotThresholds,
     categorize_file,
@@ -122,29 +123,6 @@ class RunManifest:
         return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class _TrackedFile:
-    path: str
-    category: str
-    state: FileState
-    hotspot_lines: list = field(default_factory=list)  # TrackedLine
-    line_numbers: list[int] = field(default_factory=list)
-    labels: list[PatternLabel] = field(default_factory=list)
-
-
-@dataclass
-class AnalysisResults:
-    counts: dict[str, int]
-    categories: dict[str, str]
-    hotspot_files: set[str]
-    lifetime_months: float
-    tracked: list[_TrackedFile]
-    committers: list[CommitterIdentity]
-    commit_share: BotShareReport
-    edit_share: BotShareReport
-    aborted: dict[str, str]
-
-
 # Bytes asked of git's stdout per read.  Larger reads cost fewer calls but
 # hold more lines at once in the parser.
 _READ_SIZE = 256 << 10
@@ -202,6 +180,8 @@ def _repo_head(repo: Path) -> str:
         raise GitUnavailable("git executable not found on PATH")
     if not repo.exists():
         raise RepoNotFound(f"{repo} does not exist")
+    if not repo.is_dir():
+        raise RepoNotFound(f"{repo} is not a directory")
     probe = subprocess.run(["git", "rev-parse", "--git-dir"], cwd=repo,
                            capture_output=True)
     if probe.returncode != 0:
@@ -296,72 +276,90 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     for path in selected_files:  # a selected file is tracked or aborted, never dropped
         if path not in replayer.states:
             aborted.setdefault(path, "no patch for this path in the stage-2 walk")
-    tracked = [
-        _TrackedFile(path=path, category=categories[path], state=state)
-        for path in selected_files if (state := replayer.states.get(path)) is not None
-    ]
+    tracked = {path: state for path in selected_files
+               if (state := replayer.states.get(path)) is not None}
 
-    # Stage 3: hotspot lines, classification, bot attribution.
-    for entry in tracked:
-        positions = {id(line): i + 1 for i, line in enumerate(entry.state.file_lines)}
-        entry.hotspot_lines = select_hotspot_lines(entry.state.file_lines, config.thresholds)
-        for line in entry.hotspot_lines:
+    # Stage 3: one (path, line number, line, label) record per hotspot line,
+    # in file order; every artifact below is derived from this list.
+    hot = []
+    for path, state in tracked.items():
+        positions = {id(line): i + 1 for i, line in enumerate(state.file_lines)}
+        for line in select_hotspot_lines(state.file_lines, config.thresholds):
             line_number = positions[id(line)]
-            entry.line_numbers.append(line_number)
-            label = classify_history(line, entry.category, entry.path)
-            override = overrides.get((entry.path, line_number))
-            if override is not None:
-                label = PatternLabel(override, PATTERN_CATEGORY[override], 1.0,
-                                     heuristic=False)
-            entry.labels.append(label)
+            override = overrides.get((path, line_number))
+            if override is None:
+                label = classify_history(line, categories[path], path)
+            else:
+                label = PatternLabel(override, PATTERN_CATEGORY[override], 1.0, heuristic=False)
+            hot.append((path, line_number, line, label))
 
-    hotspot_commits = {
-        rev.commit.hash: rev.commit
-        for entry in tracked
-        for line in entry.hotspot_lines
-        for rev in line.history
-    }
-    flagged = {
-        (identity.name, identity.email): flag_bot(identity, config.bot_config)
-        for identity in aggregate_committers(hotspot_commits.values())
-    }
+    hotspot_commits = {rev.commit.hash: rev.commit for _, _, line, _ in hot for rev in line.history}
+    committers = [flag_bot(identity, config.bot_config)
+                  for identity in aggregate_committers(hotspot_commits.values())]
+    by_identity = {(identity.name, identity.email): identity for identity in committers}
     commit_identity = {
-        h: flagged[(c.committer_name, c.committer_email)] for h, c in hotspot_commits.items()
+        h: by_identity[(c.committer_name, c.committer_email)] for h, c in hotspot_commits.items()
     }
 
     # Commit-level share: a commit counts once per pattern, and once overall.
     commit_patterns = {
-        (rev.commit.hash, label.label.value)
-        for entry in tracked
-        for line, label in zip(entry.hotspot_lines, entry.labels)
-        for rev in line.history
+        (rev.commit.hash, label.label.value) for _, _, line, label in hot for rev in line.history
     }
     per_pattern = bot_share((label, commit_identity[h]) for h, label in commit_patterns).per_pattern
     n_bot = sum(identity.is_bot for identity in commit_identity.values())
-    commit_share = BotShareReport(BotShare(n_bot, len(commit_identity) - n_bot), per_pattern)
+    # Edit-level share: every modification event counts.  Every hotspot line
+    # has at least one, so both shares name the same patterns.
+    edit_share = bot_share([(label.label.value, commit_identity[rev.commit.hash])
+                            for _, _, line, label in hot for rev in line.history[1:]])
 
-    # Edit-level share: every modification event counts.
-    edit_entries = [
-        (label.label.value, commit_identity[rev.commit.hash])
-        for entry in tracked
-        for line, label in zip(entry.hotspot_lines, entry.labels)
-        for rev in line.history[1:]
+    stats = []
+    if hot:
+        days = [lifespan_days(line) for _, _, line, _ in hot]
+        stats = [
+            summarize(Counter(path for path, *_ in hot).values(), "hotspot_lines_per_file"),
+            summarize(days, "lifespan_days"),
+            summarize([d / 365.25 for d in days], "lifespan_years"),
+            summarize([line.mod_count for _, _, line, _ in hot], "modification_count"),
+        ]
+    tables = [
+        ("file_churn.csv", ["path", "commit_touch_count", "category", "is_hotspot_file"],
+         ([path, counts[path], categories[path], str(path in hotspot_files).lower()]
+          for path in sorted(counts))),
+        ("labels.csv", ["path", "line_number", "label", "category", "confidence", "heuristic",
+                        "diagnostics"],
+         ([path, line_number, label.label.value, label.category.value, f"{label.confidence:.1f}",
+           str(label.heuristic).lower(), label.diagnostics]
+          for path, line_number, _, label in hot)),
+        ("summary_stats.csv", ["metric", "min", "median", "mean", "max", "iqr"],
+         ([s.metric] + [f"{v:.6f}" for v in (s.min, s.median, s.mean, s.max, s.iqr)]
+          for s in stats)),
+        ("committers.csv", ["name", "email", "commit_count", "is_bot", "match_reason"],
+         ([i.name, i.email, i.commit_count, str(i.is_bot).lower(), i.match_reason or ""]
+          for i in committers)),
+        ("bot_share.csv", ["pattern", "bot_commits", "human_commits", "ratio", "bot_edits",
+                           "human_edits", "edit_ratio"],
+         ([pattern, c.bot, c.human, f"{c.ratio:.6f}", e.bot, e.human, f"{e.ratio:.6f}"]
+          for pattern, c in per_pattern.items() for e in [edit_share.per_pattern[pattern]])),
     ]
-    edit_share = bot_share(edit_entries)
+    if config.emit_plot_data:
+        curve = chao1_curve([label.label.value for *_, label in hot]) if hot else []
+        tables.append(("saturation.csv", ["k", "s_obs", "s_est"],
+                       ([k, s_obs, f"{s_est:.6f}"] for k, s_obs, s_est in curve)))
+    # summary.json: the headline numbers in one machine-readable document.
+    summary = {
+        "n_files": len(counts),
+        "n_hotspot_files": len(hotspot_files),
+        "n_tracked_files": len(tracked),
+        "n_hotspot_lines": len(hot),
+        "hotspot_file_fraction": len(hotspot_files) / len(counts),
+        "bot_commit_share": BotShare(n_bot, len(commit_identity) - n_bot).ratio,
+        "bot_edit_share": edit_share.overall.ratio,
+        "labels": dict(sorted(Counter(label.label.value for *_, label in hot).items())),
+        "lifetime_months": lifetime_months,
+        "aborted_files": sorted(aborted),
+    }
 
-    results = AnalysisResults(
-        counts=counts,
-        categories=categories,
-        hotspot_files=hotspot_files,
-        lifetime_months=lifetime_months,
-        tracked=tracked,
-        committers=sorted(flagged.values(), key=lambda i: (-i.commit_count, i.name, i.email)),
-        commit_share=commit_share,
-        edit_share=edit_share,
-        aborted=aborted,
-    )
-
-    written = emit_reports(results, config.output_dir, config.emit_plot_data)
+    written = emit_reports(config.output_dir, tracked, tables, summary)
     logger.info("wrote %d artifacts to %s", len(written), config.output_dir)
 
     finished = datetime.now(timezone.utc)
@@ -381,7 +379,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             "files_tracked": len(tracked),
             "stage2_pathspecs": len(pathspecs),
             "files_aborted": len(aborted),
-            "hotspot_lines": sum(len(t.hotspot_lines) for t in tracked),
+            "hotspot_lines": len(hot),
             "hotspot_commits": len(commit_identity),
         },
         warnings=run_warnings,
@@ -392,148 +390,28 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     return manifest
 
 
-def _csv_writer(path: Path):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    return fh, csv.writer(fh, lineterminator="\n")
-
-
 def _safe_report_name(path: str) -> str:
     digest = hashlib.sha1(path.encode("utf-8", "surrogateescape")).hexdigest()[:8]
     safe = "".join(c if c.isalnum() or c in "._-" else "__" for c in path)
     return f"{safe[:120]}-{digest}.csv"
 
 
-def emit_reports(results: AnalysisResults, output_dir: Path, emit_plot_data: bool) -> list[Path]:
-    """Write every analysis artifact; returns the written paths."""
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    # Per-file line reports.
+def emit_reports(output_dir: Path, tracked: dict[str, FileState], tables: list,
+                 summary: dict) -> list[Path]:
+    """Write each tracked file's line report, each ``(name, header, rows)``
+    CSV table and ``summary.json``; returns the written paths."""
     reports_dir = output_dir / "line_reports"
     reports_dir.mkdir(exist_ok=True)
-    for entry in results.tracked:
-        report_path = reports_dir / _safe_report_name(entry.path)
-        write_line_report(finalize(entry.state), report_path)
-        written.append(report_path)
-
-    # file_churn.csv
-    path = output_dir / "file_churn.csv"
-    fh, writer = _csv_writer(path)
-    with fh:
-        writer.writerow(["path", "commit_touch_count", "category", "is_hotspot_file"])
-        for file_path in sorted(results.counts):
-            writer.writerow([
-                file_path,
-                results.counts[file_path],
-                results.categories[file_path],
-                str(file_path in results.hotspot_files).lower(),
-            ])
-    written.append(path)
-
-    # labels.csv
-    path = output_dir / "labels.csv"
-    fh, writer = _csv_writer(path)
-    with fh:
-        writer.writerow(["path", "line_number", "label", "category", "confidence",
-                         "heuristic", "diagnostics"])
-        for entry in results.tracked:
-            for line_number, label in zip(entry.line_numbers, entry.labels):
-                writer.writerow([
-                    entry.path,
-                    line_number,
-                    label.label.value,
-                    label.category.value,
-                    f"{label.confidence:.1f}",
-                    str(label.heuristic).lower(),
-                    label.diagnostics,
-                ])
-    written.append(path)
-
-    # summary_stats.csv
-    path = output_dir / "summary_stats.csv"
-    fh, writer = _csv_writer(path)
-    with fh:
-        writer.writerow(["metric", "min", "median", "mean", "max", "iqr"])
-        per_file = [len(t.hotspot_lines) for t in results.tracked if t.hotspot_lines]
-        all_lines = [ln for t in results.tracked for ln in t.hotspot_lines]
-        rows = []
-        if per_file:
-            rows.append(summarize(per_file, "hotspot_lines_per_file"))
-        if all_lines:
-            days = [lifespan_days(ln) for ln in all_lines]
-            rows.append(summarize(days, "lifespan_days"))
-            rows.append(summarize([d / 365.25 for d in days], "lifespan_years"))
-            rows.append(summarize([ln.mod_count for ln in all_lines], "modification_count"))
-        for stats in rows:
-            writer.writerow([stats.metric] + [f"{v:.6f}" for v in
-                                              (stats.min, stats.median, stats.mean,
-                                               stats.max, stats.iqr)])
-    written.append(path)
-
-    # committers.csv
-    path = output_dir / "committers.csv"
-    fh, writer = _csv_writer(path)
-    with fh:
-        writer.writerow(["name", "email", "commit_count", "is_bot", "match_reason"])
-        for identity in results.committers:
-            writer.writerow([identity.name, identity.email, identity.commit_count,
-                             str(identity.is_bot).lower(), identity.match_reason or ""])
-    written.append(path)
-
-    # bot_share.csv
-    path = output_dir / "bot_share.csv"
-    fh, writer = _csv_writer(path)
-    with fh:
-        writer.writerow(["pattern", "bot_commits", "human_commits", "ratio",
-                         "bot_edits", "human_edits", "edit_ratio"])
-        patterns = sorted(set(results.commit_share.per_pattern) | set(results.edit_share.per_pattern))
-        for pattern in patterns:
-            commit_stats = results.commit_share.per_pattern.get(pattern, BotShare(0, 0))
-            edit_stats = results.edit_share.per_pattern.get(pattern, BotShare(0, 0))
-            writer.writerow([
-                pattern,
-                commit_stats.bot, commit_stats.human, f"{commit_stats.ratio:.6f}",
-                edit_stats.bot, edit_stats.human, f"{edit_stats.ratio:.6f}",
-            ])
-    written.append(path)
-
-    # saturation.csv (plot data)
-    if emit_plot_data:
-        label_sequence = [
-            label.label.value
-            for entry in results.tracked
-            for label in entry.labels
-        ]
-        path = output_dir / "saturation.csv"
-        fh, writer = _csv_writer(path)
-        with fh:
-            writer.writerow(["k", "s_obs", "s_est"])
-            if label_sequence:
-                for k, s_obs, s_est in chao1_curve(label_sequence):
-                    writer.writerow([k, s_obs, f"{s_est:.6f}"])
-        written.append(path)
-
-    # summary.json: the headline numbers in one machine-readable document.
-    label_counts: dict[str, int] = {}
-    for entry in results.tracked:
-        for label in entry.labels:
-            label_counts[label.label.value] = label_counts.get(label.label.value, 0) + 1
-    summary = {
-        "n_files": len(results.counts),
-        "n_hotspot_files": len(results.hotspot_files),
-        "n_tracked_files": len(results.tracked),
-        "n_hotspot_lines": sum(len(t.hotspot_lines) for t in results.tracked),
-        "hotspot_file_fraction": (len(results.hotspot_files) / len(results.counts)
-                                  if results.counts else 0.0),
-        "bot_commit_share": results.commit_share.overall.ratio,
-        "bot_edit_share": results.edit_share.overall.ratio,
-        "labels": dict(sorted(label_counts.items())),
-        "lifetime_months": results.lifetime_months,
-        "aborted_files": sorted(results.aborted),
-    }
-    path = output_dir / "summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", "utf-8")
-    written.append(path)
-
+    written: list[Path] = []
+    for path, state in tracked.items():
+        written.append(reports_dir / _safe_report_name(path))
+        write_line_report(finalize(state), written[-1])
+    for name, header, rows in tables:
+        written.append(output_dir / name)
+        with open(written[-1], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    written.append(output_dir / "summary.json")
+    written[-1].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", "utf-8")
     return written

@@ -18,7 +18,7 @@ import difflib
 import enum
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -118,10 +118,6 @@ _WS_RUN = re.compile(r"[ \t\f\v]+")
 def normalize_style(text: str) -> str:
     """Collapse blank runs, strip ends, casefold: the formatting equivalence."""
     return _WS_RUN.sub(" ", text).strip().casefold()
-
-
-def _to_text(raw: bytes | str) -> str:
-    return raw.decode("utf-8", "replace") if isinstance(raw, (bytes, bytearray)) else raw
 
 
 def _word_diff(before: str, after: str) -> tuple[list[str], list[str]]:
@@ -442,9 +438,9 @@ _RANK: dict[Pattern, int] = {p: i for i, p in enumerate(
 class _PairContext:
     """Pre-computed views of one revision pair shared by all rules."""
 
-    def __init__(self, before: bytes | str, after: bytes | str, file_category: str, path: str):
-        self.before = _to_text(before)
-        self.after = _to_text(after)
+    def __init__(self, before: bytes, after: bytes, file_category: str, path: str):
+        self.before = before.decode("utf-8", "replace")
+        self.after = after.decode("utf-8", "replace")
         self.file_category = file_category
         self.path = path
         removed, added = _word_diff(self.before, self.after)

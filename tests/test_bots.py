@@ -168,6 +168,13 @@ class TestBotConfigFile:
         with pytest.raises(ValueError):
             BotConfig.from_file(config_file)
 
+    @pytest.mark.parametrize("line", ["keyword=", "allow =  ", "deny="])
+    def test_empty_value_rejected(self, tmp_path, line):
+        config_file = tmp_path / "bots.conf"
+        config_file.write_text(f"keyword=bot\n{line}\n", "utf-8")
+        with pytest.raises(ValueError, match=repr(line)):
+            BotConfig.from_file(config_file)
+
     def test_unknown_key_rejected(self, tmp_path):
         config_file = tmp_path / "bots.conf"
         config_file.write_text("frobnicate=1\n", "utf-8")

@@ -740,6 +740,15 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_analyze_repo_is_a_file_exit_one(self, tmp_path, capsys):
+        (tmp_path / "repo").write_text("not a repository\n")
+        code = cli.main(["analyze", "--repo", str(tmp_path / "repo"),
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "is not a directory" in err
+
     def test_history_without_file_changes_exit_one(self, tmp_path, monkeypatch, capsys):
         from repogen import RepoBuilder
 
@@ -823,6 +832,7 @@ class TestCli:
     @pytest.mark.parametrize("option, content", [
         pytest.param("--bot-config", None, id="bot-config-missing"),
         pytest.param("--bot-config", "keyword bot\n", id="bot-config-malformed"),
+        pytest.param("--bot-config", "keyword=\n", id="bot-config-empty-keyword"),
         pytest.param("--labels-override", None, id="labels-missing"),
         pytest.param("--labels-override", "path,label\nhot.cfg,pinned-version-bump\n",
                      id="labels-columns"),

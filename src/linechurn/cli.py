@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="bot keyword/allowlist/denylist file (key=value lines)")
     analyze.add_argument("--labels-override", type=Path, default=None,
                          help="CSV of human labels (path,line_number,label)")
-    analyze.add_argument("--emit-plot-data", action="store_true",
-                         help="also write saturation.csv")
     analyze.add_argument("--sample-sigma", action="store_true",
                          help="use sample instead of population standard deviation")
 
@@ -66,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     select.add_argument("--cache-dir", type=Path, default=None,
                         help="directory for cached metadata responses")
     select.add_argument("--api-base", default=None, help="metadata API base URL")
-    select.add_argument("--workers", type=int, default=4)
     select.add_argument("--out", type=Path, default=None,
                         help="write the selection CSV here instead of stdout")
 
@@ -93,7 +90,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         bot_config=bot_config,
         file_sample=args.file_sample,
         sample_seed=args.seed,
-        emit_plot_data=args.emit_plot_data,
         labels_override=args.labels_override,
     )
     try:
@@ -141,12 +137,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
         return 1
 
     client = selector.MetadataClient(
-        api_base=args.api_base or os.environ.get("LINECHURN_API_BASE",
-                                                 "https://api.github.com"),
+        api_base=args.api_base or selector.DEFAULT_API_BASE,
         auth_token=os.environ.get("GITHUB_TOKEN"),
         cache_dir=args.cache_dir,
     )
-    results = client.fetch_many(names, workers=args.workers)
+    results = client.fetch_many(names)
     eligible = []
     for name, result in zip(names, results):
         if isinstance(result, selector.SelectorError):
@@ -171,10 +166,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
     writer.writerow(["owner_and_name", "stars", "forks", "total_commits",
                      "stratum_lower", "stratum_upper"])
     for meta in chosen:
-        stratum = selector.assign_stratum(meta.popularity)
-        assert stratum is not None
-        writer.writerow([meta.owner_and_name, meta.stars, meta.forks,
-                         meta.total_commits, stratum.lower, stratum.upper])
+        writer.writerow([meta.owner_and_name, meta.stars, meta.forks, meta.total_commits,
+                         *selector.assign_stratum(meta.popularity)])
     if args.out:
         out.close()
         print(f"selected {len(chosen)} of {len(names)} candidates -> {args.out}",

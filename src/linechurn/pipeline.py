@@ -82,7 +82,6 @@ class AnalysisConfig:
     bot_config: BotConfig = field(default_factory=BotConfig)
     file_sample: int | None = None
     sample_seed: int = 0
-    emit_plot_data: bool = False
     labels_override: Path | None = None
 
     def __post_init__(self) -> None:
@@ -99,7 +98,6 @@ class AnalysisConfig:
             "population_sigma": self.thresholds.population_sigma,
             "file_sample": self.file_sample,
             "sample_seed": self.sample_seed,
-            "emit_plot_data": self.emit_plot_data,
             "labels_override": str(self.labels_override) if self.labels_override else None,
             "bot_keywords": list(self.bot_config.keywords),
             "bot_allowlist": list(self.bot_config.allowlist),
@@ -175,21 +173,23 @@ def _git_lines(repo: Path, cmd: list[str]):
         warnings.warn(f"git: {line}")
 
 
-def _repo_head(repo: Path) -> str:
+def _repo_head(repo: Path) -> tuple[str, Path]:
+    """HEAD's hash, and where git's printed paths and read pathspecs share a
+    root: the work tree's top, or ``repo`` itself if the repository is bare."""
     if shutil.which("git") is None:
         raise GitUnavailable("git executable not found on PATH")
     if not repo.exists():
         raise RepoNotFound(f"{repo} does not exist")
     if not repo.is_dir():
         raise RepoNotFound(f"{repo} is not a directory")
-    probe = subprocess.run(["git", "rev-parse", "--git-dir"], cwd=repo,
+    probe = subprocess.run(["git", "rev-parse", "--show-cdup"], cwd=repo,
                            capture_output=True)
     if probe.returncode != 0:
         raise RepoNotFound(f"{repo} is not a git repository")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True)
     if head.returncode != 0:
         raise RepoNotFound(f"{repo} has no commits (empty repository)")
-    return head.stdout.decode().strip()
+    return head.stdout.decode().strip(), repo / probe.stdout.decode().strip()
 
 
 def _stage1_churn(repo: Path):
@@ -237,16 +237,16 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         raise BadInput(f"labels override {config.labels_override}: {exc}") from None
     if config.file_sample is not None and config.file_sample < 0:
         raise BadInput(f"file sample must not be negative, got {config.file_sample}")
+    head, root = _repo_head(config.repo_path)  # before --out exists: no tree is left on failure
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise BadInput(f"output directory {config.output_dir}: {exc}") from None
-    head = _repo_head(config.repo_path)
     run_warnings: list[str] = []
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        counts, chains, named, lifetime_months, n_commits = _stage1_churn(config.repo_path)
+        counts, chains, named, lifetime_months, n_commits = _stage1_churn(root)
         categories = {path: categorize_file(path) for path in counts}
         hotspot_files = detect_hotspot_files(counts, lifetime_months, config.thresholds)
 
@@ -263,7 +263,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         pathspecs = pathspec_cover(tracked_paths, named)
         replayer = HistoryReplayer(track_paths=tracked_paths)
         if pathspecs:  # without a pathspec the walk would read every file's patches
-            walk = _git_lines(config.repo_path, log_command(file_paths=pathspecs))
+            walk = _git_lines(root, log_command(file_paths=pathspecs))
             try:
                 with contextlib.closing(walk):  # ends git if the parser stops early
                     replayer.run(parse_log_stream(walk))
@@ -321,6 +321,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             summarize([d / 365.25 for d in days], "lifespan_years"),
             summarize([line.mod_count for _, _, line, _ in hot], "modification_count"),
         ]
+    curve = chao1_curve([label.label.value for *_, label in hot]) if hot else []
     tables = [
         ("file_churn.csv", ["path", "commit_touch_count", "category", "is_hotspot_file"],
          ([path, counts[path], categories[path], str(path in hotspot_files).lower()]
@@ -340,11 +341,9 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
                            "human_edits", "edit_ratio"],
          ([pattern, c.bot, c.human, f"{c.ratio:.6f}", e.bot, e.human, f"{e.ratio:.6f}"]
           for pattern, c in per_pattern.items() for e in [edit_share.per_pattern[pattern]])),
+        ("saturation.csv", ["k", "s_obs", "s_est"],
+         ([k, s_obs, f"{s_est:.6f}"] for k, s_obs, s_est in curve)),
     ]
-    if config.emit_plot_data:
-        curve = chao1_curve([label.label.value for *_, label in hot]) if hot else []
-        tables.append(("saturation.csv", ["k", "s_obs", "s_est"],
-                       ([k, s_obs, f"{s_est:.6f}"] for k, s_obs, s_est in curve)))
     # summary.json: the headline numbers in one machine-readable document.
     summary = {
         "n_files": len(counts),

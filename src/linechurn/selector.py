@@ -15,8 +15,7 @@ import math
 import random
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_API_BASE = "https://api.github.com"
 HALF_YEAR_SECONDS = 6 * 30.44 * 86400
-SECONDS_PER_MONTH = 30.44 * 86400
+TIMEOUT_S = 30.0  # per request
 
 STRATA: tuple[tuple[int, int], ...] = (
     (11, 100),
@@ -78,29 +77,19 @@ class RepoMeta:
 class InclusionCriteria:
     min_stars_or_forks: int = 11  # "more than ten": ten itself is excluded
     min_commits: int = 10_000
-    require_commit_every_half_year: bool = True
 
     def __post_init__(self) -> None:
         if self.min_stars_or_forks <= 0 or self.min_commits <= 0:
             raise ValueError("thresholds must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Stratum:
-    lower: int
-    upper: int
-
-    def __contains__(self, popularity: int) -> bool:
-        return self.lower <= popularity <= self.upper
-
-
-def assign_stratum(popularity: int) -> Stratum | None:
-    """The unique popularity stratum, or None outside [11, 1000000]."""
+def assign_stratum(popularity: int) -> tuple[int, int] | None:
+    """The unique ``(lower, upper)`` entry of STRATA, or None outside [11, 1000000]."""
     if popularity < 0:
         raise ValueError("popularity must be non-negative")
     for lower, upper in STRATA:
         if lower <= popularity <= upper:
-            return Stratum(lower, upper)
+            return lower, upper
     return None
 
 
@@ -112,14 +101,12 @@ def passes_inclusion(meta: RepoMeta, criteria: InclusionCriteria = InclusionCrit
         failed.append("min_stars_or_forks")
     if meta.total_commits < criteria.min_commits:
         failed.append("min_commits")
-    if criteria.require_commit_every_half_year and any(
-        bucket == 0 for bucket in meta.half_year_commit_buckets
-    ):
+    if any(bucket == 0 for bucket in meta.half_year_commit_buckets):
         failed.append("commit_every_half_year")
     return (not failed, failed)
 
 
-def sample_stratified(candidates: list[tuple[RepoMeta, Stratum]], per_stratum: int,
+def sample_stratified(candidates: list[tuple[RepoMeta, tuple[int, int]]], per_stratum: int,
                       seed: int) -> list[RepoMeta]:
     """Seeded draw of at most ``per_stratum`` repos from each stratum.
 
@@ -131,7 +118,7 @@ def sample_stratified(candidates: list[tuple[RepoMeta, Stratum]], per_stratum: i
         raise ValueError("per_stratum must be at least 1")
     buckets: dict[tuple[int, int], list[RepoMeta]] = {s: [] for s in STRATA}
     for meta, stratum in candidates:
-        buckets[(stratum.lower, stratum.upper)].append(meta)
+        buckets[stratum].append(meta)
     rng = random.Random(seed)
     selected: list[RepoMeta] = []
     for bounds in STRATA:
@@ -151,7 +138,7 @@ def sample_stratified(candidates: list[tuple[RepoMeta, Stratum]], per_stratum: i
 
 
 class MetadataClient:
-    """Read-only metadata client with disk caching and backoff on 429/403."""
+    """Read-only metadata client with disk caching and backoff on rate limits."""
 
     def __init__(
         self,
@@ -159,14 +146,11 @@ class MetadataClient:
         auth_token: str | None = None,
         cache_dir: str | Path | None = None,
         max_retries: int = 3,
-        timeout: float = 30.0,
-        session: requests.Session | None = None,
     ):
         self.api_base = api_base.rstrip("/")
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.max_retries = max_retries
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self.session.headers.update({
             "Accept": "application/vnd.github+json",
             "User-Agent": "linechurn-selector",
@@ -181,11 +165,13 @@ class MetadataClient:
         attempt = 0
         while True:
             try:
-                response = self.session.get(url, params=params, timeout=self.timeout)
+                response = self.session.get(url, params=params, timeout=TIMEOUT_S)
             except requests.RequestException as exc:
                 raise TransportError(f"GET {url}: {exc}") from exc
             if response.status_code == 404:
                 raise NotFound(f"{path} not found")
+            if response.status_code == 403 and not _rate_limited(response):
+                raise SelectorError(f"GET {url}: 403 {_message(response)}")
             if response.status_code in (403, 429):
                 retry_after = _retry_after_seconds(response)
                 if attempt >= self.max_retries:
@@ -260,17 +246,15 @@ class MetadataClient:
         self._cache_write(owner_and_name, now_ts, meta)
         return meta
 
-    def fetch_many(self, names: list[str], workers: int = 4,
-                   now: int | None = None) -> list[RepoMeta | Exception]:
-        """Concurrent fetches, results merged back in input order."""
-        def one(name: str):
+    def fetch_many(self, names: list[str], now: int | None = None) -> list[RepoMeta | Exception]:
+        """One fetch after another, in input order: GitHub asks for serial requests."""
+        results: list[RepoMeta | Exception] = []
+        for name in names:
             try:
-                return self.fetch_repo_meta(name, now=now)
+                results.append(self.fetch_repo_meta(name, now=now))
             except Exception as exc:  # surfaced to the caller per name
-                return exc
-
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            return list(pool.map(one, names))
+                results.append(exc)
+        return results
 
     # -- cache ----------------------------------------------------------------
 
@@ -294,16 +278,7 @@ class MetadataClient:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
-            "owner_and_name": meta.owner_and_name,
-            "stars": meta.stars,
-            "forks": meta.forks,
-            "total_commits": meta.total_commits,
-            "created_at": meta.created_at,
-            "half_year_commit_buckets": list(meta.half_year_commit_buckets),
-            "archived": meta.archived,
-        }
-        path.write_text(json.dumps(record, sort_keys=True) + "\n", "utf-8")
+        path.write_text(json.dumps(asdict(meta), sort_keys=True) + "\n", "utf-8")
 
 
 def _half_year_intervals(created_at: int, now_ts: int) -> list[tuple[int, int]]:
@@ -316,6 +291,22 @@ def _half_year_intervals(created_at: int, now_ts: int) -> list[tuple[int, int]]:
         )
         for k in range(n)
     ]
+
+
+def _message(response: requests.Response) -> str:
+    """The ``message`` of a JSON error body, or an empty string."""
+    try:
+        return str(response.json()["message"])
+    except (ValueError, TypeError, KeyError):  # not a JSON object with a message
+        return ""
+
+
+def _rate_limited(response: requests.Response) -> bool:
+    """Whether a 403 is GitHub's primary rate limit (``X-RateLimit-Remaining: 0``)
+    or its secondary one (``Retry-After``, or the message) rather than a refusal."""
+    return ("Retry-After" in response.headers
+            or response.headers.get("X-RateLimit-Remaining") == "0"
+            or "rate limit" in _message(response).lower())
 
 
 def _retry_after_seconds(response: requests.Response) -> float:

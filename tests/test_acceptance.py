@@ -301,8 +301,7 @@ def test_determinism(tmp_path):
             outputs = []
             for name in ("one", "two"):
                 out = tmp_path / build.__name__ / name
-                analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out,
-                                            emit_plot_data=True))
+                analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
                 outputs.append(out)
             first, second = outputs
             names1 = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())

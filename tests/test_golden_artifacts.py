@@ -38,9 +38,8 @@ def run_cases(work: Path) -> dict:
     override = work / "override.csv"
     override.write_text(OVERRIDE, "utf-8")
     configs = {
-        "hotspot": AnalysisConfig(hotspot, work / "out" / "hotspot", emit_plot_data=True),
-        "multi_hotspot": AnalysisConfig(multi, work / "out" / "multi_hotspot",
-                                        emit_plot_data=True),
+        "hotspot": AnalysisConfig(hotspot, work / "out" / "hotspot"),
+        "multi_hotspot": AnalysisConfig(multi, work / "out" / "multi_hotspot"),
         "hotspot_override": AnalysisConfig(hotspot, work / "out" / "hotspot_override",
                                            labels_override=override),
     }

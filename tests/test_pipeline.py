@@ -37,8 +37,7 @@ def hotspot_repo(tmp_path_factory):
 @pytest.fixture(scope="module")
 def analyzed(hotspot_repo, tmp_path_factory):
     out = tmp_path_factory.mktemp("out")
-    config = AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out,
-                            emit_plot_data=True)
+    config = AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out)
     manifest = analyze_repo(config)
     return hotspot_repo, out, manifest
 
@@ -130,18 +129,11 @@ class TestAnalyzeRepo:
         assert rows and rows[0]["k"] == "1"
         assert rows[-1]["s_obs"] == "1"
 
-    def test_plot_data_omitted_when_flag_off(self, hotspot_repo, tmp_path):
-        config = AnalysisConfig(repo_path=hotspot_repo["path"],
-                                output_dir=tmp_path / "noplot")
-        analyze_repo(config)
-        assert not (tmp_path / "noplot" / "saturation.csv").exists()
-
     def test_deterministic_outputs(self, hotspot_repo, tmp_path):
         outputs = []
         for name in ("run1", "run2"):
             out = tmp_path / name
-            analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out,
-                                        emit_plot_data=True))
+            analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out))
             outputs.append(out)
         first, second = outputs
         files1 = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
@@ -151,6 +143,24 @@ class TestAnalyzeRepo:
             if rel.name == "manifest.json":
                 continue  # timestamps differ by design
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("where", ["subdirectory", "bare clone"])
+    def test_repo_inside_a_work_tree_or_bare(self, where, analyzed, tmp_path):
+        """Stage 1 prints paths from the top of the work tree, and stage 2's
+        pathspecs must be read from there too, wherever ``repo_path`` is."""
+        fixture, root_out, _ = analyzed
+        repo = fixture["path"] / "sub"  # fast-import checks out no files: make a directory
+        repo.mkdir(exist_ok=True)
+        if where == "bare clone":
+            repo = tmp_path / "bare.git"
+            run_git(tmp_path, "clone", "--quiet", "--bare", str(fixture["path"]), str(repo))
+        out = tmp_path / "out"
+        manifest = analyze_repo(AnalysisConfig(repo_path=repo, output_dir=out))
+        assert manifest.aborted == {}
+        artifacts = [{p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*"))
+                      if p.is_file() and p.name != "manifest.json"} for d in (root_out, out)]
+        assert len(artifacts[0]) >= 7
+        assert artifacts[1] == artifacts[0]
 
     def test_file_sample_caps_tracking(self, hotspot_repo, tmp_path):
         config = AnalysisConfig(repo_path=hotspot_repo["path"],
@@ -267,8 +277,7 @@ class TestSharedWalk:
                             ("exact", lambda paths, named: sorted(paths))):
             monkeypatch.setattr(pipeline, "pathspec_cover", cover)
             out = tmp_path / name
-            manifest = analyze_repo(AnalysisConfig(repo_path=multi["path"], output_dir=out,
-                                                   emit_plot_data=True))
+            manifest = analyze_repo(AnalysisConfig(repo_path=multi["path"], output_dir=out))
             assert manifest.aborted == {}
             counts.append(manifest.stage_counts["stage2_pathspecs"])
             artifacts.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
@@ -410,8 +419,7 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
             if config is hostile:  # git refuses it beside --literal-pathspecs
                 monkeypatch.setenv("GIT_ICASE_PATHSPECS", "1")
             out = tmp_path / build.__name__ / config.stem
-            analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out,
-                                        emit_plot_data=True))
+            analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
             artifacts.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
                               if p.is_file() and p.name != "manifest.json"})
         assert len(artifacts[0]) >= 7
@@ -740,6 +748,16 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repo, reason", [("missing", "does not exist"),
+                                              ("plain", "is not a git repository")])
+    def test_fatal_repo_error_leaves_no_output(self, repo, reason, tmp_path, capsys):
+        (tmp_path / "plain").mkdir()
+        out = tmp_path / "o" / "p"
+        code = cli.main(["analyze", "--repo", str(tmp_path / repo), "--out", str(out)])
+        assert code == 1
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_analyze_repo_is_a_file_exit_one(self, tmp_path, capsys):
         (tmp_path / "repo").write_text("not a repository\n")
         code = cli.main(["analyze", "--repo", str(tmp_path / "repo"),
@@ -779,7 +797,7 @@ class TestCli:
             def __init__(self, **kwargs):
                 calls["init"] = kwargs
 
-            def fetch_many(self, names, workers=4, now=None):
+            def fetch_many(self, names, now=None):
                 out = []
                 for i, name in enumerate(names):
                     out.append(RepoMeta(name, stars=20 + 200 * i, forks=0,
@@ -797,6 +815,7 @@ class TestCli:
         rows = read_csv(out_file)
         assert {r["owner_and_name"] for r in rows} <= {"o/a", "o/b", "o/c"}
         assert len(rows) == 3  # two strata, populations under quota
+        assert calls["init"]["api_base"] == selector.DEFAULT_API_BASE
 
     def test_select_requires_candidates(self, capsys):
         assert cli.main(["select", "--per-stratum", "2"]) == 1
@@ -817,7 +836,7 @@ class TestCli:
             def __init__(self, **kwargs):
                 pass
 
-            def fetch_many(self, names, workers=4, now=None):
+            def fetch_many(self, names, now=None):
                 requests.append(names)
                 return []
 

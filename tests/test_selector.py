@@ -8,6 +8,7 @@ import random
 import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import groupby
 from urllib.parse import parse_qs, urlparse
 
 import pytest
@@ -22,7 +23,7 @@ from linechurn.selector import (
     NotFound,
     RateLimited,
     RepoMeta,
-    Stratum,
+    SelectorError,
     assign_stratum,
     passes_inclusion,
     sample_stratified,
@@ -54,11 +55,6 @@ class TestPassesInclusion:
         ok, failed = passes_inclusion(meta(buckets=(1, 0, 1)))
         assert not ok and failed == ["commit_every_half_year"]
 
-    def test_bucket_check_disabled(self):
-        criteria = InclusionCriteria(require_commit_every_half_year=False)
-        ok, _ = passes_inclusion(meta(buckets=(1, 0, 1)), criteria)
-        assert ok
-
     def test_forks_count_toward_popularity(self):
         ok, _ = passes_inclusion(meta(stars=0, forks=50))
         assert ok
@@ -89,27 +85,20 @@ class TestAssignStratum:
         (1_000_001, None),
     ])
     def test_boundaries(self, popularity, expected):
-        stratum = assign_stratum(popularity)
-        if expected is None:
-            assert stratum is None
-        else:
-            assert (stratum.lower, stratum.upper) == expected
+        assert assign_stratum(popularity) == expected
 
     @given(st.integers(11, 1_000_000))
     @settings(max_examples=300, deadline=None)
     def test_total_partition(self, popularity):
-        matches = [s for s in
-                   (Stratum(lo, hi) for lo, hi in
-                    ((11, 100), (101, 1000), (1001, 10000), (10001, 100000),
-                     (100001, 1000000)))
-                   if popularity in s]
+        matches = [(lo, hi) for lo, hi in
+                   ((11, 100), (101, 1000), (1001, 10000), (10001, 100000), (100001, 1000000))
+                   if lo <= popularity <= hi]
         assert len(matches) == 1
-        assigned = assign_stratum(popularity)
-        assert (assigned.lower, assigned.upper) == (matches[0].lower, matches[0].upper)
+        assert assign_stratum(popularity) == matches[0]
 
 
 class TestSampleStratified:
-    def _candidates(self, spec: dict[int, int]) -> list[tuple[RepoMeta, Stratum]]:
+    def _candidates(self, spec: dict[int, int]) -> list[tuple[RepoMeta, tuple[int, int]]]:
         out = []
         for lower, count in spec.items():
             stratum = assign_stratum(lower)
@@ -138,8 +127,8 @@ class TestSampleStratified:
         assert len(chosen) == 10
         per = {}
         for m in chosen:
-            stratum = assign_stratum(m.popularity)
-            per[stratum.lower] = per.get(stratum.lower, 0) + 1
+            lower, _ = assign_stratum(m.popularity)
+            per[lower] = per.get(lower, 0) + 1
         assert per == {11: 2, 101: 2, 1001: 2, 10_001: 2, 100_001: 2}
 
     def test_matches_reference_seeded_draw(self):
@@ -152,7 +141,7 @@ class TestSampleStratified:
         rng = random.Random(99)
         expected = []
         for lower in (11, 101, 1001, 10_001, 100_001):
-            bucket = [m for m, s in candidates if s.lower == lower]
+            bucket = [m for m, (lo, _) in candidates if lo == lower]
             expected.extend(rng.sample(bucket, 3))
         assert [m.owner_and_name for m in chosen] == [m.owner_and_name for m in expected]
 
@@ -199,7 +188,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             if repo.get("ratelimit_first", 0) > _StubHandler.rate_limit_hits.get(full_name, 0):
                 _StubHandler.rate_limit_hits[full_name] = \
                     _StubHandler.rate_limit_hits.get(full_name, 0) + 1
-                self._send(429, {"message": "rate limited"}, {"Retry-After": "0"})
+                self._send(*repo.get("limit", (429, {"message": "rate limited"},
+                                               {"Retry-After": "0"})))
                 return
             if len(parts) == 3:
                 self._send(200, {
@@ -326,9 +316,50 @@ class TestMetadataClient:
             }
         client = MetadataClient(api_base=base)
         names = [f"octo/r{i}" for i in range(5)] + ["octo/missing"]
-        results = client.fetch_many(names, workers=3, now=NOW)
+        results = client.fetch_many(names, now=NOW)
         assert [r.owner_and_name for r in results[:5]] == names[:5]
         assert isinstance(results[5], NotFound)
+        # One fetch after another: each repository's requests are contiguous,
+        # and the repositories come in input order.
+        requested = ("/".join(urlparse(path).path.split("/")[2:4]) for path in stub.request_log)
+        assert [name for name, _ in groupby(requested)] == names
+
+    @pytest.mark.parametrize("status, payload, headers", [
+        pytest.param(429, {"message": "slow down"}, {}, id="429"),
+        pytest.param(403, {"message": "x"}, {"Retry-After": "0"}, id="403-retry-after"),
+        pytest.param(403, {"message": "x"}, {"X-RateLimit-Remaining": "0",
+                                            "X-RateLimit-Reset": "0"}, id="403-remaining-0"),
+        pytest.param(403, {"message": "API rate limit exceeded for 127.0.0.1."}, {},
+                     id="403-message"),
+    ])
+    def test_rate_limit_signals_retried(self, status, payload, headers, stub_api, monkeypatch):
+        base, stub = stub_api
+        stub.repos["octo/busy"] = {
+            "stars": 11, "forks": 0, "total_commits": 10_000,
+            "created_at": _created_at_iso(1.0),
+            "ratelimit_first": 1, "limit": (status, payload, headers),
+        }
+        slept = []
+        monkeypatch.setattr("linechurn.selector.time.sleep", slept.append)
+        result = MetadataClient(api_base=base).fetch_repo_meta("octo/busy", now=NOW)
+        assert result.stars == 11
+        assert len(slept) == 1
+
+    def test_forbidden_is_not_a_rate_limit(self, stub_api, monkeypatch):
+        base, stub = stub_api
+        stub.repos["octo/private"] = {
+            "stars": 11, "forks": 0, "total_commits": 10_000,
+            "created_at": _created_at_iso(1.0),
+            "ratelimit_first": 99,
+            "limit": (403, {"message": "Resource not accessible by integration"}, {}),
+        }
+        slept = []
+        monkeypatch.setattr("linechurn.selector.time.sleep", slept.append)
+        with pytest.raises(SelectorError) as excinfo:
+            MetadataClient(api_base=base).fetch_repo_meta("octo/private", now=NOW)
+        assert not isinstance(excinfo.value, RateLimited)
+        assert "403 Resource not accessible by integration" in str(excinfo.value)
+        assert len(stub.request_log) == 1 and slept == []
 
     def test_invalid_name_rejected(self):
         client = MetadataClient(api_base="http://127.0.0.1:1")

@@ -10,7 +10,7 @@ never bots regardless of keyword hits, denylisted ones always are.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -86,21 +86,17 @@ def aggregate_committers(commit_headers: Iterable[CommitHeader]) -> list[Committ
 
 def flag_bot(identity: CommitterIdentity, config: BotConfig = BotConfig()) -> CommitterIdentity:
     """Attach the bot verdict: keyword hit minus allowlist, plus denylist."""
-    def replace(is_bot: bool, reason: str | None) -> CommitterIdentity:
-        return CommitterIdentity(identity.name, identity.email, identity.commit_count,
-                                 is_bot, reason)
-
     if identity.name in config.denylist or identity.email in config.denylist:
-        return replace(True, "denylist")
+        return replace(identity, is_bot=True, match_reason="denylist")
     if identity.name in config.allowlist or identity.email in config.allowlist:
-        return replace(False, None)
+        return replace(identity, is_bot=False, match_reason=None)
     haystacks = (identity.name.lower(), identity.email.lower())
     for keyword in config.keywords:
         needle = keyword.lower()
         for hay in haystacks:
             if needle in hay:
-                return replace(True, f"keyword:{keyword}")
-    return replace(False, None)
+                return replace(identity, is_bot=True, match_reason=f"keyword:{keyword}")
+    return replace(identity, is_bot=False, match_reason=None)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ modification-count distribution within each hotspot file.
 
 from __future__ import annotations
 
+import functools
 import math
-import re
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -63,50 +63,25 @@ class DescriptiveStats:
     iqr: float
 
 
-class _CategoryTable:
-    def __init__(self, text: str):
-        self.fragments: list[tuple[str, str]] = []
-        self.names: dict[str, str] = {}
-        self.extensions: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            kind, pattern, category = line.split("\t")
-            if kind == "frag":
-                self.fragments.append((pattern, category))
-            elif kind == "name":
-                self.names[pattern] = category
-            elif kind == "ext":
-                self.extensions[pattern] = category
-
-    def lookup(self, path: str) -> str:
-        basename = path.replace("\\", "/").rsplit("/", 1)[-1].lower()
-        for fragment, category in self.fragments:
-            if fragment in basename:
-                return category
-        if basename in self.names:
-            return self.names[basename]
-        stem = basename
-        # requirements-dev.txt and friends count as the requirements manifest
-        if re.match(r"requirements[-_.].*\.txt$", basename):
-            return ADMINISTRATIVE
-        if "." in stem:
-            ext = "." + stem.rsplit(".", 1)[-1]
-            if ext in self.extensions:
-                return self.extensions[ext]
-        return ADMINISTRATIVE
-
-
-_TABLE: _CategoryTable | None = None
-
-
-def _table() -> _CategoryTable:
-    global _TABLE
-    if _TABLE is None:
-        text = resources.files("linechurn.data").joinpath("file_categories.txt").read_text("utf-8")
-        _TABLE = _CategoryTable(text)
-    return _TABLE
+@functools.cache
+def _table() -> tuple[tuple[tuple[str, str], ...], dict[str, str], dict[str, str]]:
+    """The category table's basename fragments, exact basenames and extensions."""
+    fragments: list[tuple[str, str]] = []
+    names: dict[str, str] = {}
+    extensions: dict[str, str] = {}
+    text = resources.files("linechurn.data").joinpath("file_categories.txt").read_text("utf-8")
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        kind, pattern, category = line.split("\t")
+        if kind == "frag":
+            fragments.append((pattern, category))
+        elif kind == "name":
+            names[pattern] = category
+        elif kind == "ext":
+            extensions[pattern] = category
+    return tuple(fragments), names, extensions
 
 
 def categorize_file(path: str) -> str:
@@ -115,7 +90,16 @@ def categorize_file(path: str) -> str:
     Resolution order: basename fragments, exact basenames, extension table;
     unknown extensions (and extensionless names) are administrative.
     """
-    return _table().lookup(path)
+    fragments, names, extensions = _table()
+    basename = path.replace("\\", "/").rsplit("/", 1)[-1].lower()
+    for fragment, category in fragments:
+        if fragment in basename:
+            return category
+    if basename in names:
+        return names[basename]
+    if "." in basename:
+        return extensions.get("." + basename.rsplit(".", 1)[-1], ADMINISTRATIVE)
+    return ADMINISTRATIVE
 
 
 def count_file_commits(

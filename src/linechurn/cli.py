@@ -7,6 +7,7 @@ import csv
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -15,11 +16,10 @@ from .churn import HotspotThresholds
 from .diffstream import StreamParseError
 from .pipeline import AnalysisConfig, BadInput, GitFailed, GitUnavailable, RepoNotFound, analyze_repo
 
-logger = logging.getLogger(__name__)
 
-
-def _style(text: str, code: str) -> str:
-    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
+def _style(text: str, code: str, stream) -> str:
+    """``text`` in colour ``code`` when ``stream``, where it is printed, is a terminal."""
+    if os.environ.get("NO_COLOR") or not stream.isatty():
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
 
@@ -102,12 +102,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"files: {counts['files_total']}  hotspot files: {counts['hotspot_files']}  "
           f"hotspot lines: {counts['hotspot_lines']}")
     if manifest.aborted:
-        print(_style(f"partial failure: {len(manifest.aborted)} file(s) aborted", "33"),
-              file=sys.stderr)
+        print(_style(f"partial failure: {len(manifest.aborted)} file(s) aborted", "33",
+                     sys.stderr), file=sys.stderr)
         for path, reason in sorted(manifest.aborted.items()):
             print(f"  {path}: {reason}", file=sys.stderr)
         return 2
-    print(_style("done", "32") + f" -> {args.out}")
+    print(_style("done", "32", sys.stdout) + f" -> {args.out}")
     return 0
 
 
@@ -121,10 +121,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
             names.extend(
                 line.strip()
                 for line in args.candidates_file.read_text("utf-8").splitlines()
-                if line.strip() and not line.startswith("#")
+                if line.strip() and not line.strip().startswith("#")
             )
         if not names:
             raise ValueError("no candidate repositories given")
+        for name in names:
+            selector.check_repo_name(name)
         if args.per_stratum < 1:
             raise ValueError(f"--per-stratum must be at least 1, got {args.per_stratum}")
         criteria = selector.InclusionCriteria(
@@ -141,15 +143,19 @@ def _cmd_select(args: argparse.Namespace) -> int:
         auth_token=os.environ.get("GITHUB_TOKEN"),
         cache_dir=args.cache_dir,
     )
-    results = client.fetch_many(names)
     eligible = []
-    for name, result in zip(names, results):
-        if isinstance(result, selector.SelectorError):
-            print(f"skip {name}: {result}", file=sys.stderr)
+    for name in names:  # one after another, in input order: GitHub asks for serial requests
+        try:
+            result = client.fetch_repo_meta(name)
+        except selector.Unavailable as exc:
+            print(f"skip {name}: {exc}", file=sys.stderr)
             continue
-        if isinstance(result, Exception):
-            print(f"skip {name}: unexpected error: {result}", file=sys.stderr)
-            continue
+        except (selector.SelectorError, OSError) as exc:  # OSError: the cache, or a non-JSON body
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            if args.out:  # a sample short of candidates would depend on what failed
+                out.close()
+                args.out.unlink()
+            return 1
         ok, failed = selector.passes_inclusion(result, criteria)
         if not ok:
             print(f"skip {name}: fails {','.join(failed)}", file=sys.stderr)
@@ -160,7 +166,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
             continue
         eligible.append((result, stratum))
 
-    chosen = selector.sample_stratified(eligible, per_stratum=args.per_stratum, seed=args.seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", selector.EmptyStratumWarning)
+        chosen = selector.sample_stratified(eligible, per_stratum=args.per_stratum, seed=args.seed)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["owner_and_name", "stars", "forks", "total_commits",

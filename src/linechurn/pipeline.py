@@ -29,7 +29,7 @@ import subprocess
 import threading
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -92,16 +92,11 @@ class AnalysisConfig:
         return {
             "repo_path": str(self.repo_path),
             "output_dir": str(self.output_dir),
-            "sigma_multiplier": self.thresholds.sigma_multiplier,
-            "monthly_rate": self.thresholds.monthly_rate,
-            "min_line_mods": self.thresholds.min_line_mods,
-            "population_sigma": self.thresholds.population_sigma,
+            **asdict(self.thresholds),
             "file_sample": self.file_sample,
             "sample_seed": self.sample_seed,
             "labels_override": str(self.labels_override) if self.labels_override else None,
-            "bot_keywords": list(self.bot_config.keywords),
-            "bot_allowlist": list(self.bot_config.allowlist),
-            "bot_denylist": list(self.bot_config.denylist),
+            **{f"bot_{key}": value for key, value in asdict(self.bot_config).items()},
             "history": "first-parent",  # merge side branches are excluded
         }
 
@@ -182,25 +177,16 @@ def _repo_head(repo: Path) -> tuple[str, Path]:
         raise RepoNotFound(f"{repo} does not exist")
     if not repo.is_dir():
         raise RepoNotFound(f"{repo} is not a directory")
-    probe = subprocess.run(["git", "rev-parse", "--show-cdup"], cwd=repo,
-                           capture_output=True)
+    # Exits 128 outside a repository and 1 when HEAD names no commit; else
+    # prints the cdup line (none in a bare repository), then HEAD's hash.
+    probe = subprocess.run(["git", "rev-parse", "--show-cdup", "--verify", "-q", "HEAD"],
+                           cwd=repo, capture_output=True)
+    if probe.returncode == 1:
+        raise RepoNotFound(f"{repo} has no commits (empty repository)")
     if probe.returncode != 0:
         raise RepoNotFound(f"{repo} is not a git repository")
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True)
-    if head.returncode != 0:
-        raise RepoNotFound(f"{repo} has no commits (empty repository)")
-    return head.stdout.decode().strip(), repo / probe.stdout.decode().strip()
-
-
-def _stage1_churn(repo: Path):
-    """Whole-history name-status pass: counts, rename chains, named paths,
-    months, commits."""
-    with contextlib.closing(_git_lines(repo, log_command(name_status=True))) as chunks:
-        counts, chains, named, months, n_commits = count_file_commits(
-            parse_name_status_stream(chunks))
-    if not counts:  # no commits at all, or none that changes a file
-        raise RepoNotFound(f"{repo} log produced no commits that change a file")
-    return counts, chains, named, months, n_commits
+    *cdup, head = probe.stdout.decode().splitlines()
+    return head, repo / "".join(cdup)
 
 
 def pathspec_cover(paths: Iterable[str], named: Iterable[str]) -> list[str]:
@@ -246,7 +232,11 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        counts, chains, named, lifetime_months, n_commits = _stage1_churn(root)
+        with contextlib.closing(_git_lines(root, log_command(name_status=True))) as chunks:
+            counts, chains, named, lifetime_months, n_commits = count_file_commits(
+                parse_name_status_stream(chunks))
+        if not counts:  # no commits at all, or none that changes a file
+            raise RepoNotFound(f"{root} log produced no commits that change a file")
         categories = {path: categorize_file(path) for path in counts}
         hotspot_files = detect_hotspot_files(counts, lifetime_months, config.thresholds)
 
@@ -261,7 +251,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         # matching tree entries against fewer pathspecs.
         tracked_paths = {p for path in selected_files for p in chains.get(path, []) + [path]}
         pathspecs = pathspec_cover(tracked_paths, named)
-        replayer = HistoryReplayer(track_paths=tracked_paths)
+        replayer = HistoryReplayer()
         if pathspecs:  # without a pathspec the walk would read every file's patches
             walk = _git_lines(root, log_command(file_paths=pathspecs))
             try:

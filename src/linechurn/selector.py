@@ -4,7 +4,9 @@ Applies the inclusion criteria (popularity floor, minimum commit count,
 continuous half-year activity) and draws a seeded stratified sample over
 five popularity strata.  Metadata responses are cached on disk, one JSON
 file per repository per query date, and rate-limit responses are retried
-with the server-provided backoff.
+with the server-provided backoff.  ``Unavailable`` marks a repository the
+server will not describe; every other ``SelectorError`` means the sample
+cannot be drawn as asked.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from urllib.parse import parse_qs, urlparse
 
 import requests
 
@@ -40,7 +43,11 @@ class SelectorError(Exception):
     pass
 
 
-class NotFound(SelectorError):
+class Unavailable(SelectorError):
+    """The server will not give this repository's metadata: skip it, not the run."""
+
+
+class NotFound(Unavailable):
     pass
 
 
@@ -48,10 +55,6 @@ class RateLimited(SelectorError):
     def __init__(self, retry_after: float):
         self.retry_after = retry_after
         super().__init__(f"rate limited; retry after {retry_after:.0f}s")
-
-
-class TransportError(SelectorError):
-    pass
 
 
 class EmptyStratumWarning(UserWarning):
@@ -66,7 +69,6 @@ class RepoMeta:
     total_commits: int
     created_at: int  # UTC epoch seconds
     half_year_commit_buckets: tuple[int, ...]
-    archived: bool = False
 
     @property
     def popularity(self) -> int:
@@ -167,12 +169,13 @@ class MetadataClient:
             try:
                 response = self.session.get(url, params=params, timeout=TIMEOUT_S)
             except requests.RequestException as exc:
-                raise TransportError(f"GET {url}: {exc}") from exc
-            if response.status_code == 404:
+                raise SelectorError(f"GET {url}: {exc}") from exc
+            status = response.status_code
+            if status == 404:
                 raise NotFound(f"{path} not found")
-            if response.status_code == 403 and not _rate_limited(response):
-                raise SelectorError(f"GET {url}: 403 {_message(response)}")
-            if response.status_code in (403, 429):
+            if status == 451 or (status == 403 and not _rate_limited(response)):
+                raise Unavailable(f"GET {url}: {status} {_message(response)}")
+            if status in (403, 429):
                 retry_after = _retry_after_seconds(response)
                 if attempt >= self.max_retries:
                     raise RateLimited(retry_after)
@@ -181,13 +184,9 @@ class MetadataClient:
                                path, retry_after, attempt, self.max_retries)
                 time.sleep(min(retry_after, 60.0))
                 continue
-            if response.status_code >= 500:
-                raise TransportError(f"GET {url}: server error {response.status_code}")
-            response.raise_for_status()
+            if not response.ok:
+                raise SelectorError(f"GET {url}: {status} {_message(response) or response.reason}")
             return response
-
-    def _get_json(self, path: str, params: dict | None = None):
-        return self._get(path, params).json()
 
     def _count_via_pagination(self, path: str, params: dict) -> int:
         """Item count from the Link header's last-page number (per_page=1)."""
@@ -196,9 +195,9 @@ class MetadataClient:
         for part in link.split(","):
             if 'rel="last"' in part:
                 target = part[part.find("<") + 1 : part.find(">")]
-                page = _query_param(target, "page")
-                if page is not None:
-                    return int(page)
+                page = parse_qs(urlparse(target).query).get("page")
+                if page:
+                    return int(page[0])
         return len(response.json())
 
     # -- the fetch operation -------------------------------------------------
@@ -210,28 +209,31 @@ class MetadataClient:
         bucket k is 1 when at least one commit exists in the k-th half-year
         interval since creation, else 0.
         """
-        if "/" not in owner_and_name or owner_and_name.count("/") != 1:
-            raise ValueError(f"repository name must be 'owner/repo': {owner_and_name!r}")
+        check_repo_name(owner_and_name)
         now_ts = int(time.time()) if now is None else now
 
         cached = self._cache_read(owner_and_name, now_ts)
         if cached is not None:
             return cached
 
-        info = self._get_json(f"/repos/{owner_and_name}")
-        created_at = _parse_iso8601(info["created_at"])
+        info = self._get(f"/repos/{owner_and_name}").json()
+        try:
+            created_at = _parse_iso8601(info["created_at"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise SelectorError(
+                f"/repos/{owner_and_name}: no valid created_at in the response") from None
         total_commits = self._count_via_pagination(f"/repos/{owner_and_name}/commits", {})
 
         buckets: list[int] = []
         for start, end in _half_year_intervals(created_at, now_ts):
-            commits = self._get_json(
+            commits = self._get(
                 f"/repos/{owner_and_name}/commits",
                 {
                     "since": _iso8601(start),
                     "until": _iso8601(end),
                     "per_page": 1,
                 },
-            )
+            ).json()
             buckets.append(1 if commits else 0)
 
         meta = RepoMeta(
@@ -241,20 +243,9 @@ class MetadataClient:
             total_commits=total_commits,
             created_at=created_at,
             half_year_commit_buckets=tuple(buckets),
-            archived=bool(info.get("archived", False)),
         )
         self._cache_write(owner_and_name, now_ts, meta)
         return meta
-
-    def fetch_many(self, names: list[str], now: int | None = None) -> list[RepoMeta | Exception]:
-        """One fetch after another, in input order: GitHub asks for serial requests."""
-        results: list[RepoMeta | Exception] = []
-        for name in names:
-            try:
-                results.append(self.fetch_repo_meta(name, now=now))
-            except Exception as exc:  # surfaced to the caller per name
-                results.append(exc)
-        return results
 
     # -- cache ----------------------------------------------------------------
 
@@ -267,11 +258,14 @@ class MetadataClient:
 
     def _cache_read(self, owner_and_name: str, now_ts: int) -> RepoMeta | None:
         path = self._cache_path(owner_and_name, now_ts)
-        if path is None or not path.exists():
+        if path is None:
             return None
-        record = json.loads(path.read_text("utf-8"))
-        record["half_year_commit_buckets"] = tuple(record["half_year_commit_buckets"])
-        return RepoMeta(**record)
+        try:
+            record = json.loads(path.read_text("utf-8"))
+            record["half_year_commit_buckets"] = tuple(record["half_year_commit_buckets"])
+            return RepoMeta(**record)
+        except (OSError, KeyError, TypeError, ValueError):  # absent, corrupt or another shape
+            return None
 
     def _cache_write(self, owner_and_name: str, now_ts: int, meta: RepoMeta) -> None:
         path = self._cache_path(owner_and_name, now_ts)
@@ -279,6 +273,12 @@ class MetadataClient:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(asdict(meta), sort_keys=True) + "\n", "utf-8")
+
+
+def check_repo_name(owner_and_name: str) -> None:
+    """Raise ValueError unless the name has the form ``owner/repo``."""
+    if owner_and_name.count("/") != 1:
+        raise ValueError(f"repository name must be 'owner/repo': {owner_and_name!r}")
 
 
 def _half_year_intervals(created_at: int, now_ts: int) -> list[tuple[int, int]]:
@@ -331,10 +331,3 @@ def _parse_iso8601(text: str) -> int:
 
 def _iso8601(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _query_param(url: str, name: str) -> str | None:
-    from urllib.parse import parse_qs, urlparse
-
-    values = parse_qs(urlparse(url).query).get(name)
-    return values[0] if values else None

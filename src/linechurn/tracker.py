@@ -197,13 +197,9 @@ class HistoryReplayer:
     reported; other files continue.
     """
 
-    def __init__(self, track_paths: set[str] | None = None):
-        self.track_paths = track_paths
+    def __init__(self):
         self.states: dict[str, FileState] = {}
         self.aborted: dict[str, str] = {}  # path -> reason
-
-    def _wants(self, path: str) -> bool:
-        return self.track_paths is None or path in self.track_paths
 
     def run(self, events: Iterable[object]) -> None:
         """Apply the events in order.  A later call continues the same
@@ -238,10 +234,8 @@ class HistoryReplayer:
         self.aborted[path] = reason
         self.states.pop(path, None)
 
-    def _on_file_start(self, header: FileDiffHeader) -> str | None:
+    def _on_file_start(self, header: FileDiffHeader) -> str:
         old, new = header.old_path, header.new_path
-        if not self._wants(new) and not self._wants(old):
-            return None
         if old != new:
             if old in self.states:
                 state = self.states.pop(old)

@@ -749,9 +749,11 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("repo, reason", [("missing", "does not exist"),
-                                              ("plain", "is not a git repository")])
+                                              ("plain", "is not a git repository"),
+                                              ("empty", "has no commits")])
     def test_fatal_repo_error_leaves_no_output(self, repo, reason, tmp_path, capsys):
         (tmp_path / "plain").mkdir()
+        subprocess.run(["git", "init", "-q", tmp_path / "empty"], check=True)
         out = tmp_path / "o" / "p"
         code = cli.main(["analyze", "--repo", str(tmp_path / repo), "--out", str(out)])
         assert code == 1
@@ -790,6 +792,20 @@ class TestCli:
         assert code == 2
         assert "partial failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tty", ["stdout", "stderr"])
+    def test_partial_failure_colour_follows_its_stream(self, tty, hotspot_repo, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(pipeline, "HistoryReplayer", aborting_replayer("hot.cfg", "boom"))
+        monkeypatch.setattr(getattr(sys, tty), "isatty", lambda: True)
+        code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]),
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        coloured = "\x1b[33mpartial failure: 1 file(s) aborted\x1b[0m"
+        assert (coloured in err) == (tty == "stderr")
+        assert "partial failure: 1 file(s) aborted" in err
+
     def test_select_with_stubbed_client(self, tmp_path, monkeypatch, capsys):
         calls = {}
 
@@ -797,14 +813,10 @@ class TestCli:
             def __init__(self, **kwargs):
                 calls["init"] = kwargs
 
-            def fetch_many(self, names, now=None):
-                out = []
-                for i, name in enumerate(names):
-                    out.append(RepoMeta(name, stars=20 + 200 * i, forks=0,
-                                        total_commits=12_000,
-                                        created_at=1_500_000_000,
-                                        half_year_commit_buckets=(1, 1)))
-                return out
+            def fetch_repo_meta(self, name, now=None):
+                i = ["o/a", "o/b", "o/c"].index(name)
+                return RepoMeta(name, stars=20 + 200 * i, forks=0, total_commits=12_000,
+                                created_at=1_500_000_000, half_year_commit_buckets=(1, 1))
 
         monkeypatch.setattr(selector, "MetadataClient", FakeClient)
         out_file = tmp_path / "sel.csv"
@@ -836,9 +848,8 @@ class TestCli:
             def __init__(self, **kwargs):
                 pass
 
-            def fetch_many(self, names, now=None):
-                requests.append(names)
-                return []
+            def fetch_repo_meta(self, name, now=None):
+                requests.append(name)
 
         monkeypatch.setattr(selector, "MetadataClient", FakeClient)
         monkeypatch.chdir(tmp_path)

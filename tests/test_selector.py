@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linechurn.cli as cli
 from linechurn.selector import (
     HALF_YEAR_SECONDS,
     EmptyStratumWarning,
@@ -192,12 +193,11 @@ class _StubHandler(BaseHTTPRequestHandler):
                                                {"Retry-After": "0"})))
                 return
             if len(parts) == 3:
-                self._send(200, {
-                    "stargazers_count": repo["stars"],
-                    "forks_count": repo["forks"],
-                    "created_at": repo["created_at"],
-                    "archived": repo.get("archived", False),
-                })
+                info = {"stargazers_count": repo["stars"], "forks_count": repo["forks"],
+                        "archived": False}
+                if repo["created_at"] is not None:
+                    info["created_at"] = repo["created_at"]
+                self._send(200, info)
                 return
             if parts[3] == "commits":
                 if "since" in params:  # bucket probe
@@ -307,23 +307,6 @@ class TestMetadataClient:
         assert second == first
         assert list(tmp_path.glob("octo__cached__*.json"))
 
-    def test_fetch_many_preserves_order(self, stub_api):
-        base, stub = stub_api
-        for i in range(5):
-            stub.repos[f"octo/r{i}"] = {
-                "stars": 20 + i, "forks": 0, "total_commits": 10_000 + i,
-                "created_at": _created_at_iso(1.0),
-            }
-        client = MetadataClient(api_base=base)
-        names = [f"octo/r{i}" for i in range(5)] + ["octo/missing"]
-        results = client.fetch_many(names, now=NOW)
-        assert [r.owner_and_name for r in results[:5]] == names[:5]
-        assert isinstance(results[5], NotFound)
-        # One fetch after another: each repository's requests are contiguous,
-        # and the repositories come in input order.
-        requested = ("/".join(urlparse(path).path.split("/")[2:4]) for path in stub.request_log)
-        assert [name for name, _ in groupby(requested)] == names
-
     @pytest.mark.parametrize("status, payload, headers", [
         pytest.param(429, {"message": "slow down"}, {}, id="429"),
         pytest.param(403, {"message": "x"}, {"Retry-After": "0"}, id="403-retry-after"),
@@ -365,3 +348,123 @@ class TestMetadataClient:
         client = MetadataClient(api_base="http://127.0.0.1:1")
         with pytest.raises(ValueError):
             client.fetch_repo_meta("not-a-repo-name", now=NOW)
+
+    @pytest.mark.parametrize("content", [
+        pytest.param('{"stars": 1', id="corrupt"),
+        pytest.param(json.dumps({"owner_and_name": "octo/old", "stars": 300, "forks": 2,
+                                 "total_commits": 11_000, "created_at": NOW,
+                                 "half_year_commit_buckets": [1], "archived": False}),
+                     id="archived"),
+    ])
+    def test_cache_record_that_does_not_load_is_a_miss(self, content, stub_api, tmp_path):
+        base, stub = stub_api
+        stub.repos["octo/old"] = {
+            "stars": 300, "forks": 2, "total_commits": 11_000,
+            "created_at": _created_at_iso(1.2),
+        }
+        cache = tmp_path / "octo__old__2024-10-20.json"
+        cache.write_text(content)
+        result = MetadataClient(api_base=base, cache_dir=tmp_path).fetch_repo_meta(
+            "octo/old", now=NOW)
+        assert result.stars == 300 and stub.request_log  # fetched again
+        assert sorted(json.loads(cache.read_text())) == [
+            "created_at", "forks", "half_year_commit_buckets", "owner_and_name", "stars",
+            "total_commits"]
+
+
+def _candidates(stub, n: int) -> list[str]:
+    names = [f"octo/r{i}" for i in range(n)]
+    for i, name in enumerate(names):
+        stub.repos[name] = {
+            "stars": 20 + i, "forks": 0, "total_commits": 10_000 + i,
+            "created_at": _created_at_iso(1.0),
+        }
+    return names
+
+
+def _requested(stub) -> list[str]:
+    """The repository of each request, in the order the stub received them."""
+    return ["/".join(urlparse(path).path.split("/")[2:4]) for path in stub.request_log]
+
+
+class TestSelectCli:
+    def test_select_fetches_in_input_order(self, stub_api, tmp_path, capsys):
+        base, stub = stub_api
+        names = _candidates(stub, 5) + ["octo/missing"]
+        out = tmp_path / "sel.csv"
+        code = cli.main(["select", *names, "--per-stratum", "5", "--api-base", base,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "skip octo/missing: /repos/octo/missing not found" in err
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == names[:5]
+        # One fetch after another: each repository's requests are contiguous,
+        # and the repositories come in input order.
+        assert [name for name, _ in groupby(_requested(stub))] == names
+
+    @pytest.mark.parametrize("repo, message", [
+        pytest.param({"ratelimit_first": 99}, "rate limited", id="rate-limit-exhausted"),
+        pytest.param({"ratelimit_first": 99, "limit": (401, {"message": "Bad credentials"}, {})},
+                     "401 Bad credentials", id="401"),
+        pytest.param({"ratelimit_first": 99, "limit": (502, "<html>", {})}, "502 Bad Gateway",
+                     id="502"),
+        pytest.param({"created_at": None}, "no valid created_at", id="no-created-at"),
+    ])
+    def test_failure_stops_the_run(self, repo, message, stub_api, tmp_path, monkeypatch,
+                                   capsys):
+        base, stub = stub_api
+        names = _candidates(stub, 4)
+        stub.repos["octo/r2"].update(repo)
+        monkeypatch.setattr("linechurn.selector.time.sleep", lambda seconds: None)
+        out = tmp_path / "sel.csv"
+        code = cli.main(["select", *names, "--per-stratum", "5", "--api-base", base,
+                         "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: octo/r2: ") and message in err[0]
+        assert not out.exists()  # no sample drawn from the candidates before the failure
+        assert "octo/r3" not in _requested(stub)
+
+    def test_refused_repository_is_skipped(self, stub_api, capsys):
+        base, stub = stub_api
+        names = _candidates(stub, 3)
+        stub.repos["octo/r1"].update(
+            {"ratelimit_first": 99, "limit": (451, {"message": "Repository access blocked"}, {})})
+        code = cli.main(["select", *names, "--per-stratum", "5", "--api-base", base])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "skip octo/r1: " in captured.err and "451 Repository access blocked" in captured.err
+        assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == [
+            "octo/r0", "octo/r2"]
+
+    def test_every_name_checked_before_the_first_request(self, stub_api, capsys):
+        base, stub = stub_api
+        names = _candidates(stub, 2)
+        code = cli.main(["select", names[0], "badname", names[1], "--per-stratum", "1",
+                         "--api-base", base])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "'badname'" in err
+        assert stub.request_log == []
+
+    def test_indented_comment_in_candidates_file(self, stub_api, tmp_path, capsys):
+        base, stub = stub_api
+        names = _candidates(stub, 2)
+        listing = tmp_path / "repos.txt"
+        listing.write_text(f"# candidates\n{names[0]}\n   # octo/later\n\t#\n{names[1]}\n")
+        code = cli.main(["select", "--candidates-file", str(listing), "--per-stratum", "5",
+                         "--api-base", base])
+        captured = capsys.readouterr()
+        assert code == 0 and "skip" not in captured.err
+        assert len(captured.out.splitlines()) == 3
+
+    def test_empty_strata_print_one_warning_line_each(self, stub_api, capsys):
+        base, stub = stub_api
+        names = _candidates(stub, 2)  # both in stratum 11-100
+        code = cli.main(["select", *names, "--per-stratum", "1", "--api-base", base])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 0
+        assert err == [f"warning: stratum {lo}-{hi} has no candidates"
+                       for lo, hi in ((101, 1000), (1001, 10000), (10001, 100000),
+                                      (100001, 1000000))]

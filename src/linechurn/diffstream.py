@@ -5,9 +5,10 @@ Consumes the byte stream produced by ``log_command(file_paths)``:
     git --literal-pathspecs -c core.quotepath=off -c color.ui=false \
         -c diff.noprefix=false -c diff.mnemonicPrefix=false \
         -c log.showSignature=false -c diff.renameLimit=1000 \
-        -c i18n.logOutputEncoding=UTF-8 \
+        -c i18n.logOutputEncoding=UTF-8 -c core.deltaBaseCacheLimit=8m \
+        -c core.bigFileThreshold=512m -c core.attributesFile=/dev/null \
         log --first-parent --diff-merges=first-parent --root --no-ext-diff \
-        --diff-algorithm=myers -M \
+        --no-textconv --diff-algorithm=myers -M \
         --pretty=format:'commit %H %ct %x1f%cn%x1f%ce' \
         --reverse -p -U0 --inter-hunk-context=0 -- <file_path>...
 
@@ -32,6 +33,7 @@ instead, and yields plain per-commit tuples rather than events.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
@@ -42,6 +44,18 @@ COMMIT_PRETTY_FORMAT = "commit %H %ct %x1f%cn%x1f%ce"
 # config or a git version's default (1000 since git 2.33).  git reports on
 # stderr when a commit exceeds it.
 RENAME_LIMIT = 1000
+
+# git's cache of inflated delta bases, pinned below its 96 MiB default,
+# which is most of the whole-history walk's memory.  The cache decides only
+# how often git inflates a base again, never what it prints.
+DELTA_BASE_CACHE_LIMIT = "8m"
+
+# Set in the walks' environment: keeps a system-wide attributes file from
+# giving tracked files a diff driver, a textconv or a binary mark
+# (log_command pins the user's file).
+GIT_ENV = {"GIT_ATTR_NOSYSTEM": "1"}
+# Each makes git exit on --literal-pathspecs, which log_command passes.
+_PATHSPEC_ENV = ("GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS")
 
 # Fields of the commit line after "commit " are: hash, timestamp, then the
 # committer's name and email, each after the ASCII unit separator.
@@ -547,22 +561,35 @@ def log_command(file_paths: list[str] | None = None, name_status: bool = False) 
     ``diff.context``, ``diff.interHunkContext``, ``log.showRoot`` or
     ``i18n.logOutputEncoding`` cannot change the headers, the renames, the
     line pairing, the hunks, the root commit's diff or the committer names.
-    Patches carry no context lines: replay only needs the changed ones.
-    Both walks print the same commit line: hash, committer timestamp,
-    committer name and email, and no author.  Name-status output is
-    NUL-separated, so paths arrive unquoted.
+    A user's ``core.bigFileThreshold`` cannot turn a text file binary, and
+    neither a user's attributes file nor a textconv driver can rewrite the
+    lines; the repository's own ``.gitattributes`` still applies.  The
+    delta-base cache is pinned small, so a user's ``core.deltaBaseCacheLimit``
+    does not set git's memory either.  Patches carry no context lines:
+    replay only needs the changed ones.  Both walks print the same commit
+    line: hash, committer timestamp, committer name and email, and no
+    author.  Name-status output is NUL-separated, so paths arrive unquoted.
+    Run the command in ``log_environment()``.
     """
     cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off", "-c", "color.ui=false",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
            "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}",
-           "-c", "i18n.logOutputEncoding=UTF-8", "log",
+           "-c", "i18n.logOutputEncoding=UTF-8",
+           "-c", f"core.deltaBaseCacheLimit={DELTA_BASE_CACHE_LIMIT}",
+           "-c", "core.bigFileThreshold=512m", "-c", f"core.attributesFile={os.devnull}", "log",
            "--first-parent", "--diff-merges=first-parent", "--root",
-           "--no-ext-diff", "--diff-algorithm=myers", "-M",
+           "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "-M",
            f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
     if file_paths:
         cmd += ["--", *file_paths]
     return cmd
+
+
+def log_environment() -> dict[str, str]:
+    """The environment ``log_command``'s walks run in: this process's, less
+    the pathspec variables, plus ``GIT_ENV``."""
+    return {k: v for k, v in os.environ.items() if k not in _PATHSPEC_ENV} | GIT_ENV
 
 
 def display_text(raw: bytes) -> str:

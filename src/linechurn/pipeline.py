@@ -22,9 +22,7 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import random
-import shutil
 import subprocess
 import threading
 import warnings
@@ -45,7 +43,14 @@ from .churn import (
     select_hotspot_lines,
     summarize,
 )
-from .diffstream import StreamParseError, log_command, parse_log_stream, parse_name_status_stream
+from .diffstream import (
+    GIT_ENV,
+    StreamParseError,
+    log_command,
+    log_environment,
+    parse_log_stream,
+    parse_name_status_stream,
+)
 from .taxonomy import (
     PATTERN_CATEGORY,
     PatternLabel,
@@ -111,6 +116,7 @@ class RunManifest:
     stage_counts: dict
     warnings: list[str]
     aborted: dict[str, str]
+    git: dict  # the git that ran, and the fixed options and environment of each walk
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
@@ -119,9 +125,6 @@ class RunManifest:
 # Bytes asked of git's stdout per read.  Larger reads cost fewer calls but
 # hold more lines at once in the parser.
 _READ_SIZE = 256 << 10
-
-# Each makes git exit on --literal-pathspecs, which log_command passes.
-_PATHSPEC_ENV = ("GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS")
 
 
 def _git_lines(repo: Path, cmd: list[str]):
@@ -133,9 +136,8 @@ def _git_lines(repo: Path, cmd: list[str]):
     git, and git's exit then is no error: the consumer's own exception, if
     any, is the one that surfaces.
     """
-    env = {k: v for k, v in os.environ.items() if k not in _PATHSPEC_ENV}
     proc = subprocess.Popen(cmd, cwd=repo, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=subprocess.PIPE, env=log_environment())
     assert proc.stdout is not None and proc.stderr is not None
     # A 1 MiB pipe instead of 64 KiB lets git run ahead through commits that
     # are slow to diff but short to print while the parser works through long
@@ -168,11 +170,23 @@ def _git_lines(repo: Path, cmd: list[str]):
         warnings.warn(f"git: {line}")
 
 
+def _git_version() -> str:
+    """The line ``git --version`` prints; raises GitUnavailable if no git on
+    PATH can be started, or if it fails or prints nothing."""
+    try:
+        probe = subprocess.run(["git", "--version"], capture_output=True)
+    except OSError as exc:
+        raise GitUnavailable(f"git executable not found on PATH ({exc.strerror})") from None
+    version = probe.stdout.decode("utf-8", "replace").strip()
+    if probe.returncode != 0 or not version:
+        message = probe.stderr.decode("utf-8", "replace").strip() or "no output"
+        raise GitUnavailable(f"git --version failed ({probe.returncode}): {message}")
+    return version
+
+
 def _repo_head(repo: Path) -> tuple[str, Path]:
     """HEAD's hash, and where git's printed paths and read pathspecs share a
     root: the work tree's top, or ``repo`` itself if the repository is bare."""
-    if shutil.which("git") is None:
-        raise GitUnavailable("git executable not found on PATH")
     if not repo.exists():
         raise RepoNotFound(f"{repo} does not exist")
     if not repo.is_dir():
@@ -223,6 +237,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         raise BadInput(f"labels override {config.labels_override}: {exc}") from None
     if config.file_sample is not None and config.file_sample < 0:
         raise BadInput(f"file sample must not be negative, got {config.file_sample}")
+    git_version = _git_version()
     head, root = _repo_head(config.repo_path)  # before --out exists: no tree is left on failure
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -373,6 +388,8 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         },
         warnings=run_warnings,
         aborted=aborted,
+        git={"version": git_version, "environment": dict(GIT_ENV),
+             "stage1_walk": log_command(name_status=True), "stage2_walk": log_command()},
     )
     manifest_path = config.output_dir / "manifest.json"
     manifest_path.write_text(manifest.to_json(), "utf-8")

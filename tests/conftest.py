@@ -13,12 +13,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import linechurn  # noqa: E402
-from linechurn.diffstream import log_command, parse_log_stream  # noqa: E402
+from linechurn.diffstream import log_command, log_environment, parse_log_stream  # noqa: E402
 
 
 def repo_log_events(repo: Path, paths: list[str] | None = None):
     """Parsed event list for a repository's patch log."""
-    out = subprocess.run(log_command(file_paths=paths), cwd=repo,
+    out = subprocess.run(log_command(file_paths=paths), cwd=repo, env=log_environment(),
                          capture_output=True, check=True).stdout
     return list(parse_log_stream(io.BytesIO(out)))
 

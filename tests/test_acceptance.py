@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import random
+import subprocess
 import time
 
 import pytest
 
 from linechurn.bots import CommitterIdentity, bot_share, flag_bot
 from linechurn.churn import detect_hotspot_files, summarize
-from linechurn.diffstream import MalformedHunkHeader, parse_log_stream
+from linechurn.diffstream import MalformedHunkHeader, log_command, parse_log_stream
 from linechurn.pipeline import AnalysisConfig, analyze_repo
 from linechurn.taxonomy import (
     Chao1Input,
@@ -31,7 +33,7 @@ from linechurn.taxonomy import (
 )
 from linechurn.tracker import HistoryReplayer
 
-from conftest import blame_commits, repo_log_events
+from conftest import blame_commits, repo_log_events, run_fresh
 from oracles import (hunk_tallies, parse_hunk_header, render_hunk_body, replay_by_commit,
                      snapshot_bytes)
 from repogen import (BlobReader, RepoBuilder, build_hotspot_repo, build_multi_hotspot_repo,
@@ -290,11 +292,36 @@ def test_desk_scale_performance(perf_repo, tmp_path):
         assert elapsed < 300.0, f"analyze took {elapsed:.1f}s"
 
 
+# Prints the peak resident set, in KiB, of the whole-history walk of the
+# repository named by argv[1].  RUSAGE_CHILDREN also counts the size of the
+# process that starts git, so the walk is started from a fresh interpreter.
+_WALK_PEAK = """
+import resource, subprocess, sys
+from linechurn.diffstream import log_command, log_environment
+subprocess.run(log_command(name_status=True), cwd=sys.argv[1], env=log_environment(),
+               stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_git_memory_bounded(perf_repo):
+    """The whole-history walk of the desk-scale repository peaks under 48 MiB;
+    git's default delta-base cache alone may take 96 MiB."""
+    with criterion("git-memory-bounded"):
+        walk = run_fresh("-c", _WALK_PEAK, str(perf_repo),
+                         env={"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"})
+        assert walk.returncode == 0, walk.stderr
+        peak_mib = int(walk.stdout) / 1024
+        assert peak_mib < 48, f"the walk peaked at {peak_mib:.1f} MiB"
+
+
 def test_determinism(tmp_path):
     """Identical config on an identical repo: byte-identical artifacts.
 
     The second fixture has several hotspot files replayed in one shared walk.
     """
+    git_version = subprocess.run(["git", "--version"], capture_output=True,
+                                 text=True).stdout.strip()
     with criterion("determinism"):
         for build in (build_hotspot_repo, build_multi_hotspot_repo):
             fixture = build(tmp_path / build.__name__ / "repo")
@@ -303,6 +330,11 @@ def test_determinism(tmp_path):
                 out = tmp_path / build.__name__ / name
                 analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
                 outputs.append(out)
+                # the manifest names the git that ran and each walk's fixed options
+                git = json.loads((out / "manifest.json").read_text())["git"]
+                assert git == {"version": git_version, "environment": {"GIT_ATTR_NOSYSTEM": "1"},
+                               "stage1_walk": log_command(name_status=True),
+                               "stage2_walk": log_command()}
             first, second = outputs
             names1 = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
             names2 = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())

@@ -389,41 +389,55 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
     """A global gitconfig that reshapes diffs and logs leaves every artifact as is."""
     clean = tmp_path / "clean.gitconfig"
     clean.write_text("")
+    attributes = tmp_path / "attributes"
+    attributes.write_text("* diff=tc\n")
     hostile = tmp_path / "hostile.gitconfig"
     hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n"
                        "\tmnemonicPrefix = true\n\tcontext = 10\n\tinterHunkContext = 10\n"
                        "\trenames = copies\n"
                        "[log]\n\tshowSignature = true\n\tshowRoot = false\n"
-                       "[i18n]\n\tlogOutputEncoding = ISO-8859-1\n")
+                       "[i18n]\n\tlogOutputEncoding = ISO-8859-1\n"
+                       # every file binary, every line rewritten, a 1 GiB delta cache
+                       "[core]\n\tbigFileThreshold = 10\n"
+                       f"\tattributesFile = {attributes}\n\tdeltaBaseCacheLimit = 1g\n"
+                       '[diff "tc"]\n\ttextconv = sed s/^/X/\n\tbinary = true\n'
+                       # for the driver a repository's own .gitattributes names
+                       '[diff "conv"]\n\ttextconv = sed s/^/Y/\n')
 
     def build_non_ascii_committer_repo(path: Path) -> dict:
-        """A hot file that a committer with a non-ASCII name bumps in turns."""
+        """A hot file that a committer with a non-ASCII name bumps in turns,
+        and that the repository's attributes give a diff driver."""
         from repogen import RepoBuilder
 
         builder = RepoBuilder(path)
         lines = [f"key_{i} = {i}".encode() for i in range(15)]
         edits = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(20)}
-        builder.commit({**edits, "hot.cfg": b"\n".join(lines) + b"\n"}, "initial import")
+        builder.commit({**edits, ".gitattributes": b"hot.cfg diff=conv\n",
+                        "hot.cfg": b"\n".join(lines) + b"\n"}, "initial import")
         for k in range(1, 31):
             lines[1] = f"key_1 = v{k}".encode()
             builder.commit({"hot.cfg": b"\n".join(lines) + b"\n"}, f"bump {k}",
                            identity=("J\u00fcrgen M\u00fcller", "jm@example.org") if k % 2 else None)
         builder.finish()
+        run_git(path, "reset", "-q", "--hard")  # git reads .gitattributes from the work tree
         return {"path": path}
 
     for build in (build_hotspot_repo, build_multi_hotspot_repo, build_non_ascii_committer_repo):
         fixture = build(tmp_path / build.__name__ / "repo")
-        artifacts = []
+        artifacts, gits = [], []
         for config in (clean, hostile):
             monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
             if config is hostile:  # git refuses it beside --literal-pathspecs
                 monkeypatch.setenv("GIT_ICASE_PATHSPECS", "1")
             out = tmp_path / build.__name__ / config.stem
-            analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
+            manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
+            assert manifest.aborted == {}
             artifacts.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
                               if p.is_file() and p.name != "manifest.json"})
+            gits.append(manifest.git)
         assert len(artifacts[0]) >= 7
         assert artifacts[0] == artifacts[1], build.__name__
+        assert gits[0] == gits[1]  # the manifest records no user setting
     assert "J\u00fcrgen M\u00fcller,jm@example.org,15" in artifacts[0][Path("committers.csv")].decode()
 
 
@@ -497,6 +511,15 @@ def test_consumer_error_surfaces_alone(tmp_path, monkeypatch):
     del lines
     gc.collect()
     assert unraisable == []
+
+
+def test_git_reads_no_system_attributes(tmp_path, monkeypatch):
+    """A system-wide attributes file could mark files binary or give them a
+    textconv; git is told to skip it whatever the environment says."""
+    monkeypatch.setenv("GIT_ATTR_NOSYSTEM", "0")
+    printed = b"".join(pipeline._git_lines(
+        tmp_path, [sys.executable, "-c", "import os; print(os.environ['GIT_ATTR_NOSYSTEM'])"]))
+    assert printed == b"1\n"
 
 
 def test_git_failure_raises_with_stderr(scratch_repo):
@@ -759,6 +782,28 @@ class TestCli:
         assert code == 1
         assert reason in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("git, reason", [
+        (None, "git executable not found on PATH"),
+        ("#!/bin/sh\necho hi\n", "git executable not found on PATH"),  # not executable
+        ("#!/bin/sh\necho broken >&2\nexit 3\n", "git --version failed (3): broken"),
+        ("#!/bin/sh\n", "git --version failed (0): no output"),
+    ], ids=["missing", "not-executable", "failing", "silent"])
+    def test_unusable_git_exit_one(self, git, reason, hotspot_repo, tmp_path, monkeypatch,
+                                   capsys):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        if git is not None:
+            (bin_dir / "git").write_text(git)
+            (bin_dir / "git").chmod(0o644 if "hi" in git else 0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        out = tmp_path / "o"
+        code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert reason in err
+        assert not out.exists()
 
     def test_analyze_repo_is_a_file_exit_one(self, tmp_path, capsys):
         (tmp_path / "repo").write_text("not a repository\n")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
@@ -23,10 +22,6 @@ SECONDS_PER_MONTH = 30.44 * 86400
 
 class EmptyInput(ValueError):
     pass
-
-
-class DegenerateDistribution(UserWarning):
-    """All values identical: the sigma filter cannot select anything."""
 
 
 PROGRAMMING = "programming"
@@ -163,12 +158,6 @@ def detect_hotspot_files(
     if lifetime_months <= 0:
         raise ValueError("lifetime_months must be positive")
     summary = churn_summary(counts.values(), population=thresholds.population_sigma)
-    if summary.stddev == 0.0:
-        warnings.warn(
-            "all files share one modification count; sigma filter selects nothing",
-            DegenerateDistribution,
-            stacklevel=2,
-        )
     sigma_cut = summary.mean + thresholds.sigma_multiplier * summary.stddev
     rate_cut = lifetime_months * thresholds.monthly_rate
     return {

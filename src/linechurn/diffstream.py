@@ -1,6 +1,6 @@
 """Streaming parser for git's patch-ordered log output.
 
-Consumes the byte stream produced by ``log_command(file_paths)``:
+Consumes the byte stream produced by ``log_command(rev, file_paths)``:
 
     git --literal-pathspecs -c core.quotepath=off -c color.ui=false \
         -c diff.noprefix=false -c diff.mnemonicPrefix=false \
@@ -10,7 +10,7 @@ Consumes the byte stream produced by ``log_command(file_paths)``:
         log --first-parent --diff-merges=first-parent --root --no-ext-diff \
         --no-textconv --diff-algorithm=myers -M \
         --pretty=format:'commit %H %ct %x1f%cn%x1f%ce' \
-        --reverse -p -U0 --inter-hunk-context=0 -- <file_path>...
+        --reverse -p -U0 --inter-hunk-context=0 <rev> -- <file_path>...
 
 and turns it into a flat sequence of typed events: commit headers, file-diff
 headers, hunks, and abort notices.  A commit line names only the committer,
@@ -549,8 +549,9 @@ def parse_name_status_stream(
         yield commit
 
 
-def log_command(file_paths: list[str] | None = None, name_status: bool = False) -> list[str]:
-    """Build the git log invocation whose output this module parses.
+def log_command(rev: str, file_paths: list[str] | None = None,
+                name_status: bool = False) -> list[str]:
+    """Build the git log invocation of ``rev``'s history that this module parses.
 
     Renames are detected and copies are not: the explicit ``-M`` also
     overrides a user's ``diff.renames=copies``, so a copy reads as an added
@@ -569,7 +570,8 @@ def log_command(file_paths: list[str] | None = None, name_status: bool = False) 
     replay only needs the changed ones.  Both walks print the same commit
     line: hash, committer timestamp, committer name and email, and no
     author.  Name-status output is NUL-separated, so paths arrive unquoted.
-    Run the command in ``log_environment()``.
+    Walks given one commit hash read one history, whatever the branch does
+    meanwhile.  Run the command in ``log_environment()``.
     """
     cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off", "-c", "color.ui=false",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
@@ -581,9 +583,7 @@ def log_command(file_paths: list[str] | None = None, name_status: bool = False) 
            "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "-M",
            f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
-    if file_paths:
-        cmd += ["--", *file_paths]
-    return cmd
+    return cmd + [rev, "--", *(file_paths or [])]  # ``--``: rev is never read as a path
 
 
 def log_environment() -> dict[str, str]:

@@ -12,7 +12,8 @@ A single file whose replay goes out of bounds, or whose patch is malformed,
 is aborted and recorded; the run completes and reports partial failure
 instead of dying.  A stage-2 walk that git ends with an error aborts every
 selected file the same way, and so does a walk that never patches a selected
-file.  What git prints on stderr joins the manifest's warnings.
+file; no other file is reported.  Both walks read the commit the manifest
+records, and what git prints on stderr joins the manifest's warnings.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import logging
 import random
 import subprocess
 import threading
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -127,14 +127,14 @@ class RunManifest:
 _READ_SIZE = 256 << 10
 
 
-def _git_lines(repo: Path, cmd: list[str]):
+def _git_lines(repo: Path, cmd: list[str], notes: list[str]):
     """Run a git command, streaming stdout in chunks; raise GitFailed if git fails.
 
     Chunks end anywhere, not at line ends.  stderr is drained on a thread,
     so git never blocks on a full stderr pipe; what git printed there on
-    success becomes one warning per line.  A consumer that stops early ends
-    git, and git's exit then is no error: the consumer's own exception, if
-    any, is the one that surfaces.
+    success is appended to ``notes``, one ``git: <line>`` per line.  A
+    consumer that stops early ends git, and git's exit then is no error: the
+    consumer's own exception, if any, is the one that surfaces.
     """
     proc = subprocess.Popen(cmd, cwd=repo, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=log_environment())
@@ -166,8 +166,7 @@ def _git_lines(repo: Path, cmd: list[str]):
             k = cmd.index("--")
             cmd = cmd[:k + 1] + [f"<{len(cmd) - k - 1} paths>"]
         raise GitFailed(f"{' '.join(cmd)} failed ({code}): {message}")
-    for line in message.splitlines():
-        warnings.warn(f"git: {line}")
+    notes.extend(f"git: {line}" for line in message.splitlines())
 
 
 def _git_version() -> str:
@@ -243,46 +242,47 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise BadInput(f"output directory {config.output_dir}: {exc}") from None
-    run_warnings: list[str] = []
+    notes: list[str] = []  # the manifest's warnings
+    stage1 = _git_lines(root, log_command(head, name_status=True), notes)
+    with contextlib.closing(stage1) as chunks:
+        counts, chains, named, lifetime_months, n_commits = count_file_commits(
+            parse_name_status_stream(chunks))
+    if not counts:  # no commits at all, or none that changes a file
+        raise RepoNotFound(f"{root} log produced no commits that change a file")
+    if len(set(counts.values())) == 1:  # sigma is 0 under either estimator
+        notes.append("all files share one modification count; sigma filter selects nothing")
+    categories = {path: categorize_file(path) for path in counts}
+    hotspot_files = detect_hotspot_files(counts, lifetime_months, config.thresholds)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.closing(_git_lines(root, log_command(name_status=True))) as chunks:
-            counts, chains, named, lifetime_months, n_commits = count_file_commits(
-                parse_name_status_stream(chunks))
-        if not counts:  # no commits at all, or none that changes a file
-            raise RepoNotFound(f"{root} log produced no commits that change a file")
-        categories = {path: categorize_file(path) for path in counts}
-        hotspot_files = detect_hotspot_files(counts, lifetime_months, config.thresholds)
+    selected_files = sorted(hotspot_files)
+    if config.file_sample is not None and config.file_sample < len(selected_files):
+        rng = random.Random(config.sample_seed)
+        selected_files = sorted(rng.sample(selected_files, config.file_sample))
 
-        selected_files = sorted(hotspot_files)
-        if config.file_sample is not None and config.file_sample < len(selected_files):
-            rng = random.Random(config.sample_seed)
-            selected_files = sorted(rng.sample(selected_files, config.file_sample))
-
-        # Stage 2: line tracking of the selected files and their rename
-        # chains, in one patch walk.  Stage 1 named every changed path, so
-        # the covering directories let git print the same file diffs while
-        # matching tree entries against fewer pathspecs.
-        tracked_paths = {p for path in selected_files for p in chains.get(path, []) + [path]}
-        pathspecs = pathspec_cover(tracked_paths, named)
-        replayer = HistoryReplayer()
-        if pathspecs:  # without a pathspec the walk would read every file's patches
-            walk = _git_lines(root, log_command(file_paths=pathspecs))
-            try:
-                with contextlib.closing(walk):  # ends git if the parser stops early
-                    replayer.run(parse_log_stream(walk))
-            except (StreamParseError, GitFailed) as exc:  # no replay is complete
-                for path in selected_files:
-                    replayer.aborted.setdefault(path, f"stage-2 log: {exc}")
-                replayer.states.clear()
-    run_warnings.extend(str(w.message) for w in caught)
-    aborted = replayer.aborted
-    for path in selected_files:  # a selected file is tracked or aborted, never dropped
-        if path not in replayer.states:
-            aborted.setdefault(path, "no patch for this path in the stage-2 walk")
-    tracked = {path: state for path in selected_files
-               if (state := replayer.states.get(path)) is not None}
+    # Stage 2: line tracking of the selected files and their rename chains,
+    # in one patch walk.  Stage 1 named every changed path, so the covering
+    # directories let git print the same file diffs while matching tree
+    # entries against fewer pathspecs.
+    tracked_paths = {p for path in selected_files for p in chains.get(path, []) + [path]}
+    pathspecs = pathspec_cover(tracked_paths, named)
+    replayer = HistoryReplayer()
+    unreplayed = "no patch for this path in the stage-2 walk"
+    if pathspecs:  # without a pathspec the walk would read every file's patches
+        walk = _git_lines(root, log_command(head, file_paths=pathspecs), notes)
+        try:
+            with contextlib.closing(walk):  # ends git if the parser stops early
+                replayer.run(parse_log_stream(walk))
+        except (StreamParseError, GitFailed) as exc:  # no replay is complete
+            unreplayed = f"stage-2 log: {exc}"
+            replayer.states.clear()
+    # A selected file is tracked or aborted, never dropped; a file nobody
+    # selected that reused a rename chain's name is replayed, not reported.
+    tracked, aborted = {}, {}
+    for path in selected_files:
+        if path in replayer.states:
+            tracked[path] = replayer.states[path]
+        else:
+            aborted[path] = replayer.aborted.get(path, unreplayed)
 
     # Stage 3: one (path, line number, line, label) record per hotspot line,
     # in file order; every artifact below is derived from this list.
@@ -386,10 +386,10 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             "hotspot_lines": len(hot),
             "hotspot_commits": len(commit_identity),
         },
-        warnings=run_warnings,
+        warnings=notes,
         aborted=aborted,
         git={"version": git_version, "environment": dict(GIT_ENV),
-             "stage1_walk": log_command(name_status=True), "stage2_walk": log_command()},
+             "stage1_walk": log_command(head, name_status=True), "stage2_walk": log_command(head)},
     )
     manifest_path = config.output_dir / "manifest.json"
     manifest_path.write_text(manifest.to_json(), "utf-8")

@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_API_BASE = "https://api.github.com"
 HALF_YEAR_SECONDS = 6 * 30.44 * 86400
 TIMEOUT_S = 30.0  # per request
+MAX_RETRIES = 3  # per request, after a rate-limited response
 
 STRATA: tuple[tuple[int, int], ...] = (
     (11, 100),
@@ -147,11 +148,9 @@ class MetadataClient:
         api_base: str = DEFAULT_API_BASE,
         auth_token: str | None = None,
         cache_dir: str | Path | None = None,
-        max_retries: int = 3,
     ):
         self.api_base = api_base.rstrip("/")
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.max_retries = max_retries
         self.session = requests.Session()
         self.session.headers.update({
             "Accept": "application/vnd.github+json",
@@ -177,11 +176,11 @@ class MetadataClient:
                 raise Unavailable(f"GET {url}: {status} {_message(response)}")
             if status in (403, 429):
                 retry_after = _retry_after_seconds(response)
-                if attempt >= self.max_retries:
+                if attempt >= MAX_RETRIES:
                     raise RateLimited(retry_after)
                 attempt += 1
                 logger.warning("rate limited on %s; sleeping %.1fs (retry %d/%d)",
-                               path, retry_after, attempt, self.max_retries)
+                               path, retry_after, attempt, MAX_RETRIES)
                 time.sleep(min(retry_after, 60.0))
                 continue
             if not response.ok:

@@ -230,7 +230,7 @@ class HistoryReplayer:
                     self._abort(current_path, event.reason)
 
     def _abort(self, path: str, reason: str) -> None:
-        logger.warning("aborting %s: %s", path, reason)
+        logger.info("aborting %s: %s", path, reason)
         self.aborted[path] = reason
         self.states.pop(path, None)
 

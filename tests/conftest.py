@@ -18,7 +18,7 @@ from linechurn.diffstream import log_command, log_environment, parse_log_stream 
 
 def repo_log_events(repo: Path, paths: list[str] | None = None):
     """Parsed event list for a repository's patch log."""
-    out = subprocess.run(log_command(file_paths=paths), cwd=repo, env=log_environment(),
+    out = subprocess.run(log_command("HEAD", file_paths=paths), cwd=repo, env=log_environment(),
                          capture_output=True, check=True).stdout
     return list(parse_log_stream(io.BytesIO(out)))
 

@@ -298,7 +298,7 @@ def test_desk_scale_performance(perf_repo, tmp_path):
 _WALK_PEAK = """
 import resource, subprocess, sys
 from linechurn.diffstream import log_command, log_environment
-subprocess.run(log_command(name_status=True), cwd=sys.argv[1], env=log_environment(),
+subprocess.run(log_command("HEAD", name_status=True), cwd=sys.argv[1], env=log_environment(),
                stdout=subprocess.DEVNULL, check=True)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
@@ -325,16 +325,19 @@ def test_determinism(tmp_path):
     with criterion("determinism"):
         for build in (build_hotspot_repo, build_multi_hotspot_repo):
             fixture = build(tmp_path / build.__name__ / "repo")
+            head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=fixture["path"],
+                                  capture_output=True, text=True, check=True).stdout.strip()
             outputs = []
             for name in ("one", "two"):
                 out = tmp_path / build.__name__ / name
                 analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
                 outputs.append(out)
-                # the manifest names the git that ran and each walk's fixed options
+                # the manifest names the git that ran and each walk's fixed
+                # options, with the commit both walks read
                 git = json.loads((out / "manifest.json").read_text())["git"]
                 assert git == {"version": git_version, "environment": {"GIT_ATTR_NOSYSTEM": "1"},
-                               "stage1_walk": log_command(name_status=True),
-                               "stage2_walk": log_command()}
+                               "stage1_walk": log_command(head, name_status=True),
+                               "stage2_walk": log_command(head)}
             first, second = outputs
             names1 = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
             names2 = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())

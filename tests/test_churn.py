@@ -15,7 +15,6 @@ from linechurn.churn import (
     ADMINISTRATIVE,
     PROGRAMMING,
     SECONDS_PER_MONTH,
-    DegenerateDistribution,
     EmptyInput,
     HotspotThresholds,
     categorize_file,
@@ -209,8 +208,7 @@ class TestDetectHotspotFiles:
 
     def test_uniform_counts_select_nothing(self):
         counts = {f"f{i}": 5 for i in range(10)}
-        with pytest.warns(DegenerateDistribution):
-            assert detect_hotspot_files(counts, lifetime_months=1.0) == set()
+        assert detect_hotspot_files(counts, lifetime_months=1.0) == set()
 
     def test_rate_condition_excludes_slow_file(self):
         counts = {f"f{i}": 2 for i in range(19)}

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -196,7 +198,7 @@ class TestAnalyzeRepo:
             analyze_repo(AnalysisConfig(repo_path=repo, output_dir=tmp_path / "out"))
 
     def test_log_without_commits_rejected(self, hotspot_repo, tmp_path, monkeypatch):
-        def no_output(repo, cmd):  # a walk that prints nothing
+        def no_output(repo, cmd, notes):  # a walk that prints nothing
             yield from ()
 
         monkeypatch.setattr(pipeline, "_git_lines", no_output)
@@ -219,10 +221,10 @@ def git_log_runs(monkeypatch) -> list[list[str]]:
     runs: list[list[str]] = []
     real = pipeline._git_lines
 
-    def counting(repo, cmd):
+    def counting(repo, cmd, notes):
         if "log" in cmd:
             runs.append(cmd)
-        return real(repo, cmd)
+        return real(repo, cmd, notes)
 
     monkeypatch.setattr(pipeline, "_git_lines", counting)
     return runs
@@ -264,10 +266,10 @@ class TestSharedWalk:
         walks: list[tuple[list[str] | None, bytearray]] = []
         real = pipeline._git_lines
 
-        def recording(repo, cmd):
+        def recording(repo, cmd, notes):
             printed = bytearray()
             walks.append((cmd[cmd.index("--") + 1:] if "-p" in cmd else None, printed))
-            for chunk in real(repo, cmd):
+            for chunk in real(repo, cmd, notes):
                 printed += chunk
                 yield chunk
 
@@ -384,6 +386,44 @@ def test_reused_name_keeps_the_exact_pathspecs(tmp_path, monkeypatch):
     assert [r.content for r in report] == run_git(builder.path, "show", "HEAD:hot/x.cfg").stdout.splitlines()
     assert report[2].mod_count == 40
 
+
+
+def test_unselected_reused_name_is_not_reported(tmp_path, monkeypatch, capsys):
+    """hot/a.cfg is renamed to the hot file hot/b.cfg, and a new, binary
+    hot/a.cfg is added later.  Stage 2 names hot/a.cfg for b.cfg's rename
+    chain, so the replayer also sees, and aborts, the new file; nobody
+    selected it, so the run neither reports it nor fails on it."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    lines = [f"key_{i} = {i}".encode() for i in range(15)]
+
+    def text() -> bytes:
+        return b"\n".join(lines) + b"\n"
+
+    quiet = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(50)}
+    builder.commit({**quiet, "hot/a.cfg": text()}, "initial import")
+    for k in range(1, 5):
+        lines[1] = f"key_1 = a{k}".encode()
+        builder.commit({"hot/a.cfg": text()}, f"a edit {k}")
+    builder.commit({"hot/a.cfg": None, "hot/b.cfg": text()}, "rename a to b")
+    for k in range(1, 40):
+        lines[1] = f"key_1 = b{k}".encode()
+        builder.commit({"hot/b.cfg": text()}, f"b edit {k}")
+    builder.commit({"hot/a.cfg": b"\x00\x01 binary\n"}, "new binary a")
+    builder.finish()
+
+    runs = git_log_runs(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--repo", str(builder.path), "--out", str(out)]) == 0
+    assert runs[1][runs[1].index("--") + 1:] == ["hot"]
+    assert "hot/a.cfg" not in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["aborted"] == {}
+    assert manifest["stage_counts"]["files_tracked"] == 1
+    assert json.loads((out / "summary.json").read_text())["aborted_files"] == []
+    report = read_line_report(out / "line_reports" / pipeline._safe_report_name("hot/b.cfg"))
+    assert report[1].mod_count == 43
 
 def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
     """A global gitconfig that reshapes diffs and logs leaves every artifact as is."""
@@ -503,7 +543,7 @@ def test_consumer_error_surfaces_alone(tmp_path, monkeypatch):
     builder.finish()
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    lines = pipeline._git_lines(builder.path, log_command(file_paths=["big.txt"]))
+    lines = pipeline._git_lines(builder.path, log_command("HEAD", file_paths=["big.txt"]), [])
     with pytest.raises(KeyError, match="consumer"):
         for i, _ in enumerate(lines):
             if i == 10:
@@ -518,14 +558,15 @@ def test_git_reads_no_system_attributes(tmp_path, monkeypatch):
     textconv; git is told to skip it whatever the environment says."""
     monkeypatch.setenv("GIT_ATTR_NOSYSTEM", "0")
     printed = b"".join(pipeline._git_lines(
-        tmp_path, [sys.executable, "-c", "import os; print(os.environ['GIT_ATTR_NOSYSTEM'])"]))
+        tmp_path, [sys.executable, "-c", "import os; print(os.environ['GIT_ATTR_NOSYSTEM'])"],
+        []))
     assert printed == b"1\n"
 
 
 def test_git_failure_raises_with_stderr(scratch_repo):
     repo, _ = scratch_repo
     with pytest.raises(RuntimeError, match="unknown revision"):
-        list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"]))
+        list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"], []))
 
 
 @pytest.mark.parametrize("stage", [1, 2])
@@ -536,8 +577,8 @@ def test_git_failure_exits_without_traceback(stage, hotspot_repo, tmp_path, monk
     real = pipeline.log_command
     fixture = hotspot_repo if stage == 1 else build_multi_hotspot_repo(tmp_path / "multi")
 
-    def failing(file_paths=None, **kwargs):
-        cmd = real(file_paths, **kwargs)
+    def failing(rev, file_paths=None, **kwargs):
+        cmd = real(rev, file_paths, **kwargs)
         if (file_paths is None) == (stage == 1):
             cmd.insert(cmd.index("log") + 1, "--no-such-option")
         return cmd
@@ -625,6 +666,84 @@ def test_git_stderr_and_rename_limit_in_manifest(tmp_path, monkeypatch):
                for w in warnings_at(1))
 
 
+
+# Filtered here: under the suite's error filter the foreign warning would be
+# raised in its own thread instead of reaching the warnings machinery.
+@pytest.mark.filterwarnings("ignore:raised by another thread")
+def test_other_threads_warnings_stay_out_of_the_manifest(hotspot_repo, tmp_path, monkeypatch):
+    """A library user may run analyses on several threads; a warning another
+    thread raises while stage 1 runs is not one of this run's notes."""
+    count = pipeline.count_file_commits
+
+    def count_while_another_thread_warns(commits):
+        other = threading.Thread(
+            target=warnings.warn, args=("raised by another thread", DeprecationWarning))
+        other.start()
+        other.join()
+        return count(commits)
+
+    monkeypatch.setattr(pipeline, "count_file_commits", count_while_another_thread_warns)
+    manifest = analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=tmp_path))
+    assert manifest.warnings == []
+    assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == []
+
+
+def test_uniform_counts_noted_in_the_manifest(tmp_path):
+    """Every file touched the same number of times: the sigma filter cannot
+    select a file, which the manifest notes, and no Python warning is raised."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    builder.commit({"a.txt": b"alpha\n", "b.txt": b"beta\n"}, "add a and b")
+    builder.commit({"c.txt": b"gamma\n"}, "add c")
+    builder.finish()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        manifest = analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=tmp_path / "out"))
+    assert caught == []
+    assert manifest.warnings == [
+        "all files share one modification count; sigma filter selects nothing"]
+    assert manifest.stage_counts["hotspot_files"] == 0
+
+
+def test_both_walks_read_the_recorded_head(tmp_path, monkeypatch):
+    """A commit made between the two walks is in no line report: stage 2
+    reads the commit stage 1 read, the one the manifest records."""
+    fixture = build_hotspot_repo(tmp_path / "repo")
+    count = pipeline.count_file_commits
+    late: list[str] = []
+
+    def count_then_commit(commits):
+        result = count(commits)
+        edit = b'[package]\nversion = "9.9.9"\n'
+        stream = (b"commit refs/heads/main\ncommitter Late <late@example.org> 1900000000 +0000\n"
+                  b"data 4\nlate\nfrom refs/heads/main^0\n"
+                  b"M 100644 inline hot.cfg\ndata %d\n%s\ndone\n" % (len(edit), edit))
+        subprocess.run(["git", "fast-import", "--quiet", "--done"], cwd=fixture["path"],
+                       input=stream, check=True)
+        late.append(run_git(fixture["path"], "rev-parse", "HEAD").stdout.decode().strip())
+        return result
+
+    monkeypatch.setattr(pipeline, "count_file_commits", count_then_commit)
+    out = tmp_path / "out"
+    manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
+    assert late and late[0] != fixture["hashes"][-1]
+    assert manifest.repo_head == fixture["hashes"][-1]
+    assert manifest.stage_counts["files_tracked"] == 1
+    report = read_line_report(out / "line_reports" / pipeline._safe_report_name("hot.cfg"))
+    assert len(report) == 15
+    assert report[1].history[-1][0] == fixture["hashes"][-6]
+    assert late[0] not in {commit for row in report for commit, _ in row.history}
+
+
+def test_file_named_like_the_head_commit(tmp_path):
+    """The walks name HEAD's hash; a file of that name at the top of the
+    work tree is not mistaken for it."""
+    fixture = build_hotspot_repo(tmp_path / "repo")
+    (fixture["path"] / fixture["hashes"][-1]).write_text("untracked\n")
+    manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=tmp_path / "out"))
+    assert manifest.stage_counts["files_tracked"] == 1
+
 def corrupting_git_lines(monkeypatch, path: str) -> list[int]:
     """Make the stage-2 walk's last hunk header of ``path`` unparseable.
 
@@ -633,8 +752,8 @@ def corrupting_git_lines(monkeypatch, path: str) -> list[int]:
     real = pipeline._git_lines
     offsets: list[int] = []
 
-    def corrupted(repo, cmd):
-        data = b"".join(real(repo, cmd))
+    def corrupted(repo, cmd, notes):
+        data = b"".join(real(repo, cmd, notes))
         if "-p" in cmd:
             diff = data.rindex(b"diff --git a/%s b/%s\n" % (path.encode(), path.encode()))
             at = data.index(b"\n@@ ", diff) + 1
@@ -674,8 +793,8 @@ class TestMalformedPatch:
         real = pipeline._git_lines
         walk_ended = []
 
-        def corrupted(repo, cmd):
-            data = b"".join(real(repo, cmd))
+        def corrupted(repo, cmd, notes):
+            data = b"".join(real(repo, cmd, notes))
             if "-p" in cmd:  # the last commit's hash is no longer hexadecimal
                 at = data.rindex(b"\ncommit ") + len(b"\ncommit ")
                 data = data[:at] + b"zz" + data[at:]

@@ -277,7 +277,7 @@ class TestMetadataClient:
             "created_at": _created_at_iso(1.0),
             "ratelimit_first": 2,
         }
-        client = MetadataClient(api_base=base, max_retries=3)
+        client = MetadataClient(api_base=base)
         result = client.fetch_repo_meta("octo/busy", now=NOW)
         assert result.stars == 11
 
@@ -288,7 +288,7 @@ class TestMetadataClient:
             "created_at": _created_at_iso(1.0),
             "ratelimit_first": 99,
         }
-        client = MetadataClient(api_base=base, max_retries=1)
+        client = MetadataClient(api_base=base)
         with pytest.raises(RateLimited) as excinfo:
             client.fetch_repo_meta("octo/wall", now=NOW)
         assert excinfo.value.retry_after >= 0

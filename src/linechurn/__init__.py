@@ -26,7 +26,7 @@ from .diffstream import (
     parse_commit_line,
     parse_log_stream,
 )
-from .pipeline import AnalysisConfig, RunManifest, analyze_repo
+from .pipeline import AnalysisConfig, RunManifest, analyze_repo, finalize
 from .taxonomy import (
     Chao1Input,
     KappaResult,
@@ -44,7 +44,6 @@ from .tracker import (
     HistoryReplayer,
     TrackedLine,
     apply_hunk,
-    finalize,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

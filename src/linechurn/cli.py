@@ -7,7 +7,6 @@ import csv
 import logging
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from . import __version__
@@ -166,11 +165,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
             continue
         eligible.append((result, stratum))
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", selector.EmptyStratumWarning)
-        chosen = selector.sample_stratified(eligible, per_stratum=args.per_stratum, seed=args.seed)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    filled = {stratum for _, stratum in eligible}
+    for lower, upper in selector.STRATA:
+        if (lower, upper) not in filled:
+            print(f"warning: stratum {lower}-{upper} has no candidates", file=sys.stderr)
+    chosen = selector.sample_stratified(eligible, per_stratum=args.per_stratum, seed=args.seed)
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["owner_and_name", "stars", "forks", "total_commits",

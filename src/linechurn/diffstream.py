@@ -591,11 +591,3 @@ def log_environment() -> dict[str, str]:
     the pathspec variables, plus ``GIT_ENV``."""
     return {k: v for k, v in os.environ.items() if k not in _PATHSPEC_ENV} | GIT_ENV
 
-
-def display_text(raw: bytes) -> str:
-    """Decode bytes for CSV/report output with raw-byte passthrough.
-
-    Undecodable bytes become ``\\xNN`` escapes so output stays valid UTF-8
-    while remaining deterministic for any input.
-    """
-    return raw.decode("utf-8", "backslashreplace")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import random
@@ -30,7 +31,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .bots import BotConfig, BotShare, aggregate_committers, bot_share, flag_bot
@@ -51,14 +52,8 @@ from .diffstream import (
     parse_log_stream,
     parse_name_status_stream,
 )
-from .taxonomy import (
-    PATTERN_CATEGORY,
-    PatternLabel,
-    chao1_curve,
-    classify_history,
-    load_label_overrides,
-)
-from .tracker import FileState, HistoryReplayer, finalize, write_line_report
+from .taxonomy import PatternLabel, chao1_curve, classify_history, load_label_overrides
+from .tracker import FileState, HistoryReplayer
 
 logger = logging.getLogger(__name__)
 
@@ -295,7 +290,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             if override is None:
                 label = classify_history(line, categories[path], path)
             else:
-                label = PatternLabel(override, PATTERN_CATEGORY[override], 1.0, heuristic=False)
+                label = PatternLabel(override, heuristic=False)
             hot.append((path, line_number, line, label))
 
     hotspot_commits = {rev.commit.hash: rev.commit for _, _, line, _ in hot for rev in line.history}
@@ -402,17 +397,40 @@ def _safe_report_name(path: str) -> str:
     return f"{safe[:120]}-{digest}.csv"
 
 
+def display_text(raw: bytes) -> str:
+    """Decode bytes for CSV output with raw-byte passthrough.
+
+    Undecodable bytes become ``\\xNN`` escapes so output stays valid UTF-8
+    while remaining deterministic for any input.
+    """
+    return raw.decode("utf-8", "backslashreplace")
+
+
+LINE_REPORT_COLUMNS = ["line_number", "content", "mod_count", "birth_ts",
+                       "commit_hashes", "timestamps"]
+
+
+def finalize(state: FileState) -> Iterator[list]:
+    """Yield one line-report row per live line, in file order; dead lines
+    are excluded.  The revisions' hashes and timestamps, the birth first,
+    are each ``|``-joined."""
+    for number, line in enumerate(state.file_lines, 1):
+        commits = [rev.commit for rev in line.history]
+        yield [number, display_text(line.history[-1].content), line.mod_count,
+               commits[0].committer_timestamp, "|".join(c.hash for c in commits),
+               "|".join(str(c.committer_timestamp) for c in commits)]
+
+
 def emit_reports(output_dir: Path, tracked: dict[str, FileState], tables: list,
                  summary: dict) -> list[Path]:
     """Write each tracked file's line report, each ``(name, header, rows)``
-    CSV table and ``summary.json``; returns the written paths."""
-    reports_dir = output_dir / "line_reports"
-    reports_dir.mkdir(exist_ok=True)
+    CSV table and ``summary.json``; returns the written paths.  Rows are
+    built as they are written."""
+    (output_dir / "line_reports").mkdir(exist_ok=True)
+    reports = ((Path("line_reports", _safe_report_name(path)), LINE_REPORT_COLUMNS, finalize(state))
+               for path, state in tracked.items())
     written: list[Path] = []
-    for path, state in tracked.items():
-        written.append(reports_dir / _safe_report_name(path))
-        write_line_report(finalize(state), written[-1])
-    for name, header, rows in tables:
+    for name, header, rows in itertools.chain(reports, tables):
         written.append(output_dir / name)
         with open(written[-1], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -16,7 +16,6 @@ import logging
 import math
 import random
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -56,10 +55,6 @@ class RateLimited(SelectorError):
     def __init__(self, retry_after: float):
         self.retry_after = retry_after
         super().__init__(f"rate limited; retry after {retry_after:.0f}s")
-
-
-class EmptyStratumWarning(UserWarning):
-    pass
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,8 @@ def sample_stratified(candidates: list[tuple[RepoMeta, tuple[int, int]]], per_st
     """Seeded draw of at most ``per_stratum`` repos from each stratum.
 
     Strata are processed in ascending order with a single seeded generator;
-    the same seed and input order always reproduce the same selection.
-    Empty strata are reported as warnings, never errors.
+    the same seed and input order always reproduce the same selection.  An
+    empty stratum contributes nothing and is no error.
     """
     if per_stratum < 1:
         raise ValueError("per_stratum must be at least 1")
@@ -126,13 +121,6 @@ def sample_stratified(candidates: list[tuple[RepoMeta, tuple[int, int]]], per_st
     selected: list[RepoMeta] = []
     for bounds in STRATA:
         population = buckets[bounds]
-        if not population:
-            warnings.warn(
-                f"stratum {bounds[0]}-{bounds[1]} has no candidates",
-                EmptyStratumWarning,
-                stacklevel=2,
-            )
-            continue
         if len(population) <= per_stratum:
             selected.extend(population)
         else:

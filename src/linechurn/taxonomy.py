@@ -100,14 +100,13 @@ class RevisionPair:
 @dataclass
 class PatternLabel:
     label: Pattern
-    category: Category
     confidence: float = 1.0
     heuristic: bool = True
     diagnostics: str = ""
 
-
-def _mklabel(pattern: Pattern, confidence: float = 1.0, **kw) -> PatternLabel:
-    return PatternLabel(pattern, PATTERN_CATEGORY[pattern], confidence, **kw)
+    @property
+    def category(self) -> Category:
+        return PATTERN_CATEGORY[self.label]
 
 
 # --- text machinery -------------------------------------------------------
@@ -473,7 +472,7 @@ def classify_pair(pair: RevisionPair) -> PatternLabel:
     diagnostics = ""
     if winner is Pattern.METADATA_CHANGE and _rule_external_data(ctx):
         diagnostics = f"also-matches:{Pattern.EXTERNAL_DATA_FLUCTUATIONS.value}"
-    return _mklabel(winner, diagnostics=diagnostics)
+    return PatternLabel(winner, diagnostics=diagnostics)
 
 
 def classify_history(line, file_category: str, path: str) -> PatternLabel:
@@ -495,7 +494,7 @@ def classify_history(line, file_category: str, path: str) -> PatternLabel:
             votes[_winner(_PairContext(prev.content, curr.content, file_category, path))] += 1
     total = sum(votes.values())
     if total == 0:
-        return _mklabel(Pattern.UNCLASSIFIED, confidence=0.0)
+        return PatternLabel(Pattern.UNCLASSIFIED, confidence=0.0)
 
     winner = min(votes.items(), key=lambda kv: (-kv[1], _RANK[kv[0]]))[0]
     confidence = votes[winner] / total
@@ -503,8 +502,8 @@ def classify_history(line, file_category: str, path: str) -> PatternLabel:
     if (winner is Pattern.NORMAL_SOFTWARE_EVOLUTION
             and file_category == PROGRAMMING
             and _has_close_modifications(history)):
-        return _mklabel(Pattern.STEPWISE_REFACTORING, confidence=confidence)
-    return _mklabel(winner, confidence=confidence)
+        return PatternLabel(Pattern.STEPWISE_REFACTORING, confidence=confidence)
+    return PatternLabel(winner, confidence=confidence)
 
 
 def _has_close_modifications(history) -> bool:

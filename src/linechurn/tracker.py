@@ -20,10 +20,8 @@ content-similarity matching is attempted, which keeps replay deterministic.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 from .diffstream import (
@@ -34,7 +32,6 @@ from .diffstream import (
     FileStart,
     Hunk,
     HunkEvent,
-    display_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -119,72 +116,6 @@ def _replace_run(state: FileState, commit: CommitHeader, deleted: list[TrackedLi
         deleted += [TrackedLine([Revision(commit, text)]) for text in added[len(deleted):]]
         state.births_total += born
     return deleted
-
-
-@dataclass(frozen=True)
-class LineReport:
-    line_number: int  # 1-based final position
-    content: bytes
-    mod_count: int
-    birth_ts: int
-    history: tuple[tuple[str, int], ...]  # (commit_hash, timestamp) incl. birth
-
-
-def finalize(state: FileState) -> list[LineReport]:
-    """One report row per live line; dead lines are excluded."""
-    return [
-        LineReport(
-            line_number=i + 1,
-            content=ln.history[-1].content,
-            mod_count=ln.mod_count,
-            birth_ts=ln.history[0].commit.committer_timestamp,
-            history=tuple((rev.commit.hash, rev.commit.committer_timestamp)
-                          for rev in ln.history),
-        )
-        for i, ln in enumerate(state.file_lines)
-    ]
-
-
-LINE_REPORT_COLUMNS = ["line_number", "content", "mod_count", "birth_ts",
-                       "commit_hashes", "timestamps"]
-
-
-def write_line_report(rows: Iterable[LineReport], out_path: str | Path) -> None:
-    """Write one file's line reports as CSV (history sub-fields '|'-joined)."""
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LINE_REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.line_number,
-                display_text(row.content),
-                row.mod_count,
-                row.birth_ts,
-                "|".join(h for h, _ in row.history),
-                "|".join(str(t) for _, t in row.history),
-            ])
-
-
-def read_line_report(path: str | Path) -> list[LineReport]:
-    """Parse a line-report CSV back into rows (content as displayed text).
-
-    The pipeline never calls it: it reads an artifact back, the inverse of
-    ``write_line_report``, for whoever consumes the reports.
-    """
-    out: list[LineReport] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            hashes = rec["commit_hashes"].split("|") if rec["commit_hashes"] else []
-            stamps = [int(t) for t in rec["timestamps"].split("|")] if rec["timestamps"] else []
-            out.append(LineReport(
-                line_number=int(rec["line_number"]),
-                content=rec["content"].encode("utf-8", "surrogateescape"),
-                mod_count=int(rec["mod_count"]),
-                birth_ts=int(rec["birth_ts"]),
-                history=tuple(zip(hashes, stamps)),
-            ))
-    return out
 
 
 class HistoryReplayer:

@@ -1,11 +1,14 @@
 """Test oracles: helpers that only tests call.
 
-They re-render, recount or re-read what the parser and the tracker built,
-so a test can compare it with its input or with a checkout.
+They re-render, recount or re-read what the parser, the tracker and the
+pipeline built, so a test can compare it with its input or with a checkout.
 """
 
 from __future__ import annotations
 
+import csv
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from linechurn.diffstream import CommitHeader, CommitStart, Hunk, MalformedHunkHeader, _hunk_counts
@@ -74,3 +77,30 @@ def replay_by_commit(replayer: HistoryReplayer, events: Iterable[object]) -> Ite
     if commit:
         replayer.run(commit)
         yield commit[0].header
+
+
+@dataclass(frozen=True)
+class LineReport:
+    line_number: int  # 1-based final position
+    content: bytes
+    mod_count: int
+    birth_ts: int
+    history: tuple[tuple[str, int], ...]  # (commit_hash, timestamp) incl. birth
+
+
+def read_line_report(path: str | Path) -> list[LineReport]:
+    """Parse a line-report CSV back into rows (content as displayed text)."""
+    out: list[LineReport] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            hashes = rec["commit_hashes"].split("|") if rec["commit_hashes"] else []
+            stamps = [int(t) for t in rec["timestamps"].split("|")] if rec["timestamps"] else []
+            out.append(LineReport(
+                line_number=int(rec["line_number"]),
+                content=rec["content"].encode("utf-8", "surrogateescape"),
+                mod_count=int(rec["mod_count"]),
+                birth_ts=int(rec["birth_ts"]),
+                history=tuple(zip(hashes, stamps)),
+            ))
+    return out

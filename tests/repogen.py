@@ -117,6 +117,7 @@ class BlobReader:
         if self.proc.stdin:
             self.proc.stdin.close()
         self.proc.wait()
+        self.proc.stdout.close()
 
 
 def _line(file_id: int, serial: int, rng: random.Random) -> bytes:

@@ -25,9 +25,9 @@ from linechurn.churn import HotspotThresholds
 from linechurn.diffstream import log_command
 from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
 from linechurn.selector import RepoMeta
-from linechurn.tracker import read_line_report
 
 from conftest import blame_commits, run_fresh
+from oracles import read_line_report
 from repogen import build_hotspot_repo, build_multi_hotspot_repo, run_git
 
 

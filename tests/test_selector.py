@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import linechurn.cli as cli
 from linechurn.selector import (
     HALF_YEAR_SECONDS,
-    EmptyStratumWarning,
     InclusionCriteria,
     MetadataClient,
     NotFound,
@@ -109,16 +108,13 @@ class TestSampleStratified:
 
     def test_quota_exceeding_population_returns_all(self):
         candidates = self._candidates({11: 3})
-        with pytest.warns(EmptyStratumWarning):
-            chosen = sample_stratified(candidates, per_stratum=5, seed=1)
+        chosen = sample_stratified(candidates, per_stratum=5, seed=1)
         assert len(chosen) == 3
 
     def test_deterministic_for_same_seed(self):
         candidates = self._candidates({11: 30, 101: 30})
-        with pytest.warns(EmptyStratumWarning):
-            first = sample_stratified(candidates, per_stratum=4, seed=42)
-        with pytest.warns(EmptyStratumWarning):
-            second = sample_stratified(candidates, per_stratum=4, seed=42)
+        first = sample_stratified(candidates, per_stratum=4, seed=42)
+        second = sample_stratified(candidates, per_stratum=4, seed=42)
         assert [m.owner_and_name for m in first] == [m.owner_and_name for m in second]
 
     def test_hundred_candidates_two_per_stratum(self):
@@ -149,8 +145,7 @@ class TestSampleStratified:
     def test_output_subset_of_input(self):
         candidates = self._candidates({11: 8, 101: 2})
         names = {m.owner_and_name for m, _ in candidates}
-        with pytest.warns(EmptyStratumWarning):
-            chosen = sample_stratified(candidates, per_stratum=3, seed=0)
+        chosen = sample_stratified(candidates, per_stratum=3, seed=0)
         assert {m.owner_and_name for m in chosen} <= names
 
 
@@ -227,6 +222,7 @@ def stub_api():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", _StubHandler
     server.shutdown()
+    server.server_close()
 
 
 def _created_at_iso(n_half_years: float) -> str:

@@ -23,14 +23,12 @@ from linechurn.tracker import (
     HistoryReplayer,
     HunkOutOfBounds,
     apply_hunk,
-    finalize,
-    read_line_report,
-    write_line_report,
 )
+from linechurn.pipeline import emit_reports, finalize
 
 from repogen import BlobReader, build_random_repo
 from conftest import repo_log_events
-from oracles import reconstruct_snapshot, replay_by_commit, snapshot_bytes
+from oracles import read_line_report, reconstruct_snapshot, replay_by_commit, snapshot_bytes
 from test_diffstream import COMMIT1, COMMIT2
 
 
@@ -146,7 +144,7 @@ class TestApplyHunk:
         apply_hunk(state, hunk(1, 1, 0, 0, "-", [b"x=1"]), make_commit(2))
         assert state.file_lines == []
         assert state.deaths_total == 1
-        assert finalize(state) == []
+        assert list(finalize(state)) == []
 
     def test_reconstruct_empty_history(self):
         assert reconstruct_snapshot(FileState("f")) == []
@@ -219,27 +217,27 @@ class TestFinalize:
         return state
 
     def test_live_rows_only(self):
-        rows = finalize(self._tracked_state())
+        rows = list(finalize(self._tracked_state()))
         assert len(rows) == 2  # one dead line excluded
 
     def test_line_numbers_dense(self):
-        rows = finalize(self._tracked_state())
-        assert [r.line_number for r in rows] == list(range(1, len(rows) + 1))
+        rows = list(finalize(self._tracked_state()))
+        assert [r[0] for r in rows] == list(range(1, len(rows) + 1))
 
     def test_csv_roundtrip(self, tmp_path):
-        rows = finalize(self._tracked_state())
-        out = tmp_path / "report.csv"
-        write_line_report(rows, out)
+        state = self._tracked_state()
+        [out] = emit_reports(tmp_path, {"f": state}, [], {})[:-1]
         back = read_line_report(out)
-        assert [(r.line_number, r.mod_count, r.birth_ts, r.history) for r in back] == \
-               [(r.line_number, r.mod_count, r.birth_ts, r.history) for r in rows]
-        assert [r.content for r in back] == [r.content for r in rows]
+        lines = [(i, ln.mod_count, ln.history[0].commit.committer_timestamp,
+                  tuple((rev.commit.hash, rev.commit.committer_timestamp) for rev in ln.history))
+                 for i, ln in enumerate(state.file_lines, 1)]
+        assert [(r.line_number, r.mod_count, r.birth_ts, r.history) for r in back] == lines
+        assert [r.content for r in back] == reconstruct_snapshot(state)
 
     def test_csv_escapes_undecodable_bytes(self, tmp_path):
         state = FileState("f")
         apply_hunk(state, hunk(0, 0, 1, 1, "+", [b"bad \xff byte"]), make_commit(1))
-        out = tmp_path / "report.csv"
-        write_line_report(finalize(state), out)
+        [out] = emit_reports(tmp_path, {"f": state}, [], {})[:-1]
         text = out.read_text("utf-8")
         assert "\\xff" in text
 

@@ -168,18 +168,19 @@ def detect_hotspot_files(
 
 
 def select_hotspot_lines(lines: list, thresholds: HotspotThresholds = HotspotThresholds()) -> list:
-    """Outlier lines of one file by modification count.
+    """Outlier lines of one file by modification count, as ``(number, line)`` pairs.
 
     A line qualifies when its mod_count strictly exceeds the sigma cutoff
-    computed over this file's live lines and meets the absolute floor.
+    computed over this file's live lines and meets the absolute floor.  Lines
+    are numbered from 1 and returned in file order.
     """
     if not lines:
         return []
     summary = churn_summary((ln.mod_count for ln in lines), thresholds.population_sigma)
     cut = summary.mean + thresholds.sigma_multiplier * summary.stddev
     return [
-        ln
-        for ln in lines
+        (number, ln)
+        for number, ln in enumerate(lines, 1)
         if ln.mod_count > cut and ln.mod_count >= thresholds.min_line_mods
     ]
 

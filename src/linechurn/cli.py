@@ -30,14 +30,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = HotspotThresholds()
     analyze = sub.add_parser("analyze", help="analyze one repository work tree")
     analyze.add_argument("--repo", required=True, type=Path, help="path to the repository")
     analyze.add_argument("--out", required=True, type=Path, help="output directory")
-    analyze.add_argument("--sigma", type=float, default=3.0,
+    analyze.add_argument("--sigma", type=float, default=defaults.sigma_multiplier,
                          help="standard-deviation multiplier of the outlier filter")
-    analyze.add_argument("--monthly-rate", type=float, default=1.0,
+    analyze.add_argument("--monthly-rate", type=float, default=defaults.monthly_rate,
                          help="required changes per month of project lifetime")
-    analyze.add_argument("--min-line-mods", type=int, default=3,
+    analyze.add_argument("--min-line-mods", type=int, default=defaults.min_line_mods,
                          help="absolute floor on a hotspot line's modification count")
     analyze.add_argument("--file-sample", type=int, default=None,
                          help="cap on hotspot files to line-track")
@@ -54,6 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="candidate repositories")
     select.add_argument("--candidates-file", type=Path, default=None,
                         help="file with one owner/name per line")
+    # Literals, unlike analyze's defaults: InclusionCriteria lives in selector,
+    # which imports requests, and analyze must load only the standard library.
     select.add_argument("--min-commits", type=int, default=10_000)
     select.add_argument("--min-popularity", type=int, default=11,
                         help="minimum stars-or-forks (the default excludes ten)")

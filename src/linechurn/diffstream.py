@@ -84,13 +84,12 @@ _EXT_HEADERS = (
 class StreamParseError(Exception):
     """Base class for malformed log-stream input.
 
-    Carries the byte offset of the offending line and the line itself so
-    failures can be located in multi-megabyte streams.
+    Carries the byte offset of the offending line, and quotes the line in
+    its message, so failures can be located in multi-megabyte streams.
     """
 
     def __init__(self, message: str, byte_offset: int = -1, line: bytes = b""):
         self.byte_offset = byte_offset
-        self.line = line
         detail = message
         if byte_offset >= 0:
             detail += f" (byte offset {byte_offset}, line {line[:200]!r})"
@@ -188,14 +187,13 @@ def _hunk_counts(line: bytes) -> tuple[int, int, int, int] | None:
             int(new_start), 1 if new_count is None else int(new_count))
 
 
-def parse_commit_line(line: bytes | str) -> CommitHeader:
+def parse_commit_line(line: bytes) -> CommitHeader:
     """Parse one pretty-format commit line into a CommitHeader.
 
     Expected shape: ``commit <hash> <epoch> \\x1f<committer name>\\x1f<committer email>``.
     An unparseable timestamp is an error, never a silent zero.
     """
-    raw = line.encode("utf-8", "surrogateescape") if isinstance(line, str) else line
-    raw = raw.rstrip(b"\n")
+    raw = line.rstrip(b"\n")
     if not raw.startswith(b"commit "):
         raise MalformedCommitLine("commit line must start with 'commit '", line=raw)
     body = raw[len(b"commit "):]

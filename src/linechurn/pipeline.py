@@ -234,7 +234,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     git_version = _git_version()
     head, root = _repo_head(config.repo_path)  # before --out exists: no tree is left on failure
     try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+        (config.output_dir / "line_reports").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise BadInput(f"output directory {config.output_dir}: {exc}") from None
     notes: list[str] = []  # the manifest's warnings
@@ -283,9 +283,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     # in file order; every artifact below is derived from this list.
     hot = []
     for path, state in tracked.items():
-        positions = {id(line): i + 1 for i, line in enumerate(state.file_lines)}
-        for line in select_hotspot_lines(state.file_lines, config.thresholds):
-            line_number = positions[id(line)]
+        for line_number, line in select_hotspot_lines(state.file_lines, config.thresholds):
             override = overrides.get((path, line_number))
             if override is None:
                 label = classify_history(line, categories[path], path)
@@ -423,10 +421,12 @@ def finalize(state: FileState) -> Iterator[list]:
 
 def emit_reports(output_dir: Path, tracked: dict[str, FileState], tables: list,
                  summary: dict) -> list[Path]:
-    """Write each tracked file's line report, each ``(name, header, rows)``
-    CSV table and ``summary.json``; returns the written paths.  Rows are
-    built as they are written."""
-    (output_dir / "line_reports").mkdir(exist_ok=True)
+    """Write each tracked file's line report into ``output_dir/line_reports``,
+    which must exist, each ``(name, header, rows)`` CSV table and
+    ``summary.json``; returns the written paths.  Line reports of an earlier
+    run are deleted first.  Rows are built as they are written."""
+    for stale in (output_dir / "line_reports").glob("*.csv"):
+        stale.unlink()
     reports = ((Path("line_reports", _safe_report_name(path)), LINE_REPORT_COLUMNS, finalize(state))
                for path, state in tracked.items())
     written: list[Path] = []

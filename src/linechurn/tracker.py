@@ -28,7 +28,6 @@ from .diffstream import (
     CommitHeader,
     CommitStart,
     FileAborted,
-    FileDiffHeader,
     FileStart,
     Hunk,
     HunkEvent,
@@ -65,57 +64,39 @@ class TrackedLine:
 class FileState:
     """Mutable tracking state for a single file path."""
 
-    path: str
     file_lines: list[TrackedLine] = field(default_factory=list)
     births_total: int = 0
     deaths_total: int = 0
 
 
-def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> FileState:
+def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> None:
     """Apply one hunk, the file diff's earlier hunks applied, at ``hunk.base``.
 
-    Paired lines stay the same objects and gain a revision, that is one
-    modification; unmatched deletions are counted in deaths_total and leave
-    the state; unmatched additions are born fresh.
+    The i-th deleted line is paired with the i-th added one: it stays the same
+    object and gains a revision, that is one modification.  Surplus deletions
+    die (counted in deaths_total); surplus additions are born fresh.
     """
-    base = hunk.base
+    base, consumed = hunk.base, hunk.old_count
     live = len(state.file_lines)
-    if base + hunk.old_count > live:
-        raise HunkOutOfBounds(
-            f"{state.path}: hunk @@ -{hunk.old_start},{hunk.old_count} "
-            f"+{hunk.new_start},{hunk.new_count} @@ reaches line {base + hunk.old_count} "
-            f"but only {live} live lines")
+    if base + consumed > live:
+        raise HunkOutOfBounds(f"hunk @@ -{hunk.old_start},{consumed} +{hunk.new_start},"
+                              f"{hunk.new_count} @@ reaches line {base + consumed} "
+                              f"but only {live} live lines")
 
-    consumed = hunk.old_count
-    updated = _replace_run(state, commit, state.file_lines[base:base + consumed],
-                           hunk.lines[consumed:])
-    if not hunk.new_newline:
-        updated[-1].had_newline = False
-
-    state.file_lines[base : base + consumed] = updated
-    return state
-
-
-def _replace_run(state: FileState, commit: CommitHeader, deleted: list[TrackedLine],
-                 added: list[bytes]) -> list[TrackedLine]:
-    """Pair the i-th deleted line with the i-th added line; return the new lines.
-
-    ``added`` holds the addition lines as git printed them, ``+`` included.
-    Surplus deletions die, surplus additions are born; every resulting line
-    ends in a newline.
-    """
-    added = [raw[1:] for raw in added]
-    for line, text in zip(deleted, added):
+    lines = state.file_lines[base:base + consumed]
+    added = [raw[1:] for raw in hunk.lines[consumed:]]  # git's ``+`` dropped
+    for line, text in zip(lines, added):
         line.history.append(Revision(commit, text))
         line.had_newline = True
-    if len(deleted) > len(added):
-        state.deaths_total += len(deleted) - len(added)
-        return deleted[:len(added)]
-    born = len(added) - len(deleted)
-    if born > 0:
-        deleted += [TrackedLine([Revision(commit, text)]) for text in added[len(deleted):]]
-        state.births_total += born
-    return deleted
+    if consumed > len(added):
+        state.deaths_total += consumed - len(added)
+        del lines[len(added):]
+    elif len(added) > consumed:
+        lines += [TrackedLine([Revision(commit, text)]) for text in added[consumed:]]
+        state.births_total += len(added) - consumed
+    if not hunk.new_newline:
+        lines[-1].had_newline = False
+    state.file_lines[base:base + consumed] = lines
 
 
 class HistoryReplayer:
@@ -146,16 +127,21 @@ class HistoryReplayer:
                     continue
                 state = self.states.get(current_path)
                 if state is None:
-                    state = self.states[current_path] = FileState(current_path)
+                    state = self.states[current_path] = FileState()
                 try:
                     apply_hunk(state, event.hunk, current_commit)
                 except HunkOutOfBounds as exc:
-                    self._abort(current_path, str(exc))
+                    self._abort(current_path, f"{current_path}: {exc}")
             elif isinstance(event, CommitStart):
                 current_commit = event.header
                 current_path = None
             elif isinstance(event, FileStart):
-                current_path = self._on_file_start(event.header)
+                old, current_path = event.header.old_path, event.header.new_path
+                if old != current_path:  # a rename carries the state or the abort
+                    if old in self.states:
+                        self.states[current_path] = self.states.pop(old)
+                    if old in self.aborted:
+                        self.aborted[current_path] = self.aborted.pop(old)
             elif isinstance(event, FileAborted):
                 if current_path is not None and current_path not in self.aborted:
                     self._abort(current_path, event.reason)
@@ -164,14 +150,3 @@ class HistoryReplayer:
         logger.info("aborting %s: %s", path, reason)
         self.aborted[path] = reason
         self.states.pop(path, None)
-
-    def _on_file_start(self, header: FileDiffHeader) -> str:
-        old, new = header.old_path, header.new_path
-        if old != new:
-            if old in self.states:
-                state = self.states.pop(old)
-                state.path = new
-                self.states[new] = state
-            if old in self.aborted:
-                self.aborted[new] = self.aborted.pop(old)
-        return new

@@ -263,7 +263,7 @@ class TestSelectHotspotLines:
         mean, std = brute_mean_std([ln.mod_count for ln in lines])
         assert 12 > mean + 3 * std
         selected = select_hotspot_lines(lines)
-        assert [ln.mod_count for ln in selected] == [12]
+        assert [(number, ln.mod_count) for number, ln in selected] == [(20, 12)]
 
     def test_min_line_mods_floor(self):
         lines = [mk_line(0) for _ in range(30)] + [mk_line(2)]
@@ -275,8 +275,9 @@ class TestSelectHotspotLines:
 
     @pytest.mark.parametrize("n_lines, n_selected", [(10, 0), (11, 1)])
     def test_ten_lines_are_too_few_for_a_hotspot(self, n_lines, n_selected):
-        """One line at 1,000 modifications among quiet ones: the largest
-        z-score among n values is (n - 1)/sqrt(n), below 3 up to n = 10."""
+        """One line at 1,000 modifications among quiet ones: under
+        population sigma the largest z-score among n values is sqrt(n - 1),
+        at most 3 up to n = 10."""
         lines = [mk_line(0) for _ in range(n_lines - 1)] + [mk_line(1000)]
         assert len(select_hotspot_lines(lines)) == n_selected
 
@@ -380,8 +381,10 @@ def test_statistics_match_brute_force(mods, population):
     cut = mean + thresholds.sigma_multiplier * std
     assume(all(abs(m - cut) > 1e-9 for m in mods))
     lines = [mk_line(m) for m in mods]
-    expected = [ln for ln in lines if ln.mod_count > cut and ln.mod_count >= thresholds.min_line_mods]
-    assert [id(ln) for ln in select_hotspot_lines(lines, thresholds)] == [id(ln) for ln in expected]
+    expected = [(number, ln) for number, ln in enumerate(lines, 1)
+                if ln.mod_count > cut and ln.mod_count >= thresholds.min_line_mods]
+    assert ([(number, id(ln)) for number, ln in select_hotspot_lines(lines, thresholds)]
+            == [(number, id(ln)) for number, ln in expected])
 
 
 def test_thresholds_must_be_positive():

@@ -103,14 +103,14 @@ class TestParseHunkHeader:
 
 class TestParseCommitLine:
     def test_fields_extracted(self):
-        header = parse_commit_line("commit abc123 1700000000 \x1fAda\x1fada@x")
+        header = parse_commit_line(b"commit abc123 1700000000 \x1fAda\x1fada@x")
         assert header.hash == "abc123"
         assert header.committer_timestamp == 1700000000
         assert header.committer_name == "Ada"
 
     def test_missing_timestamp(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line("commit xyz")
+            parse_commit_line(b"commit xyz")
 
     def test_committer_fields(self):
         header = parse_commit_line(COMMIT2)
@@ -119,15 +119,15 @@ class TestParseCommitLine:
     def test_author_and_committer_fields_rejected(self):
         """A line that still carries the author's two fields is malformed."""
         with pytest.raises(MalformedCommitLine, match="expected 2 identity fields, got 4"):
-            parse_commit_line("commit abc123 1700000000 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x")
+            parse_commit_line(b"commit abc123 1700000000 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x")
 
     def test_non_integer_timestamp(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line("commit abc123 notatime \x1fA\x1fa")
+            parse_commit_line(b"commit abc123 notatime \x1fA\x1fa")
 
     def test_non_hex_hash(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line("commit zzz 1700000000 \x1fA\x1fa")
+            parse_commit_line(b"commit zzz 1700000000 \x1fA\x1fa")
 
 
 class TestParseLogStream:

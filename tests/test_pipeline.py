@@ -172,6 +172,15 @@ class TestAnalyzeRepo:
         assert manifest.stage_counts["files_selected_for_tracking"] == 0
         assert manifest.stage_counts["files_tracked"] == 0
 
+    def test_reused_out_holds_only_this_runs_line_reports(self, hotspot_repo, tmp_path):
+        out = tmp_path / "out"
+        analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out))
+        assert len(list((out / "line_reports").iterdir())) == 1  # hot.cfg's
+        analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out,
+                                    file_sample=0))
+        assert json.loads((out / "summary.json").read_text("utf-8"))["n_tracked_files"] == 0
+        assert list((out / "line_reports").iterdir()) == []
+
     def test_labels_override(self, hotspot_repo, tmp_path):
         override = tmp_path / "override.csv"
         override.write_text(
@@ -932,6 +941,19 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert "is not a directory" in err
+
+    def test_line_reports_not_a_directory_exit_one(self, hotspot_repo, tmp_path, monkeypatch,
+                                                   capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "line_reports").write_text("")
+        runs = git_log_runs(monkeypatch)
+        code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "line_reports" in err
+        assert runs == []  # no git walk ran
 
     def test_history_without_file_changes_exit_one(self, tmp_path, monkeypatch, capsys):
         from repogen import RepoBuilder

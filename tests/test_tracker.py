@@ -47,7 +47,7 @@ class TestRunningDelta:
     old start plus the line-count change of the hunks before them."""
 
     def test_multi_hunk_commit_mixing_insertions_and_deletions(self):
-        state = FileState("f")
+        state = FileState()
         texts = [f"l{i}".encode() for i in range(1, 11)]
         apply_hunk(state, hunk(0, 0, 1, 10, "+" * 10, texts), make_commit(1))
         before = list(state.file_lines)
@@ -78,7 +78,7 @@ def replace_run(n_del: int, n_add: int):
     the one git prints, where a side without lines names the line before.
     """
     n_base = max(4, n_del)
-    state = FileState("f")
+    state = FileState()
     apply_hunk(state, hunk(0, 0, 1, n_base, "+" * n_base,
                            [f"d{k}".encode() for k in range(1, n_base + 1)]), make_commit(1))
     before = list(state.file_lines)
@@ -127,7 +127,7 @@ class TestPairEdits:
 
 class TestApplyHunk:
     def test_three_commit_modification_chain(self):
-        state = FileState("f")
+        state = FileState()
         apply_hunk(state, hunk(0, 0, 1, 1, "+", [b"x=1"]), make_commit(1))
         apply_hunk(state, hunk(1, 1, 1, 1, "-+", [b"x=1", b"x=2"]), make_commit(2))
         apply_hunk(state, hunk(1, 1, 1, 1, "-+", [b"x=2", b"x=3"]), make_commit(3))
@@ -139,7 +139,7 @@ class TestApplyHunk:
         assert reconstruct_snapshot(state) == [b"x=3"]
 
     def test_deletion_only_records_death(self):
-        state = FileState("f")
+        state = FileState()
         apply_hunk(state, hunk(0, 0, 1, 1, "+", [b"x=1"]), make_commit(1))
         apply_hunk(state, hunk(1, 1, 0, 0, "-", [b"x=1"]), make_commit(2))
         assert state.file_lines == []
@@ -147,11 +147,11 @@ class TestApplyHunk:
         assert list(finalize(state)) == []
 
     def test_reconstruct_empty_history(self):
-        assert reconstruct_snapshot(FileState("f")) == []
-        assert snapshot_bytes(FileState("f")) == b""
+        assert reconstruct_snapshot(FileState()) == []
+        assert snapshot_bytes(FileState()) == b""
 
     def test_untouched_slot_unchanged(self):
-        state = FileState("f")
+        state = FileState()
         texts = [b"l1", b"l2", b"l3", b"l4", b"l5", b"l6"]
         apply_hunk(state, hunk(0, 0, 1, 6, "++++++", texts), make_commit(1))
         slot5 = state.file_lines[4]
@@ -162,7 +162,7 @@ class TestApplyHunk:
         assert state.file_lines[4] is slot5
 
     def test_offsets_within_one_commit(self):
-        state = FileState("f")
+        state = FileState()
         texts = [f"l{i}".encode() for i in range(1, 9)]
         apply_hunk(state, hunk(0, 0, 1, 8, "+" * 8, texts), make_commit(1))
         commit = make_commit(2)
@@ -174,7 +174,7 @@ class TestApplyHunk:
             b"l1", b"l2", b"i1", b"i2", b"l3", b"l4", b"l5", b"L6", b"l7", b"l8"]
 
     def test_offsets_reset_between_commits(self):
-        state = FileState("f")
+        state = FileState()
         apply_hunk(state, hunk(0, 0, 1, 3, "+++", [b"a", b"b", b"c"]), make_commit(1))
         apply_hunk(state, hunk(1, 0, 2, 2, "++", [b"x", b"y"]), make_commit(2))
         # New commit: coordinates are relative to the 5-line parent state.
@@ -182,14 +182,14 @@ class TestApplyHunk:
         assert reconstruct_snapshot(state) == [b"a", b"x", b"y", b"b", b"C"]
 
     def test_out_of_bounds_raises(self):
-        state = FileState("f")
+        state = FileState()
         apply_hunk(state, hunk(0, 0, 1, 2, "++", [b"a", b"b"]), make_commit(1))
         with pytest.raises(HunkOutOfBounds):
             apply_hunk(state, hunk(2, 2, 2, 2, "--++", [b"b", b"x", b"B", b"X"]),
                        make_commit(2))
 
     def test_mod_count_equals_history_minus_one_always(self):
-        state = FileState("f")
+        state = FileState()
         rng = random.Random(3)
         apply_hunk(state, hunk(0, 0, 1, 3, "+++", [b"a", b"b", b"c"]), make_commit(1))
         for n in range(2, 20):
@@ -201,7 +201,7 @@ class TestApplyHunk:
                 assert line.mod_count == len(line.history) - 1
 
     def test_conservation_births_minus_deaths(self):
-        state = FileState("f")
+        state = FileState()
         apply_hunk(state, hunk(0, 0, 1, 4, "++++", [b"a", b"b", b"c", b"d"]),
                    make_commit(1))
         apply_hunk(state, hunk(2, 2, 2, 1, "--+", [b"b", b"c", b"bc"]), make_commit(2))
@@ -211,7 +211,7 @@ class TestApplyHunk:
 
 class TestFinalize:
     def _tracked_state(self) -> FileState:
-        state = FileState("f")
+        state = FileState()
         apply_hunk(state, hunk(0, 0, 1, 3, "+++", [b"a", b"b", b"c"]), make_commit(1))
         apply_hunk(state, hunk(2, 2, 2, 1, "--+", [b"b", b"c", b"bc"]), make_commit(2))
         return state
@@ -226,6 +226,7 @@ class TestFinalize:
 
     def test_csv_roundtrip(self, tmp_path):
         state = self._tracked_state()
+        (tmp_path / "line_reports").mkdir()
         [out] = emit_reports(tmp_path, {"f": state}, [], {})[:-1]
         back = read_line_report(out)
         lines = [(i, ln.mod_count, ln.history[0].commit.committer_timestamp,
@@ -235,8 +236,9 @@ class TestFinalize:
         assert [r.content for r in back] == reconstruct_snapshot(state)
 
     def test_csv_escapes_undecodable_bytes(self, tmp_path):
-        state = FileState("f")
+        state = FileState()
         apply_hunk(state, hunk(0, 0, 1, 1, "+", [b"bad \xff byte"]), make_commit(1))
+        (tmp_path / "line_reports").mkdir()
         [out] = emit_reports(tmp_path, {"f": state}, [], {})[:-1]
         text = out.read_text("utf-8")
         assert "\\xff" in text
@@ -328,7 +330,8 @@ class TestReplayer:
         ]
         replayer = HistoryReplayer()
         replayer.run(iter(events))
-        assert "broken" in replayer.aborted
+        assert replayer.aborted == {
+            "broken": "broken: hunk @@ -5,2 +5,2 @@ reaches line 6 but only 0 live lines"}
         assert replayer.states["good"].file_lines[0].history[-1].content == b"ok2"
 
 

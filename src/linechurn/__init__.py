@@ -21,7 +21,6 @@ from .churn import (
 )
 from .diffstream import (
     CommitHeader,
-    FileDiffHeader,
     Hunk,
     parse_commit_line,
     parse_log_stream,

@@ -5,12 +5,16 @@ identity is flagged as a bot when a configured keyword appears in either
 field, case-insensitively.  The manual-review step becomes a persisted
 allowlist/denylist so audits are reproducible: allowlisted identities are
 never bots regardless of keyword hits, denylisted ones always are.
+
+``bot_share`` counts bot and human attributions per pattern.  An overall
+share comes from the caller's own per-commit flags, since a commit that
+touches lines of two patterns is one attribution to each.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -113,30 +117,14 @@ class BotShare:
         return self.bot / self.total if self.total else 0.0
 
 
-@dataclass
-class BotShareReport:
-    overall: BotShare
-    per_pattern: dict[str, BotShare] = field(default_factory=dict)
+def bot_share(labeled: Iterable[tuple[str, bool]]) -> dict[str, BotShare]:
+    """Bot and human counts per pattern label, in pattern order.
 
-
-def bot_share(labeled_commits: Iterable[tuple[str, CommitterIdentity]]) -> BotShareReport:
-    """Bot commit ratios overall and per pattern label.
-
-    Each input element is one (pattern label, committer identity) commit
-    attribution; patterns with zero commits simply do not appear.
+    Each input element is one (pattern label, is bot) attribution; patterns
+    with zero attributions simply do not appear.
     """
-    overall_bot = 0
-    overall_human = 0
-    per: dict[str, list[int]] = {}
-    for label, identity in labeled_commits:
+    per: dict[str, list[int]] = {}  # label -> [bot, human]
+    for label, is_bot in labeled:
         bucket = per.setdefault(label, [0, 0])
-        if identity.is_bot:
-            overall_bot += 1
-            bucket[0] += 1
-        else:
-            overall_human += 1
-            bucket[1] += 1
-    return BotShareReport(
-        overall=BotShare(overall_bot, overall_human),
-        per_pattern={k: BotShare(b, h) for k, (b, h) in sorted(per.items())},
-    )
+        bucket[0 if is_bot else 1] += 1
+    return {k: BotShare(b, h) for k, (b, h) in sorted(per.items())}

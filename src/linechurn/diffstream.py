@@ -116,12 +116,6 @@ class CommitHeader:
     committer_email: str
 
 
-@dataclass(frozen=True)
-class FileDiffHeader:
-    old_path: str
-    new_path: str
-
-
 @dataclass
 class Hunk:
     """One zero-context hunk.
@@ -161,7 +155,10 @@ class CommitStart:
 
 @dataclass(frozen=True)
 class FileStart:
-    header: FileDiffHeader
+    """One file diff's paths: they differ only for a rename."""
+
+    old_path: str
+    new_path: str
 
 
 @dataclass(frozen=True)
@@ -317,7 +314,9 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
 
     Yields CommitStart, FileStart, HunkEvent and FileAborted events in stream
     order.  Every HunkEvent belongs to the most recent FileStart, every
-    FileStart to the most recent CommitStart.  A binary file diff, a
+    FileStart to the most recent CommitStart.  A FileStart is the header a
+    ``diff --git`` line starts, with its ``rename from``/``rename to`` lines
+    folded in, and is yielded once the header ends.  A binary file diff, a
     malformed hunk, a hunk out of order, or a malformed line inside a file
     diff yields FileAborted for that file, and parsing resumes at the next
     ``diff --git`` or ``commit`` line; errors outside any file diff raise.
@@ -334,8 +333,8 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     offset = 0  # byte offset of lines[0] in the stream
     i = 0  # the next line to read
     commit_hash: str | None = None
-    current_file: FileDiffHeader | None = None
-    header: FileDiffHeader | None = None  # a file diff header still being read
+    current_file: FileStart | None = None
+    header: FileStart | None = None  # a file diff header still being read
     skipping = False  # after FileAborted: until the next diff or commit line
     end = shift = 0  # the new-side end and the line-count change of the file diff's hunks
 
@@ -357,7 +356,7 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
                 continue
             current_file = header
             header = None
-            yield FileStart(current_file)
+            yield current_file
 
         if line.startswith(b"@@") and not skipping:
             if current_file is None:
@@ -429,10 +428,10 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
         i += 1
 
     if header is not None:
-        yield FileStart(header)
+        yield header
 
 
-def _diff_git_paths(line: bytes) -> FileDiffHeader | None:
+def _diff_git_paths(line: bytes) -> FileStart | None:
     """The file diff header that one ``diff --git`` line starts, if it parses.
 
     A path that contains " b/" can fool the regex.  But a diff other than a
@@ -449,16 +448,16 @@ def _diff_git_paths(line: bytes) -> FileDiffHeader | None:
     if (names[half:half + 1] == b" " and old[:2] == b"a/" and new[:2] == b"b/"
             and old[2:] == new[2:]):
         path = _decode_path(_unquote_c_path(old[2:]) if quoted else old[2:])
-        return FileDiffHeader(path, path)
+        return FileStart(path, path)
     m = _DIFF_GIT_RE.match(line)
     if m is None:
         return None
     old_raw = m.group(2) if m.group(1) is None else _unquote_c_path(m.group(1))
     new_raw = m.group(4) if m.group(3) is None else _unquote_c_path(m.group(3))
-    return FileDiffHeader(_decode_path(old_raw), _decode_path(new_raw))
+    return FileStart(_decode_path(old_raw), _decode_path(new_raw))
 
 
-def _header_line(header: FileDiffHeader, line: bytes) -> FileDiffHeader | None:
+def _header_line(header: FileStart, line: bytes) -> FileStart | None:
     """``header`` with one extended header line folded in; None if it is none."""
     if line.startswith(_EXT_HEADERS):
         return header

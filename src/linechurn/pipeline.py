@@ -6,7 +6,8 @@ which give the dual-filter hotspot files; (2) only those files, with their
 rename chains, get the expensive patch log, one walk for all of them, and
 line tracking; (3) hotspot lines are selected, classified, and attributed
 to bot or human committers; (4) all CSV/JSON artifacts are written, the run
-manifest last.
+manifest last, so ``--out`` holds a manifest only after a finished run; an
+output that cannot be written raises BadInput.
 
 A single file whose replay goes out of bounds, or whose patch is malformed,
 is aborted and recorded; the run completes and reports partial failure
@@ -294,21 +295,19 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     hotspot_commits = {rev.commit.hash: rev.commit for _, _, line, _ in hot for rev in line.history}
     committers = [flag_bot(identity, config.bot_config)
                   for identity in aggregate_committers(hotspot_commits.values())]
-    by_identity = {(identity.name, identity.email): identity for identity in committers}
-    commit_identity = {
-        h: by_identity[(c.committer_name, c.committer_email)] for h, c in hotspot_commits.items()
-    }
+    bots = {(identity.name, identity.email) for identity in committers if identity.is_bot}
+    is_bot = {h: (c.committer_name, c.committer_email) in bots for h, c in hotspot_commits.items()}
 
     # Commit-level share: a commit counts once per pattern, and once overall.
     commit_patterns = {
         (rev.commit.hash, label.label.value) for _, _, line, label in hot for rev in line.history
     }
-    per_pattern = bot_share((label, commit_identity[h]) for h, label in commit_patterns).per_pattern
-    n_bot = sum(identity.is_bot for identity in commit_identity.values())
-    # Edit-level share: every modification event counts.  Every hotspot line
-    # has at least one, so both shares name the same patterns.
-    edit_share = bot_share([(label.label.value, commit_identity[rev.commit.hash])
-                            for _, _, line, label in hot for rev in line.history[1:]])
+    per_pattern = bot_share((label, is_bot[h]) for h, label in commit_patterns)
+    # Edit-level share: every modification event counts, under its line's
+    # one pattern, so the patterns' counts sum to the overall share.  Every
+    # hotspot line has at least one, so both shares name the same patterns.
+    edit_share = bot_share((label.label.value, is_bot[rev.commit.hash])
+                           for _, _, line, label in hot for rev in line.history[1:])
 
     stats = []
     if hot:
@@ -338,7 +337,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         ("bot_share.csv", ["pattern", "bot_commits", "human_commits", "ratio", "bot_edits",
                            "human_edits", "edit_ratio"],
          ([pattern, c.bot, c.human, f"{c.ratio:.6f}", e.bot, e.human, f"{e.ratio:.6f}"]
-          for pattern, c in per_pattern.items() for e in [edit_share.per_pattern[pattern]])),
+          for pattern, c in per_pattern.items() for e in [edit_share[pattern]])),
         ("saturation.csv", ["k", "s_obs", "s_est"],
          ([k, s_obs, f"{s_est:.6f}"] for k, s_obs, s_est in curve)),
     ]
@@ -349,14 +348,18 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         "n_tracked_files": len(tracked),
         "n_hotspot_lines": len(hot),
         "hotspot_file_fraction": len(hotspot_files) / len(counts),
-        "bot_commit_share": BotShare(n_bot, len(commit_identity) - n_bot).ratio,
-        "bot_edit_share": edit_share.overall.ratio,
+        "bot_commit_share": sum(is_bot.values()) / len(is_bot) if is_bot else 0.0,
+        "bot_edit_share": BotShare(sum(e.bot for e in edit_share.values()),
+                                   sum(e.human for e in edit_share.values())).ratio,
         "labels": dict(sorted(Counter(label.label.value for *_, label in hot).items())),
         "lifetime_months": lifetime_months,
         "aborted_files": sorted(aborted),
     }
 
-    written = emit_reports(config.output_dir, tracked, tables, summary)
+    try:
+        written = emit_reports(config.output_dir, tracked, tables, summary)
+    except OSError as exc:
+        raise BadInput(f"output directory {config.output_dir}: {exc}") from None
     logger.info("wrote %d artifacts to %s", len(written), config.output_dir)
 
     finished = datetime.now(timezone.utc)
@@ -377,15 +380,17 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             "stage2_pathspecs": len(pathspecs),
             "files_aborted": len(aborted),
             "hotspot_lines": len(hot),
-            "hotspot_commits": len(commit_identity),
+            "hotspot_commits": len(is_bot),
         },
         warnings=notes,
         aborted=aborted,
         git={"version": git_version, "environment": dict(GIT_ENV),
              "stage1_walk": log_command(head, name_status=True), "stage2_walk": log_command(head)},
     )
-    manifest_path = config.output_dir / "manifest.json"
-    manifest_path.write_text(manifest.to_json(), "utf-8")
+    try:  # last: --out holds a manifest only after a finished run
+        (config.output_dir / "manifest.json").write_text(manifest.to_json(), "utf-8")
+    except OSError as exc:
+        raise BadInput(f"output directory {config.output_dir}: {exc}") from None
     return manifest
 
 
@@ -423,8 +428,10 @@ def emit_reports(output_dir: Path, tracked: dict[str, FileState], tables: list,
                  summary: dict) -> list[Path]:
     """Write each tracked file's line report into ``output_dir/line_reports``,
     which must exist, each ``(name, header, rows)`` CSV table and
-    ``summary.json``; returns the written paths.  Line reports of an earlier
-    run are deleted first.  Rows are built as they are written."""
+    ``summary.json``; returns the written paths.  The manifest and line
+    reports of an earlier run are deleted first.  Rows are built as they are
+    written."""
+    (output_dir / "manifest.json").unlink(missing_ok=True)
     for stale in (output_dir / "line_reports").glob("*.csv"):
         stale.unlink()
     reports = ((Path("line_reports", _safe_report_name(path)), LINE_REPORT_COLUMNS, finalize(state))

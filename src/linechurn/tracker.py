@@ -136,7 +136,7 @@ class HistoryReplayer:
                 current_commit = event.header
                 current_path = None
             elif isinstance(event, FileStart):
-                old, current_path = event.header.old_path, event.header.new_path
+                old, current_path = event.old_path, event.new_path
                 if old != current_path:  # a rename carries the state or the abort
                     if old in self.states:
                         self.states[current_path] = self.states.pop(old)

@@ -43,9 +43,13 @@ def blame_commits(repo: Path, path: str) -> list[str]:
 
 
 def run_fresh(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a new interpreter that imports linechurn from this tree."""
+    """Run ``python *args`` in a new interpreter that imports linechurn from this tree.
+
+    Warnings are errors there too, in the interpreter and in every process
+    it starts, as ``filterwarnings`` makes them in this one.
+    """
     src = str(Path(linechurn.__file__).resolve().parents[1])
-    env = {**os.environ, **(env or {}),
+    env = {**os.environ, "PYTHONWARNINGS": "error", **(env or {}),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 

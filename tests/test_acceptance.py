@@ -204,14 +204,12 @@ def test_bot_detection():
             assert flagged.is_bot, name
         assert not flag_bot(CommitterIdentity("Drobotov", "d@example.org", 1)).is_bot
 
-        bot = CommitterIdentity("auto-roll", "b@x", 1, is_bot=True)
-        human = CommitterIdentity("Ada", "a@x", 1, is_bot=False)
-        share = bot_share([("p", bot)] * 739 + [("p", human)] * 261)
-        assert abs(share.overall.ratio - 0.739) < 1e-9
+        share = bot_share([("p", True)] * 739 + [("p", False)] * 261)
+        assert abs(share["p"].ratio - 0.739) < 1e-9
 
-        metadata = ([("metadata-change", bot)] * 19 + [("metadata-change", human)])
+        metadata = ([("metadata-change", True)] * 19 + [("metadata-change", False)])
         share = bot_share(metadata)
-        assert abs(share.per_pattern["metadata-change"].ratio - 0.95) < 1e-9
+        assert abs(share["metadata-change"].ratio - 0.95) < 1e-9
 
 
 def test_statistics_oracle():

@@ -105,40 +105,32 @@ class TestAggregateCommitters:
 
 class TestBotShare:
     def test_synthetic_739_of_1000(self):
-        bot = CommitterIdentity("релиз-bot", "b@x", 1, is_bot=True)
-        human = CommitterIdentity("Ada", "a@x", 1, is_bot=False)
-        entries = [("some-pattern", bot)] * 739 + [("some-pattern", human)] * 261
+        entries = [("some-pattern", True)] * 739 + [("some-pattern", False)] * 261
         report = bot_share(entries)
-        assert report.overall.ratio == pytest.approx(0.739, abs=1e-9)
+        assert report["some-pattern"].ratio == pytest.approx(0.739, abs=1e-9)
 
     def test_all_human_all_zero(self):
-        human = CommitterIdentity("Ada", "a@x", 1, is_bot=False)
-        report = bot_share([("p1", human), ("p2", human)])
-        assert report.overall.ratio == 0.0
-        assert all(share.ratio == 0.0 for share in report.per_pattern.values())
+        report = bot_share([("p1", False), ("p2", False)])
+        assert sum(share.bot for share in report.values()) == 0
+        assert all(share.ratio == 0.0 for share in report.values())
 
     def test_metadata_pattern_95_percent(self):
-        bot = CommitterIdentity("dep-bot", "b@x", 1, is_bot=True)
-        human = CommitterIdentity("Ada", "a@x", 1, is_bot=False)
-        entries = ([("metadata-change", bot)] * 19 + [("metadata-change", human)]
-                   + [("path-update", human)] * 3)
+        entries = ([("metadata-change", True)] * 19 + [("metadata-change", False)]
+                   + [("path-update", False)] * 3)
         report = bot_share(entries)
-        assert report.per_pattern["metadata-change"].ratio == pytest.approx(0.95, abs=1e-9)
-        assert report.per_pattern["path-update"].ratio == 0.0
+        assert report["metadata-change"].ratio == pytest.approx(0.95, abs=1e-9)
+        assert report["path-update"].ratio == 0.0
 
     def test_partition_bot_plus_human_equals_total(self):
-        bot = CommitterIdentity("b[bot]", "b@x", 1, is_bot=True)
-        human = CommitterIdentity("Ada", "a@x", 1, is_bot=False)
-        entries = [("p", bot)] * 7 + [("p", human)] * 5 + [("q", bot)] * 2
+        entries = [("p", True)] * 7 + [("p", False)] * 5 + [("q", True)] * 2
         report = bot_share(entries)
-        assert report.overall.total == len(entries)
-        for share in report.per_pattern.values():
+        assert sum(share.total for share in report.values()) == len(entries)
+        for share in report.values():
             assert share.bot + share.human == share.total
 
     def test_zero_commit_patterns_omitted(self):
-        human = CommitterIdentity("Ada", "a@x", 1, is_bot=False)
-        report = bot_share([("seen", human)])
-        assert set(report.per_pattern) == {"seen"}
+        report = bot_share([("seen", False)])
+        assert set(report) == {"seen"}
 
 
 class TestBotConfigFile:

@@ -198,7 +198,7 @@ class TestParseLogStream:
                   + b"rename from old.txt\n"
                   + b"rename to new.txt\n")
         events = parse_all(stream)
-        header = events[1].header
+        header = events[1]
         assert (header.old_path, header.new_path) == ("old.txt", "new.txt")
 
     def test_no_newline_markers_set_flag(self):
@@ -248,7 +248,7 @@ class TestParseLogStream:
                 "CommitStart", "FileStart", "HunkEvent"]
             assert events[2].path == "a"
             assert events[2].byte_offset == MALFORMED_STREAM.index(b"@@ -1,x")
-            assert events[3].header.new_path == "b"
+            assert events[3].new_path == "b"
             assert events[4].hunk.lines == [b"-p", b"+q"]
             assert events[7].hunk.lines == [b"-y", b"+z"]
 
@@ -272,7 +272,7 @@ class TestParseLogStream:
                 "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent"]
             assert events[2].path == "f"
             assert events[2].byte_offset == len(head)
-            assert events[3].header.new_path == "g"
+            assert events[3].new_path == "g"
             assert events[4].hunk.lines == [b"-p", b"+q"]
 
     @pytest.mark.parametrize("before, bad", [
@@ -348,7 +348,7 @@ class TestParseLogStream:
                   + b'--- "a/sp ace.txt"\n'
                   + b'+++ "b/sp ace.txt"\n'
                   + b"@@ -1,1 +1,1 @@\n-x\n+y\n")
-        assert parse_all(stream)[1].header.new_path == "sp ace.txt"
+        assert parse_all(stream)[1].new_path == "sp ace.txt"
 
     @pytest.mark.parametrize("names,path", [
         (b"a/conf b/hot.cfg b/conf b/hot.cfg", "conf b/hot.cfg"),
@@ -357,7 +357,7 @@ class TestParseLogStream:
     def test_path_holding_b_slash_keeps_its_name(self, names, path):
         stream = (COMMIT1 + b"diff --git " + names + b"\n"
                   + b"@@ -1,1 +1,1 @@\n-x\n+y\n")
-        header = parse_all(stream)[1].header
+        header = parse_all(stream)[1]
         assert (header.old_path, header.new_path) == (path, path)
 
     def test_quoted_rename_paths_unescaped(self):
@@ -366,7 +366,7 @@ class TestParseLogStream:
                   + b"similarity index 100%\n"
                   + b'rename from "we\\"ird"\n'
                   + b'rename to "tab\\tcr\\r\\303\\251"\n')
-        header = parse_all(stream)[1].header
+        header = parse_all(stream)[1]
         assert (header.old_path, header.new_path) == ('we"ird', "tab\tcr\r\u00e9")
 
 

@@ -6,6 +6,7 @@ import csv
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -23,7 +24,7 @@ import linechurn.pipeline as pipeline
 import linechurn.selector as selector
 from linechurn.churn import HotspotThresholds
 from linechurn.diffstream import log_command
-from linechurn.pipeline import AnalysisConfig, RepoNotFound, analyze_repo
+from linechurn.pipeline import AnalysisConfig, GitUnavailable, RepoNotFound, analyze_repo
 from linechurn.selector import RepoMeta
 
 from conftest import blame_commits, run_fresh
@@ -223,6 +224,40 @@ class TestAnalyzeRepo:
         manifest = analyze_repo(config)
         assert manifest.stage_counts["hotspot_files"] == 0
         assert manifest.stage_counts["files_tracked"] == 0
+
+
+def test_commit_share_counts_each_commit_once(tmp_path):
+    """A commit that edits hotspot lines of two patterns is one commit overall.
+
+    Line 2 of hot.cfg is a version bumped in 34 commits, alternating between
+    a human and the bot; line 3 is a timestamp the bot changes in each of
+    its 17 bumps.  The human initial import is the birth of both lines.
+    """
+    from repogen import BOT, RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    hot = [b"[package]", b'version = "1.0.0"', b'built = "2017-07-14 00:00:00"'] + [
+        f"option_{i} = {i}".encode() for i in range(57)]
+    quiet = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(15)}
+    builder.commit({"hot.cfg": b"\n".join(hot) + b"\n", **quiet}, "initial import")
+    for k in range(1, 35):
+        hot[1] = f'version = "1.0.{k}"'.encode()
+        if k % 2 == 0:
+            hot[2] = f'built = "2017-07-14 {k:02d}:00:00"'.encode()
+        builder.commit({"hot.cfg": b"\n".join(hot) + b"\n"}, f"bump {k}",
+                       identity=BOT if k % 2 == 0 else None)
+    builder.finish()
+    out = tmp_path / "out"
+    analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=out))
+
+    labels = [(r["line_number"], r["label"]) for r in read_csv(out / "labels.csv")]
+    assert labels == [("2", "pinned-version-bump"), ("3", "metadata-change")]
+    shares = {r["pattern"]: (int(r["bot_commits"]), int(r["human_commits"]))
+              for r in read_csv(out / "bot_share.csv")}
+    assert shares == {"pinned-version-bump": (17, 18), "metadata-change": (17, 1)}
+    summary = json.loads((out / "summary.json").read_text("utf-8"))
+    assert summary["bot_commit_share"] == 17 / 35  # a sum over the rows gives 34/53
+    assert summary["bot_edit_share"] == 34 / 51
 
 
 def git_log_runs(monkeypatch) -> list[list[str]]:
@@ -866,7 +901,7 @@ class TestCrashContainment:
             for event in real(chunks):
                 if isinstance(event, (diffstream.CommitStart, diffstream.FileStart)):
                     dropping = (isinstance(event, diffstream.FileStart)
-                                and event.header.new_path == "hot.cfg")
+                                and event.new_path == "hot.cfg")
                 if not dropping:
                     yield event
 
@@ -932,6 +967,9 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert reason in err
         assert not out.exists()
+        with pytest.raises(GitUnavailable, match=re.escape(reason)):
+            analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out))
+        assert not out.exists()
 
     def test_analyze_repo_is_a_file_exit_one(self, tmp_path, capsys):
         (tmp_path / "repo").write_text("not a repository\n")
@@ -954,6 +992,19 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "line_reports" in err
         assert runs == []  # no git walk ran
+
+    def test_unwritable_output_exit_one(self, hotspot_repo, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)]
+        assert cli.main(args) == 0
+        (out / "labels.csv").unlink()
+        (out / "labels.csv").mkdir()
+        capsys.readouterr()
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: output directory") and "Traceback" not in err
+        assert not (out / "manifest.json").exists()  # the first run's is gone too
 
     def test_history_without_file_changes_exit_one(self, tmp_path, monkeypatch, capsys):
         from repogen import RepoBuilder

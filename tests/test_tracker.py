@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from linechurn.diffstream import (
     CommitHeader,
     CommitStart,
-    FileDiffHeader,
     FileStart,
     Hunk,
     HunkEvent,
@@ -320,12 +319,12 @@ class TestReplayer:
     def test_aborts_are_contained(self):
         events = [
             CommitStart(make_commit(1)),
-            FileStart(FileDiffHeader("good", "good")),
+            FileStart("good", "good"),
             HunkEvent(hunk(0, 0, 1, 1, "+", [b"ok"])),
-            FileStart(FileDiffHeader("broken", "broken")),
+            FileStart("broken", "broken"),
             HunkEvent(hunk(5, 2, 5, 2, "--++", [b"w", b"x", b"y", b"z"])),
             CommitStart(make_commit(2)),
-            FileStart(FileDiffHeader("good", "good")),
+            FileStart("good", "good"),
             HunkEvent(hunk(1, 1, 1, 1, "-+", [b"ok", b"ok2"])),
         ]
         replayer = HistoryReplayer()

@@ -8,7 +8,7 @@ Consumes the byte stream produced by ``log_command(rev, file_paths)``:
         -c i18n.logOutputEncoding=UTF-8 -c core.deltaBaseCacheLimit=8m \
         -c core.bigFileThreshold=512m -c core.attributesFile=/dev/null \
         log --first-parent --diff-merges=first-parent --root --no-ext-diff \
-        --no-textconv --diff-algorithm=myers -M \
+        --no-textconv --diff-algorithm=myers --indent-heuristic -O /dev/null -M \
         --pretty=format:'commit %H %ct %x1f%cn%x1f%ce' \
         --reverse -p -U0 --inter-hunk-context=0 <rev> -- <file_path>...
 
@@ -108,7 +108,7 @@ class TruncatedStream(StreamParseError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitHeader:
     hash: str
     committer_timestamp: int
@@ -184,11 +184,15 @@ def _hunk_counts(line: bytes) -> tuple[int, int, int, int] | None:
             int(new_start), 1 if new_count is None else int(new_count))
 
 
-def parse_commit_line(line: bytes) -> CommitHeader:
+def parse_commit_line(line: bytes,
+                      identities: dict[bytes, tuple[str, str]] | None = None) -> CommitHeader:
     """Parse one pretty-format commit line into a CommitHeader.
 
     Expected shape: ``commit <hash> <epoch> \\x1f<committer name>\\x1f<committer email>``.
-    An unparseable timestamp is an error, never a silent zero.
+    An unparseable timestamp is an error, never a silent zero.  ``identities``
+    maps the raw identity fields of lines already parsed to their decoded
+    name and email; a new identity is checked, decoded and added, so the
+    headers of one committer share one string pair.
     """
     raw = line.rstrip(b"\n")
     if not raw.startswith(b"commit "):
@@ -210,11 +214,15 @@ def parse_commit_line(line: bytes) -> CommitHeader:
         raise MalformedCommitLine("commit timestamp is not an integer", line=raw) from None
     if not sep:
         raise MalformedCommitLine("missing identity fields", line=raw)
-    fields = identity.split(_UNIT_SEP)
-    if len(fields) != 2:
-        raise MalformedCommitLine(f"expected 2 identity fields, got {len(fields)}", line=raw)
-    name, email = (f.decode("utf-8", "replace") for f in fields)
-    return CommitHeader(commit_hash, timestamp, name, email)
+    if identities is None:
+        identities = {}
+    pair = identities.get(identity)
+    if pair is None:
+        fields = identity.split(_UNIT_SEP)
+        if len(fields) != 2:
+            raise MalformedCommitLine(f"expected 2 identity fields, got {len(fields)}", line=raw)
+        pair = identities[identity] = tuple(f.decode("utf-8", "replace") for f in fields)
+    return CommitHeader(commit_hash, timestamp, *pair)
 
 
 def _decode_path(raw: bytes) -> str:
@@ -337,6 +345,7 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     header: FileStart | None = None  # a file diff header still being read
     skipping = False  # after FileAborted: until the next diff or commit line
     end = shift = 0  # the new-side end and the line-count change of the file diff's hunks
+    identities: dict[bytes, tuple[str, str]] = {}  # see parse_commit_line
 
     while True:
         if i == len(lines):
@@ -399,7 +408,7 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
 
         if line.startswith(b"commit "):
             try:
-                commit = parse_commit_line(line)
+                commit = parse_commit_line(line, identities)
             except MalformedCommitLine as exc:
                 raise MalformedCommitLine(str(exc), _offset_at(lines, offset, i), line) from None
             yield CommitStart(commit)
@@ -555,10 +564,13 @@ def log_command(rev: str, file_paths: list[str] | None = None,
     file.  Pathspecs are literal: a file named ``:x`` or ``x[1]`` matches
     itself only.  Every setting that shapes the output is pinned on the
     command line, so a user's ``diff.noprefix``, ``diff.mnemonicPrefix``,
-    ``log.showSignature``, ``diff.algorithm``, ``diff.renameLimit``,
-    ``diff.context``, ``diff.interHunkContext``, ``log.showRoot`` or
-    ``i18n.logOutputEncoding`` cannot change the headers, the renames, the
-    line pairing, the hunks, the root commit's diff or the committer names.
+    ``log.showSignature``, ``diff.algorithm``, ``diff.indentHeuristic``,
+    ``diff.renameLimit``, ``diff.context``, ``diff.interHunkContext``,
+    ``log.showRoot`` or ``i18n.logOutputEncoding`` cannot change the
+    headers, the renames, the line pairing, the hunks or where a hunk that
+    could slide sits, the root commit's diff or the committer names; a user's
+    ``diff.orderFile`` cannot reorder the file diffs or, naming a missing
+    file, fail the walk.
     A user's ``core.bigFileThreshold`` cannot turn a text file binary, and
     neither a user's attributes file nor a textconv driver can rewrite the
     lines; the repository's own ``.gitattributes`` still applies.  The
@@ -577,7 +589,8 @@ def log_command(rev: str, file_paths: list[str] | None = None,
            "-c", f"core.deltaBaseCacheLimit={DELTA_BASE_CACHE_LIMIT}",
            "-c", "core.bigFileThreshold=512m", "-c", f"core.attributesFile={os.devnull}", "log",
            "--first-parent", "--diff-merges=first-parent", "--root",
-           "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "-M",
+           "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "--indent-heuristic",
+           "-O", os.devnull, "-M",
            f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
     return cmd + [rev, "--", *(file_paths or [])]  # ``--``: rev is never read as a path

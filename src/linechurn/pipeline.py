@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -308,6 +309,8 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     # hotspot line has at least one, so both shares name the same patterns.
     edit_share = bot_share((label.label.value, is_bot[rev.commit.hash])
                            for _, _, line, label in hot for rev in line.history[1:])
+    n_hot_commits, n_bot_commits = len(is_bot), sum(is_bot.values())
+    del hotspot_commits, commit_patterns, is_bot  # freed before the reports are written
 
     stats = []
     if hot:
@@ -348,7 +351,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         "n_tracked_files": len(tracked),
         "n_hotspot_lines": len(hot),
         "hotspot_file_fraction": len(hotspot_files) / len(counts),
-        "bot_commit_share": sum(is_bot.values()) / len(is_bot) if is_bot else 0.0,
+        "bot_commit_share": n_bot_commits / n_hot_commits if n_hot_commits else 0.0,
         "bot_edit_share": BotShare(sum(e.bot for e in edit_share.values()),
                                    sum(e.human for e in edit_share.values())).ratio,
         "labels": dict(sorted(Counter(label.label.value for *_, label in hot).items())),
@@ -380,7 +383,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
             "stage2_pathspecs": len(pathspecs),
             "files_aborted": len(aborted),
             "hotspot_lines": len(hot),
-            "hotspot_commits": len(is_bot),
+            "hotspot_commits": n_hot_commits,
         },
         warnings=notes,
         aborted=aborted,
@@ -415,13 +418,41 @@ LINE_REPORT_COLUMNS = ["line_number", "content", "mod_count", "birth_ts",
 
 def finalize(state: FileState) -> Iterator[list]:
     """Yield one line-report row per live line, in file order; dead lines
-    are excluded.  The revisions' hashes and timestamps, the birth first,
-    are each ``|``-joined."""
+    are excluded.  The last two fields iterate over the revisions' hashes
+    and timestamps as strings, the birth first; the report ``|``-joins each."""
     for number, line in enumerate(state.file_lines, 1):
-        commits = [rev.commit for rev in line.history]
-        yield [number, display_text(line.history[-1].content), line.mod_count,
-               commits[0].committer_timestamp, "|".join(c.hash for c in commits),
-               "|".join(str(c.committer_timestamp) for c in commits)]
+        history = line.history
+        yield [number, display_text(history[-1].content), line.mod_count,
+               history[0].commit.committer_timestamp, (rev.commit.hash for rev in history),
+               (str(rev.commit.committer_timestamp) for rev in history)]
+
+
+# Revisions joined per write of a line report's hashes or timestamps.  A hot
+# line can have thousands, and a field joined whole is copied again by each
+# layer that writes it.
+_REVISIONS_PER_WRITE = 2048
+
+
+def _write_line_report(fh, rows: Iterable[list]) -> None:
+    """Write ``finalize``'s rows as ``csv.writer`` would, and no row whole.
+
+    The first four fields go through csv, which quotes content as needed.
+    The hashes and timestamps hold only hex digits, digits and ``|``, so
+    they never need quoting, and are joined and written a slice at a time.
+    """
+    # The "\n" terminator makes csv quote as it does for whole rows (it quotes
+    # a field holding a terminator character); the row end is cut, since the
+    # revision fields follow.
+    head = csv.writer(SimpleNamespace(write=lambda text: fh.write(text[:-1])), lineterminator="\n")
+    for *fields, hashes, stamps in rows:
+        head.writerow(fields)
+        for values in map(iter, (hashes, stamps)):
+            separator = ","
+            while piece := list(itertools.islice(values, _REVISIONS_PER_WRITE)):
+                fh.write(separator)
+                fh.write("|".join(piece))
+                separator = "|"
+        fh.write("\n")
 
 
 def emit_reports(output_dir: Path, tracked: dict[str, FileState], tables: list,
@@ -430,7 +461,7 @@ def emit_reports(output_dir: Path, tracked: dict[str, FileState], tables: list,
     which must exist, each ``(name, header, rows)`` CSV table and
     ``summary.json``; returns the written paths.  The manifest and line
     reports of an earlier run are deleted first.  Rows are built as they are
-    written."""
+    written, and a line report's revision fields a slice at a time."""
     (output_dir / "manifest.json").unlink(missing_ok=True)
     for stale in (output_dir / "line_reports").glob("*.csv"):
         stale.unlink()
@@ -442,7 +473,10 @@ def emit_reports(output_dir: Path, tracked: dict[str, FileState], tables: list,
         with open(written[-1], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            if header is LINE_REPORT_COLUMNS:
+                _write_line_report(fh, rows)
+            else:
+                writer.writerows(rows)
     written.append(output_dir / "summary.json")
     written[-1].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", "utf-8")
     return written

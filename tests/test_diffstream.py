@@ -130,6 +130,29 @@ class TestParseCommitLine:
             parse_commit_line(b"commit zzz 1700000000 \x1fA\x1fa")
 
 
+class TestCommitterStrings:
+    def test_one_string_pair_per_committer(self):
+        """The headers of one committer share one name and one email object."""
+        identities = [b"\x1fAda Example\x1fada@example.org",
+                      b"\x1fJ\xc3\xbcrgen M\xc3\xbcller\x1fjm@example.org"]
+        stream = b"".join(b"commit %040x %d %s\n" % (n, 1_700_000_000 + n, identities[n % 2])
+                          for n in range(6))
+        headers = [event.header for event in parse_all(stream)]
+        assert [(h.committer_name, h.committer_email) for h in headers[:2]] == [
+            ("Ada Example", "ada@example.org"), ("J\u00fcrgen M\u00fcller", "jm@example.org")]
+        for mine in (headers[0::2], headers[1::2]):
+            assert len({id(h.committer_name) for h in mine}) == 1
+            assert len({id(h.committer_email) for h in mine}) == 1
+        assert not hasattr(headers[0], "__dict__")
+
+    def test_later_malformed_identity_raises_with_offset(self):
+        bad = b"commit cccc3333 1700000200 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x\n"
+        stream = COMMIT1 + COMMIT2 + COMMIT1 + bad
+        with pytest.raises(MalformedCommitLine, match="expected 2 identity fields") as info:
+            parse_all(stream)
+        assert info.value.byte_offset == stream.index(bad)
+
+
 class TestParseLogStream:
     def test_two_commit_fixture_event_sequence(self):
         events = parse_all(TWO_COMMIT_STREAM)

@@ -478,7 +478,8 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
     hostile = tmp_path / "hostile.gitconfig"
     hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n"
                        "\tmnemonicPrefix = true\n\tcontext = 10\n\tinterHunkContext = 10\n"
-                       "\trenames = copies\n"
+                       "\trenames = copies\n\tindentHeuristic = false\n"
+                       f"\torderFile = {tmp_path / 'missing.order'}\n"
                        "[log]\n\tshowSignature = true\n\tshowRoot = false\n"
                        "[i18n]\n\tlogOutputEncoding = ISO-8859-1\n"
                        # every file binary, every line rewritten, a 1 GiB delta cache
@@ -506,7 +507,26 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
         run_git(path, "reset", "-q", "--hard")  # git reads .gitattributes from the work tree
         return {"path": path}
 
-    for build in (build_hotspot_repo, build_multi_hotspot_repo, build_non_ascii_committer_repo):
+    def build_slider_repo(path: Path) -> dict:
+        """A hot file whose last commit turns ``a, <blank>, b`` into
+        ``a, <blank>, b, a, <blank>, b``: git's indent heuristic decides
+        which ``b`` is the old line (git's t4061 example)."""
+        from repogen import RepoBuilder
+
+        builder = RepoBuilder(path)
+        lines = [b"1", b"2", b"a", b"", b"b", b"3", b"4", b"key = v0"]
+        edits = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(20)}
+        builder.commit({**edits, "hot.cfg": b"\n".join(lines) + b"\n"}, "initial import")
+        for k in range(1, 31):
+            lines[-1] = f"key = v{k}".encode()
+            builder.commit({"hot.cfg": b"\n".join(lines) + b"\n"}, f"bump {k}")
+        lines[4:4] = [b"b", b"a", b""]
+        builder.commit({"hot.cfg": b"\n".join(lines) + b"\n"}, "slide")
+        builder.finish()
+        return {"path": path}
+
+    for build in (build_hotspot_repo, build_multi_hotspot_repo, build_slider_repo,
+                  build_non_ascii_committer_repo):  # the last one's committers are read below
         fixture = build(tmp_path / build.__name__ / "repo")
         artifacts, gits = [], []
         for config in (clean, hostile):

@@ -3,7 +3,10 @@ application semantics, conservation, snapshots, and report round-trips."""
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -21,9 +24,10 @@ from linechurn.tracker import (
     FileState,
     HistoryReplayer,
     HunkOutOfBounds,
+    Revision,
     apply_hunk,
 )
-from linechurn.pipeline import emit_reports, finalize
+from linechurn.pipeline import LINE_REPORT_COLUMNS, display_text, emit_reports, finalize
 
 from repogen import BlobReader, build_random_repo
 from conftest import repo_log_events
@@ -241,6 +245,36 @@ class TestFinalize:
         [out] = emit_reports(tmp_path, {"f": state}, [], {})[:-1]
         text = out.read_text("utf-8")
         assert "\\xff" in text
+
+    def test_report_is_csv_and_written_in_bounded_memory(self, tmp_path):
+        """A line report equals ``csv.writer`` over rows whose revision fields
+        are joined whole, and writing a line of 20,000 revisions allocates
+        less than that line's row."""
+        state = FileState()
+        contents = [b"a,b", b'say "hi"', b" leading space", b"bad \xff byte", b"cr\rlf", b"x=0"]
+        apply_hunk(state, hunk(0, 0, 1, 6, "+" * 6, contents), make_commit(0))
+        state.file_lines[-1].history += [Revision(make_commit(n), f"x={n}".encode())
+                                         for n in range(1, 20_000)]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(LINE_REPORT_COLUMNS)
+        writer.writerows(
+            [n, display_text(line.history[-1].content), line.mod_count,
+             line.history[0].commit.committer_timestamp,
+             "|".join(rev.commit.hash for rev in line.history),
+             "|".join(str(rev.commit.committer_timestamp) for rev in line.history)]
+            for n, line in enumerate(state.file_lines, 1))
+        longest = max(map(len, expected.getvalue().splitlines()))
+        (tmp_path / "line_reports").mkdir()
+        tracemalloc.start()
+        try:
+            [out] = emit_reports(tmp_path, {"f": state}, [], {})[:-1]
+            growth = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        assert longest > 1_000_000
+        assert growth < longest
 
 
 class TestReplayer:

@@ -45,14 +45,15 @@ class BotConfig:
         """Parse the line-oriented key=value config.
 
         Recognised keys (repeatable): ``keyword``, ``allow``, ``deny``.
-        Blank lines and ``#`` comments are ignored.  Keywords given in the
-        file replace the defaults; allow entries extend them.  A value may
-        not be empty: an empty keyword is in every name.
+        Blank lines, ``#`` comments and a leading byte-order mark are
+        ignored.  Keywords given in the file replace the defaults; allow
+        entries extend them.  A value may not be empty: an empty keyword is
+        in every name.
         """
         keywords: list[str] = []
         allow: list[str] = list(DEFAULT_ALLOWLIST)
         deny: list[str] = []
-        for raw in Path(path).read_text("utf-8").splitlines():
+        for raw in Path(path).read_text("utf-8-sig").splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -122,7 +122,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         if args.candidates_file:
             names.extend(
                 line.strip()
-                for line in args.candidates_file.read_text("utf-8").splitlines()
+                for line in args.candidates_file.read_text("utf-8-sig").splitlines()
                 if line.strip() and not line.strip().startswith("#")
             )
         if not names:

@@ -9,7 +9,7 @@ Consumes the byte stream produced by ``log_command(rev, file_paths)``:
         -c core.bigFileThreshold=512m -c core.attributesFile=/dev/null \
         log --first-parent --diff-merges=first-parent --root --no-ext-diff \
         --no-textconv --diff-algorithm=myers --indent-heuristic -O /dev/null -M \
-        --pretty=format:'commit %H %ct %x1f%cn%x1f%ce' \
+        --pretty=format:'commit %H %ct%x00%cn%x00%ce' \
         --reverse -p -U0 --inter-hunk-context=0 <rev> -- <file_path>...
 
 and turns it into a flat sequence of typed events: commit headers, file-diff
@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
-COMMIT_PRETTY_FORMAT = "commit %H %ct %x1f%cn%x1f%ce"
+COMMIT_PRETTY_FORMAT = "commit %H %ct%x00%cn%x00%ce"
 
 # Pinned so that whether renames are detected does not depend on a user's
 # config or a git version's default (1000 since git 2.33).  git reports on
@@ -57,9 +57,9 @@ GIT_ENV = {"GIT_ATTR_NOSYSTEM": "1"}
 # Each makes git exit on --literal-pathspecs, which log_command passes.
 _PATHSPEC_ENV = ("GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS")
 
-# Fields of the commit line after "commit " are: hash, timestamp, then the
-# committer's name and email, each after the ASCII unit separator.
-_UNIT_SEP = b"\x1f"
+# A patch walk's commit line: "commit ", hash, timestamp, then the committer's
+# name and email, each after a NUL, which git cannot write into an identity.
+_IDENTITY_SEP = b"\0"
 
 _HUNK_HEADER_RE = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@(?:[ ]|$)")
 _DIFF_GIT_RE = re.compile(rb'^diff --git (?:"a/(.*)"|a/(.*)) (?:"b/(.*)"|b/(.*))$')
@@ -184,11 +184,10 @@ def _hunk_counts(line: bytes) -> tuple[int, int, int, int] | None:
             int(new_start), 1 if new_count is None else int(new_count))
 
 
-def parse_commit_line(line: bytes,
-                      identities: dict[bytes, tuple[str, str]] | None = None) -> CommitHeader:
-    """Parse one pretty-format commit line into a CommitHeader.
+def parse_commit_line(line: bytes, identities: dict[bytes, tuple[str, str]]) -> CommitHeader:
+    """Parse one patch walk's commit line into a CommitHeader.
 
-    Expected shape: ``commit <hash> <epoch> \\x1f<committer name>\\x1f<committer email>``.
+    Expected shape: ``commit <hash> <epoch>\\0<committer name>\\0<committer email>``.
     An unparseable timestamp is an error, never a silent zero.  ``identities``
     maps the raw identity fields of lines already parsed to their decoded
     name and email; a new identity is checked, decoded and added, so the
@@ -198,7 +197,7 @@ def parse_commit_line(line: bytes,
     if not raw.startswith(b"commit "):
         raise MalformedCommitLine("commit line must start with 'commit '", line=raw)
     body = raw[len(b"commit "):]
-    head, sep, identity = body.partition(_UNIT_SEP)
+    head, sep, identity = body.partition(_IDENTITY_SEP)
     parts = head.split()
     if len(parts) != 2:
         raise MalformedCommitLine("expected '<hash> <timestamp>' after 'commit'", line=raw)
@@ -214,11 +213,9 @@ def parse_commit_line(line: bytes,
         raise MalformedCommitLine("commit timestamp is not an integer", line=raw) from None
     if not sep:
         raise MalformedCommitLine("missing identity fields", line=raw)
-    if identities is None:
-        identities = {}
     pair = identities.get(identity)
     if pair is None:
-        fields = identity.split(_UNIT_SEP)
+        fields = identity.split(_IDENTITY_SEP)
         if len(fields) != 2:
             raise MalformedCommitLine(f"expected 2 identity fields, got {len(fields)}", line=raw)
         pair = identities[identity] = tuple(f.decode("utf-8", "replace") for f in fields)
@@ -324,10 +321,11 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     order.  Every HunkEvent belongs to the most recent FileStart, every
     FileStart to the most recent CommitStart.  A FileStart is the header a
     ``diff --git`` line starts, with its ``rename from``/``rename to`` lines
-    folded in, and is yielded once the header ends.  A binary file diff, a
-    malformed hunk, a hunk out of order, or a malformed line inside a file
-    diff yields FileAborted for that file, and parsing resumes at the next
-    ``diff --git`` or ``commit`` line; errors outside any file diff raise.
+    folded in; the header is read, and its FileStart yielded, at that line.
+    A binary file diff, a malformed hunk, a hunk out of order, or a
+    malformed line inside a file diff yields FileAborted for that file, and
+    parsing resumes at the next ``diff --git`` or ``commit`` line; errors
+    outside any file diff raise.
     A hunk is out of order when it starts before the end of the file diff's
     previous hunk, or when its old start, shifted by the line-count change
     of the hunks before it, does not give its ``base``.
@@ -342,7 +340,6 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
     i = 0  # the next line to read
     commit_hash: str | None = None
     current_file: FileStart | None = None
-    header: FileStart | None = None  # a file diff header still being read
     skipping = False  # after FileAborted: until the next diff or commit line
     end = shift = 0  # the new-side end and the line-count change of the file diff's hunks
     identities: dict[bytes, tuple[str, str]] = {}  # see parse_commit_line
@@ -356,16 +353,6 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
             i = 0
             continue
         line = lines[i]
-
-        if header is not None:
-            folded = _header_line(header, line)
-            if folded is not None:
-                header = folded
-                i += 1
-                continue
-            current_file = header
-            header = None
-            yield current_file
 
         if line.startswith(b"@@") and not skipping:
             if current_file is None:
@@ -419,12 +406,22 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
             if commit_hash is None:
                 raise StreamParseError("file diff before any commit header",
                                        _offset_at(lines, offset, i), line)
-            header = _diff_git_paths(line)
-            if header is None:
+            current_file = _diff_git_paths(line)
+            if current_file is None:
                 raise StreamParseError("unparseable 'diff --git' line",
                                        _offset_at(lines, offset, i), line)
+            while True:  # fold in the extended header lines that follow
+                i += 1
+                if i == len(lines):
+                    lines, offset, i = _fill(blocks, lines, offset, i, 1)
+                folded = _header_line(current_file, lines[i]) if i < len(lines) else None
+                if folded is None:
+                    break
+                current_file = folded
+            yield current_file
             end = shift = 0
             skipping = False
+            continue
         elif line and not skipping:
             exc = StreamParseError("unexpected line between sections",
                                    _offset_at(lines, offset, i), line)
@@ -435,9 +432,6 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
             yield FileAborted(current_file.new_path, reason, exc.byte_offset)
             skipping = True
         i += 1
-
-    if header is not None:
-        yield header
 
 
 def _diff_git_paths(line: bytes) -> FileStart | None:
@@ -521,15 +515,18 @@ def parse_name_status_stream(
 
     Under ``-z`` every field ends in a NUL and paths are printed verbatim,
     never quoted: ``<status>\\0<path>\\0``, or ``<status>\\0<old>\\0<new>\\0``
-    for renames.  A commit line ends in a newline that the commit's first
-    status follows, and an empty field separates commits.  The walk detects
-    no copies, so a ``C`` status is rejected like any other unknown one.
+    for renames.  A commit line, ``commit <time>`` with git's unsigned
+    decimal ``%ct``, ends in a newline that the commit's first status
+    follows, and an empty field separates commits.  The walk detects no
+    copies, so a ``C`` status is rejected like any other unknown one.  Each
+    error carries the byte offset of the field it quotes.
     """
     commit: tuple[int, list[tuple[str, str]]] | None = None  # the commit being read
     status = b""  # the status of the record whose paths are being read
+    status_at = ([], 0, 0)  # where it is: (fields, offset, k) as _item_offset takes them
     paths: list[bytes] = []
-    for _, fields in _records(chunks, b"\0"):
-        for item in fields:
+    for offset, fields in _records(chunks, b"\0"):
+        for k, item in enumerate(fields):
             if status:
                 paths.append(item)
                 if len(paths) < (2 if status.startswith(b"R") else 1):
@@ -538,21 +535,32 @@ def parse_name_status_stream(
                 status, paths = b"", []
                 continue
             if item.startswith(b"commit "):
-                commit_line, _, item = item.partition(b"\n")
+                time, _, item = item[len(b"commit "):].partition(b"\n")
+                if not time.isdigit():
+                    raise MalformedCommitLine("commit time is not a decimal number",
+                                              _offset_at(fields, offset, k), b"commit " + time)
                 if commit is not None:
                     yield commit
-                commit = (parse_commit_line(commit_line).committer_timestamp, [])
+                commit = (int(time), [])
             if not item:
                 continue
             if item[:1] not in b"ADMRTUX" or (len(item) > 1 and not item[1:].isdigit()):
-                raise StreamParseError("unparseable name-status field", line=item)
+                raise StreamParseError("unparseable name-status field",
+                                       _item_offset(fields, offset, k, item), item)
             if commit is None:
-                raise StreamParseError("name-status record before any commit line", line=item)
-            status = item
+                raise StreamParseError("name-status record before any commit line",
+                                       _item_offset(fields, offset, k, item), item)
+            status, status_at = item, (fields, offset, k)
     if status:
-        raise TruncatedStream("name-status record without its path", line=status)
+        raise TruncatedStream("name-status record without its path",
+                              _item_offset(*status_at, status), status)
     if commit is not None:
         yield commit
+
+
+def _item_offset(fields: list[bytes], offset: int, k: int, item: bytes) -> int:
+    """Byte offset of ``item``, which ends ``fields[k]``."""
+    return _offset_at(fields, offset, k) + len(fields[k]) - len(item)
 
 
 def log_command(rev: str, file_paths: list[str] | None = None,
@@ -576,9 +584,10 @@ def log_command(rev: str, file_paths: list[str] | None = None,
     lines; the repository's own ``.gitattributes`` still applies.  The
     delta-base cache is pinned small, so a user's ``core.deltaBaseCacheLimit``
     does not set git's memory either.  Patches carry no context lines:
-    replay only needs the changed ones.  Both walks print the same commit
-    line: hash, committer timestamp, committer name and email, and no
-    author.  Name-status output is NUL-separated, so paths arrive unquoted.
+    replay only needs the changed ones.  A name-status commit line holds
+    the committer time only; a patch commit line, the hash, the time and the
+    committer's name and email, after NULs, and no author.  Name-status
+    output is NUL-separated, so paths arrive unquoted.
     Walks given one commit hash read one history, whatever the branch does
     meanwhile.  Run the command in ``log_environment()``.
     """
@@ -591,7 +600,7 @@ def log_command(rev: str, file_paths: list[str] | None = None,
            "--first-parent", "--diff-merges=first-parent", "--root",
            "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "--indent-heuristic",
            "-O", os.devnull, "-M",
-           f"--pretty=format:{COMMIT_PRETTY_FORMAT}", "--reverse"]
+           f"--pretty=format:{'commit %ct' if name_status else COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]
     return cmd + [rev, "--", *(file_paths or [])]  # ``--``: rev is never read as a path
 

@@ -279,14 +279,15 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         if path in replayer.states:
             tracked[path] = replayer.states[path]
         else:
-            aborted[path] = replayer.aborted.get(path, unreplayed)
+            aborted[display_path(path)] = replayer.aborted.get(path, unreplayed)
 
     # Stage 3: one (path, line number, line, label) record per hotspot line,
     # in file order; every artifact below is derived from this list.
     hot = []
     for path, state in tracked.items():
+        shown = display_path(path)  # how labels.csv, and so an override file, names it
         for line_number, line in select_hotspot_lines(state.file_lines, config.thresholds):
-            override = overrides.get((path, line_number))
+            override = overrides.get((shown, line_number))
             if override is None:
                 label = classify_history(line, categories[path], path)
             else:
@@ -324,12 +325,12 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     curve = chao1_curve([label.label.value for *_, label in hot]) if hot else []
     tables = [
         ("file_churn.csv", ["path", "commit_touch_count", "category", "is_hotspot_file"],
-         ([path, counts[path], categories[path], str(path in hotspot_files).lower()]
-          for path in sorted(counts))),
+         ([display_path(path), counts[path], categories[path],
+           str(path in hotspot_files).lower()] for path in sorted(counts))),
         ("labels.csv", ["path", "line_number", "label", "category", "confidence", "heuristic",
                         "diagnostics"],
-         ([path, line_number, label.label.value, label.category.value, f"{label.confidence:.1f}",
-           str(label.heuristic).lower(), label.diagnostics]
+         ([display_path(path), line_number, label.label.value, label.category.value,
+           f"{label.confidence:.1f}", str(label.heuristic).lower(), label.diagnostics]
           for path, line_number, _, label in hot)),
         ("summary_stats.csv", ["metric", "min", "median", "mean", "max", "iqr"],
          ([s.metric] + [f"{v:.6f}" for v in (s.min, s.median, s.mean, s.max, s.iqr)]
@@ -410,6 +411,12 @@ def display_text(raw: bytes) -> str:
     while remaining deterministic for any input.
     """
     return raw.decode("utf-8", "backslashreplace")
+
+
+def display_path(path: str) -> str:
+    """A path as an artifact shows it: its bytes, which git printed and the
+    parsers kept as surrogate escapes, through ``display_text``."""
+    return display_text(path.encode("utf-8", "surrogateescape"))
 
 
 LINE_REPORT_COLUMNS = ["line_number", "content", "mod_count", "birth_ts",

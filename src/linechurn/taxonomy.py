@@ -581,9 +581,10 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaResult:
 # --- label file interchange -------------------------------------------------
 
 def load_label_overrides(path: str | Path) -> dict[tuple[str, int], Pattern]:
-    """Read a label CSV (path, line_number, label) into an override map."""
+    """Read a label CSV (path, line_number, label) into an override map; a
+    leading byte-order mark is ignored."""
     overrides: dict[tuple[str, int], Pattern] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"path", "line_number", "label"} <= set(reader.fieldnames):
             raise ValueError("override file needs columns: path, line_number, label")

@@ -115,7 +115,7 @@ def render_history(history) -> tuple[bytes, list]:
             status = {"add": "A", "modify": "M", "delete": "D", "rename": "R087"}[kind]
             records += b"".join(field.encode() + b"\0" for field in [status, *paths])
             applied.append((k, kind, old, paths[-1]))
-        line = f"commit {k + 1:040x} {ts} \x1fC\x1fc@x".encode()
+        line = f"commit {ts}".encode()
         blocks.append(line + b"\n" + records if records else line)
     return b"\0".join(blocks), applied
 

@@ -26,8 +26,11 @@ from linechurn.diffstream import (
 from conftest import chunkings, run_fresh, split_at
 from oracles import hunk_tallies, parse_hunk_header, render_hunk_body
 
-COMMIT1 = b"commit aaaa1111 1700000000 \x1fAda\x1fada@x\n"
-COMMIT2 = b"commit bbbb2222 1700000100 \x1fCarl\x1fcarl@x\n"
+COMMIT1 = b"commit aaaa1111 1700000000\0Ada\0ada@x\n"
+COMMIT2 = b"commit bbbb2222 1700000100\0Carl\0carl@x\n"
+# The name-status walk's commit lines hold the committer time only.
+NS_COMMIT1 = b"commit 1700000000\n"
+NS_COMMIT2 = b"commit 1700000100\n"
 
 # Hand-built two-commit fixture: commit1 adds a 2-line file, commit2 modifies
 # line 2 (zero-context hunk).
@@ -103,39 +106,39 @@ class TestParseHunkHeader:
 
 class TestParseCommitLine:
     def test_fields_extracted(self):
-        header = parse_commit_line(b"commit abc123 1700000000 \x1fAda\x1fada@x")
+        header = parse_commit_line(b"commit abc123 1700000000\0Ada\0ada@x", {})
         assert header.hash == "abc123"
         assert header.committer_timestamp == 1700000000
         assert header.committer_name == "Ada"
 
     def test_missing_timestamp(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line(b"commit xyz")
+            parse_commit_line(b"commit xyz", {})
 
     def test_committer_fields(self):
-        header = parse_commit_line(COMMIT2)
+        header = parse_commit_line(COMMIT2, {})
         assert (header.committer_name, header.committer_email) == ("Carl", "carl@x")
 
     def test_author_and_committer_fields_rejected(self):
         """A line that still carries the author's two fields is malformed."""
         with pytest.raises(MalformedCommitLine, match="expected 2 identity fields, got 4"):
-            parse_commit_line(b"commit abc123 1700000000 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x")
+            parse_commit_line(b"commit abc123 1700000000\0Bea\0bea@x\0Carl\0carl@x", {})
 
     def test_non_integer_timestamp(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line(b"commit abc123 notatime \x1fA\x1fa")
+            parse_commit_line(b"commit abc123 notatime\0A\0a", {})
 
     def test_non_hex_hash(self):
         with pytest.raises(MalformedCommitLine):
-            parse_commit_line(b"commit zzz 1700000000 \x1fA\x1fa")
+            parse_commit_line(b"commit zzz 1700000000\0A\0a", {})
 
 
 class TestCommitterStrings:
     def test_one_string_pair_per_committer(self):
         """The headers of one committer share one name and one email object."""
-        identities = [b"\x1fAda Example\x1fada@example.org",
-                      b"\x1fJ\xc3\xbcrgen M\xc3\xbcller\x1fjm@example.org"]
-        stream = b"".join(b"commit %040x %d %s\n" % (n, 1_700_000_000 + n, identities[n % 2])
+        identities = [b"\0Ada Example\0ada@example.org",
+                      b"\0J\xc3\xbcrgen M\xc3\xbcller\0jm@example.org"]
+        stream = b"".join(b"commit %040x %d%s\n" % (n, 1_700_000_000 + n, identities[n % 2])
                           for n in range(6))
         headers = [event.header for event in parse_all(stream)]
         assert [(h.committer_name, h.committer_email) for h in headers[:2]] == [
@@ -146,7 +149,7 @@ class TestCommitterStrings:
         assert not hasattr(headers[0], "__dict__")
 
     def test_later_malformed_identity_raises_with_offset(self):
-        bad = b"commit cccc3333 1700000200 \x1fBea\x1fbea@x\x1fCarl\x1fcarl@x\n"
+        bad = b"commit cccc3333 1700000200\0Bea\0bea@x\0Carl\0carl@x\n"
         stream = COMMIT1 + COMMIT2 + COMMIT1 + bad
         with pytest.raises(MalformedCommitLine, match="expected 2 identity fields") as info:
             parse_all(stream)
@@ -528,11 +531,11 @@ print(count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 def test_name_status_stream():
-    stream = (COMMIT1
+    stream = (NS_COMMIT1
               + b"A\0a.txt\0"
               + b"M\0b.txt\0"
               + b"\0"
-              + COMMIT2
+              + NS_COMMIT2
               + b"R100\0a.txt\0c.txt\0"
               + b"M\0b.txt\0")
     for chunks in chunkings(stream):
@@ -550,22 +553,32 @@ def test_name_status_paths_verbatim():
     """-z prints paths unquoted; quotes, backslashes, tabs and newlines stay."""
     names = [b'we"ird.txt', b"back\\slash.txt", b"tab\tname.txt", b"new\nline.txt",
              b"commit 1 2.txt"]
-    stream = (COMMIT1.rstrip(b"\n") + b"\0"  # a commit without file changes
-              + COMMIT2 + b"".join(b"A\0" + name + b"\0" for name in names))
+    stream = (NS_COMMIT1.rstrip(b"\n") + b"\0"  # a commit without file changes
+              + NS_COMMIT2 + b"".join(b"A\0" + name + b"\0" for name in names))
     for chunks in chunkings(stream):
         assert list(parse_name_status_stream(chunks)) == [
             (1700000000, []), (1700000100, [(n.decode(), n.decode()) for n in names])]
 
 
-@pytest.mark.parametrize("stream, error", [
-    pytest.param(b"commit zzz 1700000000 \x1fA\x1fa\nM\0f\0", MalformedCommitLine,
+@pytest.mark.parametrize("stream, error, at", [
+    pytest.param(b"commit aaaa1111 1700000000\nM\0f\0", MalformedCommitLine, 0,
                  id="commit-line"),
-    pytest.param(COMMIT1 + b"Q\0f\0", StreamParseError, id="unknown-status"),
-    pytest.param(COMMIT1 + b"M\0", TruncatedStream, id="no-path"),
-    pytest.param(COMMIT1 + b"R100\0a\0", TruncatedStream, id="rename-without-new-path"),
-    pytest.param(b"M\0f\0" + COMMIT1, StreamParseError, id="record-before-commit"),
+    pytest.param(NS_COMMIT1 + b"Q\0f\0", StreamParseError, len(NS_COMMIT1), id="unknown-status"),
+    pytest.param(NS_COMMIT1 + b"M\0", TruncatedStream, len(NS_COMMIT1), id="no-path"),
+    pytest.param(NS_COMMIT1 + b"R100\0a\0", TruncatedStream, len(NS_COMMIT1),
+                 id="rename-without-new-path"),
+    pytest.param(b"M\0f\0" + NS_COMMIT1, StreamParseError, 0, id="record-before-commit"),
+    # git's %ct is an unsigned decimal.
+    pytest.param(NS_COMMIT1 + b"M\0f\0\0commit -1\nM\0f\0", MalformedCommitLine,
+                 len(NS_COMMIT1) + 5, id="negative-time"),
+    pytest.param(b"commit 1e9\nM\0f\0", MalformedCommitLine, 0, id="exponent-time"),
+    pytest.param(b"commit \nM\0f\0", MalformedCommitLine, 0, id="empty-time"),
+    pytest.param(b"commit \xd9\xa1\nM\0f\0", MalformedCommitLine, 0, id="non-ascii-digit-time"),
 ])
-def test_name_status_checks(stream, error):
+def test_name_status_checks(stream, error, at):
+    """Each error carries the byte offset of the field it quotes, whatever
+    the chunking."""
     for chunks in chunkings(stream):
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             list(parse_name_status_stream(chunks))
+        assert info.value.byte_offset == at

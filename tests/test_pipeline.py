@@ -705,6 +705,100 @@ def test_quoted_paths_keep_their_names(tmp_path):
         assert report[1].mod_count == 34, name
 
 
+def build_bumped_repo(path: Path, hot: str, identities: list, cold: dict | None = None) -> Path:
+    """Twenty quiet files and a 15-line ``hot`` whose line 2 is bumped in 30
+    commits, by each of ``identities`` in turn (None: repogen's humans)."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(path)
+    lines = [f"key_{i} = {i}".encode() for i in range(15)]
+    edits = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(20)}
+    builder.commit({**edits, **(cold or {}), hot: b"\n".join(lines) + b"\n"}, "initial import")
+    for k in range(1, 31):
+        lines[1] = f"key_1 = v{k}".encode()
+        builder.commit({hot: b"\n".join(lines) + b"\n"}, f"bump {k}",
+                       identity=identities[k % len(identities)])
+    builder.finish()
+    return path
+
+
+def test_committer_fields_may_hold_unit_separators(tmp_path, capsys):
+    """git accepts byte 0x1f in a committer's name and email; it is part of
+    the identity, never a field separator."""
+    odd = [("Odd\x1fName", "odd@example.org"), ("Plain Name", "plain\x1f@example.org")]
+    repo = build_bumped_repo(tmp_path / "repo", "hot.cfg", odd)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--repo", str(repo), "--out", str(out)]) == 0, capsys.readouterr()
+    counts = {(r["name"], r["email"]): r["commit_count"] for r in read_csv(out / "committers.csv")}
+    assert counts[odd[0]] == counts[odd[1]] == "15"
+
+
+def test_non_utf8_paths_shown_with_escapes(tmp_path, monkeypatch, capsys):
+    """Names that are not UTF-8 reach every artifact as line content does,
+    each undecodable byte as ``\\xNN``, and an override file names them so."""
+    # fast-import unquotes C-style paths: git gets b"caf\xe9.txt" and b"h\xf6t.cfg".
+    repo = build_bumped_repo(tmp_path / "repo", '"h\\366t.cfg"', [None],
+                             cold={'"caf\\351.txt"': b"cold\n"})
+    override = tmp_path / "override.csv"
+    override.write_text("path,line_number,label\nh\\xf6t.cfg,2,metadata-change\n", "utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--repo", str(repo), "--out", str(out),
+                     "--labels-override", str(override)])
+    assert code == 0, capsys.readouterr()
+    churn = {r["path"]: r["is_hotspot_file"] for r in read_csv(out / "file_churn.csv")}
+    assert (churn["caf\\xe9.txt"], churn["h\\xf6t.cfg"]) == ("false", "true")
+    assert [(r["path"], r["line_number"], r["label"], r["heuristic"])
+            for r in read_csv(out / "labels.csv")] == [("h\\xf6t.cfg", "2", "metadata-change",
+                                                        "false")]
+
+    real = pipeline.log_command  # a failed tracking walk: the aborted keys show the name too
+
+    def failing(rev, file_paths=None, **kwargs):
+        cmd = real(rev, file_paths, **kwargs)
+        return cmd[:1] + ["--no-such-option"] + cmd[1:] if file_paths else cmd
+
+    monkeypatch.setattr(pipeline, "log_command", failing)
+    assert cli.main(["analyze", "--repo", str(repo), "--out", str(out)]) == 2
+    assert list(json.loads((out / "manifest.json").read_text("utf-8"))["aborted"]) == [
+        "h\\xf6t.cfg"]
+    assert json.loads((out / "summary.json").read_text("utf-8"))["aborted_files"] == [
+        "h\\xf6t.cfg"]
+
+
+BOM_INPUTS = {
+    "--labels-override": "path,line_number,label\nhot.cfg,2,metadata-change\n",
+    "--bot-config": "deny=Ada Example\n",
+    "--candidates-file": "octo/a\n",
+}
+
+
+@pytest.mark.parametrize("option", list(BOM_INPUTS))
+def test_input_file_may_start_with_a_byte_order_mark(option, hotspot_repo, tmp_path,
+                                                     monkeypatch):
+    """Each input file reads the same with a UTF-8 byte-order mark as without."""
+    path = tmp_path / "input"
+    path.write_text("\ufeff" + BOM_INPUTS[option], "utf-8")
+    if option == "--candidates-file":
+        requested = []
+
+        def fetch(self, name):
+            requested.append(name)
+            raise selector.Unavailable("not found")
+
+        monkeypatch.setattr(selector.MetadataClient, "fetch_repo_meta", fetch)
+        assert cli.main(["select", option, str(path), "--per-stratum", "1"]) == 0
+        assert requested == ["octo/a"]
+        return
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out),
+                     option, str(path)]) == 0
+    if option == "--labels-override":
+        assert read_csv(out / "labels.csv")[0]["label"] == "metadata-change"
+    else:
+        flagged = {r["name"]: r["match_reason"] for r in read_csv(out / "committers.csv")}
+        assert flagged["Ada Example"] == "denylist"
+
+
 def test_git_stderr_and_rename_limit_in_manifest(tmp_path, monkeypatch):
     """Renames beyond the pinned limit go undetected, and git's warning about
     it reaches the manifest."""

@@ -346,12 +346,9 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
 
     while True:
         if i == len(lines):
-            block = next(blocks, None)
-            if block is None:
+            lines, offset, i = _fill(blocks, lines, offset, i, 1)
+            if i == len(lines):
                 break
-            offset, lines = block
-            i = 0
-            continue
         line = lines[i]
 
         if line.startswith(b"@@") and not skipping:

@@ -32,7 +32,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -415,8 +414,10 @@ def display_text(raw: bytes) -> str:
 
 def display_path(path: str) -> str:
     """A path as an artifact shows it: its bytes, which git printed and the
-    parsers kept as surrogate escapes, through ``display_text``."""
-    return display_text(path.encode("utf-8", "surrogateescape"))
+    parsers kept as surrogate escapes, through ``display_text``, each
+    backslash doubled first.  So ``\\\\`` is a backslash and ``\\xNN`` a
+    raw byte, and no two names read the same."""
+    return display_text(path.replace("\\", "\\\\").encode("utf-8", "surrogateescape"))
 
 
 LINE_REPORT_COLUMNS = ["line_number", "content", "mod_count", "birth_ts",
@@ -447,10 +448,8 @@ def _write_line_report(fh, rows: Iterable[list]) -> None:
     The hashes and timestamps hold only hex digits, digits and ``|``, so
     they never need quoting, and are joined and written a slice at a time.
     """
-    # The "\n" terminator makes csv quote as it does for whole rows (it quotes
-    # a field holding a terminator character); the row end is cut, since the
-    # revision fields follow.
-    head = csv.writer(SimpleNamespace(write=lambda text: fh.write(text[:-1])), lineterminator="\n")
+    # No row end: the revision fields follow.  Content never holds "\n".
+    head = csv.writer(fh, lineterminator="")
     for *fields, hashes, stamps in rows:
         head.writerow(fields)
         for values in map(iter, (hashes, stamps)):

@@ -119,36 +119,9 @@ def normalize_style(text: str) -> str:
     return _WS_RUN.sub(" ", text).strip().casefold()
 
 
-def _word_diff(before: str, after: str) -> tuple[list[str], list[str]]:
-    """Whitespace-word level diff: (removed words, added words)."""
-    b, a = before.split(), after.split()
-    removed: list[str] = []
-    added: list[str] = []
-    matcher = difflib.SequenceMatcher(a=b, b=a, autojunk=False)
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag in ("replace", "delete"):
-            removed.extend(b[i1:i2])
-        if tag in ("replace", "insert"):
-            added.extend(a[j1:j2])
-    return removed, added
-
-
-_VERSION_TOKEN = re.compile(r"\d+(?:\.\d+)+")
+_VERSION_TOKEN = re.compile(r"(\d+(?:\.\d+)+)")  # split keeps the tokens
 _RANGE_OPS_2 = {">=", "<=", "~=", "!="}
 _RANGE_OPS_1 = {">", "<", "^", "~"}
-
-
-def _version_token_edit(before: str, after: str):
-    """When the lines match outside dotted-numeric tokens, return the changed
-    token positions as (index, old, new) plus the shared text parts."""
-    parts_b = _VERSION_TOKEN.split(before)
-    parts_a = _VERSION_TOKEN.split(after)
-    if parts_b != parts_a:
-        return None
-    toks_b = _VERSION_TOKEN.findall(before)
-    toks_a = _VERSION_TOKEN.findall(after)
-    changed = [(i, tb, ta) for i, (tb, ta) in enumerate(zip(toks_b, toks_a)) if tb != ta]
-    return changed, parts_b
 
 
 def _range_op_adjacent(parts: list[str], index: int) -> bool:
@@ -240,12 +213,9 @@ def _is_pathlike(token: str) -> bool:
     return "/" in bare or bare.startswith("./") or bare.startswith("..")
 
 
-def _callees(text: str) -> Counter:
-    return Counter(_CALLEE_RE.findall(text))
-
-
 def _call_arities(text: str) -> dict[str, list[int]]:
-    """Top-level comma counts of each call's argument list (best effort)."""
+    """Each callee's argument counts, sorted, from the top-level commas of
+    its argument lists (best effort)."""
     arities: dict[str, list[int]] = {}
     for m in _CALLEE_RE.finditer(text):
         depth = 0
@@ -263,7 +233,7 @@ def _call_arities(text: str) -> dict[str, list[int]]:
             elif not ch.isspace() and depth == 0:
                 saw_arg = True
         arities.setdefault(m.group(1), []).append(commas + 1 if saw_arg or commas else 0)
-    return arities
+    return {name: sorted(counts) for name, counts in arities.items()}
 
 
 def _key_value(text: str):
@@ -298,10 +268,9 @@ def _rule_formatting_ping_pong(ctx) -> bool:
 
 
 def _rule_pinned_version_bump(ctx) -> bool:
-    edit = _version_token_edit(ctx.before, ctx.after)
-    if not edit:
+    if ctx.version_edit is None:
         return False
-    changed, parts = edit
+    changed, parts = ctx.version_edit
     if len(changed) != 1:
         return False
     index, old, new = changed[0]
@@ -311,10 +280,9 @@ def _rule_pinned_version_bump(ctx) -> bool:
 
 
 def _rule_conditional_version_bump(ctx) -> bool:
-    edit = _version_token_edit(ctx.before, ctx.after)
-    if not edit:
+    if ctx.version_edit is None:
         return False
-    changed, parts = edit
+    changed, parts = ctx.version_edit
     return any(_range_op_adjacent(parts, index) for index, _, _ in changed)
 
 
@@ -328,9 +296,10 @@ def _rule_distro_bump(ctx) -> bool:
 
 
 def _rule_resource_id(ctx) -> bool:
+    removed, added = " ".join(ctx.removed), " ".join(ctx.added)
     for shape in _RESOURCE_SHAPES:
-        ids_b = set(shape.findall(ctx.changed_before_text))
-        ids_a = set(shape.findall(ctx.changed_after_text))
+        ids_b = set(shape.findall(removed))
+        ids_a = set(shape.findall(added))
         if (ids_b or ids_a) and ids_b != ids_a:
             return True
     return False
@@ -385,14 +354,9 @@ def _rule_metadata_change(ctx) -> bool:
 
 
 def _rule_function_call_change(ctx) -> bool:
-    calls_b, calls_a = _callees(ctx.before), _callees(ctx.after)
-    if not calls_b and not calls_a:
-        return False
-    if calls_b != calls_a:
-        return True
-    arities_b, arities_a = _call_arities(ctx.before), _call_arities(ctx.after)
-    return any(sorted(arities_b.get(name, [])) != sorted(arities_a.get(name, []))
-               for name in calls_b)
+    # Equal when both sides call the same names, each as often and with the
+    # same argument counts; so no call on either side is no match.
+    return _call_arities(ctx.before) != _call_arities(ctx.after)
 
 
 def _rule_long_line_change(ctx) -> bool:
@@ -435,18 +399,36 @@ _RANK: dict[Pattern, int] = {p: i for i, p in enumerate(
 
 
 class _PairContext:
-    """Pre-computed views of one revision pair shared by all rules."""
+    """The views of one revision pair that several rules read, each derived
+    once: the decoded sides, the word diff and the version-token edit."""
 
     def __init__(self, before: bytes, after: bytes, file_category: str, path: str):
         self.before = before.decode("utf-8", "replace")
         self.after = after.decode("utf-8", "replace")
         self.file_category = file_category
         self.path = path
-        removed, added = _word_diff(self.before, self.after)
+        # Whitespace-word diff: the words removed from and added to the line.
+        words_b, words_a = self.before.split(), self.after.split()
+        removed: list[str] = []
+        added: list[str] = []
+        matcher = difflib.SequenceMatcher(a=words_b, b=words_a, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag in ("replace", "delete"):
+                removed.extend(words_b[i1:i2])
+            if tag in ("replace", "insert"):
+                added.extend(words_a[j1:j2])
+        self.removed, self.added = removed, added
         self.changed = removed + added
-        self.changed_before_text = " ".join(removed)
-        self.changed_after_text = " ".join(added)
         self.changed_text = " ".join(self.changed)
+        # When the sides match outside dotted-numeric tokens: the changed
+        # tokens as (index, old, new) and the shared text parts; else None.
+        split_b, split_a = _VERSION_TOKEN.split(self.before), _VERSION_TOKEN.split(self.after)
+        parts = split_b[::2]
+        self.version_edit = None
+        if parts == split_a[::2]:
+            changed = [(i, old, new) for i, (old, new)
+                       in enumerate(zip(split_b[1::2], split_a[1::2])) if old != new]
+            self.version_edit = changed, parts
 
 
 def _winner(ctx: _PairContext) -> Pattern:

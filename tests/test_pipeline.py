@@ -671,8 +671,9 @@ def test_git_failure_exits_without_traceback(stage, hotspot_repo, tmp_path, monk
 
 def test_quoted_paths_keep_their_names(tmp_path):
     """Paths git C-quotes in text output, or would read as pathspec magic
-    or a glob, keep their names: all appear verbatim in file_churn.csv, and
-    the hot ones are replayed to their checkouts."""
+    or a glob, keep their names: all appear in file_churn.csv, verbatim but
+    for a doubled backslash, and the hot ones are replayed to their
+    checkouts."""
     from repogen import RepoBuilder
 
     hot = ['we"ird.txt', ":hot.cfg", "hot[1].cfg", "conf b/hot.cfg"]
@@ -695,8 +696,9 @@ def test_quoted_paths_keep_their_names(tmp_path):
     manifest = analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=out))
     assert manifest.aborted == {}
     rows = {r["path"]: r for r in read_csv(out / "file_churn.csv")}
-    assert {*hot, *others} <= set(rows)
-    assert [rows[name]["is_hotspot_file"] for name in hot + others] == ["true"] * len(hot) + ["false"] * 3
+    shown = hot + ["back\\\\slash.txt"] + others[1:]  # a backslash reads doubled
+    assert set(shown) <= set(rows)
+    assert [rows[name]["is_hotspot_file"] for name in shown] == ["true"] * len(hot) + ["false"] * 3
     assert manifest.stage_counts["files_tracked"] == len(hot)
     for name in hot:
         report = read_line_report(out / "line_reports" / pipeline._safe_report_name(name))
@@ -763,6 +765,41 @@ def test_non_utf8_paths_shown_with_escapes(tmp_path, monkeypatch, capsys):
         "h\\xf6t.cfg"]
     assert json.loads((out / "summary.json").read_text("utf-8"))["aborted_files"] == [
         "h\\xf6t.cfg"]
+
+
+def test_display_paths_never_collide(tmp_path, capsys):
+    """A name holding byte 0xE9 and a UTF-8 name that spells out its escape
+    read differently, since a backslash reads doubled: two file_churn.csv
+    rows, two labels, and an override row names one file only."""
+    from repogen import RepoBuilder
+
+    raw, spelled = '"caf\\351.txt"', "caf\\xe9.txt"  # fast-import unquotes raw to b"caf\xe9.txt"
+    builder = RepoBuilder(tmp_path / "repo")
+    lines = [f"key_{i} = {i}".encode() for i in range(15)]
+
+    def both() -> dict:
+        text = b"\n".join(lines) + b"\n"
+        return {raw: text, spelled: text}
+
+    edits = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(50)}
+    builder.commit({**edits, **both()}, "initial import")
+    for k in range(1, 31):
+        lines[1] = f"key_1 = v{k}".encode()
+        builder.commit(both(), f"bump {k}")
+    builder.finish()
+
+    shown = ["caf\\xe9.txt", "caf\\\\xe9.txt"]  # the raw byte, the spelled-out name
+    for named in shown:
+        override = tmp_path / "override.csv"
+        override.write_text(f"path,line_number,label\n{named},2,metadata-change\n", "utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["analyze", "--repo", str(builder.path), "--out", str(out),
+                         "--labels-override", str(override)])
+        assert code == 0, capsys.readouterr()
+        churn = [r["path"] for r in read_csv(out / "file_churn.csv") if r["path"].startswith("caf")]
+        assert sorted(churn) == sorted(shown)
+        labels = {r["path"]: (r["line_number"], r["heuristic"]) for r in read_csv(out / "labels.csv")}
+        assert labels == {name: ("2", "false" if name == named else "true") for name in shown}
 
 
 BOM_INPUTS = {

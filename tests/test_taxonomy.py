@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linechurn.churn import categorize_file
+from linechurn.churn import PROGRAMMING, categorize_file
 from linechurn.diffstream import CommitHeader
 from linechurn.taxonomy import (
     Category,
@@ -26,6 +26,8 @@ from linechurn.taxonomy import (
     kappa_between_label_files,
     load_label_overrides,
     normalize_style,
+    _PairContext,
+    _rule_function_call_change,
 )
 from linechurn.tracker import Revision, TrackedLine
 
@@ -164,6 +166,18 @@ class TestClassifyPair:
                                        "build-info.json"))
         assert label.label is Pattern.METADATA_CHANGE
         assert "external-data-fluctuations" in label.diagnostics
+
+    @pytest.mark.parametrize("before,after,matches", [
+        ("run(a, check(b))", "run(a, b)", True),
+        ("run(a, b)", "run(a, b, c)", True),
+        ("f(g(x))", "g(f(x))", False),
+        ("x = 1", "x = 2", False),
+    ], ids=["callee-removed", "arity-changed", "nesting-swapped", "no-call"])
+    def test_function_call_rule(self, before, after, matches):
+        """The rule matches when a callee's call count or argument counts
+        change, and not when only the nesting moves or nothing is called."""
+        ctx = _PairContext(before.encode(), after.encode(), PROGRAMMING, "src/app.py")
+        assert _rule_function_call_change(ctx) is matches
 
     def test_determinism(self):
         pair = pair_for(*GOLDEN_PAIRS[0][1:])

@@ -14,8 +14,9 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Collection, Iterable
 
 SECONDS_PER_MONTH = 30.44 * 86400
 
@@ -147,6 +148,27 @@ def churn_summary(counts: Iterable[int], population: bool = True) -> ChurnSummar
     return ChurnSummary(mean=statistics.fmean(values), stddev=std, n_files=len(values))
 
 
+def _above_sigma_cut(values: Collection[int],
+                     thresholds: HotspotThresholds) -> Callable[[int], bool]:
+    """Whether a count strictly exceeds ``mean + k·sigma`` of ``values``, decided exactly.
+
+    With n counts, S = Σx, Q = Σx² and d = n·c − S, a count c exceeds the
+    cut when d > 0 and d² > k²·(n·Q − S²) under population sigma, or
+    d²·(n − 1) > k²·n·(n·Q − S²) under sample sigma (0 for one value).
+    Integer counts and the float k are exact here, so a count at z = k
+    exactly is never above the cut; a float cut lets rounding decide.
+    """
+    n, s = len(values), sum(values)
+    spread = n * sum(x * x for x in values) - s * s
+    k2 = Fraction(thresholds.sigma_multiplier) ** 2
+    if thresholds.population_sigma:
+        scale, bound = 1, k2 * spread
+    else:
+        scale, bound = n - 1, k2 * n * spread
+    num, den = bound.numerator, bound.denominator
+    return lambda c: n * c > s and (n * c - s) ** 2 * scale * den > num
+
+
 def detect_hotspot_files(
     counts: dict[str, int],
     lifetime_months: float,
@@ -157,14 +179,9 @@ def detect_hotspot_files(
         raise EmptyInput("no files counted")
     if lifetime_months <= 0:
         raise ValueError("lifetime_months must be positive")
-    summary = churn_summary(counts.values(), population=thresholds.population_sigma)
-    sigma_cut = summary.mean + thresholds.sigma_multiplier * summary.stddev
+    above = _above_sigma_cut(counts.values(), thresholds)
     rate_cut = lifetime_months * thresholds.monthly_rate
-    return {
-        path
-        for path, count in counts.items()
-        if count > sigma_cut and count > rate_cut
-    }
+    return {path for path, count in counts.items() if above(count) and count > rate_cut}
 
 
 def select_hotspot_lines(lines: list, thresholds: HotspotThresholds = HotspotThresholds()) -> list:
@@ -174,14 +191,11 @@ def select_hotspot_lines(lines: list, thresholds: HotspotThresholds = HotspotThr
     computed over this file's live lines and meets the absolute floor.  Lines
     are numbered from 1 and returned in file order.
     """
-    if not lines:
-        return []
-    summary = churn_summary((ln.mod_count for ln in lines), thresholds.population_sigma)
-    cut = summary.mean + thresholds.sigma_multiplier * summary.stddev
+    above = _above_sigma_cut([ln.mod_count for ln in lines], thresholds)
     return [
         (number, ln)
         for number, ln in enumerate(lines, 1)
-        if ln.mod_count > cut and ln.mod_count >= thresholds.min_line_mods
+        if above(ln.mod_count) and ln.mod_count >= thresholds.min_line_mods
     ]
 
 

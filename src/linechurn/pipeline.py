@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import itertools
 import json
 import logging
@@ -55,6 +54,11 @@ from .diffstream import (
 )
 from .taxonomy import PatternLabel, chao1_curve, classify_history, load_label_overrides
 from .tracker import FileState, HistoryReplayer
+
+try:  # hashlib loads OpenSSL, a few MiB of resident set for one digest per report
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 logger = logging.getLogger(__name__)
 
@@ -277,8 +281,11 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     for path in selected_files:
         if path in replayer.states:
             tracked[path] = replayer.states[path]
+        elif path in replayer.aborted:  # the replayer logged it
+            aborted[display_path(path)] = replayer.aborted[path]
         else:
-            aborted[display_path(path)] = replayer.aborted.get(path, unreplayed)
+            logger.info("aborting %s: %s", path, unreplayed)
+            aborted[display_path(path)] = unreplayed
 
     # Stage 3: one (path, line number, line, label) record per hotspot line,
     # in file order; every artifact below is derived from this list.
@@ -398,7 +405,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
 
 
 def _safe_report_name(path: str) -> str:
-    digest = hashlib.sha1(path.encode("utf-8", "surrogateescape")).hexdigest()[:8]
+    digest = sha1(path.encode("utf-8", "surrogateescape")).hexdigest()[:8]
     safe = "".join(c if c.isalnum() or c in "._-" else "__" for c in path)
     return f"{safe[:120]}-{digest}.csv"
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -246,6 +247,13 @@ class TestDetectHotspotFiles:
         with pytest.raises(EmptyInput):
             detect_hotspot_files({}, lifetime_months=1.0)
 
+    def test_a_file_at_exactly_three_sigma_is_not_hot(self):
+        # Nine files touched once and one 12 times: the busy file sits at
+        # z = 3 exactly (a float cut of mean + 3 sigma falls just below 12).
+        counts = {f"f{i}": 1 for i in range(9)}
+        counts["busy"] = 12
+        assert detect_hotspot_files(counts, lifetime_months=0.5) == set()
+
 
 def revision(commit_hash: str, timestamp: int, content: bytes) -> Revision:
     return Revision(CommitHeader(commit_hash, timestamp, "Ada", "ada@x"), content)
@@ -280,6 +288,13 @@ class TestSelectHotspotLines:
         at most 3 up to n = 10."""
         lines = [mk_line(0) for _ in range(n_lines - 1)] + [mk_line(1000)]
         assert len(select_hotspot_lines(lines)) == n_selected
+
+    @pytest.mark.parametrize("mods", [4, 5, 8, 11])
+    def test_a_line_at_exactly_three_sigma_is_not_selected(self, mods):
+        """Nine quiet lines and one modified ``mods`` times: the tenth sits
+        at z = 3 exactly whatever ``mods`` is, and the cut is strict."""
+        lines = [mk_line(0) for _ in range(9)] + [mk_line(mods)]
+        assert select_hotspot_lines(lines) == []
 
 
 class TestLifespanDays:
@@ -385,6 +400,38 @@ def test_statistics_match_brute_force(mods, population):
                 if ln.mod_count > cut and ln.mod_count >= thresholds.min_line_mods]
     assert ([(number, id(ln)) for number, ln in select_hotspot_lines(lines, thresholds)]
             == [(number, id(ln)) for number, ln in expected])
+
+
+def exceeds_sigma_cut(values: list[int], x: int, k: float, population: bool) -> bool:
+    """``x > mean + k·sigma`` of ``values`` in rational arithmetic: the gap to
+    the mean must be positive and its square must exceed k² times the
+    variance, taken from the squared deviations (sample sigma of one value: 0)."""
+    n = len(values)
+    mean = Fraction(sum(values), n)
+    squares = sum((v - mean) ** 2 for v in values)
+    variance = squares / n if population else squares / max(n - 1, 1)
+    gap = x - mean
+    return gap > 0 and gap ** 2 > Fraction(k) ** 2 * variance
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.booleans(),
+       st.sampled_from([3.0, 2.0, 1.0, 0.5, 2.5, 0.1]))
+@example([0] * 9 + [4], True, 3.0)
+@example([0] * 9 + [5], True, 3.0)
+@example([1] * 9 + [12], True, 3.0)
+@example([0] * 9 + [3, 3], False, 3.0)
+@settings(max_examples=300, deadline=None)
+def test_both_filters_match_an_exact_oracle(mods, population, k):
+    """No tie is assumed away: a value at z = k exactly is below the cut."""
+    thresholds = HotspotThresholds(sigma_multiplier=k, population_sigma=population)
+    lines = [mk_line(m) for m in mods]
+    assert [number for number, _ in select_hotspot_lines(lines, thresholds)] == [
+        number for number, m in enumerate(mods, 1)
+        if exceeds_sigma_cut(mods, m, k, population) and m >= thresholds.min_line_mods]
+    counts = {f"f{i}": m for i, m in enumerate(mods)}
+    assert detect_hotspot_files(counts, 1e-9, thresholds) == {
+        path for path, m in counts.items()
+        if exceeds_sigma_cut(mods, m, k, population) and m > 1e-9}
 
 
 def test_thresholds_must_be_positive():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -939,6 +941,13 @@ def test_file_named_like_the_head_commit(tmp_path):
     manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=tmp_path / "out"))
     assert manifest.stage_counts["files_tracked"] == 1
 
+
+def abort_lines(caplog) -> list[str]:
+    """The ``aborting <path>: <reason>`` log lines of a run, in order."""
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.INFO and r.getMessage().startswith("aborting ")]
+
+
 def corrupting_git_lines(monkeypatch, path: str) -> list[int]:
     """Make the stage-2 walk's last hunk header of ``path`` unparseable.
 
@@ -970,11 +979,13 @@ class TestMalformedPatch:
         analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=clean))
         return fixture, clean
 
-    def test_other_files_unchanged(self, multi, tmp_path, monkeypatch):
+    def test_other_files_unchanged(self, multi, tmp_path, monkeypatch, caplog):
         fixture, clean = multi
         offsets = corrupting_git_lines(monkeypatch, "conf/a.cfg")
+        caplog.set_level(logging.INFO, logger="linechurn")
         manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=tmp_path))
         assert list(manifest.aborted) == ["conf/a.cfg"]
+        assert abort_lines(caplog) == [f"aborting conf/a.cfg: {manifest.aborted['conf/a.cfg']}"]
         assert "unparseable hunk header" in manifest.aborted["conf/a.cfg"]
         assert f"byte offset {offsets[0]}," in manifest.aborted["conf/a.cfg"]
         assert manifest.stage_counts["files_tracked"] == 2
@@ -983,7 +994,8 @@ class TestMalformedPatch:
             assert (tmp_path / "line_reports" / name).read_bytes() == \
                 (clean / "line_reports" / name).read_bytes(), path
 
-    def test_error_outside_file_diffs_aborts_every_file(self, multi, tmp_path, monkeypatch):
+    def test_error_outside_file_diffs_aborts_every_file(self, multi, tmp_path, monkeypatch,
+                                                         caplog):
         fixture, _ = multi
         real = pipeline._git_lines
         walk_ended = []
@@ -1004,9 +1016,12 @@ class TestMalformedPatch:
         monkeypatch.setattr(pipeline, "aggregate_committers",
                             lambda *a: ended_before_stage3.append(list(walk_ended)) or aggregate(*a))
         monkeypatch.setattr(pipeline, "_git_lines", corrupted)
+        caplog.set_level(logging.INFO, logger="linechurn")
         manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=tmp_path))
         assert ended_before_stage3 == [[False, True]]
         assert sorted(manifest.aborted) == fixture["hot_files"]
+        assert abort_lines(caplog) == [f"aborting {path}: {manifest.aborted[path]}"
+                                       for path in fixture["hot_files"]]
         for reason in manifest.aborted.values():
             assert reason.startswith("stage-2 log: commit hash is not hexadecimal (byte offset")
         assert manifest.stage_counts["files_tracked"] == 0
@@ -1044,7 +1059,7 @@ class TestCrashContainment:
 
 
     def test_selected_file_without_patches_is_aborted(self, hotspot_repo, tmp_path,
-                                                      monkeypatch, capsys):
+                                                      monkeypatch, capsys, caplog):
         real = pipeline.parse_log_stream
 
         def without_hot_file(chunks):  # drops hot.cfg's FileStart and its hunks
@@ -1057,12 +1072,14 @@ class TestCrashContainment:
                     yield event
 
         monkeypatch.setattr(pipeline, "parse_log_stream", without_hot_file)
+        caplog.set_level(logging.INFO, logger="linechurn")
         out = tmp_path / "dropped"
         code = cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)])
         assert code == 2
         assert "partial failure" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
         assert manifest["aborted"] == {"hot.cfg": "no patch for this path in the stage-2 walk"}
+        assert abort_lines(caplog) == ["aborting hot.cfg: no patch for this path in the stage-2 walk"]
         assert manifest["stage_counts"]["files_tracked"] == 0
 
 
@@ -1291,6 +1308,41 @@ def test_analyze_imports_only_the_standard_library():
                      "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_analyze_loads_no_openssl(hotspot_repo, tmp_path):
+    """Line reports are named without hashlib, whose import loads OpenSSL."""
+    proc = run_fresh("-c", "import sys, linechurn.cli; "
+                     "code = linechurn.cli.main(['analyze', '--repo', sys.argv[1], "
+                     "'--out', sys.argv[2]]); "
+                     "print(code, sorted({'hashlib', '_hashlib', 'ssl'} & set(sys.modules)))",
+                     str(hotspot_repo["path"]), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert list((tmp_path / "out" / "line_reports").iterdir())
+
+
+REPORT_NAME_PATHS = ["conf/hot.cfg", b"caf\xe9/v\xff.cfg".decode("utf-8", "surrogateescape"),
+                     "deep/" * 30 + "lock.txt"]
+
+
+@pytest.mark.parametrize("path", REPORT_NAME_PATHS, ids=["ascii", "non-utf8", "long"])
+def test_report_name_is_the_sanitized_path_and_its_sha1(path):
+    digest = hashlib.sha1(path.encode("utf-8", "surrogateescape")).hexdigest()[:8]
+    safe = "".join(c if c.isalnum() or c in "._-" else "__" for c in path)[:120]
+    assert pipeline._safe_report_name(path) == f"{safe}-{digest}.csv"
+
+
+def test_report_names_without_the_builtin_sha1():
+    """Where ``_sha1`` cannot be imported, hashlib gives the same names."""
+    proc = run_fresh("-c", "import json, sys; sys.modules['_sha1'] = None; "
+                     "import linechurn.pipeline as p; "
+                     "print(json.dumps(['hashlib' in sys.modules] + "
+                     "[p._safe_report_name(a) for a in json.loads(sys.argv[1])]))",
+                     json.dumps(REPORT_NAME_PATHS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True] + [pipeline._safe_report_name(p)
+                                                for p in REPORT_NAME_PATHS]
 
 
 @pytest.mark.parametrize("level, code", [("info", 0), ("Debug", 0), ("WARNING", 0), ("loud", 1),

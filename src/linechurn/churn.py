@@ -207,7 +207,7 @@ def lifespan_days(line) -> float:
     """
     if not line.history:
         raise EmptyInput("line has no history")
-    first, last = line.history[0].commit, line.history[-1].commit
+    first, last = line.history[0], line.history[-1]
     return (last.committer_timestamp - first.committer_timestamp) / 86400.0
 
 

@@ -300,7 +300,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
                 label = PatternLabel(override, heuristic=False)
             hot.append((path, line_number, line, label))
 
-    hotspot_commits = {rev.commit.hash: rev.commit for _, _, line, _ in hot for rev in line.history}
+    hotspot_commits = {commit.hash: commit for _, _, line, _ in hot for commit in line.history}
     committers = [flag_bot(identity, config.bot_config)
                   for identity in aggregate_committers(hotspot_commits.values())]
     bots = {(identity.name, identity.email) for identity in committers if identity.is_bot}
@@ -308,14 +308,14 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
 
     # Commit-level share: a commit counts once per pattern, and once overall.
     commit_patterns = {
-        (rev.commit.hash, label.label.value) for _, _, line, label in hot for rev in line.history
+        (commit.hash, label.label.value) for _, _, line, label in hot for commit in line.history
     }
     per_pattern = bot_share((label, is_bot[h]) for h, label in commit_patterns)
     # Edit-level share: every modification event counts, under its line's
     # one pattern, so the patterns' counts sum to the overall share.  Every
     # hotspot line has at least one, so both shares name the same patterns.
-    edit_share = bot_share((label.label.value, is_bot[rev.commit.hash])
-                           for _, _, line, label in hot for rev in line.history[1:])
+    edit_share = bot_share((label.label.value, is_bot[commit.hash])
+                           for _, _, line, label in hot for commit in line.history[1:])
     n_hot_commits, n_bot_commits = len(is_bot), sum(is_bot.values())
     del hotspot_commits, commit_patterns, is_bot  # freed before the reports are written
 
@@ -413,18 +413,17 @@ def _safe_report_name(path: str) -> str:
 def display_text(raw: bytes) -> str:
     """Decode bytes for CSV output with raw-byte passthrough.
 
-    Undecodable bytes become ``\\xNN`` escapes so output stays valid UTF-8
-    while remaining deterministic for any input.
+    Each backslash is doubled, then undecodable bytes become ``\\xNN``
+    escapes.  So ``\\\\`` is a backslash and ``\\xNN`` a raw byte: the
+    output is valid UTF-8, and no two inputs read the same.
     """
-    return raw.decode("utf-8", "backslashreplace")
+    return raw.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
 
 
 def display_path(path: str) -> str:
-    """A path as an artifact shows it: its bytes, which git printed and the
-    parsers kept as surrogate escapes, through ``display_text``, each
-    backslash doubled first.  So ``\\\\`` is a backslash and ``\\xNN`` a
-    raw byte, and no two names read the same."""
-    return display_text(path.replace("\\", "\\\\").encode("utf-8", "surrogateescape"))
+    """A path as an artifact shows it: ``display_text`` of its bytes, which
+    git printed and the parsers kept as surrogate escapes."""
+    return display_text(path.encode("utf-8", "surrogateescape"))
 
 
 LINE_REPORT_COLUMNS = ["line_number", "content", "mod_count", "birth_ts",
@@ -432,14 +431,14 @@ LINE_REPORT_COLUMNS = ["line_number", "content", "mod_count", "birth_ts",
 
 
 def finalize(state: FileState) -> Iterator[list]:
-    """Yield one line-report row per live line, in file order; dead lines
-    are excluded.  The last two fields iterate over the revisions' hashes
-    and timestamps as strings, the birth first; the report ``|``-joins each."""
+    """Yield one line-report row per live line, in file order.  The last two
+    fields iterate over the revisions' hashes and timestamps as strings, the
+    birth first; the report ``|``-joins each."""
     for number, line in enumerate(state.file_lines, 1):
         history = line.history
-        yield [number, display_text(history[-1].content), line.mod_count,
-               history[0].commit.committer_timestamp, (rev.commit.hash for rev in history),
-               (str(rev.commit.committer_timestamp) for rev in history)]
+        yield [number, display_text(line.content), line.mod_count,
+               history[0].committer_timestamp, (commit.hash for commit in history),
+               (str(commit.committer_timestamp) for commit in history)]
 
 
 # Revisions joined per write of a line report's hashes or timestamps.  A hot

@@ -471,9 +471,10 @@ def classify_history(line, file_category: str, path: str) -> PatternLabel:
         raise HistoryTooShort(f"history of length {len(history)} has no revision pairs")
 
     votes: Counter = Counter()
-    for prev, curr in zip(history, history[1:]):
-        if prev.content != curr.content:  # else no byte-level edit to classify
-            votes[_winner(_PairContext(prev.content, curr.content, file_category, path))] += 1
+    contents = line.contents()
+    for prev, curr in zip(contents, contents[1:]):
+        if prev != curr:  # else no byte-level edit to classify
+            votes[_winner(_PairContext(prev, curr, file_category, path))] += 1
     total = sum(votes.values())
     if total == 0:
         return PatternLabel(Pattern.UNCLASSIFIED, confidence=0.0)
@@ -490,7 +491,7 @@ def classify_history(line, file_category: str, path: str) -> PatternLabel:
 
 def _has_close_modifications(history) -> bool:
     """True when two consecutive modification timestamps fall in the window."""
-    mod_ts = [rev.commit.committer_timestamp for rev in history[1:]]
+    mod_ts = [commit.committer_timestamp for commit in history[1:]]
     window = REFACTOR_WINDOW_DAYS * 86400
     return any(b - a <= window for a, b in zip(mod_ts, mod_ts[1:]))
 

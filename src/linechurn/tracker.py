@@ -10,8 +10,10 @@ diff are applied the new side names the hunk's place in the current state,
 and nothing carries from one hunk or commit to the next.  Paired lines keep
 their identity (the same object) and gain a revision; surplus deletions die
 (they are counted and leave the file's state), surplus additions are born
-fresh.  A line is its history: its content is the last revision's, its birth
-the first revision's commit.
+fresh.  A line is its history: one commit per revision, the birth first,
+and every revision's content in one buffer joined by ``\\n``, which no
+content line holds since the parser splits on it.  Its content is the
+buffer's last segment, its birth the first commit.
 
 Line identity is strictly positional: moving an unchanged block shows up as
 deaths at the old location and fresh births at the new one.  No
@@ -45,19 +47,23 @@ class HunkOutOfBounds(Exception):
 
 
 @dataclass(slots=True)
-class Revision:
-    commit: CommitHeader
-    content: bytes
-
-
-@dataclass(slots=True)
 class TrackedLine:
-    history: list[Revision]  # the birth first; content is history[-1].content
+    history: list[CommitHeader]  # one commit per revision, the birth first
+    texts: bytearray  # every revision's content in order, joined by b"\n"
     had_newline: bool = True
 
     @property
     def mod_count(self) -> int:
         return len(self.history) - 1
+
+    @property
+    def content(self) -> bytes:
+        """The last revision's content."""
+        return bytes(self.texts[self.texts.rfind(b"\n") + 1:])
+
+    def contents(self) -> list[bytes]:
+        """Every revision's content, the birth first."""
+        return bytes(self.texts).split(b"\n")
 
 
 @dataclass
@@ -86,13 +92,15 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> None:
     lines = state.file_lines[base:base + consumed]
     added = [raw[1:] for raw in hunk.lines[consumed:]]  # git's ``+`` dropped
     for line, text in zip(lines, added):
-        line.history.append(Revision(commit, text))
+        line.history.append(commit)
+        line.texts += b"\n"
+        line.texts += text
         line.had_newline = True
     if consumed > len(added):
         state.deaths_total += consumed - len(added)
         del lines[len(added):]
     elif len(added) > consumed:
-        lines += [TrackedLine([Revision(commit, text)]) for text in added[consumed:]]
+        lines += [TrackedLine([commit], bytearray(text)) for text in added[consumed:]]
         state.births_total += len(added) - consumed
     if not hunk.new_newline:
         lines[-1].had_newline = False

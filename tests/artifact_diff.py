@@ -1,11 +1,12 @@
 """Compare the artifacts two linechurn trees write for the same repositories.
 
-    python tests/artifact_diff.py PARENT CHANGE [--seed N]
+    python tests/artifact_diff.py PARENT CHANGE [--seed N ...]
 
 PARENT and CHANGE are linechurn checkouts.  The repositories are built once,
 with this checkout's ``tests/repogen.py`` and ``perfbench/workloads.py``:
 the golden fixtures (hotspot, hotspot with a label override, multi-hotspot)
-and the benchmark workloads desk, fanout and deep at seed N (default 1).
+and the benchmark workloads desk, fanout and deep at each seed N given
+(``--seed`` may be repeated; default 1).
 Each tree then runs ``python -m linechurn analyze`` on each of them from its
 own ``src``.  Every artifact that differs is printed.  Of ``manifest.json``
 only ``stage_counts``, ``aborted`` and ``warnings`` are compared; the rest
@@ -32,7 +33,7 @@ OVERRIDE = "path,line_number,label\nhot.cfg,2,metadata-change\n"  # the golden t
 MANIFEST_KEYS = ("aborted", "stage_counts", "warnings")
 
 
-def build_cases(work: Path, seed: int) -> dict[str, list[str]]:
+def build_cases(work: Path, seeds: list[int]) -> dict[str, list[str]]:
     """Build every repository; returns each case's ``analyze`` options."""
     from repogen import build_hotspot_repo, build_multi_hotspot_repo
     from workloads import WORKLOADS
@@ -44,9 +45,11 @@ def build_cases(work: Path, seed: int) -> dict[str, list[str]]:
     cases = {"hotspot": ["--repo", str(hotspot)],
              "hotspot_override": ["--repo", str(hotspot), "--labels-override", str(override)],
              "multi_hotspot": ["--repo", str(multi)]}
-    for name, build in WORKLOADS.items():
-        build(work / name, seed)
-        cases[f"{name}-seed{seed}"] = ["--repo", str(work / name)]
+    for seed in seeds:
+        for name, build in WORKLOADS.items():
+            case = f"{name}-seed{seed}"
+            build(work / case, seed)
+            cases[case] = ["--repo", str(work / case)]
     return cases
 
 
@@ -70,13 +73,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, action="append", dest="seeds")
     args = parser.parse_args()
     os.environ.update(HERMETIC_GIT)  # the repository builders' git calls too
     differences = 0
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         work = Path(tmp)
-        for case, options in build_cases(work / "repos", args.seed).items():
+        for case, options in build_cases(work / "repos", args.seeds or [1]).items():
             (code_a, a), (code_b, b) = (analyze(tree.resolve(), options, work / side / case)
                                         for side, tree in (("a", args.parent), ("b", args.change)))
             differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))

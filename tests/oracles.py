@@ -6,13 +6,14 @@ pipeline built, so a test can compare it with its input or with a checkout.
 
 from __future__ import annotations
 
+import codecs
 import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from linechurn.diffstream import CommitHeader, CommitStart, Hunk, MalformedHunkHeader, _hunk_counts
-from linechurn.tracker import FileState, HistoryReplayer
+from linechurn.tracker import FileState, HistoryReplayer, TrackedLine
 
 NO_NEWLINE = b"\\ No newline at end of file"
 
@@ -54,14 +55,20 @@ def hunk_tallies(hunk: Hunk) -> tuple[int, int]:
 
 def reconstruct_snapshot(state: FileState) -> list[bytes]:
     """Content of all live lines in positional order."""
-    return [ln.history[-1].content for ln in state.file_lines]
+    return [ln.content for ln in state.file_lines]
 
 
 def snapshot_bytes(state: FileState) -> bytes:
     """Byte-exact file image of the live lines, honouring final newlines."""
     return b"".join(
-        ln.history[-1].content + (b"\n" if ln.had_newline else b"") for ln in state.file_lines
+        ln.content + (b"\n" if ln.had_newline else b"") for ln in state.file_lines
     )
+
+
+def tracked_line(revisions: Iterable[tuple[CommitHeader, bytes]]) -> TrackedLine:
+    """A line whose revisions are the given (commit, content) pairs, the birth first."""
+    commits, contents = zip(*revisions)
+    return TrackedLine(list(commits), bytearray(b"\n".join(contents)))
 
 
 def replay_by_commit(replayer: HistoryReplayer, events: Iterable[object]) -> Iterator[CommitHeader]:
@@ -82,14 +89,16 @@ def replay_by_commit(replayer: HistoryReplayer, events: Iterable[object]) -> Ite
 @dataclass(frozen=True)
 class LineReport:
     line_number: int  # 1-based final position
-    content: bytes
+    content: bytes  # the line's bytes, the report's escapes undone
     mod_count: int
     birth_ts: int
     history: tuple[tuple[str, int], ...]  # (commit_hash, timestamp) incl. birth
 
 
 def read_line_report(path: str | Path) -> list[LineReport]:
-    """Parse a line-report CSV back into rows (content as displayed text)."""
+    """Parse a line-report CSV back into rows.  ``display_text`` doubled
+    each backslash and wrote each undecodable byte as ``\\xNN``, so Python's
+    own escape decoding gives the content's bytes back exactly."""
     out: list[LineReport] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -98,7 +107,7 @@ def read_line_report(path: str | Path) -> list[LineReport]:
             stamps = [int(t) for t in rec["timestamps"].split("|")] if rec["timestamps"] else []
             out.append(LineReport(
                 line_number=int(rec["line_number"]),
-                content=rec["content"].encode("utf-8", "surrogateescape"),
+                content=codecs.escape_decode(rec["content"].encode("utf-8"))[0],
                 mod_count=int(rec["mod_count"]),
                 birth_ts=int(rec["birth_ts"]),
                 history=tuple(zip(hashes, stamps)),

@@ -86,7 +86,7 @@ def test_snapshot_replay_oracle(tmp_path):
             reader.close()
             for path, state in replayer.states.items():
                 if state.file_lines:
-                    assert ([ln.history[-1].commit.hash for ln in state.file_lines]
+                    assert ([ln.history[-1].hash for ln in state.file_lines]
                             == blame_commits(repo, path)), (seed, path)
                     blamed += len(state.file_lines)
         elapsed = time.monotonic() - started
@@ -128,12 +128,12 @@ def test_move_semantics(tmp_path, placement):
         live = {id(ln) for ln in state.file_lines}
         deaths = [ln for ln in kept if id(ln) not in live]
         births = [ln for ln in state.file_lines
-                  if ln.history[0].commit.committer_timestamp == move_ts
+                  if ln.history[0].committer_timestamp == move_ts
                   and len(ln.history) == 1]
-        assert len(deaths) == 5, [d.history[-1].content for d in deaths]
-        assert sorted(d.history[-1].content for d in deaths) == sorted(block)
+        assert len(deaths) == 5, [d.content for d in deaths]
+        assert sorted(d.content for d in deaths) == sorted(block)
         assert len(births) == 5
-        assert sorted(b.history[-1].content for b in births) == sorted(block)
+        assert sorted(b.content for b in births) == sorted(block)
 
 
 def test_chao1_exactness():

@@ -27,9 +27,10 @@ from linechurn.churn import (
     summarize,
 )
 from linechurn.diffstream import CommitHeader, parse_name_status_stream
-from linechurn.tracker import Revision, TrackedLine
+from linechurn.tracker import TrackedLine
 
 from conftest import chunkings
+from oracles import tracked_line
 
 
 def commit(n: int, *changes: tuple[str, str]) -> tuple[int, list[tuple[str, str]]]:
@@ -255,14 +256,14 @@ class TestDetectHotspotFiles:
         assert detect_hotspot_files(counts, lifetime_months=0.5) == set()
 
 
-def revision(commit_hash: str, timestamp: int, content: bytes) -> Revision:
-    return Revision(CommitHeader(commit_hash, timestamp, "Ada", "ada@x"), content)
+def revision(commit_hash: str, timestamp: int, content: bytes) -> tuple[CommitHeader, bytes]:
+    return CommitHeader(commit_hash, timestamp, "Ada", "ada@x"), content
 
 
 def mk_line(mod_count: int, birth: int = 1_000_000, step: int = 86_400) -> TrackedLine:
     history = [revision(f"{i:040x}", birth + i * step, f"v{i}".encode())
                for i in range(mod_count + 1)]
-    return TrackedLine(history=history)
+    return tracked_line(history)
 
 
 class TestSelectHotspotLines:
@@ -302,7 +303,7 @@ class TestLifespanDays:
         assert lifespan_days(mk_line(0)) == 0.0
 
     def test_long_lived_line(self):
-        line = TrackedLine(history=[
+        line = tracked_line([
             revision("a" * 40, 1_000_000, b"x0"),
             revision("b" * 40, 1_000_000 + 86_400 * 1198, b"x"),
         ])
@@ -314,7 +315,7 @@ class TestLifespanDays:
         history = []
         for i, delta in enumerate(sorted(deltas)):
             history.append(revision(f"{i:040x}", ts + delta, b"c"))
-        line = TrackedLine(history=history)
+        line = tracked_line(history)
         assert lifespan_days(line) >= 0.0
 
 

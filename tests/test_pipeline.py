@@ -804,6 +804,29 @@ def test_display_paths_never_collide(tmp_path, capsys):
         assert labels == {name: ("2", "false" if name == named else "true") for name in shown}
 
 
+def test_line_contents_never_collide(tmp_path, capsys):
+    """A line holding byte 0xE9 and one that spells out its escape read
+    differently in a line report's ``content``, as their names would, and
+    read back to their bytes."""
+    from repogen import RepoBuilder
+
+    final = [b"caf\xe9", b"caf\\xe9"]  # the raw byte, the spelled-out escape
+    builder = RepoBuilder(tmp_path / "repo")
+    quiet = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(50)}
+    builder.commit({**quiet, "hot.cfg": b"a = 0\nb = 0\n"}, "initial import")
+    for k in range(1, 31):
+        builder.commit({"hot.cfg": b"a = %d\nb = %d\n" % (k, k)}, f"bump {k}")
+    builder.commit({"hot.cfg": b"\n".join(final) + b"\n"}, "final")
+    builder.finish()
+
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--repo", str(builder.path), "--out", str(out)])
+    assert code == 0, capsys.readouterr()
+    report = out / "line_reports" / pipeline._safe_report_name("hot.cfg")
+    assert [r["content"] for r in read_csv(report)] == ["caf\\xe9", "caf\\\\xe9"]
+    assert [r.content for r in read_line_report(report)] == final
+
+
 BOM_INPUTS = {
     "--labels-override": "path,line_number,label\nhot.cfg,2,metadata-change\n",
     "--bot-config": "deny=Ada Example\n",

@@ -29,7 +29,9 @@ from linechurn.taxonomy import (
     _PairContext,
     _rule_function_call_change,
 )
-from linechurn.tracker import Revision, TrackedLine
+from linechurn.tracker import TrackedLine
+
+from oracles import tracked_line
 
 # One fixture per pattern with a printed before/after pair; paths chosen to
 # match each example's context.
@@ -107,9 +109,8 @@ def pair_for(before: str, after: str, path: str) -> RevisionPair:
 
 
 def line_from_contents(contents: list[bytes], timestamps: list[int]) -> TrackedLine:
-    history = [Revision(CommitHeader(f"{i:040x}", ts, "Ada", "ada@x"), content)
-               for i, (ts, content) in enumerate(zip(timestamps, contents))]
-    return TrackedLine(history=history)
+    return tracked_line((CommitHeader(f"{i:040x}", ts, "Ada", "ada@x"), content)
+                        for i, (ts, content) in enumerate(zip(timestamps, contents)))
 
 
 class TestGoldenFixtures:

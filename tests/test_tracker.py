@@ -9,7 +9,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linechurn.diffstream import (
@@ -24,7 +24,6 @@ from linechurn.tracker import (
     FileState,
     HistoryReplayer,
     HunkOutOfBounds,
-    Revision,
     apply_hunk,
 )
 from linechurn.pipeline import LINE_REPORT_COLUMNS, display_text, emit_reports, finalize
@@ -88,7 +87,7 @@ def replace_run(n_del: int, n_add: int):
     added = [f"a{k}".encode() for k in range(1, n_add + 1)]
     base = 0 if n_del else 1
     apply_hunk(state, hunk(1, n_del, base + 1 if n_add else base, n_add, "-" * n_del + "+" * n_add,
-                           [line.history[-1].content for line in before[:n_del]] + added),
+                           [line.content for line in before[:n_del]] + added),
                make_commit(2))
     return state, before
 
@@ -99,19 +98,19 @@ class TestPairEdits:
     def test_equal_runs_pair_fully(self):
         state, before = replace_run(2, 2)
         assert state.file_lines[:2] == before[:2]
-        assert [ln.history[-1].content for ln in state.file_lines] == [b"a1", b"a2", b"d3", b"d4"]
+        assert [ln.content for ln in state.file_lines] == [b"a1", b"a2", b"d3", b"d4"]
         assert [ln.mod_count for ln in state.file_lines] == [1, 1, 0, 0]
         assert state.deaths_total == 0 and state.births_total == 4
 
     def test_surplus_deletions_die(self):
         state, before = replace_run(3, 1)
         assert state.file_lines == [before[0], before[3]]
-        assert state.file_lines[0].history[-1].content == b"a1"
+        assert state.file_lines[0].content == b"a1"
         assert state.deaths_total == 2 and state.births_total == 4
 
     def test_pure_insertion(self):
         state, before = replace_run(0, 2)
-        assert [ln.history[-1].content for ln in state.file_lines] == [
+        assert [ln.content for ln in state.file_lines] == [
             b"d1", b"a1", b"a2", b"d2", b"d3", b"d4"]
         assert state.file_lines[0] is before[0] and state.file_lines[3:] == before[1:]
         assert state.deaths_total == 0 and state.births_total == 6
@@ -137,8 +136,8 @@ class TestApplyHunk:
         line = state.file_lines[0]
         assert line.mod_count == 2
         assert len(line.history) == 3
-        assert line.history[0].commit.committer_timestamp == make_commit(1).committer_timestamp
-        assert line.history[-1].content == b"x=3"
+        assert line.history[0].committer_timestamp == make_commit(1).committer_timestamp
+        assert line.content == b"x=3"
         assert reconstruct_snapshot(state) == [b"x=3"]
 
     def test_deletion_only_records_death(self):
@@ -197,11 +196,54 @@ class TestApplyHunk:
         apply_hunk(state, hunk(0, 0, 1, 3, "+++", [b"a", b"b", b"c"]), make_commit(1))
         for n in range(2, 20):
             position = rng.randrange(1, len(state.file_lines) + 1)
-            old = state.file_lines[position - 1].history[-1].content
+            old = state.file_lines[position - 1].content
             apply_hunk(state, hunk(position, 1, position, 1, "-+",
                                    [old, f"v{n}".encode()]), make_commit(n))
             for line in state.file_lines:
                 assert line.mod_count == len(line.history) - 1
+
+    @given(st.lists(st.lists(st.binary(max_size=8).filter(lambda text: b"\n" not in text),
+                             min_size=1, max_size=6), min_size=1, max_size=4))
+    @example([[b"", b"\r", b"\x00", b"\xff", b""], [b"\xff\r\x00"]])
+    def test_line_reads_back_its_revisions(self, revisions):
+        """Each line born in one hunk, then changed by one-line pairs, reads
+        back as a plain list of its (commit, content) revisions."""
+        state, n = FileState(), len(revisions)
+        births = [contents[0] for contents in revisions]
+        apply_hunk(state, hunk(0, 0, 1, n, "+" * n, births), make_commit(0))
+        model = [[(make_commit(0), text)] for text in births]
+        for position, contents in enumerate(revisions, 1):
+            for text in contents[1:]:
+                commit = make_commit(sum(map(len, model)))
+                old = model[position - 1][-1][1]
+                apply_hunk(state, hunk(position, 1, position, 1, "-+", [old, text]), commit)
+                model[position - 1].append((commit, text))
+        for line, revs in zip(state.file_lines, model, strict=True):
+            assert line.history == [commit for commit, _ in revs]
+            assert line.contents() == [text for _, text in revs]
+            assert line.content == revs[-1][1]
+            assert line.mod_count == len(revs) - 1
+
+    def test_a_revision_costs_no_object(self):
+        """20,000 modifications of one line hold under 40 bytes each beyond
+        their 10-byte contents: a commit pointer and a separator, where a
+        revision object and its own bytes object took about 99."""
+        n = 20_000
+        texts = [b"%010d" % k for k in range(n + 1)]
+        commits = [make_commit(k) for k in range(n + 1)]
+        hunks = [hunk(1, 1, 1, 1, "-+", texts[k - 1:k + 1]) for k in range(1, n + 1)]
+        state = FileState()
+        apply_hunk(state, hunk(0, 0, 1, 1, "+", texts[:1]), commits[0])
+        tracemalloc.start()
+        try:
+            for h, commit in zip(hunks, commits[1:]):
+                apply_hunk(state, h, commit)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert state.file_lines[0].mod_count == n
+        assert state.file_lines[0].content == texts[-1]
+        assert held / n - len(texts[0]) < 40
 
     def test_conservation_births_minus_deaths(self):
         state = FileState()
@@ -232,8 +274,8 @@ class TestFinalize:
         (tmp_path / "line_reports").mkdir()
         [out] = emit_reports(tmp_path, {"f": state}, [], {})[:-1]
         back = read_line_report(out)
-        lines = [(i, ln.mod_count, ln.history[0].commit.committer_timestamp,
-                  tuple((rev.commit.hash, rev.commit.committer_timestamp) for rev in ln.history))
+        lines = [(i, ln.mod_count, ln.history[0].committer_timestamp,
+                  tuple((commit.hash, commit.committer_timestamp) for commit in ln.history))
                  for i, ln in enumerate(state.file_lines, 1)]
         assert [(r.line_number, r.mod_count, r.birth_ts, r.history) for r in back] == lines
         assert [r.content for r in back] == reconstruct_snapshot(state)
@@ -253,16 +295,17 @@ class TestFinalize:
         state = FileState()
         contents = [b"a,b", b'say "hi"', b" leading space", b"bad \xff byte", b"cr\rlf", b"x=0"]
         apply_hunk(state, hunk(0, 0, 1, 6, "+" * 6, contents), make_commit(0))
-        state.file_lines[-1].history += [Revision(make_commit(n), f"x={n}".encode())
-                                         for n in range(1, 20_000)]
+        last = state.file_lines[-1]
+        last.history += map(make_commit, range(1, 20_000))
+        last.texts += b"".join(f"\nx={n}".encode() for n in range(1, 20_000))
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(LINE_REPORT_COLUMNS)
         writer.writerows(
-            [n, display_text(line.history[-1].content), line.mod_count,
-             line.history[0].commit.committer_timestamp,
-             "|".join(rev.commit.hash for rev in line.history),
-             "|".join(str(rev.commit.committer_timestamp) for rev in line.history)]
+            [n, display_text(line.content), line.mod_count,
+             line.history[0].committer_timestamp,
+             "|".join(commit.hash for commit in line.history),
+             "|".join(str(commit.committer_timestamp) for commit in line.history)]
             for n, line in enumerate(state.file_lines, 1))
         longest = max(map(len, expected.getvalue().splitlines()))
         (tmp_path / "line_reports").mkdir()
@@ -294,7 +337,7 @@ class TestReplayer:
         assert "a.txt" not in replayer.states
         line = replayer.states["b.txt"].file_lines[1]
         assert line.mod_count == 1  # identity survived the rename
-        assert line.history[0].commit.committer_timestamp == builder.start_ts
+        assert line.history[0].committer_timestamp == builder.start_ts
 
     def test_binary_diff_aborts_the_file(self, tmp_path):
         """A file that turns binary and back is aborted, never replayed from
@@ -330,7 +373,7 @@ class TestReplayer:
         assert "f" not in replayer.states
         assert f"(byte offset {stream.index(bad)}," in replayer.aborted["f"]
         assert "end of the previous hunk" in replayer.aborted["f"]
-        assert [ln.history[-1].content for ln in replayer.states["g"].file_lines] == [b"q"]
+        assert [ln.content for ln in replayer.states["g"].file_lines] == [b"q"]
 
     def test_type_change_replays(self):
         """A file that becomes a symlink is two file diffs of one path in one
@@ -365,7 +408,7 @@ class TestReplayer:
         replayer.run(iter(events))
         assert replayer.aborted == {
             "broken": "broken: hunk @@ -5,2 +5,2 @@ reaches line 6 but only 0 live lines"}
-        assert replayer.states["good"].file_lines[0].history[-1].content == b"ok2"
+        assert replayer.states["good"].file_lines[0].content == b"ok2"
 
 
 def test_snapshot_matches_checkout_on_random_repo(tmp_path):
@@ -409,9 +452,9 @@ def test_move_semantics_death_and_rebirth(tmp_path):
 
     live = {id(ln) for ln in state.file_lines}
     dead = [ln for ln in kept if id(ln) not in live]
-    assert sorted(ln.history[-1].content for ln in dead) == sorted(block)
+    assert sorted(ln.content for ln in dead) == sorted(block)
     assert len(dead) == 5
     fresh = [ln for ln in state.file_lines
-             if ln.history[0].commit.committer_timestamp == ts2 and len(ln.history) == 1]
-    assert sorted(ln.history[-1].content for ln in fresh) == sorted(block)
+             if ln.history[0].committer_timestamp == ts2 and len(ln.history) == 1]
+    assert sorted(ln.content for ln in fresh) == sorted(block)
     assert snapshot_bytes(state) == b"\n".join(after) + b"\n"

@@ -100,26 +100,27 @@ def categorize_file(path: str) -> str:
 
 def count_file_commits(
     commits: Iterable[tuple[int, list[tuple[str, str]]]],
-) -> tuple[dict[str, int], dict[str, list[str]], set[str], float, int]:
+) -> tuple[dict[str, int], dict[str, list[str]], set[str], float, int, int]:
     """Fold a name-status walk into per-file commit counts.
 
     ``commits`` holds ``(committer_timestamp, [(old_path, new_path), ...])``
     per commit.  Returns the counts, the rename chains (each renamed path's
     earlier names, oldest first), every path any record names, the lifetime
-    in months between the earliest and the latest commit, and the number of
-    commits.  A file touched several times within one commit counts once; a
-    rename moves the accumulated tally and the earlier names to the new
-    path, and the rename commit itself counts as a touch.  A rename onto a
-    reused name drops the earlier names from counts and chains, but never
-    from the named paths.
+    in months between the earliest and the latest commit, the number of
+    commits and the number of records.  A file touched several times within
+    one commit counts once; a rename moves the accumulated tally and the
+    earlier names to the new path, and the rename commit itself counts as a
+    touch.  A rename onto a reused name drops the earlier names from counts
+    and chains, but never from the named paths.
     """
     counts: dict[str, int] = {}
     chains: dict[str, list[str]] = {}
     named: set[str] = set()
     first = last = None
-    n_commits = 0
+    n_commits = n_records = 0
     for timestamp, changes in commits:
         n_commits += 1
+        n_records += len(changes)
         first = timestamp if first is None else min(first, timestamp)
         last = timestamp if last is None else max(last, timestamp)
         seen_this_commit: set[str] = set()
@@ -135,7 +136,7 @@ def count_file_commits(
             else:
                 counts[new] = counts.get(new, 0) + 1
     months = max((last - first) / SECONDS_PER_MONTH, 1e-9) if n_commits else 0.0
-    return counts, chains, named, months, n_commits
+    return counts, chains, named, months, n_commits, n_records
 
 
 def churn_summary(counts: Iterable[int], population: bool = True) -> ChurnSummary:
@@ -167,6 +168,17 @@ def _above_sigma_cut(values: Collection[int],
         scale, bound = n - 1, k2 * n * spread
     num, den = bound.numerator, bound.denominator
     return lambda c: n * c > s and (n * c - s) ** 2 * scale * den > num
+
+
+def sigma_cut_reachable(n: int, thresholds: HotspotThresholds) -> bool:
+    """Whether any count among ``n`` can exceed their sigma cut.
+
+    The largest z-score ``n`` values allow is that of one value apart from
+    ``n - 1`` equal ones: √(n − 1) under population sigma and (n − 1)/√n
+    under sample sigma.  ``_above_sigma_cut`` decides that case, so the
+    answer is the filter's own, exactly.
+    """
+    return _above_sigma_cut([0] * (n - 1) + [1], thresholds)(1)
 
 
 def detect_hotspot_files(

@@ -6,6 +6,7 @@ Consumes the byte stream produced by ``log_command(rev, file_paths)``:
         -c diff.noprefix=false -c diff.mnemonicPrefix=false \
         -c log.showSignature=false -c diff.renameLimit=1000 \
         -c i18n.logOutputEncoding=UTF-8 -c core.deltaBaseCacheLimit=8m \
+        -c core.packedGitWindowSize=1m -c core.packedGitLimit=4m \
         -c core.bigFileThreshold=512m -c core.attributesFile=/dev/null \
         log --first-parent --diff-merges=first-parent --root --no-ext-diff \
         --no-textconv --diff-algorithm=myers --indent-heuristic -O /dev/null -M \
@@ -49,6 +50,14 @@ RENAME_LIMIT = 1000
 # which is most of the whole-history walk's memory.  The cache decides only
 # how often git inflates a base again, never what it prints.
 DELTA_BASE_CACHE_LIMIT = "8m"
+
+# How much of a pack file git maps at once: windows of PACKED_GIT_WINDOW_SIZE,
+# at most PACKED_GIT_LIMIT in all.  git's 64-bit defaults (1 GiB windows, no
+# practical limit) keep every page of the pack that a walk reads resident,
+# so git's memory grew with the pack.  Like the cache above, they decide
+# only how git reads the pack, never what it prints.
+PACKED_GIT_WINDOW_SIZE = "1m"
+PACKED_GIT_LIMIT = "4m"
 
 # Set in the walks' environment: keeps a system-wide attributes file from
 # giving tracked files a diff driver, a textconv or a binary mark
@@ -579,8 +588,10 @@ def log_command(rev: str, file_paths: list[str] | None = None,
     A user's ``core.bigFileThreshold`` cannot turn a text file binary, and
     neither a user's attributes file nor a textconv driver can rewrite the
     lines; the repository's own ``.gitattributes`` still applies.  The
-    delta-base cache is pinned small, so a user's ``core.deltaBaseCacheLimit``
-    does not set git's memory either.  Patches carry no context lines:
+    delta-base cache and the pack windows are pinned small, so git's memory
+    does not grow with the pack, and a user's ``core.deltaBaseCacheLimit``,
+    ``core.packedGitWindowSize`` or ``core.packedGitLimit`` does not set it
+    either.  Patches carry no context lines:
     replay only needs the changed ones.  A name-status commit line holds
     the committer time only; a patch commit line, the hash, the time and the
     committer's name and email, after NULs, and no author.  Name-status
@@ -593,6 +604,8 @@ def log_command(rev: str, file_paths: list[str] | None = None,
            "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}",
            "-c", "i18n.logOutputEncoding=UTF-8",
            "-c", f"core.deltaBaseCacheLimit={DELTA_BASE_CACHE_LIMIT}",
+           "-c", f"core.packedGitWindowSize={PACKED_GIT_WINDOW_SIZE}",
+           "-c", f"core.packedGitLimit={PACKED_GIT_LIMIT}",
            "-c", "core.bigFileThreshold=512m", "-c", f"core.attributesFile={os.devnull}", "log",
            "--first-parent", "--diff-merges=first-parent", "--root",
            "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "--indent-heuristic",

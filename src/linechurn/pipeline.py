@@ -42,6 +42,7 @@ from .churn import (
     detect_hotspot_files,
     lifespan_days,
     select_hotspot_lines,
+    sigma_cut_reachable,
     summarize,
 )
 from .diffstream import (
@@ -127,10 +128,11 @@ class RunManifest:
 _READ_SIZE = 256 << 10
 
 
-def _git_lines(repo: Path, cmd: list[str], notes: list[str]):
+def _git_lines(repo: Path, cmd: list[str], notes: list[str], sizes: Counter, key: str):
     """Run a git command, streaming stdout in chunks; raise GitFailed if git fails.
 
-    Chunks end anywhere, not at line ends.  stderr is drained on a thread,
+    Chunks end anywhere, not at line ends; ``sizes[key]`` grows by each
+    chunk's length as it is read.  stderr is drained on a thread,
     so git never blocks on a full stderr pipe; what git printed there on
     success is appended to ``notes``, one ``git: <line>`` per line.  A
     consumer that stops early ends git, and git's exit then is no error: the
@@ -151,6 +153,7 @@ def _git_lines(repo: Path, cmd: list[str], notes: list[str]):
     read = proc.stdout.read1
     try:
         while chunk := read(_READ_SIZE):
+            sizes[key] += len(chunk)
             yield chunk
     except BaseException:  # GeneratorExit: the consumer stopped early
         proc.kill()
@@ -243,9 +246,11 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     except OSError as exc:
         raise BadInput(f"output directory {config.output_dir}: {exc}") from None
     notes: list[str] = []  # the manifest's warnings
-    stage1 = _git_lines(root, log_command(head, name_status=True), notes)
+    printed = Counter()  # bytes read from each walk's stdout
+    stage1 = _git_lines(root, log_command(head, name_status=True), notes, printed,
+                        "stage1_bytes")
     with contextlib.closing(stage1) as chunks:
-        counts, chains, named, lifetime_months, n_commits = count_file_commits(
+        counts, chains, named, lifetime_months, n_commits, n_records = count_file_commits(
             parse_name_status_stream(chunks))
     if not counts:  # no commits at all, or none that changes a file
         raise RepoNotFound(f"{root} log produced no commits that change a file")
@@ -268,7 +273,8 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     replayer = HistoryReplayer()
     unreplayed = "no patch for this path in the stage-2 walk"
     if pathspecs:  # without a pathspec the walk would read every file's patches
-        walk = _git_lines(root, log_command(head, file_paths=pathspecs), notes)
+        walk = _git_lines(root, log_command(head, file_paths=pathspecs), notes, printed,
+                          "stage2_bytes")
         try:
             with contextlib.closing(walk):  # ends git if the parser stops early
                 replayer.run(parse_log_stream(walk))
@@ -292,6 +298,9 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     hot = []
     for path, state in tracked.items():
         shown = display_path(path)  # how labels.csv, and so an override file, names it
+        if not sigma_cut_reachable(len(state.file_lines), config.thresholds):
+            notes.append(f"{shown}: {len(state.file_lines)} live line(s) allow no z-score above "
+                         f"{config.thresholds.sigma_multiplier:g}; line filter selects nothing")
         for line_number, line in select_hotspot_lines(state.file_lines, config.thresholds):
             override = overrides.get((shown, line_number))
             if override is None:
@@ -381,6 +390,9 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         finished_at=finished.isoformat(),
         stage_counts={
             "commits_scanned": n_commits,
+            "name_status_records": n_records,
+            "stage1_bytes": printed["stage1_bytes"],
+            "stage2_bytes": printed["stage2_bytes"],
             "files_total": len(counts),
             "files_programming": sum(1 for c in categories.values() if c == "programming"),
             "files_administrative": sum(1 for c in categories.values() if c == "administrative"),

@@ -1,6 +1,6 @@
 """Compare the artifacts two linechurn trees write for the same repositories.
 
-    python tests/artifact_diff.py PARENT CHANGE [--seed N ...]
+    python tests/artifact_diff.py PARENT CHANGE [--seed N ...] [--new-count KEY ...]
 
 PARENT and CHANGE are linechurn checkouts.  The repositories are built once,
 with this checkout's ``tests/repogen.py`` and ``perfbench/workloads.py``:
@@ -10,7 +10,10 @@ and the benchmark workloads desk, fanout and deep at each seed N given
 Each tree then runs ``python -m linechurn analyze`` on each of them from its
 own ``src``.  Every artifact that differs is printed.  Of ``manifest.json``
 only ``stage_counts``, ``aborted`` and ``warnings`` are compared; the rest
-holds paths and clock times.  Exits 1 on any difference, else 0.
+holds paths and clock times.  Each ``--new-count`` names a ``stage_counts``
+key that CHANGE adds: it is compared as absent from PARENT's manifest and
+present in CHANGE's, and its value is not compared.  Exits 1 on any
+difference, else 0.
 
 Both runs and the builds see no user or system git config.
 """
@@ -53,8 +56,10 @@ def build_cases(work: Path, seeds: list[int]) -> dict[str, list[str]]:
     return cases
 
 
-def analyze(tree: Path, options: list[str], out: Path) -> tuple[int, dict[str, bytes]]:
-    """Run ``tree``'s analyze into ``out``: its exit code and what it compares by."""
+def analyze(tree: Path, options: list[str], out: Path,
+            new_counts: list[str]) -> tuple[int, dict[str, bytes]]:
+    """Run ``tree``'s analyze into ``out``: its exit code and what it compares
+    by, with each of ``new_counts`` dropped from ``stage_counts``."""
     env = {**os.environ, **HERMETIC_GIT, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run([sys.executable, "-m", "linechurn", "analyze", *options,
                            "--out", str(out)], env=env, capture_output=True, text=True)
@@ -64,6 +69,9 @@ def analyze(tree: Path, options: list[str], out: Path) -> tuple[int, dict[str, b
              for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
     if (out / "manifest.json").is_file():
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        for key in new_counts:  # dropped; only a missing one is left to differ
+            if manifest["stage_counts"].pop(key, None) is None:
+                manifest["stage_counts"][key] = "<missing>"
         for key in MANIFEST_KEYS:
             found[f"manifest.json:{key}"] = json.dumps(manifest[key], sort_keys=True).encode()
     return proc.returncode, found
@@ -74,14 +82,16 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seed", type=int, action="append", dest="seeds")
+    parser.add_argument("--new-count", action="append", dest="new_counts", default=[])
     args = parser.parse_args()
     os.environ.update(HERMETIC_GIT)  # the repository builders' git calls too
     differences = 0
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         work = Path(tmp)
         for case, options in build_cases(work / "repos", args.seeds or [1]).items():
-            (code_a, a), (code_b, b) = (analyze(tree.resolve(), options, work / side / case)
-                                        for side, tree in (("a", args.parent), ("b", args.change)))
+            sides = (("a", args.parent, []), ("b", args.change, args.new_counts))
+            (code_a, a), (code_b, b) = (analyze(tree.resolve(), options, work / side / case, new)
+                                        for side, tree, new in sides)
             differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
             if code_a != code_b:
                 differ.insert(0, f"exit code {code_a} != {code_b}")

@@ -42,6 +42,29 @@ def blame_commits(repo: Path, path: str) -> list[str]:
     return [m.group(1).decode() for m in re.finditer(rb"^([0-9a-f]{40}) \d+ \d+", out, re.M)]
 
 
+# Runs argv[1:] with stdout to /dev/null and prints its peak resident set in
+# KiB and its exit code.  A child's ru_maxrss also counts the memory of the
+# process that spawned it, up to its exec, so git is started from a bare
+# interpreter (about 8 MiB) rather than one that has imported linechurn.
+_LAUNCHER = """
+import os, sys
+pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ,
+                      file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def walk_peak(repo: Path, cmd: list[str]) -> float:
+    """Peak resident set, in MiB, of git running ``cmd`` in ``repo`` in
+    ``log_environment()``, read with ``os.wait4``; git must exit 0."""
+    proc = subprocess.run([sys.executable, "-S", "-c", _LAUNCHER, *cmd], cwd=repo,
+                          env=log_environment(), capture_output=True, text=True, check=True)
+    kib, code = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kib / 1024
+
+
 def run_fresh(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a new interpreter that imports linechurn from this tree.
 

@@ -9,6 +9,7 @@ and reference seeded draws.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import os
@@ -33,11 +34,12 @@ from linechurn.taxonomy import (
 )
 from linechurn.tracker import HistoryReplayer
 
-from conftest import blame_commits, repo_log_events, run_fresh
+from conftest import blame_commits, repo_log_events, walk_peak
 from oracles import (hunk_tallies, parse_hunk_header, render_hunk_body, replay_by_commit,
                      snapshot_bytes)
 from repogen import (BlobReader, RepoBuilder, build_hotspot_repo, build_multi_hotspot_repo,
-                     build_perf_repo, build_random_repo)
+                     build_perf_repo, build_random_repo, run_git)
+from test_golden_artifacts import DESK_DATA, pins
 from test_diffstream import COMMIT1, hunk_header_bytes, random_hunk
 from test_churn import brute_mean_std, brute_summary
 from test_taxonomy import GOLDEN_PAIRS, STEPWISE_HISTORY, line_from_contents, pair_for
@@ -272,45 +274,91 @@ def perf_repo(tmp_path_factory):
     return path
 
 
-def test_desk_scale_performance(perf_repo, tmp_path):
+@pytest.fixture(scope="module")
+def desk_run(perf_repo, tmp_path_factory):
+    """The manifest, output directory and seconds of one analyze of the
+    desk-scale repository."""
+    out = tmp_path_factory.mktemp("desk") / "out"
+    started = time.monotonic()
+    manifest = analyze_repo(AnalysisConfig(repo_path=perf_repo, output_dir=out))
+    return manifest, out, time.monotonic() - started
+
+
+def test_desk_scale_performance(desk_run):
     """Full analyze of a 10,000-commit, 200-file repository in under 5 min."""
     with criterion("desk-scale-performance"):
-        started = time.monotonic()
-        manifest = analyze_repo(AnalysisConfig(repo_path=perf_repo,
-                                               output_dir=tmp_path / "out"))
-        elapsed = time.monotonic() - started
+        manifest, out, elapsed = desk_run
         counts = manifest.stage_counts
         assert counts["commits_scanned"] == 10_000
         assert counts["files_total"] == 200
         assert counts["hotspot_files"] == 3
         assert counts["hotspot_lines"] == 3
         assert counts["files_tracked"] == 3
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
         assert 0.0 < summary["bot_commit_share"] < 1.0
         assert elapsed < 300.0, f"analyze took {elapsed:.1f}s"
 
 
-# Prints the peak resident set, in KiB, of the whole-history walk of the
-# repository named by argv[1].  RUSAGE_CHILDREN also counts the size of the
-# process that starts git, so the walk is started from a fresh interpreter.
-_WALK_PEAK = """
-import resource, subprocess, sys
-from linechurn.diffstream import log_command, log_environment
-subprocess.run(log_command("HEAD", name_status=True), cwd=sys.argv[1], env=log_environment(),
-               stdout=subprocess.DEVNULL, check=True)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-"""
+def test_desk_artifacts_match_pinned(desk_run):
+    """Every desk artifact but the manifest has the SHA-256 that
+    ``tests/data/desk_artifacts.json`` pins."""
+    with criterion("desk-artifacts-pinned"):
+        _, out, _ = desk_run
+        expected = json.loads(DESK_DATA.read_text("utf-8"))["artifacts"]
+        assert pins(out)["artifacts"] == expected
 
 
-def test_git_memory_bounded(perf_repo):
-    """The whole-history walk of the desk-scale repository peaks under 48 MiB;
-    git's default delta-base cache alone may take 96 MiB."""
+def test_desk_manifest_matches_pinned(desk_run):
+    """The desk manifest's stage counts, aborts and warnings are the pinned ones."""
+    with criterion("desk-manifest-pinned"):
+        _, out, _ = desk_run
+        expected = json.loads(DESK_DATA.read_text("utf-8"))["manifest"]
+        assert pins(out)["manifest"] == expected
+        assert expected["stage_counts"]["name_status_records"] == 13_513
+
+
+def test_git_memory_bounded(perf_repo, monkeypatch):
+    """Each walk of the desk-scale repository peaks under 32 MiB; git's default
+    delta-base cache alone may take 96 MiB, and its default pack windows map
+    the whole pack."""
     with criterion("git-memory-bounded"):
-        walk = run_fresh("-c", _WALK_PEAK, str(perf_repo),
-                         env={"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"})
-        assert walk.returncode == 0, walk.stderr
-        peak_mib = int(walk.stdout) / 1024
-        assert peak_mib < 48, f"the walk peaked at {peak_mib:.1f} MiB"
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        hot = ["hot/config.env", "hot/service.yaml", "hot/version.txt"]
+        for walk, cmd in (("stage-1", log_command("HEAD", name_status=True)),
+                          ("stage-2", log_command("HEAD", file_paths=hot))):
+            peak_mib = walk_peak(perf_repo, cmd)
+            assert peak_mib < 32, f"the {walk} walk peaked at {peak_mib:.1f} MiB"
+
+
+def test_git_memory_independent_of_pack_size(tmp_path, monkeypatch):
+    """The stage-2 walk of 48 revisions of a 1 MiB file, each stored whole
+    in one pack, peaks under a third of the pack's size, though the user's
+    config asks git for 1 GiB pack windows and no practical limit on them."""
+    with criterion("git-memory-independent-of-pack-size"):
+        config = tmp_path / "gitconfig"
+        config.write_text("[core]\n\tpackedGitWindowSize = 1g\n\tpackedGitLimit = 32g\n")
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+        monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        run_git(repo, "init", "-q", "-b", "main")
+        lines = base64.encodebytes(random.Random(7).randbytes(768 << 10)).splitlines(True)
+        # No deltas and no compression: a revision is a megabyte of pack.
+        importer = subprocess.Popen(["git", "-c", "pack.compression=0", "fast-import",
+                                     "--quiet", "--depth=0"], cwd=repo, stdin=subprocess.PIPE)
+        with importer.stdin as stream:
+            for k in range(48):
+                lines[k * 200] = b"revision %d\n" % k
+                data = b"".join(lines)
+                stream.write(b"commit refs/heads/main\ncommitter A <a@example.org> %d +0000\n"
+                             b"data 0\nM 100644 inline big.txt\ndata %d\n%s\n"
+                             % (1_500_000_000 + 86_400 * k, len(data), data))
+        assert importer.wait() == 0
+        (pack,) = (repo / ".git" / "objects" / "pack").glob("*.pack")
+        pack_mib = pack.stat().st_size / (1 << 20)
+        peak_mib = walk_peak(repo, log_command("HEAD", file_paths=["big.txt"]))
+        assert peak_mib * 3 < pack_mib, f"{peak_mib:.1f} MiB peak, {pack_mib:.1f} MiB pack"
 
 
 def test_determinism(tmp_path):

@@ -24,6 +24,7 @@ from linechurn.churn import (
     detect_hotspot_files,
     lifespan_days,
     select_hotspot_lines,
+    sigma_cut_reachable,
     summarize,
 )
 from linechurn.diffstream import CommitHeader, parse_name_status_stream
@@ -46,12 +47,13 @@ class TestCountFileCommits:
         commits = [commit(1, touch("a.txt"), touch("b.txt")),
                    commit(2, touch("a.txt")),
                    commit(3, touch("b.txt"))]
-        counts, chains, named, months, n_commits = count_file_commits(commits)
+        counts, chains, named, months, n_commits, n_records = count_file_commits(commits)
         assert counts == {"a.txt": 2, "b.txt": 2}
         assert chains == {}
         assert named == {"a.txt", "b.txt"}
         assert months == 2 / SECONDS_PER_MONTH
         assert n_commits == 3
+        assert n_records == 4
 
     def test_multiple_hunks_one_commit_count_once(self):
         # The same file appearing repeatedly within one commit still counts 1.
@@ -62,7 +64,7 @@ class TestCountFileCommits:
         commits = [commit(1, touch("a")),
                    commit(2, ("a", "c")),
                    commit(3, touch("c"))]
-        counts, chains, named, _, _ = count_file_commits(commits)
+        counts, chains, named, *_ = count_file_commits(commits)
         assert counts == {"c": 3}
         assert chains == {"c": ["a"]}
         assert named == {"a", "c"}
@@ -75,7 +77,7 @@ class TestCountFileCommits:
                    commit(3, touch("x")),  # x deleted
                    commit(4, touch("y")),
                    commit(5, ("y", "x"))]
-        counts, chains, named, _, _ = count_file_commits(commits)
+        counts, chains, named, *_ = count_file_commits(commits)
         assert counts == {"x": 2}
         assert chains == {"x": ["y"]}
         assert named == {"x", "y", "z"}
@@ -123,7 +125,7 @@ def render_history(history) -> tuple[bytes, list]:
 
 
 def model_stage1(history, applied):
-    """Counts, chains, named paths, months and commits by brute force: each
+    """Counts, chains, named paths, months, commits and records by brute force: each
     path owns a tally holding the set of commits that touched it and its
     earlier names.  A deletion keeps the tally; a rename hands it to the new
     path, replacing whatever that path owned before.  Every path a change
@@ -139,7 +141,8 @@ def model_stage1(history, applied):
     months = max((max(times) - min(times)) / SECONDS_PER_MONTH, 1e-9)
     return ({p: len(c) for p, (c, _) in owner.items()},
             {p: names for p, (_, names) in owner.items() if names},
-            {p for _, _, old, new in applied for p in (old, new)}, months, len(history))
+            {p for _, _, old, new in applied for p in (old, new)}, months, len(history),
+            len(applied))
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,7 +157,7 @@ def model_stage1(history, applied):
 def test_stage1_fold_matches_model(history):
     """Parsing and folding a rendered history, under every split of its
     bytes, gives the brute-force model's counts, chains, named paths,
-    lifetime and commit count."""
+    lifetime, commit count and record count."""
     stream, applied = render_history(history)
     expected = model_stage1(history, applied)
     for chunks in chunkings(stream):
@@ -433,6 +436,22 @@ def test_both_filters_match_an_exact_oracle(mods, population, k):
     assert detect_hotspot_files(counts, 1e-9, thresholds) == {
         path for path, m in counts.items()
         if exceeds_sigma_cut(mods, m, k, population) and m > 1e-9}
+    if not sigma_cut_reachable(len(mods), thresholds):
+        assert not any(exceeds_sigma_cut(mods, m, k, population) for m in mods)
+
+
+@pytest.mark.parametrize("population", [True, False])
+@pytest.mark.parametrize("k", [3.0, 2.0, 1.5, 0.5, 2.5])
+def test_a_cut_is_reachable_when_the_largest_z_score_exceeds_k(k, population):
+    """The largest z-score among n values is √(n − 1) under population sigma
+    and (n − 1)/√n under sample sigma; at z = k exactly nothing passes
+    (n = 10 at k = 3 and n = 5 at k = 2 under population sigma, n = 4 at
+    k = 1.5 under sample sigma)."""
+    thresholds = HotspotThresholds(sigma_multiplier=k, population_sigma=population)
+    assert not sigma_cut_reachable(0, thresholds)
+    for n in range(1, 40):
+        largest_z_squared = Fraction(n - 1) if population else Fraction((n - 1) ** 2, n)
+        assert sigma_cut_reachable(n, thresholds) == (largest_z_squared > Fraction(k) ** 2), n
 
 
 def test_thresholds_must_be_positive():

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,23 @@ class TestAnalyzeRepo:
         assert counts["hotspot_lines"] >= 1
         assert counts["files_total"] == fixture["n_files"]
         assert manifest.aborted == {}
+
+    def test_walk_counters_match_separate_walks(self, analyzed):
+        """The bytes each walk printed, and one name-status record per file
+        that each commit changed, as separately run walks give them."""
+        fixture, _, manifest = analyzed
+        head = manifest.repo_head
+
+        def printed(cmd: list[str]) -> bytes:
+            return subprocess.run(cmd, cwd=fixture["path"], env=diffstream.log_environment(),
+                                  capture_output=True, check=True).stdout
+
+        changed = printed(["git", "log", "--first-parent", "--diff-merges=first-parent", "--root",
+                           "-M", "--name-only", "--format=", head]).splitlines()
+        counts = manifest.stage_counts
+        assert counts["name_status_records"] == sum(1 for name in changed if name) == 57
+        assert counts["stage1_bytes"] == len(printed(log_command(head, name_status=True)))
+        assert counts["stage2_bytes"] == len(printed(log_command(head, file_paths=["hot.cfg"])))
 
     def test_expected_artifacts_present(self, analyzed):
         _, out, _ = analyzed
@@ -210,7 +228,7 @@ class TestAnalyzeRepo:
             analyze_repo(AnalysisConfig(repo_path=repo, output_dir=tmp_path / "out"))
 
     def test_log_without_commits_rejected(self, hotspot_repo, tmp_path, monkeypatch):
-        def no_output(repo, cmd, notes):  # a walk that prints nothing
+        def no_output(repo, cmd, *args):  # a walk that prints nothing
             yield from ()
 
         monkeypatch.setattr(pipeline, "_git_lines", no_output)
@@ -267,10 +285,10 @@ def git_log_runs(monkeypatch) -> list[list[str]]:
     runs: list[list[str]] = []
     real = pipeline._git_lines
 
-    def counting(repo, cmd, notes):
+    def counting(repo, cmd, *args):
         if "log" in cmd:
             runs.append(cmd)
-        return real(repo, cmd, notes)
+        return real(repo, cmd, *args)
 
     monkeypatch.setattr(pipeline, "_git_lines", counting)
     return runs
@@ -312,10 +330,10 @@ class TestSharedWalk:
         walks: list[tuple[list[str] | None, bytearray]] = []
         real = pipeline._git_lines
 
-        def recording(repo, cmd, notes):
+        def recording(repo, cmd, *args):
             printed = bytearray()
             walks.append((cmd[cmd.index("--") + 1:] if "-p" in cmd else None, printed))
-            for chunk in real(repo, cmd, notes):
+            for chunk in real(repo, cmd, *args):
                 printed += chunk
                 yield chunk
 
@@ -609,7 +627,8 @@ def test_consumer_error_surfaces_alone(tmp_path, monkeypatch):
     builder.finish()
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    lines = pipeline._git_lines(builder.path, log_command("HEAD", file_paths=["big.txt"]), [])
+    lines = pipeline._git_lines(builder.path, log_command("HEAD", file_paths=["big.txt"]), [],
+                                Counter(), "bytes")
     with pytest.raises(KeyError, match="consumer"):
         for i, _ in enumerate(lines):
             if i == 10:
@@ -625,14 +644,14 @@ def test_git_reads_no_system_attributes(tmp_path, monkeypatch):
     monkeypatch.setenv("GIT_ATTR_NOSYSTEM", "0")
     printed = b"".join(pipeline._git_lines(
         tmp_path, [sys.executable, "-c", "import os; print(os.environ['GIT_ATTR_NOSYSTEM'])"],
-        []))
+        [], Counter(), "bytes"))
     assert printed == b"1\n"
 
 
 def test_git_failure_raises_with_stderr(scratch_repo):
     repo, _ = scratch_repo
     with pytest.raises(RuntimeError, match="unknown revision"):
-        list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"], []))
+        list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"], [], Counter(), "bytes"))
 
 
 @pytest.mark.parametrize("stage", [1, 2])
@@ -926,6 +945,24 @@ def test_uniform_counts_noted_in_the_manifest(tmp_path):
     assert manifest.stage_counts["hotspot_files"] == 0
 
 
+def test_unreachable_line_cut_noted_in_the_manifest(tmp_path):
+    """A hot file of one live line can give no hotspot line under the
+    defaults, since one value has a z-score of 0; the manifest says so."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    quiet = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(40)}
+    builder.commit({"hot.cfg": b"v=0\n", **quiet}, "import")
+    for k in range(1, 61):
+        builder.commit({"hot.cfg": f"v={k}\n".encode()}, f"bump {k}")
+    builder.finish()
+    manifest = analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=tmp_path / "out"))
+    assert manifest.stage_counts["files_tracked"] == 1
+    assert manifest.stage_counts["hotspot_lines"] == 0
+    assert manifest.warnings == [
+        "hot.cfg: 1 live line(s) allow no z-score above 3; line filter selects nothing"]
+
+
 def test_both_walks_read_the_recorded_head(tmp_path, monkeypatch):
     """A commit made between the two walks is in no line report: stage 2
     reads the commit stage 1 read, the one the manifest records."""
@@ -979,8 +1016,8 @@ def corrupting_git_lines(monkeypatch, path: str) -> list[int]:
     real = pipeline._git_lines
     offsets: list[int] = []
 
-    def corrupted(repo, cmd, notes):
-        data = b"".join(real(repo, cmd, notes))
+    def corrupted(repo, cmd, *args):
+        data = b"".join(real(repo, cmd, *args))
         if "-p" in cmd:
             diff = data.rindex(b"diff --git a/%s b/%s\n" % (path.encode(), path.encode()))
             at = data.index(b"\n@@ ", diff) + 1
@@ -1023,8 +1060,8 @@ class TestMalformedPatch:
         real = pipeline._git_lines
         walk_ended = []
 
-        def corrupted(repo, cmd, notes):
-            data = b"".join(real(repo, cmd, notes))
+        def corrupted(repo, cmd, *args):
+            data = b"".join(real(repo, cmd, *args))
             if "-p" in cmd:  # the last commit's hash is no longer hexadecimal
                 at = data.rindex(b"\ncommit ") + len(b"\ncommit ")
                 data = data[:at] + b"zz" + data[at:]

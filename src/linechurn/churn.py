@@ -30,13 +30,6 @@ ADMINISTRATIVE = "administrative"
 
 
 @dataclass(frozen=True)
-class ChurnSummary:
-    mean: float
-    stddev: float
-    n_files: int
-
-
-@dataclass(frozen=True)
 class HotspotThresholds:
     sigma_multiplier: float = 3.0
     monthly_rate: float = 1.0  # required changes per month of project lifetime
@@ -137,16 +130,6 @@ def count_file_commits(
                 counts[new] = counts.get(new, 0) + 1
     months = max((last - first) / SECONDS_PER_MONTH, 1e-9) if n_commits else 0.0
     return counts, chains, named, months, n_commits, n_records
-
-
-def churn_summary(counts: Iterable[int], population: bool = True) -> ChurnSummary:
-    """Mean and population (or sample) sigma; the sigma of one value is 0."""
-    values = list(counts)
-    if not values:
-        raise EmptyInput("no modification counts")
-    sigma = statistics.pstdev if population else statistics.stdev
-    std = sigma(values) if len(values) > 1 else 0.0
-    return ChurnSummary(mean=statistics.fmean(values), stddev=std, n_files=len(values))
 
 
 def _above_sigma_cut(values: Collection[int],

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import random
+import re
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -263,8 +264,9 @@ class MetadataClient:
 
 
 def check_repo_name(owner_and_name: str) -> None:
-    """Raise ValueError unless the name has the form ``owner/repo``."""
-    if owner_and_name.count("/") != 1:
+    """Raise ValueError unless the name has the form ``owner/repo``: two non-empty
+    parts of letters, digits, ``.``, ``_`` and ``-``, safe to paste into a URL path."""
+    if not re.fullmatch(r"[A-Za-z0-9._-]+/[A-Za-z0-9._-]+", owner_and_name):
         raise ValueError(f"repository name must be 'owner/repo': {owner_and_name!r}")
 
 

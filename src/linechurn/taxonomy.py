@@ -450,11 +450,7 @@ def classify_pair(pair: RevisionPair) -> PatternLabel:
     if pair.before == pair.after:
         raise ValueError("classify_pair requires before != after")
     ctx = _PairContext(pair.before, pair.after, pair.file_category, pair.path)
-    winner = _winner(ctx)
-    diagnostics = ""
-    if winner is Pattern.METADATA_CHANGE and _rule_external_data(ctx):
-        diagnostics = f"also-matches:{Pattern.EXTERNAL_DATA_FLUCTUATIONS.value}"
-    return PatternLabel(winner, diagnostics=diagnostics)
+    return PatternLabel(_winner(ctx))
 
 
 def classify_history(line, file_category: str, path: str) -> PatternLabel:

@@ -19,7 +19,6 @@ from linechurn.churn import (
     EmptyInput,
     HotspotThresholds,
     categorize_file,
-    churn_summary,
     count_file_commits,
     detect_hotspot_files,
     lifespan_days,
@@ -372,24 +371,12 @@ class TestSummarize:
         assert stats.iqr >= 0
 
 
-def test_churn_summary_population_vs_sample():
-    values = [2, 4, 4, 4, 5, 5, 7, 9]
-    population = churn_summary(values, population=True)
-    sample = churn_summary(values, population=False)
-    assert population.stddev == pytest.approx(2.0)
-    assert sample.stddev == pytest.approx(math.sqrt(32 / 7))
-
-
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.booleans())
 @example([7], True)
 @example([7], False)
 @settings(max_examples=200, deadline=None)
 def test_statistics_match_brute_force(mods, population):
     mean, std = brute_mean_std(mods, ddof=0 if population else 1)
-    summary = churn_summary(mods, population=population)
-    assert summary.n_files == len(mods)
-    assert summary.mean == pytest.approx(mean, rel=1e-12)
-    assert summary.stddev == pytest.approx(std, rel=1e-9, abs=1e-12)
     stats = summarize(mods)
     b_min, b_med, b_mean, b_max, b_iqr = brute_summary(mods)
     assert (stats.min, stats.median, stats.max) == (b_min, b_med, b_max)

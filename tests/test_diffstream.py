@@ -359,6 +359,20 @@ class TestParseLogStream:
         with pytest.raises(StreamParseError, match="diff --git"):
             parse_all(COMMIT1 + b"diff --git f f\n")
 
+    @pytest.mark.parametrize("stream, at, message", [
+        pytest.param(b"@@ -0,0 +1 @@\n+a\n", 0, "hunk outside of a file diff",
+                     id="hunk-before-any-diff"),
+        pytest.param(COMMIT1 + b"@@ -0,0 +1 @@\n+a\n", len(COMMIT1),
+                     "hunk outside of a file diff", id="hunk-after-commit-before-diff"),
+        pytest.param(b"diff --git a/f b/f\n--- /dev/null\n+++ b/f\n", 0,
+                     "file diff before any commit header", id="diff-before-any-commit"),
+    ])
+    def test_out_of_place_line_raises_with_its_offset(self, stream, at, message):
+        for chunks in chunkings(stream):
+            with pytest.raises(StreamParseError, match=message) as info:
+                list(parse_log_stream(chunks))
+            assert info.value.byte_offset == at
+
     def test_hunk_attribution_to_latest_file(self):
         stream = (COMMIT1
                   + b"diff --git a/a b/a\n--- a/a\n+++ b/a\n@@ -1,1 +1,1 @@\n-x\n+y\n"

@@ -945,6 +945,21 @@ def test_uniform_counts_noted_in_the_manifest(tmp_path):
     assert manifest.stage_counts["hotspot_files"] == 0
 
 
+def test_unreachable_file_cut_noted_in_the_manifest(tmp_path):
+    """Five files of different counts: under the defaults none can be three
+    sigmas above their mean, since five values allow a z-score of 2 at most;
+    the manifest says so once."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    for k in range(1, 6):
+        builder.commit({f"f{i}.txt": f"{k}\n".encode() for i in range(k, 6)}, f"edit {k}")
+    builder.finish()
+    manifest = analyze_repo(AnalysisConfig(repo_path=builder.path, output_dir=tmp_path / "out"))
+    assert manifest.stage_counts["hotspot_files"] == 0
+    assert manifest.warnings == [
+        "5 file(s) allow no z-score above 3; file filter selects nothing"]
+
 def test_unreachable_line_cut_noted_in_the_manifest(tmp_path):
     """A hot file of one live line can give no hotspot line under the
     defaults, since one value has a z-score of 0; the manifest says so."""

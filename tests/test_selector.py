@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -155,6 +156,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     repos: dict[str, dict] = {}
     rate_limit_hits: dict[str, int] = {}
     request_log: list[str] = []
+    authorization_log: list[str | None] = []
 
     def log_message(self, *args):  # quiet
         pass
@@ -171,6 +173,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         _StubHandler.request_log.append(self.path)
+        _StubHandler.authorization_log.append(self.headers.get("Authorization"))
         parsed = urlparse(self.path)
         parts = parsed.path.strip("/").split("/")
         params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
@@ -217,6 +220,7 @@ def stub_api():
     _StubHandler.repos = {}
     _StubHandler.rate_limit_hits = {}
     _StubHandler.request_log = []
+    _StubHandler.authorization_log = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -303,15 +307,25 @@ class TestMetadataClient:
         assert second == first
         assert list(tmp_path.glob("octo__cached__*.json"))
 
-    @pytest.mark.parametrize("status, payload, headers", [
-        pytest.param(429, {"message": "slow down"}, {}, id="429"),
-        pytest.param(403, {"message": "x"}, {"Retry-After": "0"}, id="403-retry-after"),
+    @pytest.mark.parametrize("status, payload, headers, backoff", [
+        pytest.param(429, {"message": "slow down"}, {}, 1.0, id="429"),
+        pytest.param(403, {"message": "x"}, {"Retry-After": "0"}, 0.0, id="403-retry-after"),
         pytest.param(403, {"message": "x"}, {"X-RateLimit-Remaining": "0",
-                                            "X-RateLimit-Reset": "0"}, id="403-remaining-0"),
-        pytest.param(403, {"message": "API rate limit exceeded for 127.0.0.1."}, {},
+                                            "X-RateLimit-Reset": "0"}, 0.0,
+                     id="403-remaining-0"),
+        pytest.param(403, {"message": "API rate limit exceeded for 127.0.0.1."}, {}, 1.0,
                      id="403-message"),
+        # An unparseable Retry-After falls back to the reset time (far off,
+        # so the sleep is capped), and an unparseable reset time to 1 s.
+        pytest.param(429, {"message": "slow down"},
+                     {"Retry-After": "soon", "X-RateLimit-Reset": "9999999999"}, 60.0,
+                     id="retry-after-unparseable"),
+        pytest.param(429, {"message": "slow down"},
+                     {"Retry-After": "soon", "X-RateLimit-Reset": "never"}, 1.0,
+                     id="reset-unparseable"),
     ])
-    def test_rate_limit_signals_retried(self, status, payload, headers, stub_api, monkeypatch):
+    def test_rate_limit_signals_retried(self, status, payload, headers, backoff, stub_api,
+                                        monkeypatch):
         base, stub = stub_api
         stub.repos["octo/busy"] = {
             "stars": 11, "forks": 0, "total_commits": 10_000,
@@ -322,7 +336,7 @@ class TestMetadataClient:
         monkeypatch.setattr("linechurn.selector.time.sleep", slept.append)
         result = MetadataClient(api_base=base).fetch_repo_meta("octo/busy", now=NOW)
         assert result.stars == 11
-        assert len(slept) == 1
+        assert slept == [backoff]
 
     def test_forbidden_is_not_a_rate_limit(self, stub_api, monkeypatch):
         base, stub = stub_api
@@ -339,6 +353,20 @@ class TestMetadataClient:
         assert not isinstance(excinfo.value, RateLimited)
         assert "403 Resource not accessible by integration" in str(excinfo.value)
         assert len(stub.request_log) == 1 and slept == []
+
+    def test_token_sent_as_bearer(self, stub_api):
+        base, stub = stub_api
+        _candidates(stub, 1)
+        MetadataClient(api_base=base, auth_token="s3cret").fetch_repo_meta("octo/r0", now=NOW)
+        assert stub.authorization_log
+        assert set(stub.authorization_log) == {"Bearer s3cret"}
+
+    def test_one_commit_without_link_header(self, stub_api):
+        base, stub = stub_api
+        stub.repos["octo/tiny"] = {"stars": 20, "forks": 0, "total_commits": 1,
+                                   "created_at": _created_at_iso(1.0)}
+        result = MetadataClient(api_base=base).fetch_repo_meta("octo/tiny", now=NOW)
+        assert result.total_commits == 1
 
     def test_invalid_name_rejected(self):
         client = MetadataClient(api_base="http://127.0.0.1:1")
@@ -376,6 +404,14 @@ def _candidates(stub, n: int) -> list[str]:
             "created_at": _created_at_iso(1.0),
         }
     return names
+
+
+def _closed_port_base() -> str:
+    """The base URL of a local port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 def _requested(stub) -> list[str]:
@@ -443,6 +479,38 @@ class TestSelectCli:
         assert code == 1
         assert err.startswith("error: ") and "'badname'" in err
         assert stub.request_log == []
+
+    @pytest.mark.parametrize("name", ["/widget", "octo/", "/", "octo/widget?per_page=1"])
+    def test_malformed_name_rejected_before_the_first_request(self, name, stub_api, capsys):
+        base, stub = stub_api
+        code = cli.main(["select", name, "--per-stratum", "1", "--api-base", base])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and repr(name) in err[0]
+        assert stub.request_log == []
+
+    def test_refused_connection_stops_the_run(self, tmp_path, capsys):
+        """The client turns the refusal into a SelectorError (``GET <url>: …``)."""
+        out = tmp_path / "sel.csv"
+        code = cli.main(["select", "octo/widget", "--per-stratum", "1",
+                         "--api-base", _closed_port_base(), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: octo/widget: GET ")
+        assert not out.exists()
+
+    def test_ineligible_candidates_are_skipped_with_a_reason(self, stub_api, capsys):
+        base, stub = stub_api
+        names = _candidates(stub, 3)
+        stub.repos["octo/r0"]["total_commits"] = 50
+        stub.repos["octo/r1"]["stars"] = 2_000_000
+        code = cli.main(["select", *names, "--per-stratum", "1", "--api-base", base])
+        captured = capsys.readouterr()
+        assert code == 0
+        err = captured.err.splitlines()
+        assert "skip octo/r0: fails min_commits" in err
+        assert "skip octo/r1: popularity 2000000 outside strata" in err
+        assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["octo/r2"]
 
     def test_indented_comment_in_candidates_file(self, stub_api, tmp_path, capsys):
         base, stub = stub_api

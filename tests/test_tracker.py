@@ -410,6 +410,28 @@ class TestReplayer:
             "broken": "broken: hunk @@ -5,2 +5,2 @@ reaches line 6 but only 0 live lines"}
         assert replayer.states["good"].file_lines[0].content == b"ok2"
 
+    def test_rename_carries_an_earlier_abort(self):
+        """A file aborted under one name stays aborted under the next: its
+        later hunks are not replayed from an empty state."""
+        events = [
+            CommitStart(make_commit(1)),
+            FileStart("x", "x"),
+            HunkEvent(hunk(5, 1, 5, 1, "-+", [b"a", b"b"])),
+            CommitStart(make_commit(2)),
+            FileStart("x", "y"),
+            HunkEvent(hunk(0, 0, 1, 1, "+", [b"new"])),
+        ]
+        replayer = HistoryReplayer()
+        replayer.run(iter(events))
+        assert replayer.aborted == {
+            "y": "x: hunk @@ -5,1 +5,1 @@ reaches line 5 but only 0 live lines"}
+        assert replayer.states == {}
+
+    def test_hunk_before_any_commit_raises(self):
+        replayer = HistoryReplayer()
+        with pytest.raises(ValueError, match="before any commit"):
+            replayer.run(iter([HunkEvent(hunk(0, 0, 1, 1, "+", [b"a"]))]))
+
 
 def test_snapshot_matches_checkout_on_random_repo(tmp_path):
     """Spot check of the snapshot oracle (the full one is acceptance)."""

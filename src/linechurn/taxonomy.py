@@ -130,7 +130,7 @@ def _range_op_adjacent(parts: list[str], index: int) -> bool:
 
 
 def _version_tuple(token: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in token.split("."))
+    return tuple(map(int, token.split(".")))
 
 
 def _version_increased(old: str, new: str) -> bool:
@@ -146,12 +146,16 @@ _DISTRO_RE = re.compile(
     r"[-_]?([0-9][0-9a-z.]*)?"
 )
 
-_RESOURCE_SHAPES = [
-    re.compile(r"\bami-[0-9a-f]{8,17}\b"),
-    re.compile(r"\bv?20\d{6}\b"),  # date-stamped image tags like v20141208
-    re.compile(r"\bsha(?:1|256|512)?:[0-9a-fA-F]{6,}\b"),
-    re.compile(r"\b[0-9a-f]{12,64}\b"),
-]
+# Each resource-id shape starts at a word boundary.
+_RESOURCE_IDS = (
+    r"ami-[0-9a-f]{8,17}\b",
+    r"v?20\d{6}\b",  # date-stamped image tags like v20141208
+    r"sha(?:1|256|512)?:[0-9a-fA-F]{6,}\b",
+    r"[0-9a-f]{12,64}\b",
+)
+_RESOURCE_SHAPES = [re.compile(r"\b" + shape) for shape in _RESOURCE_IDS]
+# Matches where any one shape does, so text it misses holds no resource id.
+_RESOURCE_ANY = re.compile(r"\b(?:" + "|".join(_RESOURCE_IDS) + ")")
 
 _KEY_VALUE_RE = re.compile(
     r"""\s*(?:[-#*]\s*)?(?:"(?P<dq>[^"]+)"|'(?P<sq>[^']+)'|(?P<bare>[A-Za-z0-9_.\-$(){}]+))\s*[:=]\s*(?P<value>.*)$"""
@@ -189,14 +193,15 @@ _LICENSE_VOCAB = re.compile(r"(?i)(copyright|licen[cs]e|all rights reserved|spdx
 _YEAR_RE = re.compile(r"\b(?:19|20)\d{2}\b")
 _NAME_TOKEN_RE = re.compile(r"^[A-Z][A-Za-z.&,'-]*$")
 
-_METADATA_SHAPES = [
-    re.compile(r"\b\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}(?::\d{2})?)?"),  # ISO dates
-    re.compile(r"\b\d{2}:\d{2}:\d{2}\b"),
-    re.compile(r"\b[0-9a-fA-F]{32,64}\b"),  # md5/sha digests
-    re.compile(r"\b1\d{9}\b"),  # unix epoch seconds (2001--2033)
-    re.compile(r"(?i)\bbuild[-_]?(?:id[-_:= ]?)?\d{2,}\b"),
-    re.compile(r"\b[A-Za-z0-9+/]{40,}={0,2}\b"),  # base64 signature blobs
-]
+# Metadata shapes, each from a word boundary; one search tries them all.
+_METADATA_RE = re.compile(r"\b(?:" + "|".join((
+    r"\d{4}-\d{2}-\d{2}(?:[T ]\d{2}:\d{2}(?::\d{2})?)?",  # ISO dates
+    r"\d{2}:\d{2}:\d{2}\b",
+    r"[0-9a-fA-F]{32,64}\b",  # md5/sha digests
+    r"1\d{9}\b",  # unix epoch seconds (2001--2033)
+    r"(?i:build[-_]?(?:id[-_:= ]?)?\d{2,}\b)",
+    r"[A-Za-z0-9+/]{40,}={0,2}\b",  # base64 signature blobs
+)) + ")")
 
 _CALLEE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(")
 
@@ -206,17 +211,19 @@ _DIGESTISH_RE = re.compile(r"sha\d+[-:]|^[A-Za-z0-9+/]{40,}={0,2}$")
 
 def _is_pathlike(token: str) -> bool:
     bare = token.strip("'\"`;,")
-    if _DIGESTISH_RE.search(bare):
-        return False  # base64 digests contain '/' but are not paths
-    if _URL_RE.search(bare):
-        return True
-    return "/" in bare or bare.startswith("./") or bare.startswith("..")
+    # Without a '/', only a "www." URL can match.
+    if not ("/" in bare or bare.startswith("..")
+            or ("www." in bare.lower() and _URL_RE.search(bare))):
+        return False
+    return not _DIGESTISH_RE.search(bare)  # base64 digests contain '/' but are not paths
 
 
 def _call_arities(text: str) -> dict[str, list[int]]:
     """Each callee's argument counts, sorted, from the top-level commas of
     its argument lists (best effort)."""
     arities: dict[str, list[int]] = {}
+    if "(" not in text:
+        return arities
     for m in _CALLEE_RE.finditer(text):
         depth = 0
         commas = 0
@@ -261,41 +268,203 @@ _DATA_VALUE_RE = re.compile(r"""^(?:"[^"]*"|'[^']*'|-?\d[\d_.eE+-]*|true|false|n
                             re.IGNORECASE)
 
 
+# --- the views the rules read ----------------------------------------------
+
+_UNSET = object()  # a view not derived yet; some views are None
+
+
+def _word_diff(words_b: list[str], words_a: list[str]) -> tuple[list[str], list[str]]:
+    """The words removed from and added to a line, by ``SequenceMatcher``'s
+    opcodes.  When a side is empty, or each side is one word, the opcodes are
+    known without matching: nothing when the sides are equal, else all of both."""
+    if not words_b or not words_a or len(words_b) == len(words_a) == 1:
+        return ([], []) if words_b == words_a else (words_b, words_a)
+    removed: list[str] = []
+    added: list[str] = []
+    matcher = difflib.SequenceMatcher(a=words_b, b=words_a, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag in ("replace", "delete"):
+            removed.extend(words_b[i1:i2])
+        if tag in ("replace", "insert"):
+            added.extend(words_a[j1:j2])
+    return removed, added
+
+
+class _Revision:
+    """One revision of a line: its decoded text, and each view of that text
+    that a rule reads, derived on the first read.  ``classify_history`` hands
+    a pair's ``after`` on as the next pair's ``before``, so no view of a
+    revision is derived twice."""
+
+    _normal = _words = _version_split = _distros = _UNSET
+    _key_value = _data_value = _arities = _license = _import = _UNSET
+
+    def __init__(self, content: bytes):
+        self.text = content.decode("utf-8", "replace")
+
+    @property
+    def normal(self) -> str:
+        if self._normal is _UNSET:
+            self._normal = normalize_style(self.text)
+        return self._normal
+
+    @property
+    def words(self) -> list[str]:
+        if self._words is _UNSET:
+            self._words = self.text.split()
+        return self._words
+
+    @property
+    def version_split(self) -> tuple[list[str], list[str]]:
+        """The text around the dotted-numeric tokens, and the tokens."""
+        if self._version_split is _UNSET:
+            split = _VERSION_TOKEN.split(self.text)
+            self._version_split = split[::2], split[1::2]
+        return self._version_split
+
+    @property
+    def distros(self) -> set[tuple[str, str]]:
+        if self._distros is _UNSET:
+            self._distros = {(m.group(1).lower(), (m.group(2) or "").lower())
+                             for m in _DISTRO_RE.finditer(self.text)}
+        return self._distros
+
+    @property
+    def key_value(self) -> tuple[str, str] | None:
+        if self._key_value is _UNSET:
+            self._key_value = _key_value(self.text)
+        return self._key_value
+
+    @property
+    def data_value(self) -> bool:
+        """The value is a literal: a string, a number, a boolean, a list..."""
+        if self._data_value is _UNSET:
+            kv = self.key_value
+            self._data_value = kv is not None and _DATA_VALUE_RE.match(kv[1]) is not None
+        return self._data_value
+
+    @property
+    def arities(self) -> dict[str, list[int]]:
+        if self._arities is _UNSET:
+            self._arities = _call_arities(self.text)
+        return self._arities
+
+    @property
+    def license(self) -> bool:
+        if self._license is _UNSET:
+            self._license = _LICENSE_VOCAB.search(self.text) is not None
+        return self._license
+
+    @property
+    def imports(self) -> bool:
+        if self._import is _UNSET:
+            self._import = _IMPORT_RE.match(self.text) is not None
+        return self._import
+
+
+class _PairContext:
+    """One revision pair as the rules read it: both sides, whether the file
+    is a build manifest, and the pair's own views (the word diff, the
+    version-token edit and the value edit), each built on the first read."""
+
+    _removed = _added = _changed = _changed_text = _version_edit = _value_edit = _UNSET
+
+    def __init__(self, before: _Revision, after: _Revision, file_category: str, manifest: bool):
+        self.before = before
+        self.after = after
+        self.file_category = file_category
+        self.manifest = manifest
+
+    def _diff_words(self) -> None:
+        self._removed, self._added = _word_diff(self.before.words, self.after.words)
+        self._changed = self._removed + self._added
+        self._changed_text = " ".join(self._changed)
+
+    @property
+    def removed(self) -> list[str]:
+        if self._removed is _UNSET:
+            self._diff_words()
+        return self._removed
+
+    @property
+    def added(self) -> list[str]:
+        if self._added is _UNSET:
+            self._diff_words()
+        return self._added
+
+    @property
+    def changed(self) -> list[str]:
+        if self._changed is _UNSET:
+            self._diff_words()
+        return self._changed
+
+    @property
+    def changed_text(self) -> str:
+        if self._changed_text is _UNSET:
+            self._diff_words()
+        return self._changed_text
+
+    @property
+    def version_edit(self) -> tuple[list[int], list[str]] | None:
+        """When the sides match outside dotted-numeric tokens: the indices of
+        the changed tokens and the shared text parts; else None."""
+        if self._version_edit is _UNSET:
+            parts, tokens_b = self.before.version_split
+            parts_a, tokens_a = self.after.version_split
+            self._version_edit = None
+            if parts == parts_a:
+                self._version_edit = [i for i, (old, new) in enumerate(zip(tokens_b, tokens_a))
+                                      if old != new], parts
+        return self._version_edit
+
+    @property
+    def value_edit(self) -> bool:
+        """Both sides assign the same key, each a different value."""
+        if self._value_edit is _UNSET:
+            kv_b, kv_a = self.before.key_value, self.after.key_value
+            self._value_edit = (kv_b is not None and kv_a is not None
+                                and kv_b[0] == kv_a[0] and kv_b[1] != kv_a[1])
+        return self._value_edit
+
+
 # --- the ordered rules -----------------------------------------------------
 
 def _rule_formatting_ping_pong(ctx) -> bool:
-    return normalize_style(ctx.before) == normalize_style(ctx.after)
+    return ctx.before.normal == ctx.after.normal
 
 
 def _rule_pinned_version_bump(ctx) -> bool:
-    if ctx.version_edit is None:
+    edit = ctx.version_edit
+    if edit is None:
         return False
-    changed, parts = ctx.version_edit
+    changed, parts = edit
     if len(changed) != 1:
         return False
-    index, old, new = changed[0]
+    index = changed[0]
     if _range_op_adjacent(parts, index):
         return False
-    return _version_increased(old, new)
+    return _version_increased(ctx.before.version_split[1][index],
+                              ctx.after.version_split[1][index])
 
 
 def _rule_conditional_version_bump(ctx) -> bool:
-    if ctx.version_edit is None:
+    edit = ctx.version_edit
+    if edit is None:
         return False
-    changed, parts = ctx.version_edit
-    return any(_range_op_adjacent(parts, index) for index, _, _ in changed)
-
-
-def _distro_hits(text: str) -> set[tuple[str, str]]:
-    return {(m.group(1).lower(), (m.group(2) or "").lower()) for m in _DISTRO_RE.finditer(text)}
+    changed, parts = edit
+    return any(_range_op_adjacent(parts, index) for index in changed)
 
 
 def _rule_distro_bump(ctx) -> bool:
-    hits_b, hits_a = _distro_hits(ctx.before), _distro_hits(ctx.after)
+    hits_b, hits_a = ctx.before.distros, ctx.after.distros
     return (hits_b or hits_a) and hits_b != hits_a
 
 
 def _rule_resource_id(ctx) -> bool:
+    # No shape matches a blank, so none matches across the one that joins
+    # the removed and the added words.
+    if _RESOURCE_ANY.search(ctx.changed_text) is None:
+        return False
     removed, added = " ".join(ctx.removed), " ".join(ctx.added)
     for shape in _RESOURCE_SHAPES:
         ids_b = set(shape.findall(removed))
@@ -305,25 +474,15 @@ def _rule_resource_id(ctx) -> bool:
     return False
 
 
-def _value_edit(ctx):
-    """(key, old, new) when both sides assign the same key a different value."""
-    kv_b, kv_a = _key_value(ctx.before), _key_value(ctx.after)
-    if not kv_b or not kv_a or kv_b[0] != kv_a[0] or kv_b[1] == kv_a[1]:
-        return None
-    return kv_b[0], kv_b[1], kv_a[1]
-
-
 def _rule_service_configuration(ctx) -> bool:
-    edit = _value_edit(ctx)
-    return edit is not None and bool(_key_words(edit[0]) & _SERVICE_VOCAB)
+    return ctx.value_edit and bool(_key_words(ctx.before.key_value[0]) & _SERVICE_VOCAB)
 
 
 def _rule_dependency_specification(ctx) -> bool:
-    is_import = _IMPORT_RE.match(ctx.before) and _IMPORT_RE.match(ctx.after)
-    if not (_is_manifest_path(ctx.path) or is_import):
+    if not (ctx.manifest or (ctx.before.imports and ctx.after.imports)):
         return False
     # Copyright headers inside manifests belong to the license rule.
-    if _LICENSE_VOCAB.search(ctx.before) or _LICENSE_VOCAB.search(ctx.after):
+    if ctx.before.license or ctx.after.license:
         return False
     if not ctx.changed:
         return False
@@ -342,7 +501,7 @@ def _rule_debug_configuration(ctx) -> bool:
 
 
 def _rule_license_modification(ctx) -> bool:
-    if not (_LICENSE_VOCAB.search(ctx.before) or _LICENSE_VOCAB.search(ctx.after)):
+    if not (ctx.before.license or ctx.after.license):
         return False
     if _YEAR_RE.search(ctx.changed_text):
         return True
@@ -350,28 +509,26 @@ def _rule_license_modification(ctx) -> bool:
 
 
 def _rule_metadata_change(ctx) -> bool:
-    return any(shape.search(ctx.changed_text) for shape in _METADATA_SHAPES)
+    return _METADATA_RE.search(ctx.changed_text) is not None
 
 
 def _rule_function_call_change(ctx) -> bool:
     # Equal when both sides call the same names, each as often and with the
     # same argument counts; so no call on either side is no match.
-    return _call_arities(ctx.before) != _call_arities(ctx.after)
+    return ctx.before.arities != ctx.after.arities
 
 
 def _rule_long_line_change(ctx) -> bool:
-    length = max(len(ctx.before.rstrip()), len(ctx.after.rstrip()))
-    if length <= LONG_LINE_THRESHOLD:
+    before, after = ctx.before.text, ctx.after.text
+    if max(len(before.rstrip()), len(after.rstrip())) <= LONG_LINE_THRESHOLD:
         return False
-    similarity = difflib.SequenceMatcher(None, ctx.before, ctx.after, autojunk=False).ratio()
+    similarity = difflib.SequenceMatcher(None, before, after, autojunk=False).ratio()
     return similarity >= _LONG_LINE_MIN_SIMILARITY
 
 
 def _rule_external_data(ctx) -> bool:
-    if ctx.file_category != ADMINISTRATIVE:
-        return False
-    edit = _value_edit(ctx)
-    return edit is not None and all(_DATA_VALUE_RE.match(value) for value in edit[1:])
+    return (ctx.file_category == ADMINISTRATIVE and ctx.value_edit
+            and ctx.before.data_value and ctx.after.data_value)
 
 
 _RULES: list[tuple[Pattern, object]] = [
@@ -398,39 +555,6 @@ _RANK: dict[Pattern, int] = {p: i for i, p in enumerate(
     + [Pattern.STEPWISE_REFACTORING, Pattern.NORMAL_SOFTWARE_EVOLUTION, Pattern.UNCLASSIFIED])}
 
 
-class _PairContext:
-    """The views of one revision pair that several rules read, each derived
-    once: the decoded sides, the word diff and the version-token edit."""
-
-    def __init__(self, before: bytes, after: bytes, file_category: str, path: str):
-        self.before = before.decode("utf-8", "replace")
-        self.after = after.decode("utf-8", "replace")
-        self.file_category = file_category
-        self.path = path
-        # Whitespace-word diff: the words removed from and added to the line.
-        words_b, words_a = self.before.split(), self.after.split()
-        removed: list[str] = []
-        added: list[str] = []
-        matcher = difflib.SequenceMatcher(a=words_b, b=words_a, autojunk=False)
-        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-            if tag in ("replace", "delete"):
-                removed.extend(words_b[i1:i2])
-            if tag in ("replace", "insert"):
-                added.extend(words_a[j1:j2])
-        self.removed, self.added = removed, added
-        self.changed = removed + added
-        self.changed_text = " ".join(self.changed)
-        # When the sides match outside dotted-numeric tokens: the changed
-        # tokens as (index, old, new) and the shared text parts; else None.
-        split_b, split_a = _VERSION_TOKEN.split(self.before), _VERSION_TOKEN.split(self.after)
-        parts = split_b[::2]
-        self.version_edit = None
-        if parts == split_a[::2]:
-            changed = [(i, old, new) for i, (old, new)
-                       in enumerate(zip(split_b[1::2], split_a[1::2])) if old != new]
-            self.version_edit = changed, parts
-
-
 def _winner(ctx: _PairContext) -> Pattern:
     """The first rule that matches; else evolution for code, unclassified otherwise."""
     for pattern, rule in _RULES:
@@ -449,7 +573,8 @@ def classify_pair(pair: RevisionPair) -> PatternLabel:
     """
     if pair.before == pair.after:
         raise ValueError("classify_pair requires before != after")
-    ctx = _PairContext(pair.before, pair.after, pair.file_category, pair.path)
+    ctx = _PairContext(_Revision(pair.before), _Revision(pair.after), pair.file_category,
+                       _is_manifest_path(pair.path))
     return PatternLabel(_winner(ctx))
 
 
@@ -467,10 +592,16 @@ def classify_history(line, file_category: str, path: str) -> PatternLabel:
         raise HistoryTooShort(f"history of length {len(history)} has no revision pairs")
 
     votes: Counter = Counter()
+    manifest = _is_manifest_path(path)
     contents = line.contents()
-    for prev, curr in zip(contents, contents[1:]):
-        if prev != curr:  # else no byte-level edit to classify
-            votes[_winner(_PairContext(prev, curr, file_category, path))] += 1
+    prev = contents[0]
+    before = _Revision(prev)
+    for curr in contents[1:]:
+        if curr == prev:
+            continue  # no byte-level edit to classify
+        after = _Revision(curr)  # the next pair's before
+        votes[_winner(_PairContext(before, after, file_category, manifest))] += 1
+        prev, before = curr, after
     total = sum(votes.values())
     if total == 0:
         return PatternLabel(Pattern.UNCLASSIFIED, confidence=0.0)

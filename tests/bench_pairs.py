@@ -13,8 +13,8 @@ Each tree's bytecode is compiled once before the first run, so neither side
 pays for compiling when the environment forbids writing it.
 
 For each workload and each end-to-end metric of BENCHMARK.json, prints both
-medians, both quartile ranges (``statistics.quantiles``, inclusive), and in
-how many pairs CHANGE read lower and higher.  ``--out`` gets one JSON line
+medians, both quartile ranges (``statistics.quantiles``, inclusive), in how
+many pairs CHANGE read lower and higher, and a verdict (see ``verdict``).  ``--out`` gets one JSON line
 per run: the workload, the pair, the side, the exit code, and the run's last
 stdout line.  Exits 1 when a run fails or reports ``failed`` above 0.
 """
@@ -80,7 +80,24 @@ def summarize(pairs: list[dict[str, dict]], metrics: list[str]) -> dict[str, dic
     return summary
 
 
-def format_summary(workload: str, summary: dict[str, dict]) -> list[str]:
+def verdict(entry: dict, bound: float) -> str:
+    """``gain`` when the change read lower in at least 9 of 10 pairs and its
+    median lies below the parent's by more than the parent's q3 - q1;
+    ``worse`` when its median lies above the parent's by more than the
+    metric's relative ``bound``; else ``level``.  Every end-to-end metric is
+    lower-is-better."""
+    parent, change = entry["parent"], entry["change"]
+    if (10 * entry["change_lower"] >= 9 * entry["pairs"]
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"]):
+        return "gain"
+    if change["median"] > parent["median"] * (1 + bound):
+        return "worse"
+    return "level"
+
+
+def format_summary(workload: str, summary: dict[str, dict],
+                   bounds: dict[str, float]) -> list[str]:
+    """One line per metric, ending in its verdict under ``bounds``."""
     lines = []
     for name, entry in summary.items():
         parent, change = entry["parent"], entry["change"]
@@ -89,7 +106,8 @@ def format_summary(workload: str, summary: dict[str, dict]) -> list[str]:
             f"{workload} {name}: parent {parent['median']:.4g} [{parent['q1']:.4g}, "
             f"{parent['q3']:.4g}]  change {change['median']:.4g} [{change['q1']:.4g}, "
             f"{change['q3']:.4g}]  {delta:+.1f}%  lower in {entry['change_lower']}, "
-            f"higher in {entry['change_higher']} of {entry['pairs']} pairs")
+            f"higher in {entry['change_higher']} of {entry['pairs']} pairs  "
+            f"{verdict(entry, bounds[name])}")
     return lines
 
 
@@ -104,7 +122,7 @@ def main() -> int:
     args = parser.parse_args()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
-    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src/linechurn", "perfbench",
@@ -133,7 +151,7 @@ def main() -> int:
         if out:
             out.close()
     for workload, pairs in records.items():
-        print("\n".join(format_summary(workload, summarize(pairs, metrics))))
+        print("\n".join(format_summary(workload, summarize(pairs, list(bounds)), bounds)))
     if failed:
         print("a run failed or reported failed analyze calls", file=sys.stderr)
     return 1 if failed else 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_pairs import format_summary, run_ok, summarize
+from bench_pairs import format_summary, run_ok, summarize, verdict
 
 
 def line(**values: float) -> dict:
@@ -43,9 +43,9 @@ def test_pair_missing_a_metric_is_left_out():
 
 def test_format_names_both_sides_and_the_counts():
     pairs = [{"parent": line(analyze_s=2.0), "change": line(analyze_s=1.0)}] * 3
-    text = format_summary("deep", summarize(pairs, ["analyze_s"]))
+    text = format_summary("deep", summarize(pairs, ["analyze_s"]), {"analyze_s": 0.25})
     assert text == ["deep analyze_s: parent 2 [2, 2]  change 1 [1, 1]  -50.0%  "
-                    "lower in 3, higher in 0 of 3 pairs"]
+                    "lower in 3, higher in 0 of 3 pairs  gain"]
 
 
 @pytest.mark.parametrize("code, record, ok", [
@@ -56,3 +56,40 @@ def test_format_names_both_sides_and_the_counts():
 ])
 def test_a_run_fails_on_exit_code_failed_calls_or_no_line(code, record, ok):
     assert run_ok(code, record) is ok
+
+
+def entry_of(parent: list[float], change: list[float]) -> dict:
+    pairs = [{"parent": line(analyze_s=p), "change": line(analyze_s=c)}
+             for p, c in zip(parent, change)]
+    return summarize(pairs, ["analyze_s"])["analyze_s"]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # q3 - q1 = 0.035
+
+
+def test_gain_needs_nine_of_ten_lower_and_a_gap_wider_than_the_parents_quartiles():
+    change = [p - 0.1 for p in PARENT]
+    assert verdict(entry_of(PARENT, change), 0.25) == "gain"
+    # One pair higher still leaves nine of ten.
+    assert verdict(entry_of(PARENT, change[:9] + [1.5]), 0.25) == "gain"
+
+
+def test_eight_of_ten_lower_is_level():
+    change = [p - 0.1 for p in PARENT[:8]] + [1.5, 1.5]
+    entry = entry_of(PARENT, change)
+    assert entry["change_lower"] == 8
+    assert verdict(entry, 0.25) == "level"
+
+
+def test_a_gap_within_the_parents_quartiles_is_level():
+    change = [p - 0.03 for p in PARENT]  # lower in 10 of 10, but by less than q3 - q1
+    entry = entry_of(PARENT, change)
+    assert entry["change_lower"] == 10
+    assert verdict(entry, 0.25) == "level"
+
+
+def test_worse_past_the_relative_bound_only():
+    assert verdict(entry_of(PARENT, [p * 1.3 for p in PARENT]), 0.25) == "worse"
+    assert verdict(entry_of(PARENT, [p * 1.2 for p in PARENT]), 0.25) == "level"
+    assert verdict(entry_of(PARENT, [p * 1.06 for p in PARENT]), 0.05) == "worse"
+

@@ -222,7 +222,9 @@ def stub_api():
     _StubHandler.request_log = []
     _StubHandler.authorization_log = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll: shutdown() waits for serve_forever's next poll to end.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", _StubHandler
     server.shutdown()

@@ -27,6 +27,7 @@ from linechurn.taxonomy import (
     load_label_overrides,
     normalize_style,
     _PairContext,
+    _Revision,
     _rule_function_call_change,
 )
 from linechurn.tracker import TrackedLine
@@ -176,7 +177,8 @@ class TestClassifyPair:
     def test_function_call_rule(self, before, after, matches):
         """The rule matches when a callee's call count or argument counts
         change, and not when only the nesting moves or nothing is called."""
-        ctx = _PairContext(before.encode(), after.encode(), PROGRAMMING, "src/app.py")
+        ctx = _PairContext(_Revision(before.encode()), _Revision(after.encode()), PROGRAMMING,
+                           manifest=False)
         assert _rule_function_call_change(ctx) is matches
 
     def test_determinism(self):

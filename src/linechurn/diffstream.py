@@ -1,20 +1,10 @@
 """Streaming parser for git's patch-ordered log output.
 
-Consumes the byte stream produced by ``log_command(rev, file_paths)``:
-
-    git --literal-pathspecs -c core.quotepath=off -c color.ui=false \
-        -c diff.noprefix=false -c diff.mnemonicPrefix=false \
-        -c log.showSignature=false -c diff.renameLimit=1000 \
-        -c i18n.logOutputEncoding=UTF-8 -c core.deltaBaseCacheLimit=8m \
-        -c core.packedGitWindowSize=1m -c core.packedGitLimit=4m \
-        -c core.bigFileThreshold=512m -c core.attributesFile=/dev/null \
-        log --first-parent --diff-merges=first-parent --root --no-ext-diff \
-        --no-textconv --diff-algorithm=myers --indent-heuristic -O /dev/null -M \
-        --pretty=format:'commit %H %ct%x00%cn%x00%ce' \
-        --reverse -p -U0 --inter-hunk-context=0 <rev> -- <file_path>...
-
-and turns it into a flat sequence of typed events: commit headers, file-diff
-headers, hunks, and abort notices.  A commit line names only the committer,
+Consumes the byte stream of the patch walk that ``log_command(rev,
+file_paths)`` builds, and turns it into a flat sequence of typed events:
+commit headers, file-diff headers, hunks, and abort notices.  (A run's
+manifest records both walks' full commands, as ``git.stage1_walk`` and
+``git.stage2_walk``.)  A commit line names only the committer,
 whom bot attribution reads; the author is never asked for.  The input is any
 iterable of byte chunks, split anywhere: the parser cuts them into lines
 itself, a block at a time.  It is strictly streaming: it holds one chunk's

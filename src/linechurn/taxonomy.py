@@ -129,14 +129,18 @@ def _range_op_adjacent(parts: list[str], index: int) -> bool:
     return prefix[-2:] in _RANGE_OPS_2 or (prefix[-1:] in _RANGE_OPS_1)
 
 
-def _version_tuple(token: str) -> tuple[int, ...]:
-    return tuple(map(int, token.split(".")))
+def _version_key(token: str) -> list[tuple[int, str]]:
+    """Each dotted component as its length and digits without leading zeros,
+    which order as the numbers do; no ``int()``, so no digit run is too long."""
+    if not token.isascii():  # \d matches every script's decimal digits
+        token = "".join(c if c == "." else str(int(c)) for c in token)
+    return [(len(digits), digits) for digits in (c.lstrip("0") for c in token.split("."))]
 
 
 def _version_increased(old: str, new: str) -> bool:
-    a, b = _version_tuple(old), _version_tuple(new)
+    a, b = _version_key(old), _version_key(new)
     width = max(len(a), len(b))
-    return a + (0,) * (width - len(a)) < b + (0,) * (width - len(b))
+    return a + [(0, "")] * (width - len(a)) < b + [(0, "")] * (width - len(b))
 
 
 _DISTRO_RE = re.compile(
@@ -270,7 +274,22 @@ _DATA_VALUE_RE = re.compile(r"""^(?:"[^"]*"|'[^']*'|-?\d[\d_.eE+-]*|true|false|n
 
 # --- the views the rules read ----------------------------------------------
 
-_UNSET = object()  # a view not derived yet; some views are None
+class _view:
+    """A view derived on its first read: the method runs once and its result
+    is stored on the instance under the method's name.  This descriptor has
+    no ``__set__``, so the stored value shadows it and later reads are plain
+    attribute reads.  Unlike ``functools.cached_property`` on Python 3.11,
+    it takes no lock."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.derive(obj)
+        setattr(obj, self.derive.__name__, value)
+        return value
 
 
 def _word_diff(words_b: list[str], words_a: list[str]) -> tuple[list[str], list[str]]:
@@ -291,140 +310,91 @@ def _word_diff(words_b: list[str], words_a: list[str]) -> tuple[list[str], list[
 
 
 class _Revision:
-    """One revision of a line: its decoded text, and each view of that text
-    that a rule reads, derived on the first read.  ``classify_history`` hands
-    a pair's ``after`` on as the next pair's ``before``, so no view of a
+    """One revision of a line: its decoded text and the views of it that the
+    rules read.  Rules 1-3 read the normal form and the version split on
+    every pair, so the constructor derives them; every other view is derived
+    on its first read, through ``_view``.  ``classify_history`` hands a
+    pair's ``after`` on as the next pair's ``before``, so no view of a
     revision is derived twice."""
 
-    _normal = _words = _version_split = _distros = _UNSET
-    _key_value = _data_value = _arities = _license = _import = _UNSET
-
     def __init__(self, content: bytes):
-        self.text = content.decode("utf-8", "replace")
+        self.text = text = content.decode("utf-8", "replace")
+        self.normal = normalize_style(text)
+        split = _VERSION_TOKEN.split(text)
+        # The text around the dotted-numeric tokens, and the tokens.
+        self.version_parts, self.version_tokens = split[::2], split[1::2]
 
-    @property
-    def normal(self) -> str:
-        if self._normal is _UNSET:
-            self._normal = normalize_style(self.text)
-        return self._normal
-
-    @property
+    @_view
     def words(self) -> list[str]:
-        if self._words is _UNSET:
-            self._words = self.text.split()
-        return self._words
+        return self.text.split()
 
-    @property
-    def version_split(self) -> tuple[list[str], list[str]]:
-        """The text around the dotted-numeric tokens, and the tokens."""
-        if self._version_split is _UNSET:
-            split = _VERSION_TOKEN.split(self.text)
-            self._version_split = split[::2], split[1::2]
-        return self._version_split
-
-    @property
+    @_view
     def distros(self) -> set[tuple[str, str]]:
-        if self._distros is _UNSET:
-            self._distros = {(m.group(1).lower(), (m.group(2) or "").lower())
-                             for m in _DISTRO_RE.finditer(self.text)}
-        return self._distros
+        return {(m.group(1).lower(), (m.group(2) or "").lower())
+                for m in _DISTRO_RE.finditer(self.text)}
 
-    @property
+    @_view
     def key_value(self) -> tuple[str, str] | None:
-        if self._key_value is _UNSET:
-            self._key_value = _key_value(self.text)
-        return self._key_value
+        return _key_value(self.text)
 
-    @property
+    @_view
     def data_value(self) -> bool:
         """The value is a literal: a string, a number, a boolean, a list..."""
-        if self._data_value is _UNSET:
-            kv = self.key_value
-            self._data_value = kv is not None and _DATA_VALUE_RE.match(kv[1]) is not None
-        return self._data_value
+        kv = self.key_value
+        return kv is not None and _DATA_VALUE_RE.match(kv[1]) is not None
 
-    @property
+    @_view
     def arities(self) -> dict[str, list[int]]:
-        if self._arities is _UNSET:
-            self._arities = _call_arities(self.text)
-        return self._arities
+        return _call_arities(self.text)
 
-    @property
+    @_view
     def license(self) -> bool:
-        if self._license is _UNSET:
-            self._license = _LICENSE_VOCAB.search(self.text) is not None
-        return self._license
+        return _LICENSE_VOCAB.search(self.text) is not None
 
-    @property
+    @_view
     def imports(self) -> bool:
-        if self._import is _UNSET:
-            self._import = _IMPORT_RE.match(self.text) is not None
-        return self._import
+        return _IMPORT_RE.match(self.text) is not None
 
 
 class _PairContext:
     """One revision pair as the rules read it: both sides, whether the file
-    is a build manifest, and the pair's own views (the word diff, the
-    version-token edit and the value edit), each built on the first read."""
-
-    _removed = _added = _changed = _changed_text = _version_edit = _value_edit = _UNSET
+    is a build manifest, and the pair's own views.  Rules 2 and 3 read the
+    version edit on every pair the formatting rule leaves, so the
+    constructor derives it: the indices of the changed dotted-numeric
+    tokens when the sides match outside them, else None.  The word diff and
+    the value edit are derived on their first read, through ``_view``, so a
+    pair an early rule wins builds neither."""
 
     def __init__(self, before: _Revision, after: _Revision, file_category: str, manifest: bool):
         self.before = before
         self.after = after
         self.file_category = file_category
         self.manifest = manifest
+        self.version_edit = None
+        if before.version_parts == after.version_parts:
+            self.version_edit = [i for i, (old, new)
+                                 in enumerate(zip(before.version_tokens, after.version_tokens))
+                                 if old != new]
 
-    def _diff_words(self) -> None:
-        self._removed, self._added = _word_diff(self.before.words, self.after.words)
-        self._changed = self._removed + self._added
-        self._changed_text = " ".join(self._changed)
+    @_view
+    def word_diff(self) -> tuple[list[str], list[str]]:
+        """The words removed, and the words added."""
+        return _word_diff(self.before.words, self.after.words)
 
-    @property
-    def removed(self) -> list[str]:
-        if self._removed is _UNSET:
-            self._diff_words()
-        return self._removed
-
-    @property
-    def added(self) -> list[str]:
-        if self._added is _UNSET:
-            self._diff_words()
-        return self._added
-
-    @property
+    @_view
     def changed(self) -> list[str]:
-        if self._changed is _UNSET:
-            self._diff_words()
-        return self._changed
+        removed, added = self.word_diff
+        return removed + added
 
-    @property
+    @_view
     def changed_text(self) -> str:
-        if self._changed_text is _UNSET:
-            self._diff_words()
-        return self._changed_text
+        return " ".join(self.changed)
 
-    @property
-    def version_edit(self) -> tuple[list[int], list[str]] | None:
-        """When the sides match outside dotted-numeric tokens: the indices of
-        the changed tokens and the shared text parts; else None."""
-        if self._version_edit is _UNSET:
-            parts, tokens_b = self.before.version_split
-            parts_a, tokens_a = self.after.version_split
-            self._version_edit = None
-            if parts == parts_a:
-                self._version_edit = [i for i, (old, new) in enumerate(zip(tokens_b, tokens_a))
-                                      if old != new], parts
-        return self._version_edit
-
-    @property
+    @_view
     def value_edit(self) -> bool:
         """Both sides assign the same key, each a different value."""
-        if self._value_edit is _UNSET:
-            kv_b, kv_a = self.before.key_value, self.after.key_value
-            self._value_edit = (kv_b is not None and kv_a is not None
-                                and kv_b[0] == kv_a[0] and kv_b[1] != kv_a[1])
-        return self._value_edit
+        kv_b, kv_a = self.before.key_value, self.after.key_value
+        return kv_b is not None and kv_a is not None and kv_b[0] == kv_a[0] and kv_b[1] != kv_a[1]
 
 
 # --- the ordered rules -----------------------------------------------------
@@ -434,25 +404,19 @@ def _rule_formatting_ping_pong(ctx) -> bool:
 
 
 def _rule_pinned_version_bump(ctx) -> bool:
-    edit = ctx.version_edit
-    if edit is None:
-        return False
-    changed, parts = edit
-    if len(changed) != 1:
+    changed = ctx.version_edit
+    if changed is None or len(changed) != 1:
         return False
     index = changed[0]
-    if _range_op_adjacent(parts, index):
+    if _range_op_adjacent(ctx.before.version_parts, index):
         return False
-    return _version_increased(ctx.before.version_split[1][index],
-                              ctx.after.version_split[1][index])
+    return _version_increased(ctx.before.version_tokens[index], ctx.after.version_tokens[index])
 
 
 def _rule_conditional_version_bump(ctx) -> bool:
-    edit = ctx.version_edit
-    if edit is None:
-        return False
-    changed, parts = edit
-    return any(_range_op_adjacent(parts, index) for index in changed)
+    changed = ctx.version_edit
+    return changed is not None and any(_range_op_adjacent(ctx.before.version_parts, index)
+                                       for index in changed)
 
 
 def _rule_distro_bump(ctx) -> bool:
@@ -465,7 +429,7 @@ def _rule_resource_id(ctx) -> bool:
     # the removed and the added words.
     if _RESOURCE_ANY.search(ctx.changed_text) is None:
         return False
-    removed, added = " ".join(ctx.removed), " ".join(ctx.added)
+    removed, added = map(" ".join, ctx.word_diff)
     for shape in _RESOURCE_SHAPES:
         ids_b = set(shape.findall(removed))
         ids_a = set(shape.findall(added))

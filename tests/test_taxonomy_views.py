@@ -191,12 +191,38 @@ def test_pathlike_rejection_equals_the_full_check(token):
 
 
 def test_an_unchanged_long_version_token_beside_a_bump():
-    # Only the changed token is read as numbers: int() refuses a digit run
-    # longer than 4,300, and the unchanged token holds one of 5,000.
+    # int() refuses a digit run longer than 4,300, and the unchanged token
+    # holds one of 5,000.
     long_token = "3." + "1" * 5_000
     line = _line([f"v 1.2 {long_token}".encode(), f"v 1.3 {long_token}".encode()])
     assert classify_history(line, ADMINISTRATIVE, "notes.txt").label \
         is Pattern.PINNED_VERSION_BUMP
+
+
+def test_a_changed_version_component_longer_than_int_reads():
+    old = b"v = 1." + b"1" * 5_000
+    line = _line([old, old + b"2"])
+    assert classify_history(line, ADMINISTRATIVE, "notes.txt").label \
+        is Pattern.PINNED_VERSION_BUMP
+
+
+def _int_increased(old: str, new: str) -> bool:
+    a, b = (tuple(map(int, token.split("."))) for token in (old, new))
+    width = max(len(a), len(b))
+    return a + (0,) * (width - len(a)) < b + (0,) * (width - len(b))
+
+
+# Leading zeros, unequal component counts, and decimal digits of other
+# scripts, which the version-token pattern's \d also matches.
+components = st.one_of(st.text("0123456789", min_size=1, max_size=4),
+                       st.sampled_from(["0", "00", "007", "10", "٣", "０１", "1٠"]))
+dotted = st.lists(components, min_size=2, max_size=5).map(".".join)
+
+
+@given(dotted, dotted)
+@settings(max_examples=500, deadline=None)
+def test_version_components_compare_as_their_numbers(old, new):
+    assert taxonomy._version_increased(old, new) == _int_increased(old, new)
 
 
 # --- the work each history saves ------------------------------------------------
@@ -220,12 +246,28 @@ def test_each_view_of_a_revision_is_derived_once(monkeypatch):
     # The last rule wins every pair, so every rule reads its views; a
     # context per pair would derive each view 2(n-1) times.
     n = 12
-    calls = _count_calls(monkeypatch, taxonomy, "normalize_style", "_key_value")
+    calls = _count_calls(monkeypatch, taxonomy, "normalize_style", "_key_value",
+                         "_call_arities", "_word_diff")
     label = classify_history(_line([f"counter={i}".encode() for i in range(n)]),
                              ADMINISTRATIVE, "notes.txt")
     assert label.label is Pattern.EXTERNAL_DATA_FLUCTUATIONS
     assert 0 < calls["normalize_style"] <= n
     assert 0 < calls["_key_value"] <= n
+    assert 0 < calls["_call_arities"] <= n
+    assert 0 < calls["_word_diff"] <= n - 1  # every pair differs
+
+    # A view read before its source equals the other order's reading: each
+    # view is stored under its own name.
+    def pair():
+        return taxonomy._PairContext(taxonomy._Revision(b'tier = "a b"'),
+                                     taxonomy._Revision(b'tier = "a c"'), ADMINISTRATIVE, False)
+
+    one, other = pair(), pair()
+    view_first = (one.after.data_value, one.after.key_value, one.changed_text, one.changed)
+    source_first = other.after.key_value, other.changed
+    assert view_first == (other.after.data_value, source_first[0],
+                          other.changed_text, source_first[1])
+    assert view_first == (True, ("tier", '"a c"'), 'b" c"', ['b"', 'c"'])
 
 
 def test_no_word_diff_for_a_pair_the_first_two_rules_win(monkeypatch):

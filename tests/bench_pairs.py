@@ -10,7 +10,8 @@ checkout's BENCHMARK.json: PARENT first in even pairs (0, 2, ...) and CHANGE
 first in odd ones.  Within a pair index the workloads run one
 after another (default: every workload of this checkout's BENCHMARK.json).
 Each tree's bytecode is compiled once before the first run, so neither side
-pays for compiling when the environment forbids writing it.
+pays for compiling when the environment forbids writing it (see
+``alternating_rounds``, which ``tests/classify_time.py`` shares).
 
 For each workload and each end-to-end metric of BENCHMARK.json, prints both
 medians, both quartile ranges (``statistics.quantiles``, inclusive), in how
@@ -30,6 +31,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+
+
+def alternating_rounds(trees: dict[str, Path], rounds: int):
+    """Compile each tree's bytecode, then yield ``(round, sides)`` for each
+    round: the parent first in even rounds (0, 2, ...), the change first in
+    odd ones."""
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src/linechurn", "perfbench",
+                        "tests/repogen.py"], cwd=tree, check=True)
+    for round_ in range(rounds):
+        yield round_, SIDES if round_ % 2 == 0 else SIDES[::-1]
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, dict | None]:
@@ -124,16 +136,11 @@ def main() -> int:
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for tree in trees.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src/linechurn", "perfbench",
-                        "tests/repogen.py"], cwd=tree, check=True)
-
     records = {w: [] for w in workloads}
     failed = False
     out = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
-        for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for pair, order in alternating_rounds(trees, args.pairs):
             for workload in workloads:
                 lines = {}
                 for side in order:

@@ -1,17 +1,17 @@
 """Time the classifier in two linechurn trees, in alternating fresh processes.
 
-    python tests/classify_time.py PARENT CHANGE --seed N [--workload W ...] \\
-        [--rounds 4] [--repeats 9]
+    python tests/classify_time.py PARENT CHANGE --seed N
 
-PARENT and CHANGE are linechurn checkouts.  The benchmark workloads (default:
-every workload of ``perfbench/workloads.py``) are built once at seed N, with
-this checkout's ``tests/repogen.py`` and ``perfbench/workloads.py``.  Each
-round then starts one fresh process per tree and workload, PARENT first in
-even rounds (0, 2, ...) and CHANGE first in odd ones.  The process imports
-the tree's own ``src``, runs ``analyze_repo`` once with the default config
-to collect the hotspot lines that its pipeline hands to
+PARENT and CHANGE are linechurn checkouts.  Every workload of
+``perfbench/workloads.py`` is built once at seed N, with this checkout's
+``tests/repogen.py`` and ``perfbench/workloads.py``.  Each of ``ROUNDS``
+rounds then starts one fresh process per tree and workload, in the order of
+``bench_pairs.alternating_rounds`` (PARENT first in even rounds, CHANGE
+first in odd ones, each tree's bytecode compiled first).  The process
+imports the tree's own ``src``, runs ``analyze_repo`` once with the default
+config to collect the hotspot lines that its pipeline hands to
 ``classify_history``, and then times ``classify_history`` over all of them,
-``--repeats`` passes in a row.  Each tree's bytecode is compiled first.
+``REPEATS`` passes in a row.
 
 Prints, per workload and tree, the median of the runs' median passes, the
 fastest pass, and the revision pairs classified (pairs whose contents
@@ -31,13 +31,16 @@ import tempfile
 import time
 from pathlib import Path
 
+from bench_pairs import SIDES, alternating_rounds
+
 SCRIPT = Path(__file__).resolve()
 ROOT = SCRIPT.parents[1]
-SIDES = ("parent", "change")
+ROUNDS = 8
+REPEATS = 9
 HERMETIC_GIT = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
 
 
-def time_classification(repo: Path, repeats: int) -> dict:
+def time_classification(repo: Path) -> dict:
     """Run in the tree's process: the seconds of each pass of
     ``classify_history`` over the hotspot lines of ``repo``, and their pairs."""
     from linechurn import AnalysisConfig, analyze_repo, pipeline
@@ -56,7 +59,7 @@ def time_classification(repo: Path, repeats: int) -> dict:
     finally:
         pipeline.classify_history = classify
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         for args in calls:
             classify(*args)
@@ -68,10 +71,10 @@ def time_classification(repo: Path, repeats: int) -> dict:
     return {"times": times, "pairs": pairs}
 
 
-def run_once(tree: Path, repo: Path, repeats: int) -> dict | None:
+def run_once(tree: Path, repo: Path) -> dict | None:
     """One fresh process in ``tree``; None when it fails."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **HERMETIC_GIT)
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--child", str(repo), str(repeats)],
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--child", str(repo)],
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode:
         print(f"{tree} {repo.name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
@@ -103,42 +106,34 @@ def format_summary(workload: str, summaries: dict[str, dict]) -> list[str]:
 
 def main() -> int:
     if sys.argv[1:2] == ["--child"]:
-        print(json.dumps(time_classification(Path(sys.argv[2]), int(sys.argv[3]))))
+        print(json.dumps(time_classification(Path(sys.argv[2]))))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--workload", action="append", dest="workloads")
-    parser.add_argument("--rounds", type=int, default=4)
-    parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args()
-    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+    sys.path.insert(0, str(ROOT / "perfbench"))
     os.environ.update(HERMETIC_GIT)  # the builders' git calls too
     from workloads import WORKLOADS
 
-    workloads = args.workloads or list(WORKLOADS)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for tree in trees.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src/linechurn"],
-                       cwd=tree, check=True)
-    runs = {(w, side): [] for w in workloads for side in SIDES}
+    runs = {(w, side): [] for w in WORKLOADS for side in SIDES}
     failed = False
     with tempfile.TemporaryDirectory(prefix="classify_time-") as work:
         repos = {}
-        for workload in workloads:
+        for workload in WORKLOADS:
             repos[workload] = Path(work) / workload
             WORKLOADS[workload](repos[workload], args.seed)
-        for round_ in range(args.rounds):
-            order = SIDES if round_ % 2 == 0 else SIDES[::-1]
-            for workload in workloads:
+        for round_, order in alternating_rounds(trees, ROUNDS):
+            for workload in WORKLOADS:
                 for side in order:
-                    result = run_once(trees[side], repos[workload], args.repeats)
+                    result = run_once(trees[side], repos[workload])
                     failed |= result is None
                     if result:
                         runs[workload, side].append(result)
-            print(f"round {round_ + 1}/{args.rounds} done", file=sys.stderr)
-    for workload in workloads:
+            print(f"round {round_ + 1}/{ROUNDS} done", file=sys.stderr)
+    for workload in WORKLOADS:
         summaries = {side: summarize(runs[workload, side])
                      for side in SIDES if runs[workload, side]}
         print("\n".join(format_summary(workload, summaries)))

@@ -50,9 +50,8 @@ class BotConfig:
         entries extend them.  A value may not be empty: an empty keyword is
         in every name.
         """
-        keywords: list[str] = []
-        allow: list[str] = list(DEFAULT_ALLOWLIST)
-        deny: list[str] = []
+        lists: dict[str, list[str]] = {"keyword": [], "allow": list(DEFAULT_ALLOWLIST),
+                                       "deny": []}
         for raw in Path(path).read_text("utf-8-sig").splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -61,21 +60,13 @@ class BotConfig:
             if not sep:
                 raise ValueError(f"bad bot-config line (expected key=value): {raw!r}")
             key, value = key.strip().lower(), value.strip()
-            if key in ("keyword", "allow", "deny") and not value:
-                raise ValueError(f"bad bot-config line (empty {key}): {raw!r}")
-            if key == "keyword":
-                keywords.append(value)
-            elif key == "allow":
-                allow.append(value)
-            elif key == "deny":
-                deny.append(value)
-            else:
+            if key not in lists:
                 raise ValueError(f"unknown bot-config key {key!r}")
-        return cls(
-            keywords=tuple(keywords) if keywords else DEFAULT_KEYWORDS,
-            allowlist=tuple(allow),
-            denylist=tuple(deny),
-        )
+            if not value:
+                raise ValueError(f"bad bot-config line (empty {key}): {raw!r}")
+            lists[key].append(value)
+        return cls(keywords=tuple(lists["keyword"]) or DEFAULT_KEYWORDS,
+                   allowlist=tuple(lists["allow"]), denylist=tuple(lists["deny"]))
 
 
 def aggregate_committers(commit_headers: Iterable[CommitHeader]) -> list[CommitterIdentity]:

@@ -53,24 +53,17 @@ class DescriptiveStats:
 
 
 @functools.cache
-def _table() -> tuple[tuple[tuple[str, str], ...], dict[str, str], dict[str, str]]:
-    """The category table's basename fragments, exact basenames and extensions."""
-    fragments: list[tuple[str, str]] = []
-    names: dict[str, str] = {}
-    extensions: dict[str, str] = {}
+def _table() -> dict[str, dict[str, str]]:
+    """The category table: pattern -> category for each kind, ``frag`` (basename
+    fragments, in file order), ``name`` (exact basenames) and ``ext`` (extensions)."""
+    table: dict[str, dict[str, str]] = {"frag": {}, "name": {}, "ext": {}}
     text = resources.files("linechurn.data").joinpath("file_categories.txt").read_text("utf-8")
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, pattern, category = line.split("\t")
-        if kind == "frag":
-            fragments.append((pattern, category))
-        elif kind == "name":
-            names[pattern] = category
-        elif kind == "ext":
-            extensions[pattern] = category
-    return tuple(fragments), names, extensions
+        if line and not line.startswith("#"):
+            kind, pattern, category = line.split("\t")
+            table[kind][pattern] = category  # KeyError: an unknown kind
+    return table
 
 
 def categorize_file(path: str) -> str:
@@ -79,15 +72,15 @@ def categorize_file(path: str) -> str:
     Resolution order: basename fragments, exact basenames, extension table;
     unknown extensions (and extensionless names) are administrative.
     """
-    fragments, names, extensions = _table()
+    table = _table()
     basename = path.replace("\\", "/").rsplit("/", 1)[-1].lower()
-    for fragment, category in fragments:
+    for fragment, category in table["frag"].items():
         if fragment in basename:
             return category
-    if basename in names:
-        return names[basename]
+    if basename in table["name"]:
+        return table["name"][basename]
     if "." in basename:
-        return extensions.get("." + basename.rsplit(".", 1)[-1], ADMINISTRATIVE)
+        return table["ext"].get("." + basename.rsplit(".", 1)[-1], ADMINISTRATIVE)
     return ADMINISTRATIVE
 
 

@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, selector
 from .bots import BotConfig
 from .churn import HotspotThresholds
 from .diffstream import StreamParseError
@@ -50,22 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--sample-sigma", action="store_true",
                          help="use sample instead of population standard deviation")
 
+    criteria = selector.InclusionCriteria()
     select = sub.add_parser("select", help="select candidate repositories via the metadata API")
     select.add_argument("repos", nargs="*", metavar="OWNER/NAME",
                         help="candidate repositories")
     select.add_argument("--candidates-file", type=Path, default=None,
                         help="file with one owner/name per line")
-    # Literals, unlike analyze's defaults: InclusionCriteria lives in selector,
-    # which imports requests, and analyze must load only the standard library.
-    select.add_argument("--min-commits", type=int, default=10_000)
-    select.add_argument("--min-popularity", type=int, default=11,
+    select.add_argument("--min-commits", type=int, default=criteria.min_commits)
+    select.add_argument("--min-popularity", type=int, default=criteria.min_stars_or_forks,
                         help="minimum stars-or-forks (the default excludes ten)")
     select.add_argument("--per-stratum", type=int, required=True,
                         help="sample quota per popularity stratum")
     select.add_argument("--seed", type=int, default=0)
     select.add_argument("--cache-dir", type=Path, default=None,
                         help="directory for cached metadata responses")
-    select.add_argument("--api-base", default=None, help="metadata API base URL")
+    select.add_argument("--api-base", default=selector.DEFAULT_API_BASE,
+                        help="metadata API base URL")
     select.add_argument("--out", type=Path, default=None,
                         help="write the selection CSV here instead of stdout")
 
@@ -114,8 +114,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    from . import selector  # only this command loads requests
-
     # Every input is checked before the first metadata request.
     names = list(args.repos)
     try:
@@ -141,7 +139,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         return 1
 
     client = selector.MetadataClient(
-        api_base=args.api_base or selector.DEFAULT_API_BASE,
+        api_base=args.api_base,
         auth_token=os.environ.get("GITHUB_TOKEN"),
         cache_dir=args.cache_dir,
     )

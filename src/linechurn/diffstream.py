@@ -53,8 +53,16 @@ PACKED_GIT_LIMIT = "4m"
 # giving tracked files a diff driver, a textconv or a binary mark
 # (log_command pins the user's file).
 GIT_ENV = {"GIT_ATTR_NOSYSTEM": "1"}
-# Each makes git exit on --literal-pathspecs, which log_command passes.
-_PATHSPEC_ENV = ("GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS")
+# Dropped from git's environment: the pathspec variables, each of which makes git exit
+# on --literal-pathspecs, and what `git rev-parse --local-env-vars` prints on git 2.39.5,
+# which would point git at another repository than --repo (GIT_DIR, as a hook gets it).
+_DROPPED_ENV = frozenset((
+    "GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS",
+    "GIT_ALTERNATE_OBJECT_DIRECTORIES", "GIT_CONFIG", "GIT_CONFIG_PARAMETERS", "GIT_CONFIG_COUNT",
+    "GIT_OBJECT_DIRECTORY", "GIT_DIR", "GIT_WORK_TREE", "GIT_IMPLICIT_WORK_TREE", "GIT_GRAFT_FILE",
+    "GIT_INDEX_FILE", "GIT_NO_REPLACE_OBJECTS", "GIT_REPLACE_REF_BASE", "GIT_PREFIX",
+    "GIT_INTERNAL_SUPER_PREFIX", "GIT_SHALLOW_FILE", "GIT_COMMON_DIR",
+))
 
 # A patch walk's commit line: "commit ", hash, timestamp, then the committer's
 # name and email, each after a NUL, which git cannot write into an identity.
@@ -606,7 +614,7 @@ def log_command(rev: str, file_paths: list[str] | None = None,
 
 
 def log_environment() -> dict[str, str]:
-    """The environment ``log_command``'s walks run in: this process's, less
-    the pathspec variables, plus ``GIT_ENV``."""
-    return {k: v for k, v in os.environ.items() if k not in _PATHSPEC_ENV} | GIT_ENV
+    """The environment every git process of a run starts in: this process's,
+    less the pathspec and repository-local variables, plus ``GIT_ENV``."""
+    return {k: v for k, v in os.environ.items() if k not in _DROPPED_ENV} | GIT_ENV
 

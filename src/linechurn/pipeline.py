@@ -179,7 +179,7 @@ def _git_version() -> str:
     """The line ``git --version`` prints; raises GitUnavailable if no git on
     PATH can be started, or if it fails or prints nothing."""
     try:
-        probe = subprocess.run(["git", "--version"], capture_output=True)
+        probe = subprocess.run(["git", "--version"], capture_output=True, env=log_environment())
     except OSError as exc:
         raise GitUnavailable(f"git executable not found on PATH ({exc.strerror})") from None
     version = probe.stdout.decode("utf-8", "replace").strip()
@@ -199,7 +199,7 @@ def _repo_head(repo: Path) -> tuple[str, Path]:
     # Exits 128 outside a repository and 1 when HEAD names no commit; else
     # prints the cdup line (none in a bare repository), then HEAD's hash.
     probe = subprocess.run(["git", "rev-parse", "--show-cdup", "--verify", "-q", "HEAD"],
-                           cwd=repo, capture_output=True)
+                           cwd=repo, capture_output=True, env=log_environment())
     if probe.returncode == 1:
         raise RepoNotFound(f"{repo} has no commits (empty repository)")
     if probe.returncode != 0:

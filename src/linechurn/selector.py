@@ -20,9 +20,11 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlparse
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -138,6 +140,8 @@ class MetadataClient:
         auth_token: str | None = None,
         cache_dir: str | Path | None = None,
     ):
+        import requests  # here only: analyze loads the standard library alone
+
         self.api_base = api_base.rstrip("/")
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.session = requests.Session()
@@ -147,6 +151,11 @@ class MetadataClient:
         })
         if auth_token:
             self.session.headers["Authorization"] = f"Bearer {auth_token}"
+        # auth_token is the only credential.  The environment gives the proxy and CA-bundle
+        # settings for api_base, once: trusted per request, ~/.netrc would replace the token.
+        settings = self.session.merge_environment_settings(self.api_base, {}, None, None, None)
+        self.session.proxies, self.session.verify = settings["proxies"], settings["verify"]
+        self.session.trust_env = False
 
     # -- HTTP plumbing -----------------------------------------------------
 
@@ -156,7 +165,7 @@ class MetadataClient:
         while True:
             try:
                 response = self.session.get(url, params=params, timeout=TIMEOUT_S)
-            except requests.RequestException as exc:
+            except OSError as exc:  # every requests error is one
                 raise SelectorError(f"GET {url}: {exc}") from exc
             status = response.status_code
             if status == 404:
@@ -179,14 +188,9 @@ class MetadataClient:
     def _count_via_pagination(self, path: str, params: dict) -> int:
         """Item count from the Link header's last-page number (per_page=1)."""
         response = self._get(path, {**params, "per_page": 1})
-        link = response.headers.get("Link", "")
-        for part in link.split(","):
-            if 'rel="last"' in part:
-                target = part[part.find("<") + 1 : part.find(">")]
-                page = parse_qs(urlparse(target).query).get("page")
-                if page:
-                    return int(page[0])
-        return len(response.json())
+        last = response.links.get("last", {}).get("url", "")
+        page = parse_qs(urlparse(last).query).get("page")
+        return int(page[0]) if page else len(response.json())
 
     # -- the fetch operation -------------------------------------------------
 
@@ -299,17 +303,11 @@ def _rate_limited(response: requests.Response) -> bool:
 
 
 def _retry_after_seconds(response: requests.Response) -> float:
-    retry_after = response.headers.get("Retry-After")
-    if retry_after is not None:
+    """``Retry-After``'s seconds, else those until ``X-RateLimit-Reset``, else 1."""
+    for header, origin in (("Retry-After", 0.0), ("X-RateLimit-Reset", time.time())):
         try:
-            return max(0.0, float(retry_after))
-        except ValueError:
-            pass
-    reset = response.headers.get("X-RateLimit-Reset")
-    if reset is not None:
-        try:
-            return max(0.0, float(reset) - time.time())
-        except ValueError:
+            return max(0.0, float(response.headers[header]) - origin)
+        except (KeyError, ValueError):  # absent, or not a number
             pass
     return 1.0
 

@@ -28,10 +28,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from bench_pairs import HERMETIC_GIT
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
-
-HERMETIC_GIT = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
 OVERRIDE = "path,line_number,label\nhot.cfg,2,metadata-change\n"  # the golden test's
 MANIFEST_KEYS = ("aborted", "stage_counts", "warnings")
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -31,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# The environment in which tests/artifact_diff.py and tests/classify_time.py
+# build repositories and run both trees: git reads no user or system config.
+HERMETIC_GIT = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
 
 
 def alternating_rounds(trees: dict[str, Path], rounds: int):

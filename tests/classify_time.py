@@ -31,13 +31,12 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import SIDES, alternating_rounds
+from bench_pairs import HERMETIC_GIT, SIDES, alternating_rounds
 
 SCRIPT = Path(__file__).resolve()
 ROOT = SCRIPT.parents[1]
 ROUNDS = 8
 REPEATS = 9
-HERMETIC_GIT = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
 
 
 def time_classification(repo: Path) -> dict:

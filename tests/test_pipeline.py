@@ -648,6 +648,28 @@ def test_git_reads_no_system_attributes(tmp_path, monkeypatch):
     assert printed == b"1\n"
 
 
+def test_repo_option_decides_the_repository(analyzed, tmp_path, monkeypatch):
+    """Under another repository's GIT_DIR and GIT_WORK_TREE, as git exports
+    them to its hooks, analyze still reads --repo: its HEAD and its artifacts."""
+    fixture, clean_out, clean = analyzed
+    other = build_multi_hotspot_repo(tmp_path / "other")["path"]
+    monkeypatch.setenv("GIT_DIR", str(other / ".git"))
+    monkeypatch.setenv("GIT_WORK_TREE", str(other))
+    out = tmp_path / "out"
+    manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
+    assert manifest.repo_head == clean.repo_head
+    for name in ("file_churn.csv", "labels.csv", "committers.csv"):
+        assert (out / name).read_bytes() == (clean_out / name).read_bytes(), name
+
+
+def test_git_environment_drops_every_repository_local_variable(tmp_path, monkeypatch):
+    names = run_git(tmp_path, "rev-parse", "--local-env-vars").stdout.decode().split()
+    assert "GIT_DIR" in names
+    for name in names:
+        monkeypatch.setenv(name, "x")
+    assert sorted(set(names) & diffstream.log_environment().keys()) == []
+
+
 def test_git_failure_raises_with_stderr(scratch_repo):
     repo, _ = scratch_repo
     with pytest.raises(RuntimeError, match="unknown revision"):

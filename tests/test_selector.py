@@ -3,6 +3,7 @@ and the metadata client against a local stub API server."""
 
 from __future__ import annotations
 
+import base64
 import json
 import random
 import socket
@@ -184,6 +185,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             if repo is None:
                 self._send(404, {"message": "Not Found"})
                 return
+            if "moved_to" in repo:  # a renamed repository: the same host, a new path
+                self.send_response(301)
+                self.send_header("Location", self.path.replace(
+                    f"/repos/{full_name}", f"/repos/{repo['moved_to']}", 1))
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
             if repo.get("ratelimit_first", 0) > _StubHandler.rate_limit_hits.get(full_name, 0):
                 _StubHandler.rate_limit_hits[full_name] = \
                     _StubHandler.rate_limit_hits.get(full_name, 0) + 1
@@ -362,6 +370,39 @@ class TestMetadataClient:
         MetadataClient(api_base=base, auth_token="s3cret").fetch_repo_meta("octo/r0", now=NOW)
         assert stub.authorization_log
         assert set(stub.authorization_log) == {"Bearer s3cret"}
+
+    @pytest.mark.parametrize("token, sent", [("s3cret", "Bearer s3cret"), (None, None)],
+                             ids=["token", "no-token"])
+    def test_netrc_is_never_read(self, token, sent, stub_api, tmp_path, monkeypatch):
+        """A ~/.netrc login for the API host neither replaces the token nor
+        stands in for a missing one, also after a same-host redirect."""
+        base, stub = stub_api
+        netrc = tmp_path / ".netrc"
+        netrc.write_text("machine 127.0.0.1 login someone password hunter2\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("NETRC", raising=False)
+        _candidates(stub, 1)
+        stub.repos["octo/old"] = {"moved_to": "octo/r0"}
+        client = MetadataClient(api_base=base, auth_token=token)
+        assert client.fetch_repo_meta("octo/old", now=NOW).total_commits == 10_000
+        assert {name for name, _ in groupby(_requested(stub))} == {"octo/old", "octo/r0"}
+        netrc_login = "Basic " + base64.b64encode(b"someone:hunter2").decode()
+        assert netrc_login not in stub.authorization_log
+        assert set(stub.authorization_log) == {sent}
+
+    def test_proxy_from_the_environment_carries_every_request(self, stub_api, monkeypatch):
+        """``HTTP_PROXY`` still applies: the stub, answering as the proxy, gets
+        every request for an API on another host, named by its absolute URL."""
+        proxy, stub = stub_api
+        for name in ("http_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        base = _closed_port_base().replace("127.0.0.1", "localhost")  # refused if not proxied
+        _candidates(stub, 1)
+        assert MetadataClient(api_base=base).fetch_repo_meta("octo/r0", now=NOW).stars == 20
+        assert len(stub.request_log) == 3  # the repository, its commit count, one half-year
+        assert all(path.startswith(f"{base}/repos/octo/r0") for path in stub.request_log)
 
     def test_one_commit_without_link_header(self, stub_api):
         base, stub = stub_api

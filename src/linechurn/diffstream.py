@@ -68,8 +68,10 @@ _DROPPED_ENV = frozenset((
 # name and email, each after a NUL, which git cannot write into an identity.
 _IDENTITY_SEP = b"\0"
 
-_HUNK_HEADER_RE = re.compile(rb"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@(?:[ ]|$)")
-_DIFF_GIT_RE = re.compile(rb'^diff --git (?:"a/(.*)"|a/(.*)) (?:"b/(.*)"|b/(.*))$')
+# git's numbers are unsigned 64-bit decimals: at most 20 digits.
+_HUNK_HEADER_RE = re.compile(
+    rb"^@@ -(\d{1,20})(?:,(\d{1,20}))? \+(\d{1,20})(?:,(\d{1,20}))? @@(?:[ ]|$)")
+_DIFF_GIT_RE = re.compile(rb'^diff --git ("a/.*"|a/.*) ("b/.*"|b/.*)$')
 _BINARY_RE = re.compile(rb"^Binary files .* differ$")
 
 # Extended header lines that may appear between "diff --git" and the first
@@ -209,15 +211,11 @@ def parse_commit_line(line: bytes, identities: dict[bytes, tuple[str, str]]) -> 
     if len(parts) != 2:
         raise MalformedCommitLine("expected '<hash> <timestamp>' after 'commit'", line=raw)
     hash_b, ts_b = parts
-    try:
-        commit_hash = hash_b.decode("ascii")
-        int(commit_hash, 16)
-    except (UnicodeDecodeError, ValueError):
-        raise MalformedCommitLine("commit hash is not hexadecimal", line=raw) from None
-    try:
-        timestamp = int(ts_b)
-    except ValueError:
-        raise MalformedCommitLine("commit timestamp is not an integer", line=raw) from None
+    if hash_b.strip(b"0123456789abcdef"):
+        raise MalformedCommitLine("commit hash is not hexadecimal", line=raw)
+    timestamp = _commit_time(ts_b)
+    if timestamp is None:
+        raise MalformedCommitLine("commit timestamp is not an integer", line=raw)
     if not sep:
         raise MalformedCommitLine("missing identity fields", line=raw)
     pair = identities.get(identity)
@@ -226,36 +224,27 @@ def parse_commit_line(line: bytes, identities: dict[bytes, tuple[str, str]]) -> 
         if len(fields) != 2:
             raise MalformedCommitLine(f"expected 2 identity fields, got {len(fields)}", line=raw)
         pair = identities[identity] = tuple(f.decode("utf-8", "replace") for f in fields)
-    return CommitHeader(commit_hash, timestamp, *pair)
+    return CommitHeader(hash_b.decode("ascii"), timestamp, *pair)
+
+
+def _commit_time(raw: bytes) -> int | None:
+    """Both walks' ``%ct``, git's unsigned decimal; None unless 1 to 20 ASCII digits."""
+    return int(raw) if len(raw) <= 20 and raw.isdigit() else None
 
 
 def _decode_path(raw: bytes) -> str:
     return raw.decode("utf-8", "surrogateescape")
 
 
-_C_ESCAPES = {ord("a"): 0x07, ord("b"): 0x08, ord("t"): 0x09, ord("n"): 0x0A,
-              ord("v"): 0x0B, ord("f"): 0x0C, ord("r"): 0x0D, ord("\\"): 0x5C, ord('"'): 0x22}
+# The escapes git's C quoting writes: a byte as three octal digits, or one of these.
+_C_ESCAPE_RE = re.compile(rb'\\([0-3][0-7][0-7]|[abtnvfr"\\])')
+_C_ESCAPES = {b"a": b"\a", b"b": b"\b", b"t": b"\t", b"n": b"\n", b"v": b"\v", b"f": b"\f",
+              b"r": b"\r", b'"': b'"', b"\\": b"\\"}
 
 
 def _unquote_c_path(raw: bytes) -> bytes:
-    """Undo git's C-style path quoting (octal and backslash escapes)."""
-    out = bytearray()
-    i = 0
-    while i < len(raw):
-        c = raw[i]
-        if c == 0x5C and i + 1 < len(raw):  # backslash
-            nxt = raw[i + 1]
-            if 0x30 <= nxt <= 0x37 and i + 3 < len(raw):
-                out.append(int(raw[i + 1 : i + 4], 8))
-                i += 4
-                continue
-            if nxt in _C_ESCAPES:
-                out.append(_C_ESCAPES[nxt])
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return bytes(out)
+    """Undo git's C-style path quoting; any other backslash reads as itself."""
+    return _C_ESCAPE_RE.sub(lambda m: _C_ESCAPES.get(m[1]) or bytes((int(m[1], 8),)), raw)
 
 
 def _header_path(raw: bytes) -> str:
@@ -459,9 +448,7 @@ def _diff_git_paths(line: bytes) -> FileStart | None:
     m = _DIFF_GIT_RE.match(line)
     if m is None:
         return None
-    old_raw = m.group(2) if m.group(1) is None else _unquote_c_path(m.group(1))
-    new_raw = m.group(4) if m.group(3) is None else _unquote_c_path(m.group(3))
-    return FileStart(_decode_path(old_raw), _decode_path(new_raw))
+    return FileStart(*(_header_path(side)[2:] for side in m.groups()))
 
 
 def _header_line(header: FileStart, line: bytes) -> FileStart | None:
@@ -527,44 +514,39 @@ def parse_name_status_stream(
     """
     commit: tuple[int, list[tuple[str, str]]] | None = None  # the commit being read
     status = b""  # the status of the record whose paths are being read
-    status_at = ([], 0, 0)  # where it is: (fields, offset, k) as _item_offset takes them
-    paths: list[bytes] = []
-    for offset, fields in _records(chunks, b"\0"):
-        for k, item in enumerate(fields):
+    status_at = 0  # its byte offset
+    paths: list[str] = []
+    for at, fields in _records(chunks, b"\0"):
+        for item in fields:
+            item_at, at = at, at + len(item) + 1
             if status:
-                paths.append(item)
+                paths.append(_decode_path(item))
                 if len(paths) < (2 if status.startswith(b"R") else 1):
                     continue
-                commit[1].append((_decode_path(paths[0]), _decode_path(paths[-1])))
+                commit[1].append((paths[0], paths[-1]))
                 status, paths = b"", []
                 continue
             if item.startswith(b"commit "):
-                time, _, item = item[len(b"commit "):].partition(b"\n")
-                if not time.isdigit():
+                time_b, _, item = item[len(b"commit "):].partition(b"\n")
+                time = _commit_time(time_b)
+                if time is None:
                     raise MalformedCommitLine("commit time is not a decimal number",
-                                              _offset_at(fields, offset, k), b"commit " + time)
+                                              item_at, b"commit " + time_b)
                 if commit is not None:
                     yield commit
-                commit = (int(time), [])
+                commit = (time, [])
+                item_at += len(b"commit \n") + len(time_b)
             if not item:
                 continue
             if item[:1] not in b"ADMRTUX" or (len(item) > 1 and not item[1:].isdigit()):
-                raise StreamParseError("unparseable name-status field",
-                                       _item_offset(fields, offset, k, item), item)
+                raise StreamParseError("unparseable name-status field", item_at, item)
             if commit is None:
-                raise StreamParseError("name-status record before any commit line",
-                                       _item_offset(fields, offset, k, item), item)
-            status, status_at = item, (fields, offset, k)
+                raise StreamParseError("name-status record before any commit line", item_at, item)
+            status, status_at = item, item_at
     if status:
-        raise TruncatedStream("name-status record without its path",
-                              _item_offset(*status_at, status), status)
+        raise TruncatedStream("name-status record without its path", status_at, status)
     if commit is not None:
         yield commit
-
-
-def _item_offset(fields: list[bytes], offset: int, k: int, item: bytes) -> int:
-    """Byte offset of ``item``, which ends ``fields[k]``."""
-    return _offset_at(fields, offset, k) + len(fields[k]) - len(item)
 
 
 def log_command(rev: str, file_paths: list[str] | None = None,

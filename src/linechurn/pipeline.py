@@ -431,11 +431,13 @@ def _safe_report_name(path: str) -> str:
 def display_text(raw: bytes) -> str:
     """Decode bytes for CSV output with raw-byte passthrough.
 
-    Each backslash is doubled, then undecodable bytes become ``\\xNN``
-    escapes.  So ``\\\\`` is a backslash and ``\\xNN`` a raw byte: the
-    output is valid UTF-8, and no two inputs read the same.
+    Each backslash is doubled, a carriage return becomes ``\\r``, then
+    undecodable bytes become ``\\xNN`` escapes.  So ``\\\\`` is a backslash,
+    ``\\r`` a carriage return and ``\\xNN`` a raw byte: the output is valid
+    UTF-8, and no two inputs read the same.  ``csv`` quotes a field only for
+    its own row end, so a bare carriage return would split a row for a reader.
     """
-    return raw.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
+    return raw.replace(b"\\", b"\\\\").replace(b"\r", b"\\r").decode("utf-8", "backslashreplace")
 
 
 def display_path(path: str) -> str:
@@ -472,7 +474,8 @@ def _write_line_report(fh, rows: Iterable[list]) -> None:
     The hashes and timestamps hold only hex digits, digits and ``|``, so
     they never need quoting, and are joined and written a slice at a time.
     """
-    # No row end: the revision fields follow.  Content never holds "\n".
+    # No row end: the revision fields follow.  Content never holds "\n", and
+    # display_text writes "\r" as an escape.
     head = csv.writer(fh, lineterminator="")
     for *fields, hashes, stamps in rows:
         head.writerow(fields)

@@ -420,8 +420,7 @@ def _rule_conditional_version_bump(ctx) -> bool:
 
 
 def _rule_distro_bump(ctx) -> bool:
-    hits_b, hits_a = ctx.before.distros, ctx.after.distros
-    return (hits_b or hits_a) and hits_b != hits_a
+    return ctx.before.distros != ctx.after.distros
 
 
 def _rule_resource_id(ctx) -> bool:
@@ -430,12 +429,8 @@ def _rule_resource_id(ctx) -> bool:
     if _RESOURCE_ANY.search(ctx.changed_text) is None:
         return False
     removed, added = map(" ".join, ctx.word_diff)
-    for shape in _RESOURCE_SHAPES:
-        ids_b = set(shape.findall(removed))
-        ids_a = set(shape.findall(added))
-        if (ids_b or ids_a) and ids_b != ids_a:
-            return True
-    return False
+    return any(set(shape.findall(removed)) != set(shape.findall(added))
+               for shape in _RESOURCE_SHAPES)
 
 
 def _rule_service_configuration(ctx) -> bool:
@@ -447,8 +442,6 @@ def _rule_dependency_specification(ctx) -> bool:
         return False
     # Copyright headers inside manifests belong to the license rule.
     if ctx.before.license or ctx.after.license:
-        return False
-    if not ctx.changed:
         return False
     # Path-shaped changes defer to the path-update rule.
     return not all(_is_pathlike(tok) for tok in ctx.changed)

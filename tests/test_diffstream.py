@@ -18,6 +18,7 @@ from linechurn.diffstream import (
     MalformedHunkHeader,
     StreamParseError,
     TruncatedStream,
+    _header_path,
     parse_commit_line,
     parse_log_stream,
     parse_name_status_stream,
@@ -408,6 +409,76 @@ class TestParseLogStream:
                   + b'rename to "tab\\tcr\\r\\303\\251"\n')
         header = parse_all(stream)[1]
         assert (header.old_path, header.new_path) == ('we"ird', "tab\tcr\r\u00e9")
+
+    @pytest.mark.parametrize("old, new", [
+        (b"\\1ab", b"\\1ab"), (b"\\777", b"\\777"), (b"\\400", b"\\400"),
+        (b"\\777", b"\\400"),
+    ])
+    def test_escape_git_never_writes_reads_as_itself(self, old, new):
+        """Only a backslash and three octal digits up to \\377 is a byte."""
+        stream = (COMMIT1 + b'diff --git "a/' + old + b'" "b/' + new + b'"\n'
+                  + b"@@ -1 +1 @@\n-x\n+y\n")
+        for chunks in chunkings(stream):
+            assert list(parse_log_stream(chunks))[1] == FileStart(old.decode(), new.decode())
+
+    @pytest.mark.parametrize("header", [b"@@ -%s +1 @@\n", b"@@ -1 +1,%s @@\n"])
+    def test_overlong_hunk_number_aborts_only_its_file(self, header):
+        """git's numbers have at most 20 digits; a longer one is malformed."""
+        bad = header % (b"9" * 5000)
+        stream = (COMMIT1 + b"diff --git a/a b/a\n" + bad + b"-x\n+y\n"
+                  + b"diff --git a/b b/b\n@@ -1 +1 @@\n-p\n+q\n")
+        for chunks in chunkings(stream):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events] == [
+                "CommitStart", "FileStart", "FileAborted", "FileStart", "HunkEvent"]
+            assert "unparseable hunk header" in events[2].reason
+            assert events[2].byte_offset == stream.index(bad)
+
+
+_GIT_NAMED_ESCAPES = {0x07: b"a", 0x08: b"b", 0x09: b"t", 0x0A: b"n", 0x0B: b"v", 0x0C: b"f",
+                      0x0D: b"r", 0x22: b'"', 0x5C: b"\\"}
+
+
+def git_quote(name: bytes, quote_high: bool) -> bytes:
+    """A path as git's C quoting prints it: a named escape, three octal
+    digits for any other control byte and, under ``core.quotepath=true``,
+    for every byte from 0x80."""
+    def byte(c: int) -> bytes:
+        if c in _GIT_NAMED_ESCAPES:
+            return b"\\" + _GIT_NAMED_ESCAPES[c]
+        if c < 0x20 or c == 0x7F or (quote_high and c >= 0x80):
+            return b"\\%03o" % c
+        return bytes((c,))
+    return b'"' + b"".join(map(byte, name)) + b'"'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=40), st.booleans())
+def test_git_quoted_names_read_back(name, quote_high):
+    assert _header_path(git_quote(name, quote_high)) == name.decode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("time", [b"-5", b"+5", b"1_000", b"1" + b"0" * 20, b"9" * 5000],
+                         ids=["minus", "plus", "underscore", "21-digits", "5000-digits"])
+def test_both_walks_refuse_a_malformed_commit_time(time):
+    """Both walks read git's %ct, an unsigned decimal, as 1 to 20 ASCII digits."""
+    patch = COMMIT1 + b"commit bbbb2222 " + time + b"\0Carl\0carl@x\n"
+    names = NS_COMMIT1 + b"M\0f\0\0commit " + time + b"\nM\0f\0"
+    for parse, stream, at in ((parse_log_stream, patch, len(COMMIT1)),
+                              (parse_name_status_stream, names, len(NS_COMMIT1) + 5)):
+        for chunks in chunkings(stream):
+            with pytest.raises(MalformedCommitLine, match="commit time") as info:
+                list(parse(chunks))
+            assert info.value.byte_offset == at
+
+
+@pytest.mark.parametrize("commit_hash", [b"0xab", b"+ab", b"ab_cd"])
+def test_commit_hash_is_lowercase_hex_digits_only(commit_hash):
+    stream = COMMIT1 + b"commit " + commit_hash + b" 1700000100\0Carl\0carl@x\n"
+    for chunks in chunkings(stream):
+        with pytest.raises(MalformedCommitLine, match="commit hash is not hexadecimal") as info:
+            list(parse_log_stream(chunks))
+        assert info.value.byte_offset == len(COMMIT1)
 
 
 def random_hunk(rng: random.Random) -> Hunk:

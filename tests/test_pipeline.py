@@ -868,6 +868,37 @@ def test_line_contents_never_collide(tmp_path, capsys):
     assert [r.content for r in read_line_report(report)] == final
 
 
+def test_crlf_lines_keep_one_record_each(tmp_path, capsys):
+    """A carriage return in a line or a name is written as ``\\r``, so csv
+    reads one record per live line and per file, and the line report reads
+    back to each line's bytes, ``\\r`` and all."""
+    from repogen import RepoBuilder
+
+    builder = RepoBuilder(tmp_path / "repo")
+    quiet = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(50)}
+    hot = '"hot\\r.cfg"'  # fast-import unquotes it to b"hot\r.cfg"
+    lines = [b"key_%d = %d\r" % (i, i) for i in range(15)]
+    builder.commit({**quiet, hot: b"\n".join(lines) + b"\n"}, "initial import")
+    for k in range(1, 31):
+        lines[1] = b"key_1 = v%d\r" % k
+        builder.commit({hot: b"\n".join(lines) + b"\n"}, f"bump {k}")
+    builder.finish()
+
+    out = tmp_path / "out"
+    code = cli.main(["analyze", "--repo", str(builder.path), "--out", str(out)])
+    assert code == 0, capsys.readouterr()
+    report = out / "line_reports" / pipeline._safe_report_name("hot\r.cfg")
+    with open(report, newline="", encoding="utf-8") as fh:
+        assert [row[1] for row in csv.reader(fh)][1:] == [
+            line.decode().replace("\r", "\\r") for line in lines]
+    assert [r.content for r in read_line_report(report)] == lines
+    for table in ("file_churn.csv", "labels.csv"):
+        with open(out / table, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len({len(row) for row in rows}) == 1
+        assert "hot\\r.cfg" in {row[0] for row in rows}
+
+
 BOM_INPUTS = {
     "--labels-override": "path,line_number,label\nhot.cfg,2,metadata-change\n",
     "--bot-config": "deny=Ada Example\n",

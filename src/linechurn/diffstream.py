@@ -73,6 +73,7 @@ _HUNK_HEADER_RE = re.compile(
     rb"^@@ -(\d{1,20})(?:,(\d{1,20}))? \+(\d{1,20})(?:,(\d{1,20}))? @@(?:[ ]|$)")
 _DIFF_GIT_RE = re.compile(rb'^diff --git ("a/.*"|a/.*) ("b/.*"|b/.*)$')
 _BINARY_RE = re.compile(rb"^Binary files .* differ$")
+_SECTION_STARTS = (b"@@", b"diff --git ", b"commit ")  # no hunk body line starts so
 
 # Extended header lines that may appear between "diff --git" and the first
 # hunk (or the next diff).  Order and presence vary by change kind.
@@ -223,7 +224,7 @@ def parse_commit_line(line: bytes, identities: dict[bytes, tuple[str, str]]) -> 
         fields = identity.split(_IDENTITY_SEP)
         if len(fields) != 2:
             raise MalformedCommitLine(f"expected 2 identity fields, got {len(fields)}", line=raw)
-        pair = identities[identity] = tuple(f.decode("utf-8", "replace") for f in fields)
+        pair = identities[identity] = tuple(map(_decode, fields))
     return CommitHeader(hash_b.decode("ascii"), timestamp, *pair)
 
 
@@ -232,7 +233,7 @@ def _commit_time(raw: bytes) -> int | None:
     return int(raw) if len(raw) <= 20 and raw.isdigit() else None
 
 
-def _decode_path(raw: bytes) -> str:
+def _decode(raw: bytes) -> str:
     return raw.decode("utf-8", "surrogateescape")
 
 
@@ -251,7 +252,7 @@ def _header_path(raw: bytes) -> str:
     """A path as a patch header prints it: verbatim, or C-quoted in ``"..."``."""
     if len(raw) >= 2 and raw.startswith(b'"') and raw.endswith(b'"'):
         raw = _unquote_c_path(raw[1:-1])
-    return _decode_path(raw)
+    return _decode(raw)
 
 
 def _records(chunks: Iterable[bytes], sep: bytes) -> Iterator[tuple[int, list[bytes]]]:
@@ -285,21 +286,23 @@ def _records(chunks: Iterable[bytes], sep: bytes) -> Iterator[tuple[int, list[by
 
 def _fill(blocks: Iterator[tuple[int, list[bytes]]], lines: list[bytes], offset: int, i: int,
           need: int) -> tuple[list[bytes], int, int]:
-    """Drop ``lines[:i]`` and append blocks until ``need`` lines remain.
+    """Drop ``lines[:i]`` and append blocks until ``need`` lines remain, the
+    stream ends, or a line after ``lines[i]`` starts a section.
 
     Returns the lines, the byte offset of their first line and the index
-    of the line that was ``lines[i]``.  Fewer than ``need`` lines remain
-    only at the end of the stream.
+    of the line that was ``lines[i]``.
     """
     rest = lines[i:]
+    fresh = rest[1:]  # the lines not yet searched for a section start
     first_offset = None
-    while len(rest) < need:
+    while len(rest) < need and not any(ln.startswith(_SECTION_STARTS) for ln in fresh):
         block = next(blocks, None)
         if block is None:
             break
         if first_offset is None:
             first_offset = block[0] - sum(map(len, rest)) - len(rest)
-        rest += block[1]
+        fresh = block[1]
+        rest += fresh
     if first_offset is None:  # the stream had already ended
         return lines, offset, i
     return rest, first_offset, 0
@@ -443,7 +446,7 @@ def _diff_git_paths(line: bytes) -> FileStart | None:
         old, new = old[1:-1], new[1:-1]
     if (names[half:half + 1] == b" " and old[:2] == b"a/" and new[:2] == b"b/"
             and old[2:] == new[2:]):
-        path = _decode_path(_unquote_c_path(old[2:]) if quoted else old[2:])
+        path = _decode(_unquote_c_path(old[2:]) if quoted else old[2:])
         return FileStart(path, path)
     m = _DIFF_GIT_RE.match(line)
     if m is None:
@@ -468,7 +471,8 @@ def _read_hunk(lines: list[bytes], h: int, offset: int, old_start: int, old_coun
 
     The body is ``old_count`` deletions, an optional no-newline marker,
     ``new_count`` additions and an optional marker.  ``lines`` holds the
-    header, the body and three more lines, or ends with the stream.
+    header, the body and three more lines, or ends with the stream or
+    after a section start.
     """
     j = h + 1 + old_count
     body = lines[h + 1:j]
@@ -478,10 +482,12 @@ def _read_hunk(lines: list[bytes], h: int, offset: int, old_start: int, old_coun
         j += 1
     body += lines[j:j + new_count]
     j += new_count
-    if len(body) < old_count + new_count:
+    # A short body holds every line after the header, but for a marker.
+    short = len(body) < old_count + new_count
+    if short and not any(ln.startswith(_SECTION_STARTS) for ln in body):
         raise TruncatedStream("end of stream inside a hunk body",
                               _offset_at(lines, offset, h), lines[h])
-    if b"".join([ln[:1] for ln in body]) != b"-" * old_count + b"+" * new_count:
+    if short or b"".join([ln[:1] for ln in body]) != b"-" * old_count + b"+" * new_count:
         k = next(k for k, ln in enumerate(body) if ln[:1] != (b"-" if k < old_count else b"+"))
         bad = h + 1 + k + (k >= old_count and not old_newline)
         raise StreamParseError("hunk body is not a run of deletions then a run of additions",
@@ -520,7 +526,7 @@ def parse_name_status_stream(
         for item in fields:
             item_at, at = at, at + len(item) + 1
             if status:
-                paths.append(_decode_path(item))
+                paths.append(_decode(item))
                 if len(paths) < (2 if status.startswith(b"R") else 1):
                     continue
                 commit[1].append((paths[0], paths[-1]))

@@ -11,10 +11,10 @@ output that cannot be written raises BadInput.
 
 A single file whose replay goes out of bounds, or whose patch is malformed,
 is aborted and recorded; the run completes and reports partial failure
-instead of dying.  A stage-2 walk that git ends with an error aborts every
-selected file the same way, and so does a walk that never patches a selected
-file; no other file is reported.  Both walks read the commit the manifest
-records, and what git prints on stderr joins the manifest's warnings.
+instead of dying.  A stage-2 walk that cannot start, or that git ends with an
+error, aborts every selected file the same way, and so does a walk that never
+patches a selected file; no other file is reported.  Both walks read the
+commit the manifest records, and git's stderr joins the manifest's warnings.
 """
 
 from __future__ import annotations
@@ -203,7 +203,8 @@ def _repo_head(repo: Path) -> tuple[str, Path]:
     if probe.returncode == 1:
         raise RepoNotFound(f"{repo} has no commits (empty repository)")
     if probe.returncode != 0:
-        raise RepoNotFound(f"{repo} is not a git repository")
+        message = probe.stderr.decode("utf-8", "replace").strip()
+        raise RepoNotFound(f"{repo} is not a git repository ({probe.returncode}): {message}")
     *cdup, head = probe.stdout.decode().splitlines()
     return head, repo / "".join(cdup)
 
@@ -284,7 +285,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         try:
             with contextlib.closing(walk):  # ends git if the parser stops early
                 replayer.run(parse_log_stream(walk))
-        except (StreamParseError, GitFailed) as exc:  # no replay is complete
+        except (StreamParseError, GitFailed, OSError) as exc:  # no replay is complete
             unreplayed = f"stage-2 log: {exc}"
             replayer.states.clear()
     # A selected file is tracked or aborted, never dropped; a file nobody
@@ -293,11 +294,10 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     for path in selected_files:
         if path in replayer.states:
             tracked[path] = replayer.states[path]
-        elif path in replayer.aborted:  # the replayer logged it
-            aborted[display_path(path)] = replayer.aborted[path]
         else:
-            logger.info("aborting %s: %s", path, unreplayed)
-            aborted[display_path(path)] = unreplayed
+            shown, reason = display_path(path), replayer.aborted.get(path, unreplayed)
+            logger.info("aborting %s: %s", shown, reason)
+            aborted[shown] = reason
 
     # Stage 3: one (path, line number, line, label) record per hotspot line,
     # in file order; every artifact below is derived from this list.
@@ -357,8 +357,8 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
          ([s.metric] + [f"{v:.6f}" for v in (s.min, s.median, s.mean, s.max, s.iqr)]
           for s in stats)),
         ("committers.csv", ["name", "email", "commit_count", "is_bot", "match_reason"],
-         ([i.name, i.email, i.commit_count, str(i.is_bot).lower(), i.match_reason or ""]
-          for i in committers)),
+         ([display_path(i.name), display_path(i.email), i.commit_count, str(i.is_bot).lower(),
+           i.match_reason or ""] for i in committers)),
         ("bot_share.csv", ["pattern", "bot_commits", "human_commits", "ratio", "bot_edits",
                            "human_edits", "edit_ratio"],
          ([pattern, c.bot, c.human, f"{c.ratio:.6f}", e.bot, e.human, f"{e.ratio:.6f}"]

@@ -22,7 +22,6 @@ content-similarity matching is attempted, which keeps replay deterministic.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,8 +33,6 @@ from .diffstream import (
     Hunk,
     HunkEvent,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class HunkOutOfBounds(Exception):
@@ -113,8 +110,8 @@ class HistoryReplayer:
     Renames carry the existing state forward under the new path; the walk
     detects no copies, so a copy is an added file whose lines are all born
     in its first commit.  A file whose hunks go out of bounds, whose patch
-    the parser could not read, or whose diff is binary is aborted and
-    reported; other files continue.
+    the parser could not read, or whose diff is binary is aborted, its
+    reason recorded in ``aborted``; other files continue.
     """
 
     def __init__(self):
@@ -155,6 +152,5 @@ class HistoryReplayer:
                     self._abort(current_path, event.reason)
 
     def _abort(self, path: str, reason: str) -> None:
-        logger.info("aborting %s: %s", path, reason)
         self.aborted[path] = reason
         self.states.pop(path, None)

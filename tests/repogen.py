@@ -58,8 +58,9 @@ class RepoBuilder:
         out = [
             f"commit refs/heads/{self.branch}\n".encode(),
             f"mark :{self._n_commits + 1}\n".encode(),
-            f"author {name} <{email}> {when} +0000\n".encode(),
-            f"committer {name} <{email}> {when} +0000\n".encode(),
+            # surrogateescape: a name may carry raw bytes that are not UTF-8
+            f"author {name} <{email}> {when} +0000\n".encode("utf-8", "surrogateescape"),
+            f"committer {name} <{email}> {when} +0000\n".encode("utf-8", "surrogateescape"),
             f"data {len(msg)}\n".encode(),
             msg,
             b"\n",

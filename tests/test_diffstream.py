@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from linechurn.diffstream import (
     CommitStart,
     FileStart,
     Hunk,
+    HunkEvent,
     MalformedCommitLine,
     MalformedHunkHeader,
     StreamParseError,
@@ -301,6 +303,39 @@ class TestParseLogStream:
             assert events[2].byte_offset == len(head)
             assert events[3].new_path == "g"
             assert events[4].hunk.lines == [b"-p", b"+q"]
+
+    def test_overstated_hunk_count_reads_no_further_than_the_hunk(self):
+        """A header that claims more lines than its hunk has is out of shape
+        at its first line out of shape, read without buffering the rest of
+        the stream; every later file diff parses."""
+        def stream(header: bytes) -> bytes:
+            later = b"".join(b"diff --git a/g%d b/g%d\n--- a/g%d\n+++ b/g%d\n@@ -1 +1 @@\n-p\n+q\n"
+                             % (n, n, n, n) for n in range(2000))
+            head = COMMIT1 + b"diff --git a/f b/f\n--- a/f\n+++ b/f\n"
+            return head + header + b"-x\n+y\n" + later
+
+        overstated = stream(b"@@ -1,1000000000000 +1 @@\n")
+        for chunks in chunkings(overstated):
+            events = list(parse_log_stream(chunks))
+            assert [type(e).__name__ for e in events[:4]] == [
+                "CommitStart", "FileStart", "FileAborted", "FileStart"]
+            assert events[2].path == "f"
+            assert "hunk body is not a run of deletions then a run of additions" in events[2].reason
+            assert events[2].byte_offset == overstated.index(b"+y\n")
+            hunks = [e.hunk.lines for e in events if isinstance(e, HunkEvent)]
+            assert hunks == [[b"-p", b"+q"]] * 2000
+
+        def peak(data: bytes) -> int:
+            chunks = data.splitlines(keepends=True)
+            tracemalloc.start()
+            try:
+                for _ in parse_log_stream(iter(chunks)):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(overstated) <= 2 * peak(stream(b"@@ -1 +1 @@\n"))
 
     @pytest.mark.parametrize("before, bad", [
         pytest.param(b"@@ -2,2 +2,2 @@\n-b\n-c\n+B\n+C\n", b"@@ -3 +3 @@\n-c\n+X\n",

@@ -452,7 +452,7 @@ def test_reused_name_keeps_the_exact_pathspecs(tmp_path, monkeypatch):
 
 
 
-def test_unselected_reused_name_is_not_reported(tmp_path, monkeypatch, capsys):
+def test_unselected_reused_name_is_not_reported(tmp_path, monkeypatch, capsys, caplog):
     """hot/a.cfg is renamed to the hot file hot/b.cfg, and a new, binary
     hot/a.cfg is added later.  Stage 2 names hot/a.cfg for b.cfg's rename
     chain, so the replayer also sees, and aborts, the new file; nobody
@@ -479,9 +479,11 @@ def test_unselected_reused_name_is_not_reported(tmp_path, monkeypatch, capsys):
 
     runs = git_log_runs(monkeypatch)
     out = tmp_path / "out"
+    caplog.set_level(logging.INFO, logger="linechurn")
     assert cli.main(["analyze", "--repo", str(builder.path), "--out", str(out)]) == 0
     assert runs[1][runs[1].index("--") + 1:] == ["hot"]
     assert "hot/a.cfg" not in capsys.readouterr().err
+    assert not [r.getMessage() for r in caplog.records if "hot/a.cfg" in r.getMessage()]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["aborted"] == {}
     assert manifest["stage_counts"]["files_tracked"] == 1
@@ -778,7 +780,28 @@ def test_committer_fields_may_hold_unit_separators(tmp_path, capsys):
     assert counts[odd[0]] == counts[odd[1]] == "15"
 
 
-def test_non_utf8_paths_shown_with_escapes(tmp_path, monkeypatch, capsys):
+def test_committers_shown_like_paths(tmp_path, capsys):
+    """Committer names and emails take the path escapes: two names that
+    differ in a byte that is not UTF-8 stay two committers, and a carriage
+    return or a backslash keeps its row whole and reads unlike any other."""
+    from repogen import HUMANS
+
+    # repogen writes surrogate escapes as raw bytes: git gets b"Ren\xe9" and b"Ren\xe8".
+    odd = [("Ren\udce9", "ren@example.org"), ("Ren\udce8", "ren@example.org"),
+           ("Carriage\rReturn", "cr@example.org"), ("CORP\\jdoe", "corp\\jdoe@example.org")]
+    repo = build_bumped_repo(tmp_path / "repo", "hot.cfg", odd)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--repo", str(repo), "--out", str(out)]) == 0, capsys.readouterr()
+    with open(out / "committers.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "email", "commit_count", "is_bot", "match_reason"]
+    assert sorted(tuple(row[:3]) for row in rows[1:]) == sorted([
+        ("Ren\\xe9", "ren@example.org", "7"), ("Ren\\xe8", "ren@example.org", "8"),
+        ("Carriage\\rReturn", "cr@example.org", "8"),
+        ("CORP\\\\jdoe", "corp\\\\jdoe@example.org", "7"), (*HUMANS[0], "1")])
+
+
+def test_non_utf8_paths_shown_with_escapes(tmp_path, monkeypatch, capsys, caplog):
     """Names that are not UTF-8 reach every artifact as line content does,
     each undecodable byte as ``\\xNN``, and an override file names them so."""
     # fast-import unquotes C-style paths: git gets b"caf\xe9.txt" and b"h\xf6t.cfg".
@@ -796,16 +819,18 @@ def test_non_utf8_paths_shown_with_escapes(tmp_path, monkeypatch, capsys):
             for r in read_csv(out / "labels.csv")] == [("h\\xf6t.cfg", "2", "metadata-change",
                                                         "false")]
 
-    real = pipeline.log_command  # a failed tracking walk: the aborted keys show the name too
+    real = pipeline.log_command  # a failed tracking walk: its aborts show the name too
 
     def failing(rev, file_paths=None, **kwargs):
         cmd = real(rev, file_paths, **kwargs)
         return cmd[:1] + ["--no-such-option"] + cmd[1:] if file_paths else cmd
 
     monkeypatch.setattr(pipeline, "log_command", failing)
+    caplog.set_level(logging.INFO, logger="linechurn")
     assert cli.main(["analyze", "--repo", str(repo), "--out", str(out)]) == 2
-    assert list(json.loads((out / "manifest.json").read_text("utf-8"))["aborted"]) == [
-        "h\\xf6t.cfg"]
+    [(shown, reason)] = json.loads((out / "manifest.json").read_text("utf-8"))["aborted"].items()
+    assert shown == "h\\xf6t.cfg"
+    assert abort_lines(caplog) == [f"aborting {shown}: {reason}"]
     assert json.loads((out / "summary.json").read_text("utf-8"))["aborted_files"] == [
         "h\\xf6t.cfg"]
 
@@ -1211,6 +1236,20 @@ class TestCrashContainment:
         assert manifest["stage_counts"]["files_tracked"] == 0
 
 
+def test_walk_that_cannot_start_aborts_the_selected_files(hotspot_repo, tmp_path, monkeypatch,
+                                                          capsys):
+    """A stage-2 command line the kernel refuses (one argument over Linux's
+    128 KiB limit) aborts every selected file; the run ends with exit 2."""
+    cover = pipeline.pathspec_cover
+    monkeypatch.setattr(pipeline, "pathspec_cover", lambda *a: cover(*a) + ["x" * 200_000])
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--repo", str(hotspot_repo["path"]), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    aborted = json.loads((out / "manifest.json").read_text("utf-8"))["aborted"]
+    assert list(aborted) == ["hot.cfg"]
+    assert aborted["hot.cfg"].startswith("stage-2 log: [Errno 7] Argument list too long")
+
+
 class TestCli:
     def test_version(self, capsys):
         assert cli.main(["version"]) == 0
@@ -1241,6 +1280,22 @@ class TestCli:
         assert code == 1
         assert reason in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_unreadable_repo_error_quotes_git(self, tmp_path, capsys):
+        """A repository git refuses to read names git's own reason."""
+        repo = tmp_path / "r"
+        subprocess.run(["git", "init", "-q", repo], check=True)
+        subprocess.run(["git", "-C", repo, "config", "core.repositoryformatversion", "99"],
+                       check=True)
+        probe = subprocess.run(["git", "rev-parse", "--show-cdup", "--verify", "-q", "HEAD"],
+                               cwd=repo, capture_output=True, env=diffstream.log_environment())
+        reason = probe.stderr.decode().splitlines()[0]  # fatal: Expected git repo version ...
+        out = tmp_path / "o"
+        assert cli.main(["analyze", "--repo", str(repo), "--out", str(out)]) == 1
+        line = capsys.readouterr().err.splitlines()[0]
+        assert line.startswith(f"error: {repo} is not a git repository ({probe.returncode}): ")
+        assert reason in line
+        assert not out.exists()
 
     @pytest.mark.parametrize("git, reason", [
         (None, "git executable not found on PATH"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import random
 import tracemalloc
 
@@ -393,7 +394,7 @@ class TestReplayer:
         assert snapshot_bytes(state) == b"target"
         assert (state.births_total, state.deaths_total) == (4, 3)
 
-    def test_aborts_are_contained(self):
+    def test_aborts_are_contained(self, caplog):
         events = [
             CommitStart(make_commit(1)),
             FileStart("good", "good"),
@@ -405,9 +406,11 @@ class TestReplayer:
             HunkEvent(hunk(1, 1, 1, 1, "-+", [b"ok", b"ok2"])),
         ]
         replayer = HistoryReplayer()
+        caplog.set_level(logging.DEBUG)
         replayer.run(iter(events))
         assert replayer.aborted == {
             "broken": "broken: hunk @@ -5,2 +5,2 @@ reaches line 6 but only 0 live lines"}
+        assert caplog.records == []  # the pipeline reports aborts of the files it selected
         assert replayer.states["good"].file_lines[0].content == b"ok2"
 
     def test_rename_carries_an_earlier_abort(self):

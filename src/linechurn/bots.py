@@ -82,15 +82,13 @@ def aggregate_committers(commit_headers: Iterable[CommitHeader]) -> list[Committ
 
 def flag_bot(identity: CommitterIdentity, config: BotConfig = BotConfig()) -> CommitterIdentity:
     """Attach the bot verdict: keyword hit minus allowlist, plus denylist."""
-    if identity.name in config.denylist or identity.email in config.denylist:
+    fields = (identity.name, identity.email)
+    if any(f in config.denylist for f in fields):
         return replace(identity, is_bot=True, match_reason="denylist")
-    if identity.name in config.allowlist or identity.email in config.allowlist:
-        return replace(identity, is_bot=False, match_reason=None)
-    haystacks = (identity.name.lower(), identity.email.lower())
-    for keyword in config.keywords:
-        needle = keyword.lower()
-        for hay in haystacks:
-            if needle in hay:
+    if not any(f in config.allowlist for f in fields):
+        haystacks = [f.lower() for f in fields]
+        for keyword in config.keywords:
+            if any(keyword.lower() in hay for hay in haystacks):
                 return replace(identity, is_bot=True, match_reason=f"keyword:{keyword}")
     return replace(identity, is_bot=False, match_reason=None)
 

@@ -66,6 +66,14 @@ def _table() -> dict[str, dict[str, str]]:
     return table
 
 
+def file_name(path: str) -> tuple[str, str]:
+    """The lowercased basename after the last ``/`` (a backslash is part of a
+    name, as git separates with ``/`` alone) and its extension from the last
+    dot on, or ``""`` without a dot."""
+    basename = path.rsplit("/", 1)[-1].lower()
+    return basename, basename[basename.rfind("."):] if "." in basename else ""
+
+
 def categorize_file(path: str) -> str:
     """Deterministic programming/administrative lookup for a path.
 
@@ -73,15 +81,13 @@ def categorize_file(path: str) -> str:
     unknown extensions (and extensionless names) are administrative.
     """
     table = _table()
-    basename = path.replace("\\", "/").rsplit("/", 1)[-1].lower()
+    basename, ext = file_name(path)
     for fragment, category in table["frag"].items():
         if fragment in basename:
             return category
     if basename in table["name"]:
         return table["name"][basename]
-    if "." in basename:
-        return table["ext"].get("." + basename.rsplit(".", 1)[-1], ADMINISTRATIVE)
-    return ADMINISTRATIVE
+    return table["ext"].get(ext, ADMINISTRATIVE)
 
 
 def count_file_commits(

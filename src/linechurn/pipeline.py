@@ -24,6 +24,7 @@ import csv
 import itertools
 import json
 import logging
+import os
 import random
 import subprocess
 import threading
@@ -94,18 +95,6 @@ class AnalysisConfig:
         self.repo_path = Path(self.repo_path)
         self.output_dir = Path(self.output_dir)
 
-    def snapshot(self) -> dict:
-        return {
-            "repo_path": str(self.repo_path),
-            "output_dir": str(self.output_dir),
-            **asdict(self.thresholds),
-            "file_sample": self.file_sample,
-            "sample_seed": self.sample_seed,
-            "labels_override": str(self.labels_override) if self.labels_override else None,
-            **{f"bot_{key}": value for key, value in asdict(self.bot_config).items()},
-            "history": "first-parent",  # merge side branches are excluded
-        }
-
 
 @dataclass
 class RunManifest:
@@ -120,7 +109,7 @@ class RunManifest:
     git: dict  # the git that ran, and the fixed options and environment of each walk
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.__dict__, indent=2, sort_keys=True, default=os.fspath) + "\n"
 
 
 # Bytes asked of git's stdout per read.  Larger reads cost fewer calls but
@@ -390,7 +379,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     finished = datetime.now(timezone.utc)
     manifest = RunManifest(
         tool_version=__version__,
-        config=config.snapshot(),
+        config=asdict(config),
         repo_head=head,
         started_at=started.isoformat(),
         finished_at=finished.isoformat(),

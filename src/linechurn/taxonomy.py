@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .churn import ADMINISTRATIVE, PROGRAMMING
+from .churn import ADMINISTRATIVE, PROGRAMMING, file_name
 
 LONG_LINE_THRESHOLD = 120
 REFACTOR_WINDOW_DAYS = 14.0
@@ -260,12 +260,9 @@ def _key_words(key: str) -> set[str]:
 
 
 def _is_manifest_path(path: str) -> bool:
-    basename = path.replace("\\", "/").rsplit("/", 1)[-1].lower()
-    if basename in _MANIFEST_BASENAMES:
-        return True
-    if re.match(r"requirements[-_.].*\.txt$", basename):
-        return True
-    return "." in basename and "." + basename.rsplit(".", 1)[-1] in _MANIFEST_EXT
+    basename, ext = file_name(path)
+    return (basename in _MANIFEST_BASENAMES or ext in _MANIFEST_EXT
+            or re.match(r"requirements[-_.].*\.txt$", basename) is not None)
 
 
 _DATA_VALUE_RE = re.compile(r"""^(?:"[^"]*"|'[^']*'|-?\d[\d_.eE+-]*|true|false|null|none|\[.*\]|\{.*\})[,;]?$""",
@@ -653,13 +650,14 @@ def load_label_overrides(path: str | Path) -> dict[tuple[str, int], Pattern]:
     overrides: dict[tuple[str, int], Pattern] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"path", "line_number", "label"} <= set(reader.fieldnames):
-            raise ValueError("override file needs columns: path, line_number, label")
-        for rec in reader:
-            try:
+        try:  # csv.Error: a field over csv's size limit, in the header or a row
+            if reader.fieldnames is None or not {"path", "line_number", "label"} <= set(reader.fieldnames):
+                raise ValueError("needs columns: path, line_number, label")
+            for rec in reader:
                 overrides[(rec["path"], int(rec["line_number"]))] = Pattern(rec["label"])
-            except (TypeError, ValueError) as exc:  # a short row reads as None
-                raise ValueError(f"override file line {reader.line_num}: {exc}") from None
+        except (csv.Error, TypeError, ValueError) as exc:  # a short row reads as None
+            # csv's own count (DictReader's lags a failed read); 1 for an empty file
+            raise ValueError(f"override file line {reader.reader.line_num or 1}: {exc}") from None
     return overrides
 
 

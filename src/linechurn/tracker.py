@@ -84,7 +84,7 @@ def apply_hunk(state: FileState, hunk: Hunk, commit: CommitHeader) -> None:
     if base + consumed > live:
         raise HunkOutOfBounds(f"hunk @@ -{hunk.old_start},{consumed} +{hunk.new_start},"
                               f"{hunk.new_count} @@ reaches line {base + consumed} "
-                              f"but only {live} live lines")
+                              f"but only {live} live lines (commit {commit.hash})")
 
     lines = state.file_lines[base:base + consumed]
     added = [raw[1:] for raw in hunk.lines[consumed:]]  # git's ``+`` dropped
@@ -136,7 +136,7 @@ class HistoryReplayer:
                 try:
                     apply_hunk(state, event.hunk, current_commit)
                 except HunkOutOfBounds as exc:
-                    self._abort(current_path, f"{current_path}: {exc}")
+                    self._abort(current_path, str(exc))
             elif isinstance(event, CommitStart):
                 current_commit = event.header
                 current_path = None

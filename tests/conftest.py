@@ -36,9 +36,13 @@ def chunkings(data: bytes) -> list[list[bytes]]:
 
 
 def blame_commits(repo: Path, path: str) -> list[str]:
-    """Last-touch commit of every line at HEAD, per first-parent git blame."""
-    out = subprocess.run(["git", "blame", "--first-parent", "--porcelain", "HEAD", "--", path],
-                         cwd=repo, capture_output=True, check=True).stdout
+    """Last-touch commit of every line at HEAD, per first-parent git blame
+    diffing as ``log_command`` does, in ``log_environment()``: a user's
+    ``diff.algorithm`` or ``diff.indentHeuristic`` would otherwise move the
+    blame of lines that repeat."""
+    out = subprocess.run(["git", "blame", "--first-parent", "--diff-algorithm=myers",
+                          "--indent-heuristic", "--porcelain", "HEAD", "--", path],
+                         cwd=repo, env=log_environment(), capture_output=True, check=True).stdout
     return [m.group(1).decode() for m in re.finditer(rb"^([0-9a-f]{40}) \d+ \d+", out, re.M)]
 
 

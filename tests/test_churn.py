@@ -21,6 +21,7 @@ from linechurn.churn import (
     categorize_file,
     count_file_commits,
     detect_hotspot_files,
+    file_name,
     lifespan_days,
     select_hotspot_lines,
     sigma_cut_reachable,
@@ -179,6 +180,16 @@ class TestCategorizeFile:
     ])
     def test_lookup(self, path, expected):
         assert categorize_file(path) == expected
+
+    @pytest.mark.parametrize("path, name", [
+        ("deep/Path/Module.PY", ("module.py", ".py")),
+        ("Makefile", ("makefile", "")),
+        ("conf/.bashrc", (".bashrc", ".bashrc")),
+        ("dist/a.tar.gz", ("a.tar.gz", ".gz")),
+        ("tools\\package.json", ("tools\\package.json", ".json")),  # git separates with / alone
+    ])
+    def test_file_name(self, path, name):
+        assert file_name(path) == name
 
     @given(st.text(min_size=1, max_size=60))
     @settings(max_examples=200, deadline=None)

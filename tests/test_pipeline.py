@@ -25,6 +25,7 @@ import linechurn.cli as cli
 import linechurn.diffstream as diffstream
 import linechurn.pipeline as pipeline
 import linechurn.selector as selector
+from linechurn.bots import BotConfig
 from linechurn.churn import HotspotThresholds
 from linechurn.diffstream import log_command
 from linechurn.pipeline import AnalysisConfig, GitUnavailable, RepoNotFound, analyze_repo
@@ -201,6 +202,24 @@ class TestAnalyzeRepo:
                                     file_sample=0))
         assert json.loads((out / "summary.json").read_text("utf-8"))["n_tracked_files"] == 0
         assert list((out / "line_reports").iterdir()) == []
+
+    def test_manifest_records_the_config_as_it_is(self, hotspot_repo, tmp_path):
+        """Every field of the config, thresholds and bot lists nested as the
+        config holds them, paths as strings."""
+        override = tmp_path / "override.csv"
+        override.write_text("path,line_number,label\n", "utf-8")
+        config = AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=tmp_path / "o",
+                                thresholds=HotspotThresholds(sigma_multiplier=2.5),
+                                bot_config=BotConfig(denylist=("ci@x",)), file_sample=3,
+                                labels_override=override)
+        analyze_repo(config)
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text("utf-8"))["config"] == {
+            "repo_path": str(hotspot_repo["path"]), "output_dir": str(tmp_path / "o"),
+            "thresholds": {"sigma_multiplier": 2.5, "monthly_rate": 1.0, "min_line_mods": 3,
+                           "population_sigma": True},
+            "bot_config": {"keywords": ["bot", "auto"], "allowlist": ["Drobotov"],
+                           "denylist": ["ci@x"]},
+            "file_sample": 3, "sample_seed": 0, "labels_override": str(override)}
 
     def test_labels_override(self, hotspot_repo, tmp_path):
         override = tmp_path / "override.csv"
@@ -1458,6 +1477,11 @@ class TestCli:
                      id="labels-label"),
         pytest.param("--labels-override", "path,line_number,label\nhot.cfg\n",
                      id="labels-short-row"),
+        pytest.param("--labels-override", "p" * 200_000 + ",line_number,label\n",
+                     id="labels-header-over-csv-field-limit"),
+        pytest.param("--labels-override",
+                     "path,line_number,label\n" + "p" * 200_000 + ",2,pinned-version-bump\n",
+                     id="labels-row-over-csv-field-limit"),
         pytest.param("--sigma", "0", id="sigma-zero"),
         pytest.param("--sigma", "nan", id="sigma-nan"),
         pytest.param("--sigma", "inf", id="sigma-inf"),

@@ -28,6 +28,7 @@ from linechurn.taxonomy import (
     normalize_style,
     _PairContext,
     _Revision,
+    _is_manifest_path,
     _rule_function_call_change,
 )
 from linechurn.tracker import TrackedLine
@@ -180,6 +181,13 @@ class TestClassifyPair:
         ctx = _PairContext(_Revision(before.encode()), _Revision(after.encode()), PROGRAMMING,
                            manifest=False)
         assert _rule_function_call_change(ctx) is matches
+
+    @pytest.mark.parametrize("path, manifest", [
+        ("tools/package.json", True), ("build/rules.MK", True), ("requirements-dev.txt", True),
+        ("src/app.py", False), ("tools\\package.json", False),  # one name, not a package.json
+    ])
+    def test_manifest_path(self, path, manifest):
+        assert _is_manifest_path(path) is manifest
 
     def test_determinism(self):
         pair = pair_for(*GOLDEN_PAIRS[0][1:])

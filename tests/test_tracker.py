@@ -29,8 +29,8 @@ from linechurn.tracker import (
 )
 from linechurn.pipeline import LINE_REPORT_COLUMNS, display_text, emit_reports, finalize
 
-from repogen import BlobReader, build_random_repo
-from conftest import repo_log_events
+from repogen import BlobReader, RepoBuilder, build_random_repo
+from conftest import blame_commits, repo_log_events
 from oracles import read_line_report, reconstruct_snapshot, replay_by_commit, snapshot_bytes
 from test_diffstream import COMMIT1, COMMIT2
 
@@ -323,8 +323,6 @@ class TestFinalize:
 
 class TestReplayer:
     def test_rename_carries_state(self, tmp_path):
-        from repogen import RepoBuilder
-
         builder = RepoBuilder(tmp_path / "r")
         builder.commit({"a.txt": b"one\ntwo\n"}, "c1")
         # Delete+recreate with identical content: -M reports it as a rename.
@@ -343,8 +341,6 @@ class TestReplayer:
     def test_binary_diff_aborts_the_file(self, tmp_path):
         """A file that turns binary and back is aborted, never replayed from
         the lines it had before."""
-        from repogen import RepoBuilder
-
         builder = RepoBuilder(tmp_path / "r")
         builder.commit({"f.txt": b"a\nb\nc\n"}, "text")
         builder.commit({"f.txt": b"a\nB\nc\n"}, "edit")
@@ -409,7 +405,8 @@ class TestReplayer:
         caplog.set_level(logging.DEBUG)
         replayer.run(iter(events))
         assert replayer.aborted == {
-            "broken": "broken: hunk @@ -5,2 +5,2 @@ reaches line 6 but only 0 live lines"}
+            "broken": "hunk @@ -5,2 +5,2 @@ reaches line 6 but only 0 live lines "
+                      f"(commit {make_commit(1).hash})"}
         assert caplog.records == []  # the pipeline reports aborts of the files it selected
         assert replayer.states["good"].file_lines[0].content == b"ok2"
 
@@ -427,8 +424,19 @@ class TestReplayer:
         replayer = HistoryReplayer()
         replayer.run(iter(events))
         assert replayer.aborted == {
-            "y": "x: hunk @@ -5,1 +5,1 @@ reaches line 5 but only 0 live lines"}
+            "y": "hunk @@ -5,1 +5,1 @@ reaches line 5 but only 0 live lines "
+                 f"(commit {make_commit(1).hash})"}
         assert replayer.states == {}
+
+    def test_out_of_bounds_reason_names_the_commit(self):
+        """The path is the key already: the reason says which commit's hunk
+        ran past the file, and never repeats a non-UTF-8 name undisplayed."""
+        stream = (COMMIT1 + b"diff --git a/h\xf6t.cfg b/h\xf6t.cfg\n--- a/h\xf6t.cfg\n"
+                  + b"+++ b/h\xf6t.cfg\n@@ -5 +5 @@\n-old\n+new\n")
+        replayer = HistoryReplayer()
+        replayer.run(parse_log_stream([stream]))
+        assert replayer.aborted == {"h\udcf6t.cfg": "hunk @@ -5,1 +5,1 @@ reaches line 5 but "
+                                                    "only 0 live lines (commit aaaa1111)"}
 
     def test_hunk_before_any_commit_raises(self):
         replayer = HistoryReplayer()
@@ -454,10 +462,30 @@ def test_snapshot_matches_checkout_on_random_repo(tmp_path):
     assert not replayer.aborted
 
 
+def test_blame_oracle_ignores_the_users_diff_config(tmp_path, monkeypatch):
+    """Under a user config that diffs with histogram and no indent heuristic,
+    the blame oracle still names the last commits the replay does, for a
+    file whose lines repeat (seed 0 of 60 such histories; 12 disagree with
+    a blame that reads the config)."""
+    config = tmp_path / "gitconfig"
+    config.write_text("[diff]\n\talgorithm = histogram\n\tindentHeuristic = false\n")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    rng = random.Random(0)
+    builder = RepoBuilder(tmp_path / "r")
+    lines: list[bytes] = []
+    for _ in range(8):
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice([b"a", b"b", b"", b"c", b"}"]))
+        builder.commit({"f": b"\n".join(lines) + b"\n"})
+    builder.finish()
+    replayer = HistoryReplayer()
+    replayer.run(iter(repo_log_events(builder.path)))
+    assert ([ln.history[-1].hash for ln in replayer.states["f"].file_lines]
+            == blame_commits(builder.path, "f"))
+
+
 def test_move_semantics_death_and_rebirth(tmp_path):
     """Relocating an unmodified block yields deaths plus fresh births."""
-    from repogen import RepoBuilder
-
     block = [f"moved block line {i}".encode() for i in range(5)]
     filler = [f"filler {i} {'x' * 20}".encode() for i in range(12)]
     before = filler[:6] + block + filler[6:]

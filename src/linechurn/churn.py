@@ -21,10 +21,6 @@ from typing import Callable, Collection, Iterable
 SECONDS_PER_MONTH = 30.44 * 86400
 
 
-class EmptyInput(ValueError):
-    pass
-
-
 PROGRAMMING = "programming"
 ADMINISTRATIVE = "administrative"
 
@@ -170,7 +166,7 @@ def detect_hotspot_files(
 ) -> set[str]:
     """Paths passing both hotspot-host conditions (both strictly exceeded)."""
     if not counts:
-        raise EmptyInput("no files counted")
+        raise ValueError("no files counted")
     if lifetime_months <= 0:
         raise ValueError("lifetime_months must be positive")
     above = _above_sigma_cut(counts.values(), thresholds)
@@ -200,7 +196,7 @@ def lifespan_days(line) -> float:
     date.
     """
     if not line.history:
-        raise EmptyInput("line has no history")
+        raise ValueError("line has no history")
     first, last = line.history[0], line.history[-1]
     return (last.committer_timestamp - first.committer_timestamp) / 86400.0
 
@@ -209,7 +205,7 @@ def summarize(values: Iterable[float], metric: str = "") -> DescriptiveStats:
     """Min/median/mean/max/IQR with linearly interpolated quartiles."""
     data = sorted(map(float, values))
     if not data:
-        raise EmptyInput("cannot summarize an empty list")
+        raise ValueError("cannot summarize an empty list")
     return DescriptiveStats(
         metric=metric,
         min=data[0],

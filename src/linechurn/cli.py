@@ -13,7 +13,7 @@ from . import __version__, selector
 from .bots import BotConfig
 from .churn import HotspotThresholds
 from .diffstream import StreamParseError
-from .pipeline import AnalysisConfig, BadInput, GitFailed, GitUnavailable, RepoNotFound, analyze_repo
+from .pipeline import AnalysisConfig, AnalysisError, analyze_repo
 
 
 def _style(text: str, code: str, stream) -> str:
@@ -96,7 +96,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     try:
         manifest = analyze_repo(config)
-    except (BadInput, RepoNotFound, GitUnavailable, GitFailed, StreamParseError) as exc:
+    except (AnalysisError, StreamParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

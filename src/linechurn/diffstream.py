@@ -54,10 +54,11 @@ PACKED_GIT_LIMIT = "4m"
 # (log_command pins the user's file).
 GIT_ENV = {"GIT_ATTR_NOSYSTEM": "1"}
 # Dropped from git's environment: the pathspec variables, each of which makes git exit
-# on --literal-pathspecs, and what `git rev-parse --local-env-vars` prints on git 2.39.5,
-# which would point git at another repository than --repo (GIT_DIR, as a hook gets it).
+# on --literal-pathspecs; GIT_DIFF_OPTS, whose --unified=N overrides the walk's -U0; and
+# what `git rev-parse --local-env-vars` prints on git 2.39.5, which would point git at
+# another repository than --repo (GIT_DIR, as a hook gets it).
 _DROPPED_ENV = frozenset((
-    "GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS",
+    "GIT_GLOB_PATHSPECS", "GIT_NOGLOB_PATHSPECS", "GIT_ICASE_PATHSPECS", "GIT_DIFF_OPTS",
     "GIT_ALTERNATE_OBJECT_DIRECTORIES", "GIT_CONFIG", "GIT_CONFIG_PARAMETERS", "GIT_CONFIG_COUNT",
     "GIT_OBJECT_DIRECTORY", "GIT_DIR", "GIT_WORK_TREE", "GIT_IMPLICIT_WORK_TREE", "GIT_GRAFT_FILE",
     "GIT_INDEX_FILE", "GIT_NO_REPLACE_OBJECTS", "GIT_REPLACE_REF_BASE", "GIT_PREFIX",
@@ -92,7 +93,7 @@ _EXT_HEADERS = (
 
 
 class StreamParseError(Exception):
-    """Base class for malformed log-stream input.
+    """Malformed input in either walk's stream.
 
     Carries the byte offset of the offending line, and quotes the line in
     its message, so failures can be located in multi-megabyte streams.
@@ -104,18 +105,6 @@ class StreamParseError(Exception):
         if byte_offset >= 0:
             detail += f" (byte offset {byte_offset}, line {line[:200]!r})"
         super().__init__(detail)
-
-
-class MalformedCommitLine(StreamParseError):
-    pass
-
-
-class MalformedHunkHeader(StreamParseError):
-    pass
-
-
-class TruncatedStream(StreamParseError):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,25 +194,25 @@ def parse_commit_line(line: bytes, identities: dict[bytes, tuple[str, str]]) -> 
     """
     raw = line.rstrip(b"\n")
     if not raw.startswith(b"commit "):
-        raise MalformedCommitLine("commit line must start with 'commit '", line=raw)
+        raise StreamParseError("commit line must start with 'commit '", line=raw)
     body = raw[len(b"commit "):]
     head, sep, identity = body.partition(_IDENTITY_SEP)
     parts = head.split()
     if len(parts) != 2:
-        raise MalformedCommitLine("expected '<hash> <timestamp>' after 'commit'", line=raw)
+        raise StreamParseError("expected '<hash> <timestamp>' after 'commit'", line=raw)
     hash_b, ts_b = parts
     if hash_b.strip(b"0123456789abcdef"):
-        raise MalformedCommitLine("commit hash is not hexadecimal", line=raw)
+        raise StreamParseError("commit hash is not hexadecimal", line=raw)
     timestamp = _commit_time(ts_b)
     if timestamp is None:
-        raise MalformedCommitLine("commit timestamp is not an integer", line=raw)
+        raise StreamParseError("commit timestamp is not an integer", line=raw)
     if not sep:
-        raise MalformedCommitLine("missing identity fields", line=raw)
+        raise StreamParseError("missing identity fields", line=raw)
     pair = identities.get(identity)
     if pair is None:
         fields = identity.split(_IDENTITY_SEP)
         if len(fields) != 2:
-            raise MalformedCommitLine(f"expected 2 identity fields, got {len(fields)}", line=raw)
+            raise StreamParseError(f"expected 2 identity fields, got {len(fields)}", line=raw)
         pair = identities[identity] = tuple(map(_decode, fields))
     return CommitHeader(hash_b.decode("ascii"), timestamp, *pair)
 
@@ -357,8 +346,8 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
             try:
                 counts = _hunk_counts(line)
                 if counts is None:
-                    raise MalformedHunkHeader("unparseable hunk header",
-                                              _offset_at(lines, offset, i), line)
+                    raise StreamParseError("unparseable hunk header",
+                                           _offset_at(lines, offset, i), line)
                 # The header, the body, at most two no-newline markers (one
                 # after the last deletion, one after the last addition) and
                 # the line after them.
@@ -392,8 +381,8 @@ def parse_log_stream(chunks: Iterable[bytes]) -> Iterator[object]:
         if line.startswith(b"commit "):
             try:
                 commit = parse_commit_line(line, identities)
-            except MalformedCommitLine as exc:
-                raise MalformedCommitLine(str(exc), _offset_at(lines, offset, i), line) from None
+            except StreamParseError as exc:
+                raise StreamParseError(str(exc), _offset_at(lines, offset, i), line) from None
             yield CommitStart(commit)
             commit_hash = commit.hash
             current_file = None
@@ -485,8 +474,8 @@ def _read_hunk(lines: list[bytes], h: int, offset: int, old_start: int, old_coun
     # A short body holds every line after the header, but for a marker.
     short = len(body) < old_count + new_count
     if short and not any(ln.startswith(_SECTION_STARTS) for ln in body):
-        raise TruncatedStream("end of stream inside a hunk body",
-                              _offset_at(lines, offset, h), lines[h])
+        raise StreamParseError("end of stream inside a hunk body",
+                               _offset_at(lines, offset, h), lines[h])
     if short or b"".join([ln[:1] for ln in body]) != b"-" * old_count + b"+" * new_count:
         k = next(k for k, ln in enumerate(body) if ln[:1] != (b"-" if k < old_count else b"+"))
         bad = h + 1 + k + (k >= old_count and not old_newline)
@@ -536,8 +525,8 @@ def parse_name_status_stream(
                 time_b, _, item = item[len(b"commit "):].partition(b"\n")
                 time = _commit_time(time_b)
                 if time is None:
-                    raise MalformedCommitLine("commit time is not a decimal number",
-                                              item_at, b"commit " + time_b)
+                    raise StreamParseError("commit time is not a decimal number",
+                                           item_at, b"commit " + time_b)
                 if commit is not None:
                     yield commit
                 commit = (time, [])
@@ -550,7 +539,7 @@ def parse_name_status_stream(
                 raise StreamParseError("name-status record before any commit line", item_at, item)
             status, status_at = item, item_at
     if status:
-        raise TruncatedStream("name-status record without its path", status_at, status)
+        raise StreamParseError("name-status record without its path", status_at, status)
     if commit is not None:
         yield commit
 
@@ -563,14 +552,16 @@ def log_command(rev: str, file_paths: list[str] | None = None,
     overrides a user's ``diff.renames=copies``, so a copy reads as an added
     file.  Pathspecs are literal: a file named ``:x`` or ``x[1]`` matches
     itself only.  Every setting that shapes the output is pinned on the
-    command line, so a user's ``diff.noprefix``, ``diff.mnemonicPrefix``,
-    ``log.showSignature``, ``diff.algorithm``, ``diff.indentHeuristic``,
-    ``diff.renameLimit``, ``diff.context``, ``diff.interHunkContext``,
-    ``log.showRoot`` or ``i18n.logOutputEncoding`` cannot change the
+    command line, so a user's ``color.ui``, ``color.diff``, ``diff.noprefix``,
+    ``diff.mnemonicPrefix``, ``log.showSignature``, ``log.follow``,
+    ``diff.algorithm``, ``diff.indentHeuristic``, ``diff.renameLimit``,
+    ``diff.context``, ``diff.interHunkContext``, ``log.showRoot`` or
+    ``i18n.logOutputEncoding`` cannot colour the output or change the
     headers, the renames, the line pairing, the hunks or where a hunk that
     could slide sits, the root commit's diff or the committer names; a user's
     ``diff.orderFile`` cannot reorder the file diffs or, naming a missing
-    file, fail the walk.
+    file, fail the walk.  ``log_environment()`` drops ``GIT_DIFF_OPTS``, so
+    it cannot add context lines either.
     A user's ``core.bigFileThreshold`` cannot turn a text file binary, and
     neither a user's attributes file nor a textconv driver can rewrite the
     lines; the repository's own ``.gitattributes`` still applies.  The
@@ -585,15 +576,16 @@ def log_command(rev: str, file_paths: list[str] | None = None,
     Walks given one commit hash read one history, whatever the branch does
     meanwhile.  Run the command in ``log_environment()``.
     """
-    cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off", "-c", "color.ui=false",
+    cmd = ["git", "--literal-pathspecs", "-c", "core.quotepath=off",
            "-c", "diff.noprefix=false", "-c", "diff.mnemonicPrefix=false",
-           "-c", "log.showSignature=false", "-c", f"diff.renameLimit={RENAME_LIMIT}",
+           "-c", "log.showSignature=false", "-c", "log.follow=false",
+           "-c", f"diff.renameLimit={RENAME_LIMIT}",
            "-c", "i18n.logOutputEncoding=UTF-8",
            "-c", f"core.deltaBaseCacheLimit={DELTA_BASE_CACHE_LIMIT}",
            "-c", f"core.packedGitWindowSize={PACKED_GIT_WINDOW_SIZE}",
            "-c", f"core.packedGitLimit={PACKED_GIT_LIMIT}",
            "-c", "core.bigFileThreshold=512m", "-c", f"core.attributesFile={os.devnull}", "log",
-           "--first-parent", "--diff-merges=first-parent", "--root",
+           "--no-color", "--first-parent", "--diff-merges=first-parent", "--root",
            "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "--indent-heuristic",
            "-O", os.devnull, "-M",
            f"--pretty=format:{'commit %ct' if name_status else COMMIT_PRETTY_FORMAT}", "--reverse"]

@@ -7,7 +7,7 @@ rename chains, get the expensive patch log, one walk for all of them, and
 line tracking; (3) hotspot lines are selected, classified, and attributed
 to bot or human committers; (4) all CSV/JSON artifacts are written, the run
 manifest last, so ``--out`` holds a manifest only after a finished run; an
-output that cannot be written raises BadInput.
+output that cannot be written raises AnalysisError.
 
 A single file whose replay goes out of bounds, or whose patch is malformed,
 is aborted and recorded; the run completes and reports partial failure
@@ -65,20 +65,9 @@ except ImportError:
 logger = logging.getLogger(__name__)
 
 
-class RepoNotFound(Exception):
-    pass
-
-
-class GitUnavailable(Exception):
-    pass
-
-
-class GitFailed(RuntimeError):
-    """A git command exited non-zero; the message ends with git's stderr."""
-
-
-class BadInput(ValueError):
-    """An input file the config names is missing or malformed."""
+class AnalysisError(Exception):
+    """The run cannot finish: no git, no repository or history to read, a git
+    command that failed, or an input or output the config names is unusable."""
 
 
 @dataclass
@@ -118,7 +107,7 @@ _READ_SIZE = 256 << 10
 
 
 def _git_lines(repo: Path, cmd: list[str], notes: list[str], sizes: Counter, key: str):
-    """Run a git command, streaming stdout in chunks; raise GitFailed if git fails.
+    """Run a git command, streaming stdout in chunks; raise AnalysisError if git fails.
 
     Chunks end anywhere, not at line ends; ``sizes[key]`` grows by each
     chunk's length as it is read.  stderr is drained on a thread,
@@ -160,21 +149,21 @@ def _git_lines(repo: Path, cmd: list[str], notes: list[str], sizes: Counter, key
         if "--" in cmd:  # name the pathspecs by number: there may be thousands
             k = cmd.index("--")
             cmd = cmd[:k + 1] + [f"<{len(cmd) - k - 1} paths>"]
-        raise GitFailed(f"{' '.join(cmd)} failed ({code}): {message}")
+        raise AnalysisError(f"{' '.join(cmd)} failed ({code}): {message}")
     notes.extend(f"git: {line}" for line in message.splitlines())
 
 
 def _git_version() -> str:
-    """The line ``git --version`` prints; raises GitUnavailable if no git on
+    """The line ``git --version`` prints; raises AnalysisError if no git on
     PATH can be started, or if it fails or prints nothing."""
     try:
         probe = subprocess.run(["git", "--version"], capture_output=True, env=log_environment())
     except OSError as exc:
-        raise GitUnavailable(f"git executable not found on PATH ({exc.strerror})") from None
+        raise AnalysisError(f"git executable not found on PATH ({exc.strerror})") from None
     version = probe.stdout.decode("utf-8", "replace").strip()
     if probe.returncode != 0 or not version:
         message = probe.stderr.decode("utf-8", "replace").strip() or "no output"
-        raise GitUnavailable(f"git --version failed ({probe.returncode}): {message}")
+        raise AnalysisError(f"git --version failed ({probe.returncode}): {message}")
     return version
 
 
@@ -182,18 +171,18 @@ def _repo_head(repo: Path) -> tuple[str, Path]:
     """HEAD's hash, and where git's printed paths and read pathspecs share a
     root: the work tree's top, or ``repo`` itself if the repository is bare."""
     if not repo.exists():
-        raise RepoNotFound(f"{repo} does not exist")
+        raise AnalysisError(f"{repo} does not exist")
     if not repo.is_dir():
-        raise RepoNotFound(f"{repo} is not a directory")
+        raise AnalysisError(f"{repo} is not a directory")
     # Exits 128 outside a repository and 1 when HEAD names no commit; else
     # prints the cdup line (none in a bare repository), then HEAD's hash.
     probe = subprocess.run(["git", "rev-parse", "--show-cdup", "--verify", "-q", "HEAD"],
                            cwd=repo, capture_output=True, env=log_environment())
     if probe.returncode == 1:
-        raise RepoNotFound(f"{repo} has no commits (empty repository)")
+        raise AnalysisError(f"{repo} has no commits (empty repository)")
     if probe.returncode != 0:
         message = probe.stderr.decode("utf-8", "replace").strip()
-        raise RepoNotFound(f"{repo} is not a git repository ({probe.returncode}): {message}")
+        raise AnalysisError(f"{repo} is not a git repository ({probe.returncode}): {message}")
     *cdup, head = probe.stdout.decode().splitlines()
     return head, repo / "".join(cdup)
 
@@ -229,15 +218,15 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     try:
         overrides = load_label_overrides(config.labels_override) if config.labels_override else {}
     except (OSError, ValueError) as exc:
-        raise BadInput(f"labels override {config.labels_override}: {exc}") from None
+        raise AnalysisError(f"labels override {config.labels_override}: {exc}") from None
     if config.file_sample is not None and config.file_sample < 0:
-        raise BadInput(f"file sample must not be negative, got {config.file_sample}")
+        raise AnalysisError(f"file sample must not be negative, got {config.file_sample}")
     git_version = _git_version()
     head, root = _repo_head(config.repo_path)  # before --out exists: no tree is left on failure
     try:
         (config.output_dir / "line_reports").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise BadInput(f"output directory {config.output_dir}: {exc}") from None
+        raise AnalysisError(f"output directory {config.output_dir}: {exc}") from None
     notes: list[str] = []  # the manifest's warnings
     printed = Counter()  # bytes read from each walk's stdout
     stage1 = _git_lines(root, log_command(head, name_status=True), notes, printed,
@@ -246,7 +235,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         counts, chains, named, lifetime_months, n_commits, n_records = count_file_commits(
             parse_name_status_stream(chunks))
     if not counts:  # no commits at all, or none that changes a file
-        raise RepoNotFound(f"{root} log produced no commits that change a file")
+        raise AnalysisError(f"{root} log produced no commits that change a file")
     if len(set(counts.values())) == 1:  # sigma is 0 under either estimator
         notes.append("all files share one modification count; sigma filter selects nothing")
     elif not sigma_cut_reachable(len(counts), config.thresholds):
@@ -274,7 +263,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
         try:
             with contextlib.closing(walk):  # ends git if the parser stops early
                 replayer.run(parse_log_stream(walk))
-        except (StreamParseError, GitFailed, OSError) as exc:  # no replay is complete
+        except (StreamParseError, AnalysisError, OSError) as exc:  # no replay is complete
             unreplayed = f"stage-2 log: {exc}"
             replayer.states.clear()
     # A selected file is tracked or aborted, never dropped; a file nobody
@@ -373,7 +362,7 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     try:
         written = emit_reports(config.output_dir, tracked, tables, summary)
     except OSError as exc:
-        raise BadInput(f"output directory {config.output_dir}: {exc}") from None
+        raise AnalysisError(f"output directory {config.output_dir}: {exc}") from None
     logger.info("wrote %d artifacts to %s", len(written), config.output_dir)
 
     finished = datetime.now(timezone.utc)
@@ -407,14 +396,15 @@ def analyze_repo(config: AnalysisConfig) -> RunManifest:
     try:  # last: --out holds a manifest only after a finished run
         (config.output_dir / "manifest.json").write_text(manifest.to_json(), "utf-8")
     except OSError as exc:
-        raise BadInput(f"output directory {config.output_dir}: {exc}") from None
+        raise AnalysisError(f"output directory {config.output_dir}: {exc}") from None
     return manifest
 
 
 def _safe_report_name(path: str) -> str:
     digest = sha1(path.encode("utf-8", "surrogateescape")).hexdigest()[:8]
-    safe = "".join(c if c.isalnum() or c in "._-" else "__" for c in path)
-    return f"{safe[:120]}-{digest}.csv"
+    safe = "".join(c if c.isalnum() or c in "._-" else "__" for c in path)[:120]
+    # At most 242 UTF-8 bytes, cut at a character: 255 with "-<digest>.csv".
+    return f"{safe.encode()[:242].decode('utf-8', 'ignore')}-{digest}.csv"
 
 
 def display_text(raw: bytes) -> str:

@@ -50,16 +50,6 @@ class Unavailable(SelectorError):
     """The server will not give this repository's metadata: skip it, not the run."""
 
 
-class NotFound(Unavailable):
-    pass
-
-
-class RateLimited(SelectorError):
-    def __init__(self, retry_after: float):
-        self.retry_after = retry_after
-        super().__init__(f"rate limited; retry after {retry_after:.0f}s")
-
-
 @dataclass(frozen=True)
 class RepoMeta:
     owner_and_name: str
@@ -169,13 +159,13 @@ class MetadataClient:
                 raise SelectorError(f"GET {url}: {exc}") from exc
             status = response.status_code
             if status == 404:
-                raise NotFound(f"{path} not found")
+                raise Unavailable(f"{path} not found")
             if status == 451 or (status == 403 and not _rate_limited(response)):
                 raise Unavailable(f"GET {url}: {status} {_message(response)}")
             if status in (403, 429):
                 retry_after = _retry_after_seconds(response)
                 if attempt >= MAX_RETRIES:
-                    raise RateLimited(retry_after)
+                    raise SelectorError(f"rate limited; retry after {retry_after:.0f}s")
                 attempt += 1
                 logger.warning("rate limited on %s; sleeping %.1fs (retry %d/%d)",
                                path, retry_after, attempt, MAX_RETRIES)

@@ -29,18 +29,6 @@ REFACTOR_WINDOW_DAYS = 14.0
 _LONG_LINE_MIN_SIMILARITY = 0.3
 
 
-class HistoryTooShort(ValueError):
-    pass
-
-
-class LengthMismatch(ValueError):
-    pass
-
-
-class DegenerateMarginals(ValueError):
-    """Expected agreement is 1 while observed agreement is not."""
-
-
 class Pattern(str, enum.Enum):
     PINNED_VERSION_BUMP = "pinned-version-bump"
     CONDITIONAL_VERSION_BUMP = "conditional-version-bump"
@@ -543,7 +531,7 @@ def classify_history(line, file_category: str, path: str) -> PatternLabel:
     """
     history = line.history
     if len(history) < 2:
-        raise HistoryTooShort(f"history of length {len(history)} has no revision pairs")
+        raise ValueError(f"history of length {len(history)} has no revision pairs")
 
     votes: Counter = Counter()
     manifest = _is_manifest_path(path)
@@ -628,9 +616,9 @@ class KappaResult:
 def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaResult:
     """Chance-corrected agreement between two equal-length label lists."""
     if len(labels_a) != len(labels_b):
-        raise LengthMismatch(f"{len(labels_a)} vs {len(labels_b)} labels")
+        raise ValueError(f"{len(labels_a)} vs {len(labels_b)} labels")
     if not labels_a:
-        raise LengthMismatch("label lists must be non-empty")
+        raise ValueError("label lists must be non-empty")
     n = len(labels_a)
     p_o = sum(1 for a, b in zip(labels_a, labels_b) if a == b) / n
     marg_a, marg_b = Counter(labels_a), Counter(labels_b)
@@ -638,7 +626,7 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> KappaResult:
     if p_e >= 1.0:
         if p_o == 1.0:
             return KappaResult(1.0, p_o, p_e)
-        raise DegenerateMarginals("expected agreement is 1 but raters disagree")
+        raise ValueError("expected agreement is 1 but raters disagree")
     return KappaResult((p_o - p_e) / (1 - p_e), p_o, p_e)
 
 
@@ -667,5 +655,5 @@ def kappa_between_label_files(path_a: str | Path, path_b: str | Path) -> KappaRe
     b = load_label_overrides(path_b)
     keys = sorted(a.keys() & b.keys())
     if not keys:
-        raise LengthMismatch("label files share no (path, line_number) keys")
+        raise ValueError("label files share no (path, line_number) keys")
     return cohens_kappa([a[k] for k in keys], [b[k] for k in keys])

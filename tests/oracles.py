@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from linechurn.diffstream import CommitHeader, CommitStart, Hunk, MalformedHunkHeader, _hunk_counts
+from linechurn.diffstream import CommitHeader, CommitStart, Hunk, StreamParseError, _hunk_counts
 from linechurn.tracker import FileState, HistoryReplayer, TrackedLine
 
 NO_NEWLINE = b"\\ No newline at end of file"
@@ -27,10 +27,10 @@ def parse_hunk_header(header_line: bytes | str) -> tuple[int, int, int, int]:
     raw = header_line.encode("utf-8", "surrogateescape") if isinstance(header_line, str) else header_line
     raw = raw.rstrip(b"\n")
     if not raw.startswith(b"@@"):
-        raise MalformedHunkHeader("hunk header must start with '@@'", line=raw)
+        raise StreamParseError("hunk header must start with '@@'", line=raw)
     counts = _hunk_counts(raw)
     if counts is None:
-        raise MalformedHunkHeader("unparseable hunk header", line=raw)
+        raise StreamParseError("unparseable hunk header", line=raw)
     return counts
 
 

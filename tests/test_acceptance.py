@@ -21,7 +21,7 @@ import pytest
 
 from linechurn.bots import CommitterIdentity, bot_share, flag_bot
 from linechurn.churn import detect_hotspot_files, summarize
-from linechurn.diffstream import MalformedHunkHeader, log_command, parse_log_stream
+from linechurn.diffstream import StreamParseError, log_command, parse_log_stream
 from linechurn.pipeline import AnalysisConfig, analyze_repo
 from linechurn.taxonomy import (
     Chao1Input,
@@ -254,7 +254,7 @@ def test_parser_round_trip_fuzz():
                 b"@@-1,2 +1,2@@",
                 b"@@ -1,2, +1,2 @@",
             ])
-            with pytest.raises(MalformedHunkHeader):
+            with pytest.raises(StreamParseError, match="^unparseable hunk header$"):
                 parse_hunk_header(mutation)
 
 

@@ -16,7 +16,6 @@ from linechurn.churn import (
     ADMINISTRATIVE,
     PROGRAMMING,
     SECONDS_PER_MONTH,
-    EmptyInput,
     HotspotThresholds,
     categorize_file,
     count_file_commits,
@@ -258,7 +257,7 @@ class TestDetectHotspotFiles:
         assert base <= more
 
     def test_empty_counts_raise(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="^no files counted$"):
             detect_hotspot_files({}, lifetime_months=1.0)
 
     def test_a_file_at_exactly_three_sigma_is_not_hot(self):
@@ -371,7 +370,7 @@ class TestSummarize:
         assert stats.iqr == 0.0
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="^cannot summarize an empty list$"):
             summarize([])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))

@@ -16,10 +16,7 @@ from linechurn.diffstream import (
     FileStart,
     Hunk,
     HunkEvent,
-    MalformedCommitLine,
-    MalformedHunkHeader,
     StreamParseError,
-    TruncatedStream,
     _header_path,
     parse_commit_line,
     parse_log_stream,
@@ -99,11 +96,11 @@ class TestParseHunkHeader:
         "@@ -1,2 1,2 @@",
     ])
     def test_malformed_raises(self, bad):
-        with pytest.raises(MalformedHunkHeader):
+        with pytest.raises(StreamParseError, match="^unparseable hunk header$"):
             parse_hunk_header(bad)
 
     def test_non_hunk_line_rejected(self):
-        with pytest.raises(MalformedHunkHeader):
+        with pytest.raises(StreamParseError, match="^hunk header must start with '@@'$"):
             parse_hunk_header("index 123..456")
 
 
@@ -115,7 +112,8 @@ class TestParseCommitLine:
         assert header.committer_name == "Ada"
 
     def test_missing_timestamp(self):
-        with pytest.raises(MalformedCommitLine):
+        with pytest.raises(StreamParseError,
+                           match="^expected '<hash> <timestamp>' after 'commit'$"):
             parse_commit_line(b"commit xyz", {})
 
     def test_committer_fields(self):
@@ -124,16 +122,20 @@ class TestParseCommitLine:
 
     def test_author_and_committer_fields_rejected(self):
         """A line that still carries the author's two fields is malformed."""
-        with pytest.raises(MalformedCommitLine, match="expected 2 identity fields, got 4"):
+        with pytest.raises(StreamParseError, match="^expected 2 identity fields, got 4$"):
             parse_commit_line(b"commit abc123 1700000000\0Bea\0bea@x\0Carl\0carl@x", {})
 
     def test_non_integer_timestamp(self):
-        with pytest.raises(MalformedCommitLine):
+        with pytest.raises(StreamParseError, match="^commit timestamp is not an integer$"):
             parse_commit_line(b"commit abc123 notatime\0A\0a", {})
 
     def test_non_hex_hash(self):
-        with pytest.raises(MalformedCommitLine):
+        with pytest.raises(StreamParseError, match="^commit hash is not hexadecimal$"):
             parse_commit_line(b"commit zzz 1700000000\0A\0a", {})
+
+    def test_missing_identity_fields(self):
+        with pytest.raises(StreamParseError, match="^missing identity fields$"):
+            parse_commit_line(b"commit abc123 1700000000", {})
 
 
 class TestCommitterStrings:
@@ -154,7 +156,7 @@ class TestCommitterStrings:
     def test_later_malformed_identity_raises_with_offset(self):
         bad = b"commit cccc3333 1700000200\0Bea\0bea@x\0Carl\0carl@x\n"
         stream = COMMIT1 + COMMIT2 + COMMIT1 + bad
-        with pytest.raises(MalformedCommitLine, match="expected 2 identity fields") as info:
+        with pytest.raises(StreamParseError, match="expected 2 identity fields") as info:
             parse_all(stream)
         assert info.value.byte_offset == stream.index(bad)
 
@@ -502,7 +504,7 @@ def test_both_walks_refuse_a_malformed_commit_time(time):
     for parse, stream, at in ((parse_log_stream, patch, len(COMMIT1)),
                               (parse_name_status_stream, names, len(NS_COMMIT1) + 5)):
         for chunks in chunkings(stream):
-            with pytest.raises(MalformedCommitLine, match="commit time") as info:
+            with pytest.raises(StreamParseError, match="commit time") as info:
                 list(parse(chunks))
             assert info.value.byte_offset == at
 
@@ -511,7 +513,7 @@ def test_both_walks_refuse_a_malformed_commit_time(time):
 def test_commit_hash_is_lowercase_hex_digits_only(commit_hash):
     stream = COMMIT1 + b"commit " + commit_hash + b" 1700000100\0Carl\0carl@x\n"
     for chunks in chunkings(stream):
-        with pytest.raises(MalformedCommitLine, match="commit hash is not hexadecimal") as info:
+        with pytest.raises(StreamParseError, match="commit hash is not hexadecimal") as info:
             list(parse_log_stream(chunks))
         assert info.value.byte_offset == len(COMMIT1)
 
@@ -680,25 +682,30 @@ def test_name_status_paths_verbatim():
             (1700000000, []), (1700000100, [(n.decode(), n.decode()) for n in names])]
 
 
-@pytest.mark.parametrize("stream, error, at", [
-    pytest.param(b"commit aaaa1111 1700000000\nM\0f\0", MalformedCommitLine, 0,
-                 id="commit-line"),
-    pytest.param(NS_COMMIT1 + b"Q\0f\0", StreamParseError, len(NS_COMMIT1), id="unknown-status"),
-    pytest.param(NS_COMMIT1 + b"M\0", TruncatedStream, len(NS_COMMIT1), id="no-path"),
-    pytest.param(NS_COMMIT1 + b"R100\0a\0", TruncatedStream, len(NS_COMMIT1),
-                 id="rename-without-new-path"),
-    pytest.param(b"M\0f\0" + NS_COMMIT1, StreamParseError, 0, id="record-before-commit"),
+NS_BAD_TIME = "commit time is not a decimal number"
+
+
+@pytest.mark.parametrize("stream, message, at", [
+    pytest.param(b"commit aaaa1111 1700000000\nM\0f\0", NS_BAD_TIME, 0, id="commit-line"),
+    pytest.param(NS_COMMIT1 + b"Q\0f\0", "unparseable name-status field", len(NS_COMMIT1),
+                 id="unknown-status"),
+    pytest.param(NS_COMMIT1 + b"M\0", "name-status record without its path", len(NS_COMMIT1),
+                 id="no-path"),
+    pytest.param(NS_COMMIT1 + b"R100\0a\0", "name-status record without its path",
+                 len(NS_COMMIT1), id="rename-without-new-path"),
+    pytest.param(b"M\0f\0" + NS_COMMIT1, "name-status record before any commit line", 0,
+                 id="record-before-commit"),
     # git's %ct is an unsigned decimal.
-    pytest.param(NS_COMMIT1 + b"M\0f\0\0commit -1\nM\0f\0", MalformedCommitLine,
+    pytest.param(NS_COMMIT1 + b"M\0f\0\0commit -1\nM\0f\0", NS_BAD_TIME,
                  len(NS_COMMIT1) + 5, id="negative-time"),
-    pytest.param(b"commit 1e9\nM\0f\0", MalformedCommitLine, 0, id="exponent-time"),
-    pytest.param(b"commit \nM\0f\0", MalformedCommitLine, 0, id="empty-time"),
-    pytest.param(b"commit \xd9\xa1\nM\0f\0", MalformedCommitLine, 0, id="non-ascii-digit-time"),
+    pytest.param(b"commit 1e9\nM\0f\0", NS_BAD_TIME, 0, id="exponent-time"),
+    pytest.param(b"commit \nM\0f\0", NS_BAD_TIME, 0, id="empty-time"),
+    pytest.param(b"commit \xd9\xa1\nM\0f\0", NS_BAD_TIME, 0, id="non-ascii-digit-time"),
 ])
-def test_name_status_checks(stream, error, at):
+def test_name_status_checks(stream, message, at):
     """Each error carries the byte offset of the field it quotes, whatever
     the chunking."""
     for chunks in chunkings(stream):
-        with pytest.raises(error) as info:
+        with pytest.raises(StreamParseError, match=rf"^{message} \(byte offset") as info:
             list(parse_name_status_stream(chunks))
         assert info.value.byte_offset == at

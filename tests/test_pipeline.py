@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import builtins
 import csv
 import gc
 import hashlib
@@ -28,7 +30,7 @@ import linechurn.selector as selector
 from linechurn.bots import BotConfig
 from linechurn.churn import HotspotThresholds
 from linechurn.diffstream import log_command
-from linechurn.pipeline import AnalysisConfig, GitUnavailable, RepoNotFound, analyze_repo
+from linechurn.pipeline import AnalysisConfig, AnalysisError, analyze_repo
 from linechurn.selector import RepoMeta
 
 from conftest import blame_commits, run_fresh
@@ -234,7 +236,7 @@ class TestAnalyzeRepo:
         assert rows[0]["heuristic"] == "false"
 
     def test_repo_not_found(self, tmp_path):
-        with pytest.raises(RepoNotFound):
+        with pytest.raises(AnalysisError, match="nope does not exist$"):
             analyze_repo(AnalysisConfig(repo_path=tmp_path / "nope",
                                         output_dir=tmp_path / "out"))
 
@@ -243,7 +245,7 @@ class TestAnalyzeRepo:
         repo = tmp_path / "empty"
         repo.mkdir()
         subprocess.run(["git", "init", "-q", repo], check=True)
-        with pytest.raises(RepoNotFound):
+        with pytest.raises(AnalysisError, match=r"has no commits \(empty repository\)$"):
             analyze_repo(AnalysisConfig(repo_path=repo, output_dir=tmp_path / "out"))
 
     def test_log_without_commits_rejected(self, hotspot_repo, tmp_path, monkeypatch):
@@ -251,7 +253,7 @@ class TestAnalyzeRepo:
             yield from ()
 
         monkeypatch.setattr(pipeline, "_git_lines", no_output)
-        with pytest.raises(RepoNotFound, match="log produced no commits"):
+        with pytest.raises(AnalysisError, match="log produced no commits"):
             analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"],
                                         output_dir=tmp_path / "out"))
 
@@ -521,7 +523,8 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
                        "\tmnemonicPrefix = true\n\tcontext = 10\n\tinterHunkContext = 10\n"
                        "\trenames = copies\n\tindentHeuristic = false\n"
                        f"\torderFile = {tmp_path / 'missing.order'}\n"
-                       "[log]\n\tshowSignature = true\n\tshowRoot = false\n"
+                       "[log]\n\tshowSignature = true\n\tshowRoot = false\n\tfollow = true\n"
+                       "[color]\n\tdiff = always\n"
                        "[i18n]\n\tlogOutputEncoding = ISO-8859-1\n"
                        # every file binary, every line rewritten, a 1 GiB delta cache
                        "[core]\n\tbigFileThreshold = 10\n"
@@ -566,16 +569,35 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
         builder.finish()
         return {"path": path}
 
+    def build_copied_repo(path: Path) -> dict:
+        """A top-level hot file that began as a copy of a file that stays:
+        the one pathspec of its walk is what log.follow acts on."""
+        from repogen import RepoBuilder
+
+        builder = RepoBuilder(path)
+        lines = [f"key_{i} = {i}".encode() for i in range(15)]
+        edits = {f"src/quiet_{i:02d}.py": f"QUIET = {i}\n".encode() for i in range(40)}
+        builder.commit({**edits, "base.cfg": b"\n".join(lines) + b"\n"}, "initial import")
+        builder.commit({"hot.cfg": b"\n".join(lines) + b"\n"}, "copy base.cfg")
+        for k in range(1, 31):
+            lines[1] = f"key_1 = v{k}".encode()
+            builder.commit({"hot.cfg": b"\n".join(lines) + b"\n"}, f"bump {k}")
+        builder.finish()
+        return {"path": path}
+
     for build in (build_hotspot_repo, build_multi_hotspot_repo, build_slider_repo,
+                  build_copied_repo,
                   build_non_ascii_committer_repo):  # the last one's committers are read below
         fixture = build(tmp_path / build.__name__ / "repo")
         artifacts, gits = [], []
         for config in (clean, hostile):
-            monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
-            if config is hostile:  # git refuses it beside --literal-pathspecs
-                monkeypatch.setenv("GIT_ICASE_PATHSPECS", "1")
-            out = tmp_path / build.__name__ / config.stem
-            manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
+            with monkeypatch.context() as env:  # each clean run sees none of the hostile variables
+                env.setenv("GIT_CONFIG_GLOBAL", str(config))
+                if config is hostile:  # git refuses the first beside --literal-pathspecs
+                    env.setenv("GIT_ICASE_PATHSPECS", "1")
+                    env.setenv("GIT_DIFF_OPTS", "--unified=3")  # would override -U0
+                out = tmp_path / build.__name__ / config.stem
+                manifest = analyze_repo(AnalysisConfig(repo_path=fixture["path"], output_dir=out))
             assert manifest.aborted == {}
             artifacts.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
                               if p.is_file() and p.name != "manifest.json"})
@@ -693,7 +715,7 @@ def test_git_environment_drops_every_repository_local_variable(tmp_path, monkeyp
 
 def test_git_failure_raises_with_stderr(scratch_repo):
     repo, _ = scratch_repo
-    with pytest.raises(RuntimeError, match="unknown revision"):
+    with pytest.raises(AnalysisError, match="unknown revision"):
         list(pipeline._git_lines(repo, ["git", "log", "no-such-branch"], [], Counter(), "bytes"))
 
 
@@ -1337,7 +1359,7 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert reason in err
         assert not out.exists()
-        with pytest.raises(GitUnavailable, match=re.escape(reason)):
+        with pytest.raises(AnalysisError, match=re.escape(reason)):
             analyze_repo(AnalysisConfig(repo_path=hotspot_repo["path"], output_dir=out))
         assert not out.exists()
 
@@ -1510,6 +1532,27 @@ class TestCli:
         assert runs == []  # every input is read before the first git walk
 
 
+def test_every_exception_class_is_caught_by_name():
+    """A module defines an exception class only for a caller that acts on it:
+    each one is named, bare or as ``module.Name``, in an ``except`` in ``src``."""
+    bases, caught = {}, set()  # each class's base names; the names except clauses catch
+    for path in Path(linechurn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {ast.unparse(t).rpartition(".")[2] for t in types}
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    defined = set()  # grows by each class with a base already known to be an exception
+    while new := {name for name, names in bases.items() if names & exceptions} - defined:
+        defined |= new
+        exceptions |= new
+    assert "StreamParseError" in defined
+    assert sorted(defined - caught) == []
+
+
 def test_analyze_imports_only_the_standard_library():
     proc = run_fresh("-c", "import sys, linechurn, linechurn.cli, linechurn.pipeline; "
                      "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
@@ -1529,15 +1572,31 @@ def test_analyze_loads_no_openssl(hotspot_repo, tmp_path):
     assert list((tmp_path / "out" / "line_reports").iterdir())
 
 
+CJK_NAME = "\u6587\u6863" * 50 + ".cfg"  # 104 characters, 304 UTF-8 bytes
 REPORT_NAME_PATHS = ["conf/hot.cfg", b"caf\xe9/v\xff.cfg".decode("utf-8", "surrogateescape"),
-                     "deep/" * 30 + "lock.txt"]
+                     "deep/" * 30 + "lock.txt", CJK_NAME]
 
 
-@pytest.mark.parametrize("path", REPORT_NAME_PATHS, ids=["ascii", "non-utf8", "long"])
+@pytest.mark.parametrize("path", REPORT_NAME_PATHS, ids=["ascii", "non-utf8", "long", "cjk"])
 def test_report_name_is_the_sanitized_path_and_its_sha1(path):
+    """The first 120 characters of the sanitized path, then at most 242 UTF-8
+    bytes of them, whole characters only: a name fits in 255 bytes."""
     digest = hashlib.sha1(path.encode("utf-8", "surrogateescape")).hexdigest()[:8]
     safe = "".join(c if c.isalnum() or c in "._-" else "__" for c in path)[:120]
-    assert pipeline._safe_report_name(path) == f"{safe}-{digest}.csv"
+    while len(safe.encode()) > 242:
+        safe = safe[:-1]
+    name = pipeline._safe_report_name(path)
+    assert name == f"{safe}-{digest}.csv"
+    assert len(name.encode()) <= 255
+
+
+def test_long_non_ascii_hot_file_name(tmp_path, capsys):
+    """A hot file whose sanitized name is over 255 bytes still gets its line report."""
+    repo = build_bumped_repo(tmp_path / "repo", CJK_NAME, [None])
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--repo", str(repo), "--out", str(out)]) == 0, capsys.readouterr()
+    report = read_line_report(out / "line_reports" / pipeline._safe_report_name(CJK_NAME))
+    assert report[1].mod_count == 30
 
 
 def test_report_names_without_the_builtin_sha1():

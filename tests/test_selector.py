@@ -22,10 +22,9 @@ from linechurn.selector import (
     HALF_YEAR_SECONDS,
     InclusionCriteria,
     MetadataClient,
-    NotFound,
-    RateLimited,
     RepoMeta,
     SelectorError,
+    Unavailable,
     assign_stratum,
     passes_inclusion,
     sample_stratified,
@@ -261,7 +260,7 @@ class TestMetadataClient:
     def test_not_found(self, stub_api):
         base, _ = stub_api
         client = MetadataClient(api_base=base)
-        with pytest.raises(NotFound):
+        with pytest.raises(Unavailable, match="^/repos/no/such-repo not found$"):
             client.fetch_repo_meta("no/such-repo", now=NOW)
 
     def test_zero_commit_bucket_reported(self, stub_api):
@@ -299,9 +298,8 @@ class TestMetadataClient:
             "ratelimit_first": 99,
         }
         client = MetadataClient(api_base=base)
-        with pytest.raises(RateLimited) as excinfo:
+        with pytest.raises(SelectorError, match=r"^rate limited; retry after \d+s$"):
             client.fetch_repo_meta("octo/wall", now=NOW)
-        assert excinfo.value.retry_after >= 0
 
     def test_cache_short_circuits_network(self, stub_api, tmp_path):
         base, stub = stub_api
@@ -360,7 +358,7 @@ class TestMetadataClient:
         monkeypatch.setattr("linechurn.selector.time.sleep", slept.append)
         with pytest.raises(SelectorError) as excinfo:
             MetadataClient(api_base=base).fetch_repo_meta("octo/private", now=NOW)
-        assert not isinstance(excinfo.value, RateLimited)
+        assert "rate limited" not in str(excinfo.value)
         assert "403 Resource not accessible by integration" in str(excinfo.value)
         assert len(stub.request_log) == 1 and slept == []
 

@@ -8,41 +8,14 @@ between bot and human committers.
 
 __version__ = "0.1.0"
 
-from .bots import BotConfig, CommitterIdentity, aggregate_committers, bot_share, flag_bot
-from .churn import (
-    DescriptiveStats,
-    HotspotThresholds,
-    categorize_file,
-    count_file_commits,
-    detect_hotspot_files,
-    lifespan_days,
-    select_hotspot_lines,
-    summarize,
-)
-from .diffstream import (
-    CommitHeader,
-    Hunk,
-    parse_commit_line,
-    parse_log_stream,
-)
-from .pipeline import AnalysisConfig, RunManifest, analyze_repo, finalize
-from .taxonomy import (
-    Chao1Input,
-    KappaResult,
-    Pattern,
-    PatternLabel,
-    RevisionPair,
-    chao1,
-    chao1_curve,
-    classify_history,
-    classify_pair,
-    cohens_kappa,
-)
-from .tracker import (
-    FileState,
-    HistoryReplayer,
-    TrackedLine,
-    apply_hunk,
-)
+from .bots import BotConfig
+from .churn import HotspotThresholds
+from .diffstream import CommitHeader, StreamParseError
+from .pipeline import AnalysisConfig, AnalysisError, RunManifest, analyze_repo
+from .tracker import TrackedLine
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# README "Library use" names the same list.
+__all__ = [
+    "AnalysisConfig", "AnalysisError", "BotConfig", "CommitHeader", "HotspotThresholds",
+    "RunManifest", "StreamParseError", "TrackedLine", "__version__", "analyze_repo",
+]

@@ -49,10 +49,14 @@ DELTA_BASE_CACHE_LIMIT = "8m"
 PACKED_GIT_WINDOW_SIZE = "1m"
 PACKED_GIT_LIMIT = "4m"
 
-# Set in the walks' environment: keeps a system-wide attributes file from
-# giving tracked files a diff driver, a textconv or a binary mark
-# (log_command pins the user's file).
-GIT_ENV = {"GIT_ATTR_NOSYSTEM": "1"}
+# Set in the walks' environment.  GIT_ATTR_NOSYSTEM keeps a system-wide
+# attributes file from giving tracked files a diff driver, a textconv or a
+# binary mark (log_command pins the user's file).  GIT_FLUSH=0 lets git fill
+# its stdout buffer: otherwise, writing to a pipe, git flushes after every
+# commit, so a walk of 10,000 commits reached the parser in about 9,600
+# reads (desk's whole-history walk; 111 with the pin).  Only the read sizes
+# change, never the bytes.
+GIT_ENV = {"GIT_ATTR_NOSYSTEM": "1", "GIT_FLUSH": "0"}
 # Dropped from git's environment: the pathspec variables, each of which makes git exit
 # on --literal-pathspecs; GIT_DIFF_OPTS, whose --unified=N overrides the walk's -U0; and
 # what `git rev-parse --local-env-vars` prints on git 2.39.5, which would point git at
@@ -561,7 +565,10 @@ def log_command(rev: str, file_paths: list[str] | None = None,
     could slide sits, the root commit's diff or the committer names; a user's
     ``diff.orderFile`` cannot reorder the file diffs or, naming a missing
     file, fail the walk.  ``log_environment()`` drops ``GIT_DIFF_OPTS``, so
-    it cannot add context lines either.
+    it cannot add context lines either.  A gitlink's change is always a
+    ``Subproject commit`` patch and a name-status record: neither a user's
+    ``diff.submodule`` nor ``diff.ignoreSubmodules``, nor a repository's
+    ``.gitmodules`` ``ignore``, can print it another way or hide it.
     A user's ``core.bigFileThreshold`` cannot turn a text file binary, and
     neither a user's attributes file nor a textconv driver can rewrite the
     lines; the repository's own ``.gitattributes`` still applies.  The
@@ -587,6 +594,7 @@ def log_command(rev: str, file_paths: list[str] | None = None,
            "-c", "core.bigFileThreshold=512m", "-c", f"core.attributesFile={os.devnull}", "log",
            "--no-color", "--first-parent", "--diff-merges=first-parent", "--root",
            "--no-ext-diff", "--no-textconv", "--diff-algorithm=myers", "--indent-heuristic",
+           "--submodule=short", "--ignore-submodules=none",
            "-O", os.devnull, "-M",
            f"--pretty=format:{'commit %ct' if name_status else COMMIT_PRETTY_FORMAT}", "--reverse"]
     cmd += ["--name-status", "-z"] if name_status else ["-p", "-U0", "--inter-hunk-context=0"]

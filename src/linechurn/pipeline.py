@@ -110,11 +110,13 @@ def _git_lines(repo: Path, cmd: list[str], notes: list[str], sizes: Counter, key
     """Run a git command, streaming stdout in chunks; raise AnalysisError if git fails.
 
     Chunks end anywhere, not at line ends; ``sizes[key]`` grows by each
-    chunk's length as it is read.  stderr is drained on a thread,
-    so git never blocks on a full stderr pipe; what git printed there on
-    success is appended to ``notes``, one ``git: <line>`` per line.  A
-    consumer that stops early ends git, and git's exit then is no error: the
-    consumer's own exception, if any, is the one that surfaces.
+    chunk's length as it is read.  git runs in ``log_environment()``, whose
+    ``GIT_FLUSH=0`` makes it write full buffers rather than one per commit.
+    stderr is drained on a thread, so git never blocks on a full stderr
+    pipe; what git printed there on success is appended to ``notes``, one
+    ``git: <line>`` per line.  A consumer that stops early ends git, and
+    git's exit then is no error: the consumer's own exception, if any, is
+    the one that surfaces.
     """
     proc = subprocess.Popen(cmd, cwd=repo, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=log_environment())

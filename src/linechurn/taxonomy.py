@@ -3,9 +3,10 @@
 Each before/after revision pair of a hotspot line is matched against an
 ordered list of rules; the first match wins.  More specific token-shape
 rules (version bumps) fire before generic ones (long-line edits), and the
-formatting rule runs first because normalization equality is decisive.  The
-classifier is explicitly heuristic: downstream outputs carry a heuristic
-flag so its labels are never mistaken for human ones.
+formatting rule runs first because normalization equality is decisive.
+``classify_history``, the one entry point, labels a line by its pairs'
+votes.  The classifier is explicitly heuristic: downstream outputs carry a
+heuristic flag so its labels are never mistaken for human ones.
 
 Also implements the Chao1 richness estimator and Cohen's kappa, which
 support the saturation / inter-rater workflow around manual labeling.
@@ -76,14 +77,6 @@ PATTERN_CATEGORY: dict[Pattern, Category] = {
     Pattern.NORMAL_SOFTWARE_EVOLUTION: Category.NONE,
     Pattern.UNCLASSIFIED: Category.NONE,
 }
-
-@dataclass(frozen=True)
-class RevisionPair:
-    before: bytes
-    after: bytes
-    file_category: str = PROGRAMMING
-    path: str = ""
-
 
 @dataclass
 class PatternLabel:
@@ -506,20 +499,6 @@ def _winner(ctx: _PairContext) -> Pattern:
             else Pattern.UNCLASSIFIED)
 
 
-def classify_pair(pair: RevisionPair) -> PatternLabel:
-    """Label one before/after revision pair.
-
-    The first matching rule in ``_RULES`` order wins; otherwise substantive
-    code edits are normal software evolution and anything else is
-    unclassified.  Identical before/after is a caller error.
-    """
-    if pair.before == pair.after:
-        raise ValueError("classify_pair requires before != after")
-    ctx = _PairContext(_Revision(pair.before), _Revision(pair.after), pair.file_category,
-                       _is_manifest_path(pair.path))
-    return PatternLabel(_winner(ctx))
-
-
 def classify_history(line, file_category: str, path: str) -> PatternLabel:
     """Aggregate per-pair votes of one line's history into a single label.
 
@@ -567,28 +546,20 @@ def _has_close_modifications(history) -> bool:
 
 # --- labeling-workflow statistics -----------------------------------------
 
-@dataclass(frozen=True)
-class Chao1Input:
-    s_obs: int
-    f1: int
-    f2: int
-
-    def __post_init__(self) -> None:
-        if min(self.s_obs, self.f1, self.f2) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.f1 + self.f2 > self.s_obs:
-            raise ValueError("singletons plus doubletons cannot exceed observed richness")
-
-
-def chao1(data: Chao1Input) -> float:
-    """Chao1 lower-bound richness estimate.
+def chao1(s_obs: int, f1: int, f2: int) -> float:
+    """Chao1 lower-bound richness estimate from the observed richness and
+    the singleton and doubleton counts.
 
     Classic form when doubletons exist; the bias-corrected form
     ``S + f1(f1-1) / (2(f2+1))`` otherwise.
     """
-    if data.f2 > 0:
-        return data.s_obs + data.f1 ** 2 / (2 * data.f2)
-    return data.s_obs + data.f1 * (data.f1 - 1) / (2 * (data.f2 + 1))
+    if min(s_obs, f1, f2) < 0:
+        raise ValueError("counts must be non-negative")
+    if f1 + f2 > s_obs:
+        raise ValueError("singletons plus doubletons cannot exceed observed richness")
+    if f2 > 0:
+        return s_obs + f1 ** 2 / (2 * f2)
+    return s_obs + f1 * (f1 - 1) / (2 * (f2 + 1))
 
 
 def chao1_curve(label_sequence: Sequence) -> list[tuple[int, int, float]]:
@@ -602,7 +573,7 @@ def chao1_curve(label_sequence: Sequence) -> list[tuple[int, int, float]]:
         s_obs = len(freq)
         f1 = sum(1 for c in freq.values() if c == 1)
         f2 = sum(1 for c in freq.values() if c == 2)
-        out.append((k, s_obs, chao1(Chao1Input(s_obs, f1, f2))))
+        out.append((k, s_obs, chao1(s_obs, f1, f2)))
     return out
 
 

@@ -15,9 +15,14 @@ pays for compiling when the environment forbids writing it (see
 
 For each workload and each end-to-end metric of BENCHMARK.json, prints both
 medians, both quartile ranges (``statistics.quantiles``, inclusive), in how
-many pairs CHANGE read lower and higher, and a verdict (see ``verdict``).  ``--out`` gets one JSON line
-per run: the workload, the pair, the side, the exit code, and the run's last
-stdout line.  Exits 1 when a run fails or reports ``failed`` above 0.
+many pairs CHANGE read lower and higher, and a verdict (see ``verdict``).
+Before each pair index it measures how much parallel CPU the host gives
+(``probe_capacity``), and prints each workload's range of it under the
+workload's verdict lines: a verdict read at 1.0 and one read at 2.0 are
+not the same measurement.  ``--out`` gets one JSON line per run: the
+workload, the pair, the side, the exit code, the pair's capacity, and the
+run's last stdout line.  Exits 1 when a run fails or reports ``failed``
+above 0.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +52,28 @@ def alternating_rounds(trees: dict[str, Path], rounds: int):
                         "tests/repogen.py"], cwd=tree, check=True)
     for round_ in range(rounds):
         yield round_, SIDES if round_ % 2 == 0 else SIDES[::-1]
+
+
+# A CPU-bound loop of about 0.1 s on the 2-core benchmark host.
+_SPIN = [sys.executable, "-c", "for _ in range(1_500_000): pass"]
+
+
+def capacity(alone_s: float, both_s: float) -> float:
+    """Cores' worth of parallel CPU the host gave: 2.0 when two loops at once
+    take as long as one alone (``alone_s``), 1.0 when they take twice as long."""
+    return 2 * alone_s / both_s
+
+
+def probe_capacity() -> float:
+    """Time ``_SPIN`` alone, then two of it at once, and return their ``capacity``."""
+    start = time.perf_counter()
+    subprocess.run(_SPIN, check=True)
+    alone = time.perf_counter() - start
+    start = time.perf_counter()
+    procs = [subprocess.Popen(_SPIN) for _ in range(2)]
+    if any(proc.wait() for proc in procs):
+        raise RuntimeError("capacity probe failed")
+    return capacity(alone, time.perf_counter() - start)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, dict | None]:
@@ -141,10 +169,12 @@ def main() -> int:
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     records = {w: [] for w in workloads}
+    capacities = []
     failed = False
     out = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
         for pair, order in alternating_rounds(trees, args.pairs):
+            capacities.append(probe_capacity())
             for workload in workloads:
                 lines = {}
                 for side in order:
@@ -154,7 +184,8 @@ def main() -> int:
                     lines[side] = line or {}
                     if out:
                         out.write(json.dumps({"workload": workload, "pair": pair, "side": side,
-                                              "exit": code, "line": line}) + "\n")
+                                              "exit": code, "capacity": capacities[-1],
+                                              "line": line}) + "\n")
                         out.flush()
                 records[workload].append(lines)
                 print(f"pair {pair + 1}/{args.pairs} {workload} done", file=sys.stderr)
@@ -163,6 +194,8 @@ def main() -> int:
             out.close()
     for workload, pairs in records.items():
         print("\n".join(format_summary(workload, summarize(pairs, list(bounds)), bounds)))
+        print(f"{workload} capacity: {min(capacities):.2f} to {max(capacities):.2f} cores "
+              f"over {len(capacities)} pairs")
     if failed:
         print("a run failed or reported failed analyze calls", file=sys.stderr)
     return 1 if failed else 0

@@ -23,15 +23,7 @@ from linechurn.bots import CommitterIdentity, bot_share, flag_bot
 from linechurn.churn import detect_hotspot_files, summarize
 from linechurn.diffstream import StreamParseError, log_command, parse_log_stream
 from linechurn.pipeline import AnalysisConfig, analyze_repo
-from linechurn.taxonomy import (
-    Chao1Input,
-    PATTERN_CATEGORY,
-    Pattern,
-    chao1,
-    classify_history,
-    classify_pair,
-    cohens_kappa,
-)
+from linechurn.taxonomy import PATTERN_CATEGORY, Pattern, chao1, classify_history, cohens_kappa
 from linechurn.tracker import HistoryReplayer
 
 from conftest import blame_commits, repo_log_events, walk_peak
@@ -42,7 +34,7 @@ from repogen import (BlobReader, RepoBuilder, build_hotspot_repo, build_multi_ho
 from test_golden_artifacts import DESK_DATA, pins
 from test_diffstream import COMMIT1, hunk_header_bytes, random_hunk
 from test_churn import brute_mean_std, brute_summary
-from test_taxonomy import GOLDEN_PAIRS, STEPWISE_HISTORY, line_from_contents, pair_for
+from test_taxonomy import GOLDEN_PAIRS, STEPWISE_HISTORY, label_pair, line_from_contents
 
 
 @contextlib.contextmanager
@@ -140,13 +132,13 @@ def test_move_semantics(tmp_path, placement):
 
 def test_chao1_exactness():
     with criterion("chao1-exactness"):
-        assert chao1(Chao1Input(15, 2, 3)) == pytest.approx(15.6667, abs=5e-5)
-        assert abs(chao1(Chao1Input(15, 2, 3)) - (15 + 2 / 3)) < 1e-9
+        assert chao1(15, 2, 3) == pytest.approx(15.6667, abs=5e-5)
+        assert abs(chao1(15, 2, 3) - (15 + 2 / 3)) < 1e-9
         rng = random.Random(4)
         for _ in range(500):
             f2 = rng.randrange(0, 50)
             s_obs = f2 + rng.randrange(0, 50)
-            assert chao1(Chao1Input(s_obs, 0, f2)) == float(s_obs)
+            assert chao1(s_obs, 0, f2) == float(s_obs)
 
 
 def test_golden_taxonomy_fixtures():
@@ -155,7 +147,7 @@ def test_golden_taxonomy_fixtures():
         assert len(GOLDEN_PAIRS) >= 10
         hits = 0
         for expected, before, after, path in GOLDEN_PAIRS:
-            label = classify_pair(pair_for(before, after, path))
+            label = label_pair(before.encode(), after.encode(), path)
             assert label.label is expected, (expected.value, label.label.value)
             assert label.category is PATTERN_CATEGORY[expected]
             hits += 1
@@ -381,7 +373,8 @@ def test_determinism(tmp_path):
                 # the manifest names the git that ran and each walk's fixed
                 # options, with the commit both walks read
                 git = json.loads((out / "manifest.json").read_text())["git"]
-                assert git == {"version": git_version, "environment": {"GIT_ATTR_NOSYSTEM": "1"},
+                assert git == {"version": git_version,
+                               "environment": {"GIT_ATTR_NOSYSTEM": "1", "GIT_FLUSH": "0"},
                                "stage1_walk": log_command(head, name_status=True),
                                "stage2_walk": log_command(head)}
             first, second = outputs

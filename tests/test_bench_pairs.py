@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_pairs import format_summary, run_ok, summarize, verdict
+from bench_pairs import capacity, format_summary, run_ok, summarize, verdict
 
 
 def line(**values: float) -> dict:
@@ -93,3 +93,8 @@ def test_worse_past_the_relative_bound_only():
     assert verdict(entry_of(PARENT, [p * 1.2 for p in PARENT]), 0.25) == "level"
     assert verdict(entry_of(PARENT, [p * 1.06 for p in PARENT]), 0.05) == "worse"
 
+
+@pytest.mark.parametrize("alone_s, both_s, cores", [(0.2, 0.2, 2.0), (0.2, 0.4, 1.0),
+                                                    (0.1, 0.125, 1.6)])
+def test_capacity_is_cores_worth_of_parallel_cpu(alone_s, both_s, cores):
+    assert capacity(alone_s, both_s) == pytest.approx(cores)

@@ -522,6 +522,7 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
     hostile.write_text("[diff]\n\tnoprefix = true\n\talgorithm = histogram\n"
                        "\tmnemonicPrefix = true\n\tcontext = 10\n\tinterHunkContext = 10\n"
                        "\trenames = copies\n\tindentHeuristic = false\n"
+                       "\tsubmodule = log\n\tignoreSubmodules = all\n"
                        f"\torderFile = {tmp_path / 'missing.order'}\n"
                        "[log]\n\tshowSignature = true\n\tshowRoot = false\n\tfollow = true\n"
                        "[color]\n\tdiff = always\n"
@@ -585,8 +586,39 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
         builder.finish()
         return {"path": path}
 
+    def build_gitlink_repo(path: Path, gitmodules: bytes = b"") -> dict:
+        """A hot file and a gitlink, ``vendor/lib``, changed in the same 60
+        commits three days apart, among 100 quiet files; a non-empty
+        ``gitmodules`` is committed as the repository's ``.gitmodules``."""
+        path.mkdir(parents=True)
+        run_git(path, "init", "-q", "-b", "main")
+        lines = [f"key_{i} = {i}".encode() for i in range(15)]
+        files = {f"src/quiet_{i:03d}.py": f"QUIET = {i}\n".encode() for i in range(100)}
+        if gitmodules:
+            files[".gitmodules"] = gitmodules
+        stream = []
+        for k in range(61):
+            when = 1_500_000_000 + k * 3 * 86_400
+            lines[1] = f"key_1 = v{k}".encode()
+            files["hot.cfg"] = b"\n".join(lines) + b"\n"
+            stream.append(f"commit refs/heads/main\ncommitter Ada <ada@example.org> {when} +0000\n"
+                          f"data 4\nedit\n".encode())
+            stream += [f"M 100644 inline {name}\ndata {len(data)}\n".encode() + data + b"\n"
+                       for name, data in files.items()]
+            if k:
+                stream.append(f"M 160000 {k:040x} vendor/lib\n".encode())
+            files = {}
+        subprocess.run(["git", "fast-import", "--quiet"], cwd=path, input=b"".join(stream),
+                       check=True)
+        return {"path": path}
+
+    def build_ignored_gitlink_repo(path: Path) -> dict:
+        return build_gitlink_repo(path, b'[submodule "lib"]\n\tpath = vendor/lib\n'
+                                        b"\turl = ./lib\n\tignore = all\n")
+
+    churn = {}
     for build in (build_hotspot_repo, build_multi_hotspot_repo, build_slider_repo,
-                  build_copied_repo,
+                  build_copied_repo, build_gitlink_repo, build_ignored_gitlink_repo,
                   build_non_ascii_committer_repo):  # the last one's committers are read below
         fixture = build(tmp_path / build.__name__ / "repo")
         artifacts, gits = [], []
@@ -605,6 +637,10 @@ def test_user_git_config_changes_no_artifact(tmp_path, monkeypatch):
         assert len(artifacts[0]) >= 7
         assert artifacts[0] == artifacts[1], build.__name__
         assert gits[0] == gits[1]  # the manifest records no user setting
+        churn[build] = artifacts[0][Path("file_churn.csv")].decode()
+    for build in (build_gitlink_repo, build_ignored_gitlink_repo):  # a bump is a change
+        assert "\nvendor/lib,60,administrative,true\n" in churn[build]
+        assert "\nhot.cfg,61,administrative,true\n" in churn[build]
     assert "J\u00fcrgen M\u00fcller,jm@example.org,15" in artifacts[0][Path("committers.csv")].decode()
 
 
@@ -689,6 +725,23 @@ def test_git_reads_no_system_attributes(tmp_path, monkeypatch):
         tmp_path, [sys.executable, "-c", "import os; print(os.environ['GIT_ATTR_NOSYSTEM'])"],
         [], Counter(), "bytes"))
     assert printed == b"1\n"
+
+
+def test_git_flushes_no_commit_alone(monkeypatch):
+    """git writes full buffers to the parser, whatever the environment says."""
+    monkeypatch.setenv("GIT_FLUSH", "1")
+    assert diffstream.log_environment()["GIT_FLUSH"] == "0"
+
+
+def test_git_flush_changes_no_walk_output(tmp_path):
+    repo = build_multi_hotspot_repo(tmp_path / "repo")["path"]
+    env = diffstream.log_environment()
+    env.pop("GIT_FLUSH", None)
+    for cmd in (log_command("HEAD", name_status=True), log_command("HEAD")):
+        printed = [subprocess.run(cmd, cwd=repo, env=walk_env, capture_output=True,
+                                  check=True).stdout
+                   for walk_env in (env, env | {"GIT_FLUSH": "0"}, env | {"GIT_FLUSH": "1"})]
+        assert printed[0] and printed[0] == printed[1] == printed[2]
 
 
 def test_repo_option_decides_the_repository(analyzed, tmp_path, monkeypatch):
@@ -1530,6 +1583,21 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (out / "manifest.json").exists()
         assert runs == []  # every input is read before the first git walk
+
+
+def test_package_root_exports_what_the_readme_names():
+    """The root's names are written out, a star import binds exactly them,
+    and README's "Library use" imports the same names from ``linechurn``."""
+    names = ["AnalysisConfig", "AnalysisError", "BotConfig", "CommitHeader", "HotspotThresholds",
+             "RunManifest", "StreamParseError", "TrackedLine", "__version__", "analyze_repo"]
+    assert linechurn.__all__ == names
+    star: dict = {}
+    exec("from linechurn import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == names
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    imports = re.findall(r"^from linechurn import (\([^)]*\)|.*)$", section, re.M)
+    assert sorted({name for found in imports for name in re.findall(r"\w+", found)}) == names
 
 
 def test_every_exception_class_is_caught_by_name():

@@ -11,14 +11,12 @@ from linechurn.churn import PROGRAMMING, categorize_file
 from linechurn.diffstream import CommitHeader
 from linechurn.taxonomy import (
     Category,
-    Chao1Input,
     PATTERN_CATEGORY,
     Pattern,
-    RevisionPair,
+    PatternLabel,
     chao1,
     chao1_curve,
     classify_history,
-    classify_pair,
     cohens_kappa,
     kappa_between_label_files,
     load_label_overrides,
@@ -103,20 +101,24 @@ STEPWISE_HISTORY = [
 ]
 
 
-def pair_for(before: str, after: str, path: str) -> RevisionPair:
-    return RevisionPair(before.encode(), after.encode(), categorize_file(path), path)
-
-
 def line_from_contents(contents: list[bytes], timestamps: list[int]) -> TrackedLine:
     return tracked_line((CommitHeader(f"{i:040x}", ts, "Ada", "ada@x"), content)
                         for i, (ts, content) in enumerate(zip(timestamps, contents)))
+
+
+def label_pair(before: bytes, after: bytes, path: str) -> PatternLabel:
+    """One before/after pair labelled as a run labels it: the two-revision
+    history of a line in ``path``.  One modification can never make it
+    stepwise refactoring."""
+    line = line_from_contents([before, after], [0, 86_400])
+    return classify_history(line, categorize_file(path), path)
 
 
 class TestGoldenFixtures:
     @pytest.mark.parametrize("expected,before,after,path", GOLDEN_PAIRS,
                              ids=[p.value for p, *_ in GOLDEN_PAIRS])
     def test_pair_classifies_to_published_label(self, expected, before, after, path):
-        label = classify_pair(pair_for(before, after, path))
+        label = label_pair(before.encode(), after.encode(), path)
         assert label.label is expected
         assert label.category is PATTERN_CATEGORY[expected]
 
@@ -131,39 +133,35 @@ class TestGoldenFixtures:
 
 
 class TestClassifyPair:
-    def test_identical_pair_rejected(self):
-        with pytest.raises(ValueError):
-            classify_pair(RevisionPair(b"same", b"same"))
-
     def test_unmatched_code_edit_is_normal_evolution(self):
-        label = classify_pair(pair_for("total = total + tax", "total = total - tax",
-                                       "src/billing.py"))
+        label = label_pair(b"total = total + tax", b"total = total - tax",
+                           "src/billing.py")
         assert label.label is Pattern.NORMAL_SOFTWARE_EVOLUTION
         assert label.category is Category.NONE
 
     def test_unmatched_admin_edit_is_unclassified(self):
-        label = classify_pair(pair_for("some prose here", "different prose here",
-                                       "notes.txt"))
+        label = label_pair(b"some prose here", b"different prose here",
+                           "notes.txt")
         assert label.label is Pattern.UNCLASSIFIED
 
     def test_version_downgrade_is_not_a_pinned_bump(self):
-        label = classify_pair(pair_for('release = "2.0.0"', 'release = "1.9.9"',
-                                       "docs/conf.py"))
+        label = label_pair(b'release = "2.0.0"', b'release = "1.9.9"',
+                           "docs/conf.py")
         assert label.label is not Pattern.PINNED_VERSION_BUMP
 
     def test_caret_range_is_conditional(self):
-        label = classify_pair(pair_for('"lodash": "^4.17.20"', '"lodash": "^4.17.21"',
-                                       "deps/list.txt"))
+        label = label_pair(b'"lodash": "^4.17.20"', b'"lodash": "^4.17.21"',
+                           "deps/list.txt")
         assert label.label is Pattern.CONDITIONAL_VERSION_BUMP
 
     def test_case_toggle_is_formatting(self):
-        label = classify_pair(pair_for("SELECT * FROM t;", "select * from t;",
-                                       "query.sql"))
+        label = label_pair(b"SELECT * FROM t;", b"select * from t;",
+                           "query.sql")
         assert label.label is Pattern.FORMATTING_PING_PONG
 
     def test_metadata_diagnostics_records_secondary_candidate(self):
-        label = classify_pair(pair_for('"built": "2021-01-01",', '"built": "2022-02-02",',
-                                       "build-info.json"))
+        label = label_pair(b'"built": "2021-01-01",', b'"built": "2022-02-02",',
+                           "build-info.json")
         assert label.label is Pattern.METADATA_CHANGE
 
     @pytest.mark.parametrize("before,after,matches", [
@@ -187,14 +185,15 @@ class TestClassifyPair:
         assert _is_manifest_path(path) is manifest
 
     def test_determinism(self):
-        pair = pair_for(*GOLDEN_PAIRS[0][1:])
-        assert classify_pair(pair) == classify_pair(pair)
+        before, after, path = GOLDEN_PAIRS[0][1:]
+        pair = before.encode(), after.encode(), path
+        assert label_pair(*pair) == label_pair(*pair)
 
     @pytest.mark.parametrize("expected,before,after,path", GOLDEN_PAIRS,
                              ids=[p.value for p, *_ in GOLDEN_PAIRS])
     def test_trailing_whitespace_never_changes_label(self, expected, before, after, path):
-        base = classify_pair(pair_for(before, after, path)).label
-        padded = classify_pair(pair_for(before + "   ", after + "   ", path)).label
+        base = label_pair(before.encode(), after.encode(), path).label
+        padded = label_pair((before + "   ").encode(), (after + "   ").encode(), path).label
         assert padded is base
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",),
@@ -209,9 +208,8 @@ class TestClassifyPair:
             return
         if text == altered:
             return
-        base = classify_pair(RevisionPair(text.encode(), altered.encode()))
-        padded = classify_pair(RevisionPair((text + pad).encode(),
-                                            (altered + pad).encode()))
+        base = label_pair(text.encode(), altered.encode(), "src/app.py")
+        padded = label_pair((text + pad).encode(), (altered + pad).encode(), "src/app.py")
         assert base.label is Pattern.FORMATTING_PING_PONG
         assert padded.label is Pattern.FORMATTING_PING_PONG
 
@@ -221,11 +219,12 @@ class TestClassifyHistory:
         contents = [
             b'v = "1.0.0"',
             b'v = "1.0.1"',   # pinned bump
+            b'v = "1.0.1"',   # a touch with no byte change: no vote
             b'v = "1.0.2"',   # pinned bump
             b'v = "1.0.3"',   # pinned bump
             b'value = "1.0.3"',  # something else
         ]
-        line = line_from_contents(contents, [1000 * i for i in range(1, 6)])
+        line = line_from_contents(contents, [1000 * i for i in range(1, 7)])
         label = classify_history(line, "administrative", "app/version.cfg")
         assert label.label is Pattern.PINNED_VERSION_BUMP
         assert label.confidence == pytest.approx(0.75)
@@ -264,31 +263,32 @@ class TestClassifyHistory:
 
 class TestChao1:
     def test_paper_terminal_value(self):
-        assert chao1(Chao1Input(15, 2, 3)) == pytest.approx(15 + 2 / 3, abs=1e-9)
+        assert chao1(15, 2, 3) == pytest.approx(15 + 2 / 3, abs=1e-9)
 
     def test_zero_singletons_add_nothing(self):
-        assert chao1(Chao1Input(15, 0, 3)) == 15.0
-        assert chao1(Chao1Input(15, 0, 0)) == 15.0
+        assert chao1(15, 0, 3) == 15.0
+        assert chao1(15, 0, 0) == 15.0
 
     def test_bias_corrected_when_no_doubletons(self):
-        assert chao1(Chao1Input(15, 4, 0)) == pytest.approx(21.0)
+        assert chao1(15, 4, 0) == pytest.approx(21.0)
 
     def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
-            Chao1Input(3, 2, 2)
-        with pytest.raises(ValueError):
-            Chao1Input(-1, 0, 0)
+        with pytest.raises(ValueError, match="^singletons plus doubletons cannot exceed "
+                                             "observed richness$"):
+            chao1(3, 2, 2)
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            chao1(-1, 0, 0)
 
     @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500))
     def test_estimate_never_below_observed(self, s_extra, f1, f2):
         s_obs = f1 + f2 + s_extra
-        assert chao1(Chao1Input(s_obs, f1, f2)) >= s_obs
+        assert chao1(s_obs, f1, f2) >= s_obs
 
 
 class TestChao1Curve:
     def test_single_prefix(self):
         curve = chao1_curve(["A"])
-        assert curve == [(1, 1, chao1(Chao1Input(1, 1, 0)))]
+        assert curve == [(1, 1, chao1(1, 1, 0))]
 
     def test_all_distinct_labels(self):
         labels = [f"L{i}" for i in range(10)]

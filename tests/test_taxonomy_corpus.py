@@ -17,9 +17,9 @@ from collections import Counter
 from pathlib import Path
 
 from linechurn.churn import PROGRAMMING, categorize_file
-from linechurn.taxonomy import Pattern, RevisionPair, classify_history, classify_pair
+from linechurn.taxonomy import Pattern, classify_history
 
-from test_taxonomy import line_from_contents
+from test_taxonomy import label_pair, line_from_contents
 
 DATA = Path(__file__).parent / "data" / "taxonomy_corpus.json"
 SEED = 20261018
@@ -298,8 +298,7 @@ def classify_corpus() -> dict:
     rng = random.Random(SEED)
     pair_codes = []
     for before, after, path in generate_pairs(rng, N_PAIRS):
-        label = classify_pair(RevisionPair(before=before.encode(), after=after.encode(),
-                                           file_category=categorize_file(path), path=path))
+        label = label_pair(before.encode(), after.encode(), path)
         pair_codes.append(CODE[label.label])
     history_codes, confidences = [], []
     for contents, ts, path in generate_histories(rng, N_HISTORIES):
@@ -328,7 +327,7 @@ def test_corpus_histories_cover_ties_and_the_window():
     for contents, ts, path in histories:
         category = categorize_file(path)
         votes = Counter(
-            classify_pair(RevisionPair(before=b, after=a, file_category=category, path=path)).label
+            label_pair(b, a, path).label
             for b, a in zip(contents, contents[1:]) if b != a).most_common(2)
         ties += len(votes) == 2 and votes[0][1] == votes[1][1]
         if category == PROGRAMMING and len(ts) >= 3:

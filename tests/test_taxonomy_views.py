@@ -9,16 +9,14 @@ import difflib
 import re
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linechurn import taxonomy
 from linechurn.churn import ADMINISTRATIVE, categorize_file
 from linechurn.taxonomy import (
     Pattern,
-    RevisionPair,
     classify_history,
-    classify_pair,
     _METADATA_RE,
     _RANK,
     _RESOURCE_ANY,
@@ -27,7 +25,7 @@ from linechurn.taxonomy import (
     _word_diff,
 )
 
-from test_taxonomy import line_from_contents
+from test_taxonomy import label_pair, line_from_contents
 
 DAY = 86_400
 WORDS = ["alpha", "beta", "Gamma", "total", "value", "x", "-v", "--debug", "verbose"]
@@ -109,12 +107,13 @@ def histories(draw):
 
 
 @given(histories(), st.sampled_from(PATHS))
+@example([b"same", b"same"], "src/app.py")  # identical revisions cast no vote
 @settings(max_examples=300, deadline=None)
 def test_a_history_votes_as_its_pairs_classified_one_by_one(contents, path):
     # Modifications 30 days apart: the stepwise-refactoring window never holds.
     line = line_from_contents(contents, [i * 30 * DAY for i in range(len(contents))])
     category = categorize_file(path)
-    votes = Counter(classify_pair(RevisionPair(b, a, category, path)).label
+    votes = Counter(label_pair(b, a, path).label
                     for b, a in zip(contents, contents[1:]) if b != a)
     label = classify_history(line, category, path)
     if not votes:
